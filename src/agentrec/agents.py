@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from string import Template
 from typing import Callable, Optional
@@ -75,6 +73,11 @@ class LanguageCore:
         return ""
 
     def _generate_remote(self, prompt: str, max_tokens: int) -> str:
+        # Imported here: urllib.request costs every scripted run tens of ms of
+        # import time and a few MB of memory.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps({"prompt": prompt, "max_tokens": max_tokens}).encode("utf-8")
         request = urllib.request.Request(
             self.endpoint.rstrip("/") + "/generate",

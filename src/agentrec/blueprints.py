@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 
+from . import memory  # embed_text via the module, so wrappers on memory.embed_text see it
 from .agents import AgentSpec, Tool, ToolRegistry, scripted_core
 from .errors import ConfigInvalid
 from .memory import (
@@ -75,8 +76,9 @@ def _memory_recall_tool(env, budgets, store, tool_cfg) -> Tool:
     top_k = int(tool_cfg.get("top_k", 4))
 
     def handler(args: str) -> str:
-        items = retrieve_topk(store, args, top_k)
-        hits = [item for item in items if relevance_score(args, item) > 0.0]
+        query_vec = memory.embed_text(args)
+        items = retrieve_topk(store, query_vec, top_k)
+        hits = [item for item in items if relevance_score(query_vec, item) > 0.0]
         return render_facts(
             (item.slot(), item.canonical_text().partition(": ")[2]) for item in hits)
 
@@ -112,7 +114,8 @@ def _category_search_tool(env, budgets, store, tool_cfg) -> Tool:
         candidates = [item for item in env.catalog
                       if category in item.tags
                       and not violations_for(item, constraints)]
-        scored = sorted(((score_item(query, item), item) for item in candidates),
+        query_vec = memory.embed_text(query)
+        scored = sorted(((score_item(query_vec, item), item) for item in candidates),
                         key=lambda pair: (-pair[0], pair[1].id))
         return json.dumps({
             "category": category,

@@ -252,7 +252,7 @@ def _run_interactive(config, env, policy, seed, report_format):
 def _build_theta(theta_cfg, env, sim_seed):
     kind = theta_cfg.get("kind", "seeded")
     if kind == "first_item":
-        return embed_text(env.catalog[0].text())
+        return env.catalog[0].embedding
     if kind == "text":
         return embed_text(theta_cfg["text"])
     if kind == "seeded":

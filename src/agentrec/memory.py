@@ -8,8 +8,18 @@ Pinned constants (changing any of these changes every persisted vector):
 * per-token hash = blake2b(token, digest_size=9, person=b"embed-v1");
   bucket = first 8 bytes (big-endian) mod 64, sign = +1 if the 9th byte is
   even else -1; the accumulated vector is L2-normalized
-* empty token set embeds to the all-zero vector (sentinel)
-* relevance = cosine clamped to [0, 1]; identical keys score exactly 1.0
+* empty token set embeds to the all-zero vector (sentinel); every zero
+  component of an embedding is the one shared ``0.0`` object (bit-identical
+  to ``0.0 / norm``, since no component is ever ``-0.0``), so a cached vector
+  costs memory only for its nonzero buckets
+* relevance = cosine clamped to [0, 1]; identical keys score exactly 1.0;
+  dot product and norms are left-to-right float sums of the componentwise
+  products
+* embed once: a scoring call embeds its query text once and scores every
+  item against that vector (memory items carry their key); a
+  ``runtime.CatalogItem`` embeds its title+tags text lazily on first use and
+  keeps the vector for its own lifetime (an edited item is a new object
+  with no vector yet)
 * top-K tie-break: higher score first, then older timestamp, then
   lexicographically smaller canonical value text
 * context window: exact 0/1-knapsack dynamic program up to 20 items, greedy
@@ -21,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -59,10 +70,10 @@ def embed_text(text: str) -> Vector:
     for token in tokenize(text):
         bucket, sign = _bucket_sign(token)
         values[bucket] += sign
-    norm = math.sqrt(sum(v * v for v in values))
+    norm = math.sqrt(sum(map(operator.mul, values, values)))
     if norm == 0.0:
         return tuple(values)
-    return tuple(v / norm for v in values)
+    return tuple(v / norm if v else 0.0 for v in values)
 
 
 def cosine(a: Sequence, b: Sequence) -> float:
@@ -72,14 +83,12 @@ def cosine(a: Sequence, b: Sequence) -> float:
     vectors are identical and nonzero (no float drift on self-similarity).
     """
     if tuple(a) == tuple(b):
-        if any(x != 0.0 for x in a):
-            return 1.0
-        return 0.0
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
+        return 1.0 if any(a) else 0.0
+    na = math.sqrt(sum(map(operator.mul, a, a)))
+    nb = math.sqrt(sum(map(operator.mul, b, b)))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    dot = sum(x * y for x, y in zip(a, b))
+    dot = sum(map(operator.mul, a, b))
     return max(-1.0, min(1.0, dot / (na * nb)))
 
 
@@ -176,9 +185,18 @@ class MemoryStore:
         return [m for m in self.items.values() if m.meta.label == label]
 
 
-def relevance_score(query: str, item: MemoryItem) -> float:
-    """Non-negative query/item affinity: cosine clamped at zero."""
-    return max(0.0, cosine(embed_text(query), item.key))
+def query_vector(query: Union[str, Vector]) -> Vector:
+    """The embedding of a query given as text, or the query itself if already embedded."""
+    return embed_text(query) if isinstance(query, str) else query
+
+
+def relevance_score(query: Union[str, Vector], item: MemoryItem) -> float:
+    """Non-negative query/item affinity: cosine clamped at zero.
+
+    ``query`` is the query text or its embedding; a caller scoring many
+    items embeds the query once and passes the vector.
+    """
+    return max(0.0, cosine(query_vector(query), item.key))
 
 
 def _topk_sort_key(scored):
@@ -186,12 +204,16 @@ def _topk_sort_key(scored):
     return (-score, item.meta.timestamp, item.canonical_text())
 
 
-def retrieve_topk(store: MemoryStore, query: str, k: int,
+def retrieve_topk(store: MemoryStore, query: Union[str, Vector], k: int,
                   label_filter: Optional[MemoryLabel] = None) -> list:
-    """The K highest-scoring items, exhaustively scored and deterministically ordered."""
+    """The K highest-scoring items, exhaustively scored and deterministically ordered.
+
+    ``query`` is the query text or its embedding.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     candidates = store.all_items() if label_filter is None else store.labelled_items(label_filter)
+    query = query_vector(query)
     scored = [(relevance_score(query, item), item) for item in candidates]
     scored.sort(key=_topk_sort_key)
     return [item for _, item in scored[:k]]
@@ -354,12 +376,13 @@ def regulate_context(store: MemoryStore, query: str, budget: int) -> ContextSele
     greedy score-density beyond that, with the result flagged approximate.
     """
     items = store.all_items()
-    scores = [relevance_score(query, m) for m in items]
+    if budget <= 0 or not items:
+        return _selection([], {}, approximate=False)
+    query_vec = embed_text(query)
+    scores = [relevance_score(query_vec, m) for m in items]
     lengths = [m.token_length() for m in items]
     scored = {id(m): s for m, s in zip(items, scores)}
 
-    if budget <= 0 or not items:
-        return _selection([], scored, approximate=False)
     if sum(lengths) <= budget:
         return _selection(list(items), scored, approximate=False)
     if len(items) > EXACT_KNAPSACK_LIMIT:

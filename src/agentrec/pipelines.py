@@ -9,6 +9,8 @@ hard-filters.
 
 Item relevance is the clamped-cosine score between the constraint-augmented
 query and the item's title+tags text. Catalog ranking ties break by item id.
+A ranking call embeds its query once; each item's vector is the item's own
+cached ``CatalogItem.embedding``.
 
 Explanations are template-rendered with inline citation markers
 ``[item:ID]`` and ``[fact:SLOT]``; the consistency check re-parses the text
@@ -21,7 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from string import Template
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
     MissingPalette,
@@ -33,8 +35,10 @@ from .memory import (
     MemoryLabel,
     MemoryStore,
     RawContext,
+    Vector,
     cosine,
     embed_text,
+    query_vector,
     retain,
 )
 from .reliability import BrandPolicy, check_compliance
@@ -167,8 +171,9 @@ def violations_for(item: CatalogItem, constraints: ConstraintSet) -> list:
     return found
 
 
-def score_item(query: str, item: CatalogItem) -> float:
-    return max(0.0, cosine(embed_text(query), embed_text(item.text())))
+def score_item(query: Union[str, Vector], item: CatalogItem) -> float:
+    """Clamped cosine of the query (text or its embedding) and the item's embedding."""
+    return max(0.0, cosine(query_vector(query), item.embedding))
 
 
 # interactive recommendation ----------------------------------------------
@@ -192,8 +197,9 @@ def recommend_interactive(transcript: Transcript, env: Environment,
     survivors = [item for item in env.catalog if not violations_for(item, constraints)]
     if not survivors:
         raise NoFeasibleItem("all catalog items violate the session constraints")
+    query_vec = embed_text(query)
     scored = sorted(
-        ((score_item(query, item), item) for item in survivors),
+        ((score_item(query_vec, item), item) for item in survivors),
         key=lambda pair: (-pair[0], pair[1].id),
     )
     return RankedList(entries=[(item.id, score) for score, item in scored[:top_l]])
@@ -240,6 +246,7 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
         raise ValueError("at least one target category required")
     constraints = constraints_from_facts(facts_from_memory(profile))
     scene = tuple(scene_features)
+    text_vec = embed_text(text_constraints)
 
     per_category = []
     truncated = False
@@ -255,7 +262,7 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
             raise NoCompatibleBundle(
                 f"category {category!r} has no feasible candidate")
         scored = sorted(
-            ((alpha * score_item(text_constraints, item)
+            ((alpha * score_item(text_vec, item)
               + (1.0 - alpha) * cosine(item.palette, scene), item)
              for item in feasible),
             key=lambda pair: (-pair[0], pair[1].id),

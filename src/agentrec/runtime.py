@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
+from . import memory
 from .agents import AgentSpec, step_agent
 from .errors import (
     AgentRecError,
@@ -146,6 +148,15 @@ class CatalogItem:
     def text(self) -> str:
         return " ".join((self.title,) + tuple(self.tags))
 
+    @cached_property
+    def embedding(self) -> tuple:
+        """The embedding of ``text()``, computed on first use and kept by this item.
+
+        Not a dataclass field, so equality, hash and repr ignore it. An edit
+        (``dataclasses.replace``) builds a new item that embeds afresh.
+        """
+        return memory.embed_text(self.text())
+
 
 @dataclass
 class Environment:
@@ -155,20 +166,21 @@ class Environment:
     user_profiles: dict = field(default_factory=dict)
     rules_kb: object = None
     version: int = 0
+    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [item.id for item in self.catalog]
-        if len(ids) != len(set(ids)):
+        self._by_id = {item.id: item for item in self.catalog}
+        if len(self._by_id) != len(self.catalog):
             raise ValueError("catalog ids must be unique")
 
     def item_by_id(self, item_id: str) -> CatalogItem:
-        for item in self.catalog:
-            if item.id == item_id:
-                return item
-        raise UnknownItem(f"unknown catalog item: {item_id!r}")
+        try:
+            return self._by_id[item_id]
+        except KeyError:
+            raise UnknownItem(f"unknown catalog item: {item_id!r}") from None
 
     def has_item(self, item_id: str) -> bool:
-        return any(item.id == item_id for item in self.catalog)
+        return item_id in self._by_id
 
 
 def _delta_target(op: dict):

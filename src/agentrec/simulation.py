@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import AgentRecError, NoSummaries, NoTraces
-from .memory import MemoryLabel, MemoryStore, RawContext, cosine, embed_text, update_memory
+from .memory import MemoryLabel, MemoryStore, RawContext, cosine, update_memory
+# Re-exported, not called here: perfbench/spans.py wraps `simulation.embed_text`.
+from .memory import embed_text  # noqa: F401
 from .pipelines import RankedList
 from .runtime import Environment
 
@@ -67,8 +69,7 @@ def random_unit_vector(rng: random.Random, dim: int = 64) -> tuple:
 def select_probability(sim: UserSimulator, recs: RankedList,
                        env: Environment, rng: random.Random) -> float:
     top_id = recs.entries[0][0]
-    top_text = env.item_by_id(top_id).text()
-    p = max(0.0, cosine(sim.theta, embed_text(top_text)))
+    p = max(0.0, cosine(sim.theta, env.item_by_id(top_id).embedding))
     if sim.noise_scale > 0.0:
         p += rng.gauss(0.0, sim.noise_scale)
     return max(0.0, min(1.0, p))

@@ -12,6 +12,8 @@ from agentrec.errors import Unreadable
 from agentrec.runtime import trace_from_jsonl
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# sha256 of each bundled scenario's trace.jsonl / report.jsonl; read only
+GOLDEN = json.loads((SCENARIOS.parent / "perfbench" / "golden.json").read_text())
 ALL_SCENARIOS = ["party_planner", "simulate_colony", "multimodal_bundle",
                  "explain_revision", "error_cascade"]
 
@@ -81,6 +83,15 @@ def test_every_bundled_scenario_runs_clean(tmp_path, capsys, name):
     for artifact in ("trace.jsonl", "report.jsonl", "report.txt", "manifest.json"):
         assert (out / artifact).exists()
     assert not (out / "error.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_bundled_scenario_artifacts_match_golden_hashes(tmp_path, capsys, name):
+    status, out = run_into(tmp_path, name)
+    assert status == 0
+    got = {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+           for artifact in GOLDEN[name]}
+    assert got == GOLDEN[name]
 
 
 def test_party_planner_kind_sequence_and_gluten(tmp_path):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import struct
 
 import pytest
 
@@ -13,6 +14,7 @@ from agentrec.memory import (
     MemoryLabel,
     MemoryStore,
     RawContext,
+    _bucket_sign,
     add_triple,
     cosine,
     embed_text,
@@ -26,6 +28,7 @@ from agentrec.memory import (
     store_to_jsonl,
     summarize_turns,
     tail_window,
+    tokenize,
     update_memory,
 )
 
@@ -80,6 +83,103 @@ def test_embed_golden_cosines():
 
 def test_embed_case_and_punctuation_insensitive():
     assert embed_text("Gluten-Free!") == embed_text("gluten free")
+
+
+# reference arithmetic: the generator-expression forms the module once used
+
+def reference_embed_text(text):
+    values = [0.0] * EMBED_DIM
+    for token in tokenize(text):
+        bucket, sign = _bucket_sign(token)
+        values[bucket] += sign
+    norm = math.sqrt(sum(v * v for v in values))
+    if norm == 0.0:
+        return tuple(values)
+    return tuple(v / norm for v in values)
+
+
+def reference_cosine(a, b):
+    if tuple(a) == tuple(b):
+        if any(x != 0.0 for x in a):
+            return 1.0
+        return 0.0
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(x * x for x in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    dot = sum(x * y for x, y in zip(a, b))
+    return max(-1.0, min(1.0, dot / (na * nb)))
+
+
+def bits(values):
+    """Exact bit pattern, so 0.0 and -0.0 differ where == would not."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+EMBED_WORDS = ("gluten free cake chocolate mickey mouse party Banner lamp rug "
+               "sofa-bed 200 red, blue! a an the x y z theme: budget= mango cherry").split()
+
+
+def random_text(rng):
+    return " ".join(rng.choices(EMBED_WORDS, k=rng.randint(0, 12)))
+
+
+def random_unit(rng, dim):
+    values = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+    norm = math.sqrt(sum(v * v for v in values))
+    return tuple(v / norm for v in values)
+
+
+def test_embed_text_bit_identical_to_reference():
+    rng = random.Random(20)
+    texts = ["", "   !!! ", "mango", "cherry", "a a a", "x y x y"]
+    texts += [random_text(rng) for _ in range(400)]
+    for text in texts:
+        vec = embed_text(text)
+        assert bits(vec) == bits(reference_embed_text(text)), text
+        # every zero component is one shared object
+        assert len({id(v) for v in vec if v == 0.0}) <= 1
+
+
+def test_cosine_bit_identical_to_reference():
+    rng = random.Random(21)
+    zero = (0.0,) * EMBED_DIM
+    palettes = [(1.0, 0.0, 0.0), (0.9, 0.4358898943540673, 0.0),
+                (0.72, 0.0963546082256358, 0.687252347739667), (0.0, 0.0, 0.0)]
+    pairs = [(a, b) for a in palettes for b in palettes]
+    pairs += [(zero, zero), (zero, embed_text("mango")),
+              (embed_text("mango"), embed_text("cherry"))]
+    for _ in range(300):
+        a = embed_text(random_text(rng))
+        b = rng.choice([embed_text(random_text(rng)), random_unit(rng, EMBED_DIM),
+                        a, tuple(a), zero,
+                        tuple(rng.uniform(-3.0, 3.0) for _ in range(EMBED_DIM))])
+        pairs.append((a, b))
+        pairs.append((random_unit(rng, 3), random_unit(rng, 3)))
+    for a, b in pairs:
+        got, want = cosine(a, b), reference_cosine(a, b)
+        assert bits((got,)) == bits((want,)), (a, b)
+
+
+def test_scoring_with_query_vector_equals_reembedding_loop():
+    rng = random.Random(22)
+    for _ in range(30):
+        store = fact_store(*((f"s{i}", random_text(rng) or "x")
+                             for i in range(rng.randint(1, 25))))
+        query = random_text(rng)
+        want = sorted(
+            ((max(0.0, reference_cosine(reference_embed_text(query),
+                                        reference_embed_text(m.canonical_text()))), m)
+             for m in store.all_items()),
+            key=lambda pair: (-pair[0], pair[1].meta.timestamp,
+                              pair[1].canonical_text()))
+        vec = embed_text(query)
+        for m in store.all_items():
+            assert relevance_score(query, m) == relevance_score(vec, m)
+        assert [relevance_score(query, m) for _, m in want] == [s for s, _ in want]
+        k = rng.randint(1, 6)
+        assert retrieve_topk(store, query, k) == [m for _, m in want[:k]]
+        assert retrieve_topk(store, vec, k) == [m for _, m in want[:k]]
 
 
 # relevance ------------------------------------------------------------

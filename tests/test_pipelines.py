@@ -12,7 +12,7 @@ from agentrec.errors import (
     RevisionExhausted,
     UnknownItem,
 )
-from agentrec.memory import MemoryLabel, MemoryStore, cosine, make_item
+from agentrec.memory import MemoryLabel, MemoryStore, cosine, embed_text, make_item
 from agentrec.pipelines import (
     Bundle,
     BundleItem,
@@ -25,10 +25,12 @@ from agentrec.pipelines import (
     consistency_check,
     constraints_from_facts,
     explain_with_revision,
+    facts_from_memory,
     generate_explanation,
     recommend_interactive,
     recommend_multimodal,
     score_item,
+    violations_for,
 )
 from agentrec.reliability import BrandPolicy, EMPTY_POLICY
 from agentrec.runtime import CatalogItem, Environment
@@ -347,6 +349,90 @@ def test_multimodal_truncation_flag():
     bundle = recommend_multimodal("chair", (1.0, 0.0, 0.0), MemoryStore(),
                                   categories={"chair"}, env=env)
     assert bundle.truncated_search is True
+
+
+# cached embeddings against a loop that re-embeds everything ---------------------------
+
+QUERY_WORDS = ["plan", "a", "mickey", "chocolate", "berry", "red", "party", "cake",
+               "bohemian", "earthy", "woven", "modern"]
+
+
+def reembedding_scored(query, items, alpha=1.0, scene=None):
+    """(score, item) best first; the query and every item embedded afresh per item."""
+    def score(item):
+        text = max(0.0, cosine(embed_text(query), embed_text(item.text())))
+        if scene is None:
+            return text
+        return alpha * text + (1.0 - alpha) * cosine(item.palette, scene)
+    return sorted(((score(item), item) for item in items),
+                  key=lambda pair: (-pair[0], pair[1].id))
+
+
+def test_interactive_equals_reembedding_loop():
+    from agentrec.pipelines import extract_session_constraints
+    rng = random.Random(41)
+    env = random_catalog(rng, size=120)
+    for _ in range(15):
+        facts = {}
+        if rng.random() < 0.6:
+            facts["guest_allergy"] = rng.choice(["gluten", "vanilla"])
+        memory = fact_store(**facts)
+        transcript = Transcript(turns=[
+            ("user", " ".join(rng.choices(QUERY_WORDS, k=rng.randint(1, 6))))])
+        constraints, query = extract_session_constraints(transcript, memory)
+        survivors = [item for item in env.catalog if not violations_for(item, constraints)]
+        want = [(item.id, score) for score, item in reembedding_scored(query, survivors)[:8]]
+        # twice: the second call scores from the items' cached vectors only
+        for _ in range(2):
+            assert recommend_interactive(transcript, env, memory, top_l=8).entries == want
+
+
+def reembedding_bundle(text, scene, profile, categories, env, alpha, tau):
+    constraints = constraints_from_facts(facts_from_memory(profile))
+    per_category = []
+    for category in sorted(categories):
+        feasible = [item for item in env.catalog
+                    if category in item.tags and item.palette is not None
+                    and not violations_for(item, constraints)]
+        per_category.append(reembedding_scored(text, feasible, alpha, scene)[:3])
+    combos = sorted(itertools.product(*per_category),
+                    key=lambda combo: (-sum(score for score, _ in combo),
+                                       tuple(item.id for _, item in combo)))
+    for combo in combos:
+        palettes = [item.palette for _, item in combo]
+        if all(cosine(a, b) >= tau for a, b in itertools.combinations(palettes, 2)):
+            return [item.id for _, item in combo]
+    return None
+
+
+def test_multimodal_equals_reembedding_loop():
+    rng = random.Random(42)
+    categories = ["chair", "lamp", "sofa"]
+    items = []
+    for i in range(60):
+        palette = [rng.random() for _ in range(3)]
+        norm = sum(v * v for v in palette) ** 0.5
+        items.append(CatalogItem(
+            f"m{i:02d}", " ".join(rng.choices(QUERY_WORDS, k=3)),
+            (rng.choice(categories), rng.choice(["leather", "fabric", "rattan"])),
+            float(rng.randint(10, 500)), palette=tuple(v / norm for v in palette)))
+    env = Environment(catalog=items)
+    found = 0
+    for _ in range(20):
+        profile = fact_store(**({"material_ban": "leather"} if rng.random() < 0.5 else {}))
+        text = " ".join(rng.choices(QUERY_WORDS, k=rng.randint(1, 5)))
+        scene = tuple(rng.random() for _ in range(3))
+        chosen = rng.sample(categories, k=rng.randint(1, 3))
+        alpha, tau = rng.choice([0.3, 0.5, 0.8]), rng.choice([0.6, 0.8, 0.9])
+        want = reembedding_bundle(text, scene, profile, chosen, env, alpha, tau)
+        if want is None:
+            with pytest.raises(NoCompatibleBundle):
+                recommend_multimodal(text, scene, profile, chosen, env, alpha, tau)
+            continue
+        found += 1
+        bundle = recommend_multimodal(text, scene, profile, chosen, env, alpha, tau)
+        assert [item.id for item in bundle.items] == want
+    assert found >= 10
 
 
 # explanations -------------------------------------------------------------------------

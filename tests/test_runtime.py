@@ -12,8 +12,11 @@ from agentrec.errors import (
     PayloadInvalid,
     SelfChannel,
     UnknownAgent,
+    UnknownItem,
     UnknownSchema,
 )
+from agentrec.memory import MemoryStore, cosine, embed_text
+from agentrec.pipelines import Transcript, recommend_interactive
 from agentrec.runtime import (
     CatalogItem,
     CommMatrix,
@@ -221,6 +224,58 @@ def test_remove_and_set_field():
     ])
     assert not updated.has_item("i2")
     assert updated.item_by_id("i1").tags == ("a", "x")
+
+
+def test_catalog_ids_must_be_unique_and_lookup_misses_raise():
+    with pytest.raises(ValueError):
+        Environment(catalog=[CatalogItem(id="i1", title="one", tags=(), price=1.0),
+                             CatalogItem(id="i1", title="uno", tags=(), price=2.0)])
+    env = sample_env()
+    assert env.item_by_id("i2").title == "two"
+    assert not env.has_item("i9")
+    with pytest.raises(UnknownItem):
+        env.item_by_id("i9")
+
+
+def test_item_embedding_lives_with_the_item_across_versions():
+    env = Environment(catalog=[
+        CatalogItem(id="cake", title="chocolate cake", tags=("cake",), price=1.0),
+        CatalogItem(id="lamp", title="woven lamp", tags=("decor",), price=2.0),
+        CatalogItem(id="rug", title="red rug", tags=("decor",), price=3.0),
+    ])
+    transcript = Transcript(turns=[("user", "mickey banner")])
+    recommend_interactive(transcript, env, MemoryStore(), top_l=3)  # embeds every item
+    kept = env.item_by_id("rug").embedding
+    assert kept == embed_text("red rug decor")
+
+    updated = apply_env_update(env, [
+        {"op": "set_item_field", "id": "cake", "field": "title", "value": "mickey banner"},
+        {"op": "set_item_field", "id": "lamp", "field": "tags", "value": ["mickey"]},
+        {"op": "set_item_field", "id": "rug", "field": "price", "value": 4.0},
+    ])
+    assert updated.item_by_id("cake").embedding == embed_text("mickey banner cake")
+    assert updated.item_by_id("lamp").embedding == embed_text("woven lamp mickey")
+    query = embed_text("mickey banner")
+    want = sorted(((max(0.0, cosine(query, embed_text(item.text()))), item.id)
+                   for item in updated.catalog), key=lambda pair: (-pair[0], pair[1]))
+    ranked = recommend_interactive(transcript, updated, MemoryStore(), top_l=3)
+    assert ranked.entries == [(item_id, score) for score, item_id in want]
+    assert ranked.ids()[:2] == ["cake", "lamp"]
+
+    # untouched items keep their vector object; a price edit is a new item
+    moved = apply_env_update(updated, [{"op": "remove_item", "id": "rug"}])
+    assert moved.item_by_id("cake").embedding is updated.item_by_id("cake").embedding
+    assert updated.item_by_id("rug").embedding is not kept
+
+
+def test_item_embedding_is_not_part_of_equality_hash_or_repr():
+    embedded = CatalogItem(id="i1", title="one", tags=("a",), price=1.0)
+    embedded.embedding
+    fresh = CatalogItem(id="i1", title="one", tags=("a",), price=1.0)
+    assert embedded == fresh
+    assert hash(embedded) == hash(fresh)
+    assert repr(embedded) == repr(fresh)
+    assert "embedding" not in repr(embedded)
 
 
 # episodes -------------------------------------------------------------------------
