@@ -93,11 +93,11 @@ def load_catalog(path) -> list:
     records = json.loads(Path(path).read_text(encoding="utf-8"))
     return [
         CatalogItem(
-            id=record["id"],
-            title=record.get("title", record["id"]),
-            tags=tuple(record.get("tags", ())),
-            price=float(record.get("price", 0.0)),
-            palette=tuple(record["palette"]) if record.get("palette") else None,
+            record["id"],
+            record.get("title", record["id"]),
+            tuple(record.get("tags", ())),
+            float(record.get("price", 0.0)),
+            tuple(record["palette"]) if record.get("palette") else None,
         )
         for record in records
     ]
@@ -196,9 +196,27 @@ def validate_config(path) -> list:
         if "policy" not in config:
             flag("policy", "explain scenarios require a policy path")
     elif kind == "cascade":
-        if not config.get("nodes"):
-            flag("nodes", "cascade scenarios require nodes")
+        nodes = config.get("nodes")
+        if not (nodes and isinstance(nodes, list)
+                and all(isinstance(node, str) for node in nodes)):
+            flag("nodes", "cascade scenarios require a list of node names")
+        trials = config.get("trials", 100000)
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+            flag("trials", "must be a positive integer")
+        declared = nodes if isinstance(nodes, list) else []
+        edges = config.get("edges", [])
+        if not isinstance(edges, list):
+            flag("edges", "must be a list of [upstream, downstream] pairs")
+            edges = []
+        for edge in edges:
+            if not (isinstance(edge, list) and len(edge) == 2
+                    and all(node in declared for node in edge)):
+                flag("edges", f"edge must be a [upstream, downstream] pair of "
+                              f"declared nodes: {edge!r}")
         rates = config.get("error_rates", {})
+        if not isinstance(rates, dict):
+            flag("error_rates", "must be an object of node -> rate")
+            rates = {}
         for node, p in rates.items():
             if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
                 flag("error_rates", f"rate for {node} must be in [0, 1]")

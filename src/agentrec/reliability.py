@@ -13,8 +13,10 @@ contiguous token run. Substring matches never trigger.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -23,6 +25,10 @@ from .errors import (
     OutOfRange,
 )
 from .memory import tokenize
+
+# trials per block of simulate_error_cascade; the block's draw buffer holds
+# CASCADE_BLOCK * len(nodes) floats
+CASCADE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,16 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
     """Empirical fraction of trials in which any sink emits an invalid message.
 
     Per trial every node fails intrinsically with its own rate; an invalid
-    upstream emission deterministically corrupts every consumer.
+    upstream emission deterministically corrupts every consumer. Each trial
+    draws one ``random()`` per node, in topological order, and trials draw
+    one after another (trial-major), so the draw for trial ``t`` and node
+    ``i`` is draw ``t * len(nodes) + i`` of ``random.Random(seed)``; node
+    ``i`` fails intrinsically iff that draw is ``< rate``. The result is the
+    exact count of bad trials divided by ``trials``.
+
+    Trials run in blocks of ``CASCADE_BLOCK``: over a block each node's
+    outcome is one int with one byte-wide lane per trial, so corruption is
+    an OR of masks and the bad count a ``bit_count``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -115,20 +130,27 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
     # the trial loop since the verdict per (node, emission) is fixed
     clean_invalid = [not oracle.valid(f"{node}:ok") for node in order]
     corrupt_invalid = [not oracle.valid(f"{node}:corrupt") for node in order]
-    rng = random.Random(seed)
-    rand = rng.random
+    draws = iter(random.Random(seed).random, None)
     n = len(order)
     bad_trials = 0
-    for _ in range(trials):
-        invalid = [False] * n
-        trial_bad = False
+    for start in range(0, trials, CASCADE_BLOCK):
+        m = min(CASCADE_BLOCK, trials - start)
+        block = list(islice(draws, m * n))
+        ones = int.from_bytes(b"\x01" * m, "big")
+        invalid = []
+        bad = 0
         for i in range(n):
-            corrupted = rand() < rates[i] or any(invalid[j] for j in predecessors[i])
-            invalid[i] = corrupt_invalid[i] if corrupted else clean_invalid[i]
-            if invalid[i] and i in sinks:
-                trial_bad = True
-        if trial_bad:
-            bad_trials += 1
+            # operator.lt, not float.__gt__, so int rates 0 and 1 work too
+            corrupted = int.from_bytes(
+                bytes(map(operator.lt, block[i::n], repeat(rates[i]))), "big")
+            for j in predecessors[i]:
+                corrupted |= invalid[j]
+            mask = ((corrupted if corrupt_invalid[i] else 0)
+                    | (ones ^ corrupted if clean_invalid[i] else 0))
+            invalid.append(mask)
+            if i in sinks:
+                bad |= mask
+        bad_trials += bad.bit_count()
     return bad_trials / trials
 
 

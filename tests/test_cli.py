@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,6 +163,35 @@ def test_exit_code_contract(tmp_path, capsys):
     assert status == 0
     assert captured.err.strip() == ""
     assert not (ok_out / "error.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 0),
+    ("trials", "many"),
+    ("trials", True),
+    ("edges", [["retrieve", "rank", "present"]]),
+    ("edges", [["retrieve", "nowhere"]]),
+    ("nodes", "abc"),
+    ("nodes", [["retrieve"], ["rank"]]),
+    ("error_rates", [0.1]),
+], ids=["zero-trials", "text-trials", "bool-trials", "three-element-edge",
+        "undeclared-node-edge", "text-nodes", "list-nodes", "list-rates"])
+def test_malformed_cascade_config_gives_error_record(tmp_path, field, value):
+    config = json.loads((SCENARIOS / "error_cascade.json").read_text())
+    config[field] = value
+    path = tmp_path / "cascade.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "agentrec.cli", "run", str(path), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    record = json.loads((out / "error.json").read_text())
+    assert set(record) == {"error", "message"}
+    assert record["error"] == "ConfigInvalid"
+    assert field in record["message"]
 
 
 def test_aborted_episode_reports_module_error_name(tmp_path, capsys):

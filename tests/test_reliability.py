@@ -7,9 +7,11 @@ import pytest
 
 from agentrec.errors import CyclicGraph, NoCompliantCandidate, OutOfRange
 from agentrec.reliability import (
+    CASCADE_BLOCK,
     AgentGraph,
     BrandPolicy,
     EMPTY_POLICY,
+    ValidityOracle,
     check_compliance,
     consensus,
     constrained_select,
@@ -124,6 +126,78 @@ def test_cascade_deterministic_given_seed():
 def test_bad_rates_rejected_at_graph_construction():
     with pytest.raises(OutOfRange):
         AgentGraph(nodes=["a"], edges=[], error_rates={"a": 1.2})
+
+
+def reference_simulate_error_cascade(graph, oracle, trials, seed):
+    """The one-trial-at-a-time loop simulate_error_cascade must equal exactly."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    order = graph.topological_order()
+    index = {node: i for i, node in enumerate(order)}
+    sinks = {index[node] for node in graph.sinks()}
+    predecessors = [[index[p] for p in graph.predecessors(node)] for node in order]
+    rates = [graph.error_rates.get(node, 0.0) for node in order]
+    clean_invalid = [not oracle.valid(f"{node}:ok") for node in order]
+    corrupt_invalid = [not oracle.valid(f"{node}:corrupt") for node in order]
+    rng = random.Random(seed)
+    rand = rng.random
+    n = len(order)
+    bad_trials = 0
+    for _ in range(trials):
+        invalid = [False] * n
+        trial_bad = False
+        for i in range(n):
+            corrupted = rand() < rates[i] or any(invalid[j] for j in predecessors[i])
+            invalid[i] = corrupt_invalid[i] if corrupted else clean_invalid[i]
+            if invalid[i] and i in sinks:
+                trial_bad = True
+        if trial_bad:
+            bad_trials += 1
+    return bad_trials / trials
+
+
+def random_dag(rng):
+    """1-16 nodes declared in shuffled order; sparse edges leave isolated nodes and several sinks."""
+    n = rng.randint(1, 16)
+    ranked = [f"v{i}" for i in range(n)]
+    density = rng.choice([0.0, 0.15, 0.4])
+    edges = [(ranked[a], ranked[b]) for a in range(n) for b in range(a + 1, n)
+             if rng.random() < density]
+    nodes = list(ranked)
+    rng.shuffle(nodes)
+    rates = {}
+    for node in nodes:
+        pick = rng.randrange(6)
+        if pick < 5:  # pick == 5 leaves the node out: the default rate 0.0
+            rates[node] = [0.0, 1.0, 0, 1, rng.random()][pick]
+    return AgentGraph(nodes=nodes, edges=edges, error_rates=rates)
+
+
+def random_oracle(rng, graph):
+    if rng.random() < 0.3:
+        return default_oracle(graph)
+    truth = {}
+    for node in graph.nodes:
+        truth[f"{node}:ok"] = rng.random() < 0.8       # clean may be invalid
+        truth[f"{node}:corrupt"] = rng.random() < 0.3  # corrupt may be valid
+    return ValidityOracle(ground_truth=truth)
+
+
+def test_block_cascade_equals_reference_loop_exactly():
+    rng = random.Random(2024)
+    counts = [1, CASCADE_BLOCK - 1, CASCADE_BLOCK, CASCADE_BLOCK + 1,
+              "few", "blocks"]
+    for case in range(96):
+        graph = random_dag(rng)
+        oracle = random_oracle(rng, graph)
+        trials = counts[case % len(counts)]
+        if trials == "few":
+            trials = rng.randint(1, 300)
+        elif trials == "blocks":
+            trials = rng.randint(1, 2 * CASCADE_BLOCK + 3)
+        seed = rng.randrange(2**32)
+        assert (simulate_error_cascade(graph, oracle, trials, seed)
+                == reference_simulate_error_cascade(graph, oracle, trials, seed))
 
 
 # consensus ---------------------------------------------------------------------------
