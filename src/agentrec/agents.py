@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from string import Template
 from typing import Callable, Optional
 
-from .errors import SchemaViolation, ToolFailure, UnknownTool
+from .errors import InvalidArgument, SchemaViolation, ToolFailure, UnknownTool
 from .memory import (
     MemoryLabel,
     MemoryStore,
@@ -54,9 +54,9 @@ class LanguageCore:
 
     def __post_init__(self):
         if self.kind == "scripted" and not self.rules:
-            raise ValueError("scripted cores require a non-empty rule list")
+            raise InvalidArgument("scripted cores require a non-empty rule list")
         if self.kind not in ("scripted", "remote"):
-            raise ValueError(f"unknown core kind: {self.kind!r}")
+            raise InvalidArgument(f"unknown core kind: {self.kind!r}")
 
     def generate(self, prompt: str, variables: Optional[dict] = None,
                  max_tokens: int = DEFAULT_CONTEXT_BUDGET) -> str:
@@ -118,7 +118,7 @@ class ToolRegistry:
 
     def register(self, tool: Tool) -> None:
         if tool.name in self._tools:
-            raise ValueError(f"duplicate tool name: {tool.name!r}")
+            raise InvalidArgument(f"duplicate tool name: {tool.name!r}")
         self._tools[tool.name] = tool
 
     def get(self, name: str) -> Tool:

@@ -18,7 +18,6 @@ import json
 
 from . import memory  # embed_text via the module, so wrappers on memory.embed_text see it
 from .agents import AgentSpec, Tool, ToolRegistry, scripted_core
-from .errors import ConfigInvalid
 from .memory import (
     MemoryLabel,
     MemoryStore,
@@ -73,7 +72,7 @@ def _facts_in_play(sections: dict) -> list:
 # tool handlers ------------------------------------------------------------
 
 def _memory_recall_tool(env, budgets, store, tool_cfg) -> Tool:
-    top_k = int(tool_cfg.get("top_k", 4))
+    top_k = tool_cfg["top_k"]
 
     def handler(args: str) -> str:
         query_vec = memory.embed_text(args)
@@ -82,8 +81,7 @@ def _memory_recall_tool(env, budgets, store, tool_cfg) -> Tool:
         return render_facts(
             (item.slot(), item.canonical_text().partition(": ")[2]) for item in hits)
 
-    return Tool(name=tool_cfg["name"], handler=handler,
-                cost_tokens=int(tool_cfg.get("cost_tokens", 0)))
+    return Tool(name=tool_cfg["name"], handler=handler, cost_tokens=tool_cfg["cost_tokens"])
 
 
 def _nli_validate_tool(env, budgets, store, tool_cfg) -> Tool:
@@ -97,13 +95,12 @@ def _nli_validate_tool(env, budgets, store, tool_cfg) -> Tool:
         ]
         return render_sections(query=query, facts=render_facts(validated))
 
-    return Tool(name=tool_cfg["name"], handler=handler,
-                cost_tokens=int(tool_cfg.get("cost_tokens", 0)))
+    return Tool(name=tool_cfg["name"], handler=handler, cost_tokens=tool_cfg["cost_tokens"])
 
 
 def _category_search_tool(env, budgets, store, tool_cfg) -> Tool:
     category = tool_cfg["category"]
-    limit = int(tool_cfg.get("limit", 3))
+    limit = tool_cfg["limit"]
 
     def handler(args: str) -> str:
         sections = parse_sections(args)
@@ -124,8 +121,7 @@ def _category_search_tool(env, budgets, store, tool_cfg) -> Tool:
             "facts": sections.get("facts", ""),
         }, sort_keys=True)
 
-    return Tool(name=tool_cfg["name"], handler=handler,
-                cost_tokens=int(tool_cfg.get("cost_tokens", 0)))
+    return Tool(name=tool_cfg["name"], handler=handler, cost_tokens=tool_cfg["cost_tokens"])
 
 
 def _collection_check_tool(env, budgets, store, tool_cfg) -> Tool:
@@ -147,12 +143,11 @@ def _collection_check_tool(env, budgets, store, tool_cfg) -> Tool:
         return json.dumps({"items": validated, "query": query, "facts": facts_text},
                           sort_keys=True)
 
-    return Tool(name=tool_cfg["name"], handler=handler,
-                cost_tokens=int(tool_cfg.get("cost_tokens", 0)))
+    return Tool(name=tool_cfg["name"], handler=handler, cost_tokens=tool_cfg["cost_tokens"])
 
 
 def _rank_items_tool(env, budgets, store, tool_cfg) -> Tool:
-    top_l = int(tool_cfg.get("top_l", budgets.get("L", 5)))
+    top_l = tool_cfg["top_l"] or budgets["L"]
 
     def handler(args: str) -> str:
         record = json.loads(args)
@@ -160,8 +155,7 @@ def _rank_items_tool(env, budgets, store, tool_cfg) -> Tool:
                         key=lambda entry: (-entry[1], entry[0]))
         return json.dumps({"ranked": ranked[:top_l]}, sort_keys=True)
 
-    return Tool(name=tool_cfg["name"], handler=handler,
-                cost_tokens=int(tool_cfg.get("cost_tokens", 0)))
+    return Tool(name=tool_cfg["name"], handler=handler, cost_tokens=tool_cfg["cost_tokens"])
 
 
 TOOL_KINDS = {
@@ -175,7 +169,8 @@ TOOL_KINDS = {
 
 # construction from config ---------------------------------------------------
 
-def _build_store(facts: dict) -> MemoryStore:
+def build_store(facts: dict) -> MemoryStore:
+    """One EPI item per (slot, value) fact, timestamped in declaration order."""
     store = MemoryStore()
     for index, (slot, value) in enumerate(facts.items()):
         item = make_item(slot, str(value), MemoryLabel.EPI, now=index)
@@ -184,59 +179,44 @@ def _build_store(facts: dict) -> MemoryStore:
 
 
 def build_agent(agent_cfg: dict, env: Environment, budgets: dict) -> AgentSpec:
-    store = _build_store(agent_cfg.get("memory_facts", {}))
-    tools = []
-    for tool_cfg in agent_cfg.get("tools", ()):
-        kind = tool_cfg.get("kind")
-        factory = TOOL_KINDS.get(kind)
-        if factory is None:
-            raise ConfigInvalid(f"unknown tool kind: {kind!r}")
-        tools.append(factory(env, budgets, store, tool_cfg))
-    rules = [(pattern, template) for pattern, template in agent_cfg.get("rules", ())]
-    if not rules:
-        rules = [(".*", "$input")]
+    store = build_store(agent_cfg["memory_facts"])
+    tools = [TOOL_KINDS[tool_cfg["kind"]](env, budgets, store, tool_cfg)
+             for tool_cfg in agent_cfg["tools"]]
     return AgentSpec(
         id=agent_cfg["id"],
-        core=scripted_core(*rules),
-        input_schema=frozenset(agent_cfg.get("input_kinds", ())),
-        output_schema=frozenset(agent_cfg.get("output_kinds", ())),
+        core=scripted_core(*agent_cfg["rules"]),
+        input_schema=frozenset(agent_cfg["input_kinds"]),
+        output_schema=frozenset(agent_cfg["output_kinds"]),
         tools=ToolRegistry(tools),
         memory=store,
-        context_budget=int(budgets.get("B", 64)),
-        stm_tokens=int(budgets.get("L_stm", 256)),
+        context_budget=budgets["B"],
+        stm_tokens=budgets["L_stm"],
     )
 
 
-def routing_kinds(config: dict) -> list:
-    return [kind for _, _, kind in (tuple(edge) for edge in config.get("routing", ()))]
-
-
 def derive_schemata(config: dict) -> list:
-    kinds = set(routing_kinds(config)) | {"query"}
-    for agent_cfg in list(config.get("agents", ())) + [
-            child for decl in config.get("children", {}).values()
-            for child in decl.get("agents", ())]:
-        kinds.update(agent_cfg.get("input_kinds", ()))
-        kinds.update(agent_cfg.get("output_kinds", ()))
+    kinds = {kind for _, _, kind in config["routing"]} | {"query"}
+    for agent_cfg in config["agents"] + [
+            child for decl in config["children"].values() for child in decl["agents"]]:
+        kinds.update(agent_cfg["input_kinds"])
+        kinds.update(agent_cfg["output_kinds"])
     return [MessageSchema(kind=kind, payload_shape=("text",)) for kind in sorted(kinds)]
 
 
 def build_interactive_runtime(config: dict, env: Environment):
-    """Returns (runtime, routing edges) wired per the scenario config."""
-    budgets = config.get("budgets", {})
+    """Returns (runtime, routing edges) wired per a config from `cli.load_config`."""
+    budgets = config["budgets"]
     runtime = MasRuntime(env, derive_schemata(config))
-    for agent_cfg in config.get("agents", ()):
+    for agent_cfg in config["agents"]:
         runtime.register_agent(build_agent(agent_cfg, env, budgets))
-    matrix_cfg = config.get("matrix", {})
-    for sender, recipient in matrix_cfg.get("allow", ()):
+    for sender, recipient in config["matrix"]["allow"]:
         runtime.toggle_channel(sender, recipient, True)
-    for parent_id, decl in config.get("children", {}).items():
-        children = [build_agent(child_cfg, env, budgets)
-                    for child_cfg in decl.get("agents", ())]
-        runtime.declare_spawn(parent_id, children, [tuple(pair) for pair in decl.get("open", ())])
+    for parent_id, decl in config["children"].items():
+        children = [build_agent(child_cfg, env, budgets) for child_cfg in decl["agents"]]
+        runtime.declare_spawn(parent_id, children, [tuple(pair) for pair in decl["open"]])
     routing = [
-        (edge[0], tuple(edge[1]) if isinstance(edge[1], list) else edge[1], edge[2])
-        for edge in (tuple(e) for e in config.get("routing", ()))
+        (sender, tuple(recipient) if isinstance(recipient, list) else recipient, kind)
+        for sender, recipient, kind in config["routing"]
     ]
     return runtime, routing
 

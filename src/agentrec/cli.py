@@ -20,16 +20,21 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
+import re
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .blueprints import build_interactive_runtime, ranked_entries_from_trace
+from .agents import DEFAULT_CONTEXT_BUDGET, DEFAULT_STM_TOKENS
+from .blueprints import build_interactive_runtime, build_store, ranked_entries_from_trace
 from .errors import AgentRecError, ConfigInvalid, Unreadable
-from .memory import MemoryLabel, MemoryStore, embed_text, make_item, retrieve_topk
+from .memory import embed_text, retrieve_topk
 from .pipelines import (
+    DEFAULT_COMPAT_TAU,
+    DEFAULT_PALETTE_WEIGHT,
     Transcript,
     compat_check,
     explain_with_revision,
@@ -44,21 +49,20 @@ from .reliability import (
     propagation_probability,
     simulate_error_cascade,
 )
-from .runtime import CatalogItem, Environment, trace_to_jsonl
+from .runtime import CatalogItem, Environment, Message, trace_to_jsonl
 from .simulation import (
-    REWARDS,
     UserSimulator,
     aggregate_report,
     aggregate_rows,
     evaluate,
+    make_diversity_penalty_reward,
     make_rotation_recommender,
     make_static_top_recommender,
     random_unit_vector,
+    reward_select,
     run_sessions,
     summarize_session,
 )
-
-SCENARIO_KINDS = ("interactive", "simulate", "multimodal", "explain", "cascade")
 
 
 def derive_seed(global_seed: int, name: str) -> int:
@@ -67,22 +71,263 @@ def derive_seed(global_seed: int, name: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+# config spec -------------------------------------------------------------------
+#
+# What each config field must hold and what it defaults to. A check is called
+# as check(value, field, findings): it appends {"field", "rule"} for a bad
+# value and returns the value to keep (numbers come back as float). An object
+# maps each field to (check, default): REQUIRED marks a field without a
+# default, None one that may be absent, and a missing object is checked as {}
+# so that its own fields get their defaults.
+
+REQUIRED = object()
+
+
+def _flag(findings, field, rule):
+    findings.append({"field": field, "rule": rule})
+
+
+def _leaf(ok, rule, keep=lambda value: value):
+    return lambda value, field, findings: (
+        keep(value) if ok(value) else _flag(findings, field, rule))
+
+
+def _compiles(pattern) -> bool:
+    try:
+        re.compile(pattern)
+    except (re.error, TypeError):
+        return False
+    return True
+
+
+def integer(low=None):
+    return _leaf(lambda v: isinstance(v, int) and not isinstance(v, bool)
+                 and (low is None or v >= low),
+                 "must be an integer" + (f" >= {low}" if low is not None else ""))
+
+
+def number(low=-math.inf, high=math.inf):
+    return _leaf(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                 and math.isfinite(v) and low <= v <= high,
+                 f"must be a finite number in [{low}, {high}]", float)
+
+
+def text(nonempty=False):
+    return _leaf(lambda v: isinstance(v, str) and bool(v or not nonempty),
+                 "must be a non-empty string" if nonempty else "must be a string")
+
+
+def list_of(item, nonempty=False):
+    def check(value, field, findings):
+        if not isinstance(value, list) or (nonempty and not value):
+            return _flag(findings, field, f"must be a {'non-empty ' * nonempty}list")
+        return [item(entry, f"{field}[{i}]", findings) for i, entry in enumerate(value)]
+    return check
+
+
+def tuple_of(*items):
+    def check(value, field, findings):
+        if not (isinstance(value, list) and len(value) == len(items)):
+            return _flag(findings, field, f"must be a list of {len(items)} values")
+        return [item(entry, f"{field}[{i}]", findings)
+                for i, (item, entry) in enumerate(zip(items, value))]
+    return check
+
+
+def map_of(item):
+    def check(value, field, findings):
+        if not isinstance(value, dict):
+            return _flag(findings, field, "must be an object")
+        return {key: item(entry, f"{field}.{key}", findings) for key, entry in value.items()}
+    return check
+
+
+def obj(fields, kinds=None, kind=REQUIRED):
+    """An object whose `fields` map to (check, default). With `kinds`, its
+    "kind" field (default `kind`) names one of them, whose fields apply too."""
+    if kinds is not None:
+        fields = {"kind": (_leaf(lambda v: isinstance(v, str) and v in kinds,
+                                 f"must be one of {sorted(kinds)}"), kind), **fields}
+
+    def check(value, field, findings):
+        if not isinstance(value, dict):
+            return _flag(findings, field, "must be an object")
+        value, pending = dict(value), dict(fields)
+        while pending:
+            name = next(iter(pending))
+            item, default = pending.pop(name)
+            where = f"{field}.{name}" if field else name
+            if name in value:
+                value[name] = item(value[name], where, findings)
+            elif default is REQUIRED:
+                _flag(findings, where, "required")
+            else:
+                value[name] = None if default is None else item(default, where, findings)
+            if name == "kind":  # checked first, so its kind's fields replace pending ones
+                pending.update(kinds.get(value.get("kind"), {}))
+        return value
+    return check
+
+
+_PAIR = tuple_of(text(), text())
+_FACTS = map_of(_leaf(lambda v: isinstance(v, (str, int, float)), "must be a string or a number"))
+_RECIPIENTS = _leaf(lambda v: isinstance(v, str) or isinstance(v, list) and bool(v) and all(
+    isinstance(name, str) for name in v), "must be an agent id or a non-empty list of agent ids")
+
+_TOOL = obj({"name": (text(), REQUIRED), "cost_tokens": (integer(0), 0)}, kinds={
+    "memory_recall": {"top_k": (integer(1), 4)},
+    "category_search": {"category": (text(), REQUIRED), "limit": (integer(1), 3)},
+    "rank_items": {"top_l": (integer(1), None)},  # None: the scenario's L budget
+    "nli_validate": {}, "collection_check": {},
+})
+
+_AGENT = obj({
+    "id": (text(), REQUIRED),
+    "rules": (list_of(tuple_of(_leaf(_compiles, "must be a regular expression"), text()),
+                      nonempty=True), [[".*", "$input"]]),
+    "input_kinds": (list_of(text()), []),
+    "output_kinds": (list_of(text()), []),
+    "tools": (list_of(_TOOL), []),
+    "memory_facts": (_FACTS, {}),
+})
+
+_COHORT = obj({
+    "id": (text(), REQUIRED),
+    "count": (integer(1), 1),
+    "noise": (number(0), 0.0),
+    "theta": (obj({}, kinds={"text": {"text": (text(), REQUIRED)},
+                             "first_item": {}, "seeded": {}}, kind="seeded"), {}),
+})
+
+CONFIG_SPEC = obj({
+    "seed": (integer(), REQUIRED),
+    "out": (text(), "out"),
+    "catalog": (text(), REQUIRED),
+    "policy": (text(), None),
+}, kinds={
+    "interactive": {
+        "query": (text(nonempty=True), REQUIRED),
+        "budgets": (obj({"B": (integer(1), DEFAULT_CONTEXT_BUDGET),
+                         "L_stm": (integer(1), DEFAULT_STM_TOKENS),
+                         "L": (integer(1), 5)}), {}),
+        "agents": (list_of(_AGENT, nonempty=True), REQUIRED),
+        "children": (map_of(obj({"agents": (list_of(_AGENT), []),
+                                 "open": (list_of(_PAIR), [])})), {}),
+        "matrix": (obj({"agents": (list_of(text()), REQUIRED),
+                        "allow": (list_of(_PAIR), [])}), {}),
+        "routing": (list_of(tuple_of(text(), _RECIPIENTS, text())), []),
+    },
+    "simulate": {
+        "cohorts": (list_of(_COHORT, nonempty=True), REQUIRED),
+        "horizon": (integer(1), 5),
+        "sessions_per_sim": (integer(1), 1),
+        "budgets": (obj({"L": (integer(1), 1)}), {}),
+        # static_top without item_id shows the first catalog item
+        "recommender": (obj({}, kinds={"rotation": {}, "static_top": {
+            "item_id": (text(nonempty=True), None)}}, kind="rotation"), {}),
+        "reward": (obj({}, kinds={"select": {}, "diversity_penalty": {
+            "penalty": (number(0), 0.5)}}, kind="select"), {}),
+    },
+    "multimodal": {
+        "categories": (list_of(text(), nonempty=True), REQUIRED),
+        "scene_palette": (list_of(number(), nonempty=True), REQUIRED),
+        "text_constraints": (text(), ""),
+        "profile_facts": (_FACTS, {}),
+        "alpha": (number(0, 1), DEFAULT_PALETTE_WEIGHT),
+        "tau": (number(), DEFAULT_COMPAT_TAU),
+    },
+    "explain": {
+        "policy": (text(), REQUIRED),
+        "transcript": (list_of(text(), nonempty=True), REQUIRED),
+        "facts": (_FACTS, {}),
+        "budgets": (obj({"L": (integer(1), 3)}), {}),
+        "context_k": (integer(1), 4),
+        "max_rounds": (integer(1), 3),
+    },
+    "cascade": {
+        "catalog": (text(), None),
+        "nodes": (list_of(text(), nonempty=True), REQUIRED),
+        "edges": (list_of(_PAIR), []),
+        "error_rates": (map_of(number(0, 1)), {}),
+        "trials": (integer(1), 100000),
+    },
+})
+
+
+def _cross_check(config, findings) -> None:
+    """Checks between fields, run once every field passed its own check."""
+    for field in ("catalog", "policy"):
+        if config[field] is not None and not _resolve(config, config[field]).exists():
+            _flag(findings, field, "referenced path does not exist")
+    if config["kind"] == "interactive":
+        ids = [agent["id"] for agent in config["agents"]]
+        known = ids + [child["id"] for decl in config["children"].values()
+                       for child in decl["agents"]]
+        for dup in sorted({i for i in known if known.count(i) > 1}):
+            _flag(findings, "agents", f"duplicate agent id: {dup}")
+        if sorted(config["matrix"]["agents"]) != sorted(set(ids)):
+            _flag(findings, "matrix", "matrix dimension must equal the agent count")
+        for name in sorted({n for pair in config["matrix"]["allow"] for n in pair} - set(ids)):
+            _flag(findings, "matrix", f"allow pair references unknown agent: {name}")
+        routed = set()
+        for sender, recipient, _ in config["routing"]:
+            routed.update([sender] + (recipient if isinstance(recipient, list) else [recipient]))
+        for name in sorted(routed - set(known)):
+            _flag(findings, "routing", f"unknown agent in routing: {name}")
+    elif config["kind"] == "cascade":
+        nodes = config["nodes"]
+        for dup in sorted({node for node in nodes if nodes.count(node) > 1}):
+            _flag(findings, "nodes", f"duplicate node: {dup}")
+        for edge in config["edges"]:
+            if not set(edge) <= set(nodes):
+                _flag(findings, "edges", f"edge must be a [upstream, downstream] pair of "
+                                         f"declared nodes: {edge!r}")
+        for node in nodes:  # a node without a rate never errs
+            config["error_rates"].setdefault(node, 0.0)
+
+
 # loading -------------------------------------------------------------------
 
-def load_config(path) -> dict:
-    path = Path(path)
+def _read_config(path) -> bytes:
     try:
-        text = path.read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise Unreadable(f"cannot read config {path}: {exc}") from exc
+
+
+def _parse_config(data: bytes, path) -> dict:
+    """The config with every field checked and its defaults filled in.
+
+    Raises ConfigInvalid carrying every finding.
+    """
+    findings = []
     try:
-        config = json.loads(text)
+        config = json.loads(data.decode("utf-8"))
     except ValueError as exc:
-        raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigInvalid("config must be a JSON object")
-    config["__path__"] = str(path)
+        config = _flag(findings, "<file>", f"config is not valid JSON: {exc}")
+    if isinstance(config, dict):
+        config = CONFIG_SPEC(dict(config, __path__=str(path)), "", findings)
+        if not findings:
+            _cross_check(config, findings)
+    elif not findings:
+        _flag(findings, "<file>", "config must be a JSON object")
+    if findings:
+        raise ConfigInvalid("; ".join(f"{f['field']}: {f['rule']}" for f in findings),
+                            findings)
     return config
+
+
+def load_config(path) -> dict:
+    return _parse_config(_read_config(path), path)
+
+
+def validate_config(path) -> list:
+    """Findings as (field, rule) descriptions; empty iff the config can run."""
+    try:
+        load_config(path)
+    except ConfigInvalid as exc:
+        return exc.findings
+    return []
 
 
 def _resolve(config: dict, relative) -> Path:
@@ -90,144 +335,45 @@ def _resolve(config: dict, relative) -> Path:
 
 
 def load_catalog(path) -> list:
-    records = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [
-        CatalogItem(
-            record["id"],
-            record.get("title", record["id"]),
-            tuple(record.get("tags", ())),
-            float(record.get("price", 0.0)),
-            tuple(record["palette"]) if record.get("palette") else None,
-        )
-        for record in records
-    ]
+    try:
+        records = json.loads(Path(path).read_text(encoding="utf-8"))
+        catalog = [
+            CatalogItem(
+                record["id"],
+                record.get("title", record["id"]),
+                tuple(record.get("tags", ())),
+                float(record.get("price", 0.0)),
+                tuple(record["palette"]) if record.get("palette") else None,
+            )
+            for record in records
+        ]
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
+    if not catalog:
+        raise ConfigInvalid(f"catalog {path} holds no items")
+    return catalog
 
 
 def load_policy(path) -> BrandPolicy:
-    record = json.loads(Path(path).read_text(encoding="utf-8"))
-    allow = record.get("tone_allowlist")
-    return BrandPolicy(
-        banned_terms=frozenset(record.get("banned_terms", ())),
-        required_disclosures=tuple(
-            (trigger, disclosure)
-            for trigger, disclosure in record.get("required_disclosures", ())),
-        tone_allowlist=frozenset(allow) if allow is not None else None,
-    )
-
-
-def _store_from_facts(facts: dict) -> MemoryStore:
-    store = MemoryStore()
-    for index, (slot, value) in enumerate(facts.items()):
-        store.items[(slot, MemoryLabel.EPI)] = make_item(
-            slot, str(value), MemoryLabel.EPI, now=index)
-    return store
-
-
-# validation ----------------------------------------------------------------
-
-def validate_config(path) -> list:
-    """Findings as (field, rule) descriptions; empty iff the config can run."""
-    findings = []
-
-    def flag(field, rule):
-        findings.append({"field": field, "rule": rule})
-
     try:
-        config = load_config(path)
-    except Unreadable:
-        raise
-    except ConfigInvalid as exc:
-        return [{"field": "<file>", "rule": str(exc)}]
-
-    kind = config.get("kind")
-    if kind not in SCENARIO_KINDS:
-        flag("kind", f"must be one of {SCENARIO_KINDS}")
-        return findings
-
-    seed = config.get("seed")
-    if not isinstance(seed, int):
-        flag("seed", "must be an integer")
-
-    for field in ("catalog", "policy"):
-        if field in config and not _resolve(config, config[field]).exists():
-            flag(field, "referenced path does not exist")
-
-    if kind in ("interactive", "simulate", "multimodal", "explain") and "catalog" not in config:
-        flag("catalog", "required for this scenario kind")
-
-    if kind == "interactive":
-        agents = config.get("agents", [])
-        if not agents:
-            flag("agents", "at least one agent declaration required")
-        ids = [agent.get("id") for agent in agents]
-        for dup in sorted({i for i in ids if ids.count(i) > 1}):
-            flag("agents", f"duplicate agent id: {dup}")
-        matrix_agents = config.get("matrix", {}).get("agents", [])
-        if sorted(matrix_agents) != sorted(set(ids)):
-            flag("matrix", "matrix dimension must equal the agent count")
-        known = set(ids)
-        for decl in config.get("children", {}).values():
-            known.update(child.get("id") for child in decl.get("agents", ()))
-        for pair in config.get("matrix", {}).get("allow", []):
-            for name in pair:
-                if name not in set(ids):
-                    flag("matrix", f"allow pair references unknown agent: {name}")
-        for edge in config.get("routing", []):
-            sender, recipient, _ = edge
-            recipients = recipient if isinstance(recipient, list) else [recipient]
-            for name in [sender] + recipients:
-                if name not in known:
-                    flag("routing", f"unknown agent in routing: {name}")
-        if not config.get("query"):
-            flag("query", "interactive scenarios require a query")
-    elif kind == "simulate":
-        if not config.get("cohorts"):
-            flag("cohorts", "at least one cohort required")
-        if not isinstance(config.get("horizon", 1), int) or config.get("horizon", 1) < 1:
-            flag("horizon", "must be a positive integer")
-    elif kind == "multimodal":
-        if not config.get("categories"):
-            flag("categories", "at least one target category required")
-        if not config.get("scene_palette"):
-            flag("scene_palette", "scene palette vector required")
-    elif kind == "explain":
-        if not config.get("transcript"):
-            flag("transcript", "explain scenarios require a transcript")
-        if "policy" not in config:
-            flag("policy", "explain scenarios require a policy path")
-    elif kind == "cascade":
-        nodes = config.get("nodes")
-        if not (nodes and isinstance(nodes, list)
-                and all(isinstance(node, str) for node in nodes)):
-            flag("nodes", "cascade scenarios require a list of node names")
-        trials = config.get("trials", 100000)
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-            flag("trials", "must be a positive integer")
-        declared = nodes if isinstance(nodes, list) else []
-        edges = config.get("edges", [])
-        if not isinstance(edges, list):
-            flag("edges", "must be a list of [upstream, downstream] pairs")
-            edges = []
-        for edge in edges:
-            if not (isinstance(edge, list) and len(edge) == 2
-                    and all(node in declared for node in edge)):
-                flag("edges", f"edge must be a [upstream, downstream] pair of "
-                              f"declared nodes: {edge!r}")
-        rates = config.get("error_rates", {})
-        if not isinstance(rates, dict):
-            flag("error_rates", "must be an object of node -> rate")
-            rates = {}
-        for node, p in rates.items():
-            if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
-                flag("error_rates", f"rate for {node} must be in [0, 1]")
-    return findings
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+        allow = record.get("tone_allowlist")
+        return BrandPolicy(
+            banned_terms=frozenset(record.get("banned_terms", ())),
+            required_disclosures=tuple(
+                (trigger, disclosure)
+                for trigger, disclosure in record.get("required_disclosures", ())),
+            tone_allowlist=frozenset(allow) if allow is not None else None,
+        )
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigInvalid(f"policy {path} is malformed: {type(exc).__name__}: {exc}") from exc
 
 
 # record helpers --------------------------------------------------------------
 
-def _record(seq, sender, recipient, kind, payload, env_version=0) -> dict:
-    return {"seq": seq, "from": sender, "to": recipient, "kind": kind,
-            "payload": payload, "env_version": env_version}
+def _post(messages, sender, recipient, kind, payload) -> None:
+    """Appends a runner's next trace message: seq in order, environment version 0."""
+    messages.append(Message(sender, recipient, kind, payload, seq=len(messages), env_version=0))
 
 
 def _jsonl(records) -> str:
@@ -246,7 +392,7 @@ class ScenarioAborted(AgentRecError):
         self.error_name = name or "ScenarioAborted"
 
 
-def _run_interactive(config, env, policy, seed, report_format):
+def _run_interactive(config, env, policy, seed):
     runtime, routing = build_interactive_runtime(config, env)
     result = runtime.run_episode(routing, seed=seed,
                                  initial_input=config["query"])
@@ -267,66 +413,50 @@ def _run_interactive(config, env, policy, seed, report_format):
             "\n".join(lines) + "\n")
 
 
-def _build_theta(theta_cfg, env, sim_seed):
-    kind = theta_cfg.get("kind", "seeded")
-    if kind == "first_item":
+def _build_theta(theta, env, sim_seed):
+    if theta["kind"] == "first_item":
         return env.catalog[0].embedding
-    if kind == "text":
-        return embed_text(theta_cfg["text"])
-    if kind == "seeded":
-        return random_unit_vector(random.Random(sim_seed))
-    raise ConfigInvalid(f"unknown theta kind: {kind!r}")
+    if theta["kind"] == "text":
+        return embed_text(theta["text"])
+    return random_unit_vector(random.Random(sim_seed))
 
 
-def _build_recommender(config, env):
-    spec = config.get("recommender", {"kind": "rotation"})
-    kind = spec.get("kind", "rotation")
-    if kind == "rotation":
-        return make_rotation_recommender(env)
-    if kind == "static_top":
-        return make_static_top_recommender(spec.get("item_id", env.catalog[0].id))
-    raise ConfigInvalid(f"unknown recommender kind: {kind!r}")
-
-
-def _run_simulate(config, env, policy, seed, report_format):
+def _run_simulate(config, env, policy, seed):
     sims = []
-    for cohort in config.get("cohorts", ()):
-        for index in range(int(cohort.get("count", 1))):
+    for cohort in config["cohorts"]:
+        for index in range(cohort["count"]):
             sim_id = f"{cohort['id']}-{index}"
             sim_seed = derive_seed(seed, sim_id)
             sims.append(UserSimulator(
                 simulator_id=sim_id,
-                theta=_build_theta(cohort.get("theta", {}), env, sim_seed),
-                noise_scale=float(cohort.get("noise", 0.0)),
+                theta=_build_theta(cohort["theta"], env, sim_seed),
+                noise_scale=cohort["noise"],
                 seed=sim_seed,
                 cohort=cohort["id"],
             ))
-    reward_cfg = config.get("reward", {"kind": "select"})
-    reward = REWARDS[reward_cfg.get("kind", "select")](reward_cfg)
+    spec, reward = config["recommender"], config["reward"]
+    recommender = (make_rotation_recommender(env) if spec["kind"] == "rotation" else
+                   make_static_top_recommender(spec["item_id"] or env.catalog[0].id))
     traces = run_sessions(
-        _build_recommender(config, env), sims,
-        horizon=int(config.get("horizon", 5)), env=env,
-        sessions_per_sim=int(config.get("sessions_per_sim", 1)),
-        top_l=int(config.get("budgets", {}).get("L", 1)),
-        reward=reward,
+        recommender, sims,
+        horizon=config["horizon"], env=env,
+        sessions_per_sim=config["sessions_per_sim"],
+        top_l=config["budgets"]["L"],
+        reward=(reward_select if reward["kind"] == "select"
+                else make_diversity_penalty_reward(reward["penalty"])),
     )
 
-    records, seq = [], 0
+    messages = []
     for trace in traces:
         for step in trace.steps:
             if step.error is not None:
-                records.append(_record(seq, "recommender", trace.simulator_id,
-                                       "eval_event",
-                                       {"state": step.state, "error": step.error}))
-                seq += 1
+                _post(messages, "recommender", trace.simulator_id, "eval_event",
+                      {"state": step.state, "error": step.error})
                 continue
-            records.append(_record(seq, "recommender", trace.simulator_id, "rec_list",
-                                   {"state": step.state,
-                                    "items": [[i, s] for i, s in step.recs.entries]}))
-            seq += 1
-            records.append(_record(seq, trace.simulator_id, "eval", "user_action",
-                                   {"action": step.action, "reward": step.reward}))
-            seq += 1
+            _post(messages, "recommender", trace.simulator_id, "rec_list",
+                  {"state": step.state, "items": [[i, s] for i, s in step.recs.entries]})
+            _post(messages, trace.simulator_id, "eval", "user_action",
+                  {"action": step.action, "reward": step.reward})
 
     report = evaluate(traces)
     summaries = [summarize_session(trace) for trace in traces]
@@ -343,36 +473,32 @@ def _run_simulate(config, env, policy, seed, report_format):
     text = (table + f"\noverall psi_hat={report.psi_hat:.6f} ctr={report.ctr:.6f} "
             f"diversity_entropy={report.diversity_entropy:.6f} "
             f"sessions={report.sessions}\n")
-    return _jsonl(records), _jsonl(rows + [overall]), text
+    return trace_to_jsonl(messages), _jsonl(rows + [overall]), text
 
 
-def _run_multimodal(config, env, policy, seed, report_format):
-    profile = _store_from_facts(config.get("profile_facts", {}))
+def _run_multimodal(config, env, policy, seed):
     bundle = recommend_multimodal(
-        text_constraints=config.get("text_constraints", ""),
+        text_constraints=config["text_constraints"],
         scene_features=tuple(config["scene_palette"]),
-        profile=profile,
+        profile=build_store(config["profile_facts"]),
         categories=config["categories"],
         env=env,
-        alpha=float(config.get("alpha", 0.5)),
-        tau=float(config.get("tau", 0.7)),
+        alpha=config["alpha"],
+        tau=config["tau"],
     )
-    compatible = compat_check(bundle, float(config.get("tau", 0.7)))
-    records, seq = [], 0
+    compatible = compat_check(bundle, config["tau"])
+    messages = []
     for item in bundle.items:
-        records.append(_record(seq, "caller", "sem_check", "item_set",
-                               {"category": item.category, "id": item.id,
-                                "palette": list(item.palette)}))
-        seq += 1
-    records.append(_record(seq, "comp_check", "chat", "validated_set",
-                           {"bundle": [item.id for item in bundle.items],
-                            "compat": compatible,
-                            "truncated_search": bundle.truncated_search}))
+        _post(messages, "caller", "sem_check", "item_set",
+              {"category": item.category, "id": item.id, "palette": list(item.palette)})
+    _post(messages, "comp_check", "chat", "validated_set",
+          {"bundle": [item.id for item in bundle.items], "compat": compatible,
+           "truncated_search": bundle.truncated_search})
     rows = [{"category": item.category, "item_id": item.id} for item in bundle.items]
     rows.append({"compat": compatible, "truncated_search": bundle.truncated_search})
     lines = [f"{item.category:<12} {item.id}" for item in bundle.items]
     lines.append(f"compat={compatible} truncated_search={bundle.truncated_search}")
-    return _jsonl(records), _jsonl(rows), "\n".join(lines) + "\n"
+    return trace_to_jsonl(messages), _jsonl(rows), "\n".join(lines) + "\n"
 
 
 def _user_transcript(texts) -> Transcript:
@@ -384,60 +510,44 @@ def _user_transcript(texts) -> Transcript:
     return Transcript(turns=turns)
 
 
-def _run_explain(config, env, policy, seed, report_format):
-    memory = _store_from_facts(config.get("facts", {}))
+def _run_explain(config, env, policy, seed):
+    memory = build_store(config["facts"])
     transcript = _user_transcript(config["transcript"])
-    recs = recommend_interactive(transcript, env, memory,
-                                 int(config.get("budgets", {}).get("L", 3)))
+    recs = recommend_interactive(transcript, env, memory, config["budgets"]["L"])
     ctx_items = retrieve_topk(memory, " ".join(config["transcript"]),
-                              k=int(config.get("context_k", 4))) if memory.items else []
-    max_rounds = int(config.get("max_rounds", 3))
-    explanation, rounds = explain_with_revision(recs, ctx_items, policy, max_rounds)
+                              k=config["context_k"]) if memory.items else []
+    explanation, rounds = explain_with_revision(recs, ctx_items, policy,
+                                                config["max_rounds"])
 
-    records, seq = [], 0
-    records.append(_record(seq, "rec", "expl", "rec_list",
-                           {"items": [[i, s] for i, s in recs.entries]}))
-    seq += 1
+    messages = []
+    _post(messages, "rec", "expl", "rec_list", {"items": [[i, s] for i, s in recs.entries]})
     for failed_round in range(1, rounds):
-        records.append(_record(seq, "eval", "expl", "revise",
-                               {"round": failed_round}))
-        seq += 1
-    records.append(_record(seq, "eval", "chat", "final_report",
-                           {"text": explanation.text, "rounds": rounds,
-                            "cited_items": sorted(explanation.cited_items),
-                            "cited_facts": sorted(explanation.cited_facts),
-                            "context_missing": explanation.context_missing}))
-    rows = [{"text": explanation.text, "rounds": rounds,
-             "cited_items": sorted(explanation.cited_items),
-             "cited_facts": sorted(explanation.cited_facts)}]
+        _post(messages, "eval", "expl", "revise", {"round": failed_round})
+    row = {"text": explanation.text, "rounds": rounds,
+           "cited_items": sorted(explanation.cited_items),
+           "cited_facts": sorted(explanation.cited_facts)}
+    _post(messages, "eval", "chat", "final_report",
+          dict(row, context_missing=explanation.context_missing))
     text = (f"rounds={rounds}\n{explanation.text}\n")
-    return _jsonl(records), _jsonl(rows), text
+    return trace_to_jsonl(messages), _jsonl([row]), text
 
 
-def _run_cascade(config, env, policy, seed, report_format):
-    nodes = list(config["nodes"])
-    rates = {node: float(config.get("error_rates", {}).get(node, 0.0))
-             for node in nodes}
-    graph = AgentGraph(nodes=nodes,
-                       edges=[tuple(edge) for edge in config.get("edges", ())],
+def _run_cascade(config, env, policy, seed):
+    nodes, rates = config["nodes"], config["error_rates"]
+    graph = AgentGraph(nodes=nodes, edges=[tuple(edge) for edge in config["edges"]],
                        error_rates=rates)
     closed_form = propagation_probability([rates[node] for node in nodes])
     empirical = simulate_error_cascade(graph, default_oracle(graph),
-                                       trials=int(config.get("trials", 100000)),
-                                       seed=seed)
-    records = []
-    for seq, node in enumerate(nodes):
-        records.append(_record(seq, node, "monitor", "eval_event",
-                               {"error_rate": rates[node]}))
-    records.append(_record(len(nodes), "monitor", "chat", "final_report",
-                           {"closed_form": closed_form, "empirical": empirical,
-                            "abs_diff": abs(closed_form - empirical)}))
-    rows = [{"closed_form": closed_form, "empirical": empirical,
-             "abs_diff": abs(closed_form - empirical),
-             "trials": int(config.get("trials", 100000))}]
+                                       trials=config["trials"], seed=seed)
+    messages = []
+    for node in nodes:
+        _post(messages, node, "monitor", "eval_event", {"error_rate": rates[node]})
+    report = {"closed_form": closed_form, "empirical": empirical,
+              "abs_diff": abs(closed_form - empirical)}
+    _post(messages, "monitor", "chat", "final_report", report)
     text = (f"closed_form={closed_form:.6f} empirical={empirical:.6f} "
-            f"abs_diff={abs(closed_form - empirical):.6f}\n")
-    return _jsonl(records), _jsonl(rows), text
+            f"abs_diff={report['abs_diff']:.6f}\n")
+    return trace_to_jsonl(messages), _jsonl([dict(report, trials=config["trials"])]), text
 
 
 _RUNNERS = {
@@ -470,28 +580,19 @@ def run_scenario(config_path, out=None, seed=None,
     started = time.perf_counter()
     out_dir = Path(out) if out is not None else None
     try:
-        findings = validate_config(config_path)
-    except (Unreadable, ConfigInvalid) as exc:
-        return _emit_error(out_dir, type(exc).__name__, str(exc))
-    if findings:
-        detail = "; ".join(f"{f['field']}: {f['rule']}" for f in findings)
-        return _emit_error(out_dir, "ConfigInvalid", detail)
-
-    config = load_config(config_path)
-    if out_dir is None:
-        out_dir = _resolve(config, config.get("out", "out"))
-    effective_seed = seed if seed is not None else int(config.get("seed", 0))
-
-    try:
+        config_bytes = _read_config(config_path)
+        config = _parse_config(config_bytes, config_path)
+        if out_dir is None:
+            out_dir = _resolve(config, config["out"])
+        effective_seed = seed if seed is not None else config["seed"]
         env = Environment(
             catalog=load_catalog(_resolve(config, config["catalog"]))
-            if "catalog" in config else [])
+            if config["catalog"] is not None else [])
         policy = (load_policy(_resolve(config, config["policy"]))
-                  if "policy" in config else EMPTY_POLICY)
+                  if config["policy"] is not None else EMPTY_POLICY)
         env.rules_kb = policy
-        runner = _RUNNERS[config["kind"]]
-        trace_text, report_jsonl, report_text = runner(
-            config, env, policy, effective_seed, report_format)
+        trace_text, report_jsonl, report_text = _RUNNERS[config["kind"]](
+            config, env, policy, effective_seed)
     except ScenarioAborted as exc:
         return _emit_error(out_dir, exc.error_name, str(exc))
     except AgentRecError as exc:
@@ -501,7 +602,6 @@ def run_scenario(config_path, out=None, seed=None,
     (out_dir / "trace.jsonl").write_text(trace_text, encoding="utf-8")
     (out_dir / "report.jsonl").write_text(report_jsonl, encoding="utf-8")
     (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
-    config_bytes = Path(config["__path__"]).read_bytes()
     manifest = {
         "config_hash": "sha256:" + hashlib.sha256(config_bytes).hexdigest(),
         "seed": effective_seed,
@@ -542,10 +642,8 @@ def main(argv=None) -> int:
                             report_format=args.format)
     try:
         findings = validate_config(args.config)
-    except (Unreadable, ConfigInvalid) as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return 1
+    except Unreadable as exc:
+        return _emit_error(None, type(exc).__name__, str(exc))
     for finding in findings:
         sys.stdout.write(f"{finding['field']}: {finding['rule']}\n")
     return 0 if not findings else 1

@@ -12,6 +12,10 @@ class AgentRecError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(AgentRecError, ValueError):
+    """An argument or constructed value is out of its domain."""
+
+
 # memory
 class UnknownEntity(AgentRecError):
     """A bound triple-query component is not in the store's entity set."""
@@ -108,7 +112,12 @@ class NoCompliantCandidate(AgentRecError):
 
 # CLI
 class ConfigInvalid(AgentRecError):
-    """Scenario config failed validation."""
+    """Scenario config or data file failed validation; `findings` lists each
+    {"field", "rule"} a config check found."""
+
+    def __init__(self, message: str, findings=()):
+        super().__init__(message)
+        self.findings = list(findings)
 
 
 class Unreadable(AgentRecError):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
-from .errors import UnknownEntity
+from .errors import InvalidArgument, UnknownEntity
 
 EMBED_DIM = 64
 _HASH_PERSON = b"embed-v1"
@@ -108,7 +108,7 @@ class Triple:
 
     def __post_init__(self):
         if not (self.subject and self.relation and self.object):
-            raise ValueError("triple components must be non-empty")
+            raise InvalidArgument("triple components must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ class RawContext:
 
     def __post_init__(self):
         if not self.turns:
-            raise ValueError("RawContext requires at least one turn")
+            raise InvalidArgument("RawContext requires at least one turn")
 
 
 @dataclass
@@ -211,7 +211,7 @@ def retrieve_topk(store: MemoryStore, query: Union[str, Vector], k: int,
     ``query`` is the query text or its embedding.
     """
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidArgument("k must be >= 1")
     candidates = store.all_items() if label_filter is None else store.labelled_items(label_filter)
     query = query_vector(query)
     scored = [(relevance_score(query, item), item) for item in candidates]
@@ -312,7 +312,7 @@ def update_memory(store: MemoryStore, ctx: RawContext, label: MemoryLabel,
 def tail_window(store: MemoryStore, max_tokens: int) -> str:
     """Suffix of the concatenated raw log, at most ``max_tokens`` whitespace tokens."""
     if max_tokens < 1:
-        raise ValueError("max_tokens must be >= 1")
+        raise InvalidArgument("max_tokens must be >= 1")
     tokens = " ".join(text for _, text in store.raw_log).split()
     return " ".join(tokens[-max_tokens:])
 
@@ -485,13 +485,8 @@ def store_from_jsonl(text: str) -> MemoryStore:
         elif kind == "triple":
             add_triple(store, record["subject"], record["relation"], record["object"])
         else:
-            raise ValueError(f"unknown snapshot record kind: {kind!r}")
+            raise InvalidArgument(f"unknown snapshot record kind: {kind!r}")
     return store
-
-
-def save_store(store: MemoryStore, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(store_to_jsonl(store))
 
 
 def load_store(path) -> MemoryStore:

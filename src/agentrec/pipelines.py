@@ -26,6 +26,7 @@ from string import Template
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import (
+    InvalidArgument,
     MissingPalette,
     NoCompatibleBundle,
     NoFeasibleItem,
@@ -57,14 +58,14 @@ class Transcript:
 
     def __post_init__(self):
         if not self.turns:
-            raise ValueError("transcript requires at least one turn")
+            raise InvalidArgument("transcript requires at least one turn")
         expected = "user"
         for speaker, _ in self.turns:
             if speaker != expected:
-                raise ValueError("transcript must alternate user/agent turns")
+                raise InvalidArgument("transcript must alternate user/agent turns")
             expected = "agent" if expected == "user" else "user"
         if self.turns[-1][0] != "user":
-            raise ValueError("transcript must end with a user turn")
+            raise InvalidArgument("transcript must end with a user turn")
 
     def user_turns(self) -> list:
         return [text for speaker, text in self.turns if speaker == "user"]
@@ -79,10 +80,10 @@ class RankedList:
     def __post_init__(self):
         ids = [item_id for item_id, _ in self.entries]
         if len(ids) != len(set(ids)):
-            raise ValueError("ranked list ids must be unique")
+            raise InvalidArgument("ranked list ids must be unique")
         scores = [score for _, score in self.entries]
         if any(a < b for a, b in zip(scores, scores[1:])):
-            raise ValueError("ranked list scores must be nonincreasing")
+            raise InvalidArgument("ranked list scores must be nonincreasing")
 
     def ids(self) -> list:
         return [item_id for item_id, _ in self.entries]
@@ -96,7 +97,7 @@ class ConstraintSet:
 
     def __post_init__(self):
         if self.required_tags & self.forbidden_tags:
-            raise ValueError("required and forbidden tags must be disjoint")
+            raise InvalidArgument("required and forbidden tags must be disjoint")
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ def recommend_interactive(transcript: Transcript, env: Environment,
                           memory: MemoryStore, top_l: int) -> RankedList:
     """Filter the catalog by the session constraints, then rank by relevance."""
     if not env.catalog:
-        raise ValueError("catalog must be non-empty")
+        raise InvalidArgument("catalog must be non-empty")
     constraints, query = extract_session_constraints(transcript, memory)
     survivors = [item for item in env.catalog if not violations_for(item, constraints)]
     if not survivors:
@@ -243,7 +244,7 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
     """
     categories = sorted(set(categories))
     if not categories:
-        raise ValueError("at least one target category required")
+        raise InvalidArgument("at least one target category required")
     constraints = constraints_from_facts(facts_from_memory(profile))
     scene = tuple(scene_features)
     text_vec = embed_text(text_constraints)
@@ -331,7 +332,7 @@ def generate_explanation(recs: RankedList, user_ctx: list,
     flagged instead of failing.
     """
     if not recs.entries:
-        raise ValueError("cannot explain an empty recommendation list")
+        raise InvalidArgument("cannot explain an empty recommendation list")
     if not user_ctx:
         return _render_explanation(ITEM_ONLY_TEMPLATE, recs, [], context_missing=True)
     return _render_explanation(templates[0], recs, user_ctx, context_missing=False)
@@ -358,7 +359,7 @@ def explain_with_revision(recs: RankedList, ctx_items: list, policy: BrandPolicy
     round budget or the template pool runs out.
     """
     if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+        raise InvalidArgument("max_rounds must be >= 1")
     candidates = list(templates) if ctx_items else [ITEM_ONLY_TEMPLATE]
     for round_number in range(1, max_rounds + 1):
         if not candidates:

@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     CyclicGraph,
+    InvalidArgument,
     NoCompliantCandidate,
     OutOfRange,
 )
@@ -56,7 +57,7 @@ class AgentGraph:
                 raise OutOfRange(f"error rate for {node!r} out of [0, 1]: {p}")
         for upstream, downstream in self.edges:
             if upstream not in self.nodes or downstream not in self.nodes:
-                raise ValueError(f"edge references unknown node: {(upstream, downstream)}")
+                raise InvalidArgument(f"edge references unknown node: {(upstream, downstream)}")
 
     def topological_order(self) -> list:
         incoming = {node: 0 for node in self.nodes}
@@ -120,7 +121,7 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
     an OR of masks and the bad count a ``bit_count``.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidArgument("trials must be >= 1")
     order = graph.topological_order()
     index = {node: i for i, node in enumerate(order)}
     sinks = {index[node] for node in graph.sinks()}
@@ -157,9 +158,9 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
 def consensus(replies: Sequence, rule: str = "majority") -> str:
     """Majority vote over redundant replies; ties take the lexicographic smallest."""
     if not replies:
-        raise ValueError("consensus requires at least one reply")
+        raise InvalidArgument("consensus requires at least one reply")
     if rule != "majority":
-        raise ValueError(f"unknown consensus rule: {rule!r}")
+        raise InvalidArgument(f"unknown consensus rule: {rule!r}")
     counts = {}
     for reply in replies:
         counts[reply] = counts.get(reply, 0) + 1
@@ -180,7 +181,7 @@ class BrandPolicy:
     def __post_init__(self):
         disclosures = {disclosure for _, disclosure in self.required_disclosures}
         if self.banned_terms & disclosures:
-            raise ValueError("banned terms and required disclosures must be disjoint")
+            raise InvalidArgument("banned terms and required disclosures must be disjoint")
 
 
 EMPTY_POLICY = BrandPolicy()
@@ -215,10 +216,10 @@ def check_compliance(text: str, policy: BrandPolicy,
 def constrained_select(candidates: Sequence, policy: BrandPolicy) -> str:
     """Highest-scoring compliant candidate text; ties take the smaller text."""
     if not candidates:
-        raise ValueError("candidates must be non-empty")
+        raise InvalidArgument("candidates must be non-empty")
     for text, score in candidates:
         if not math.isfinite(score):
-            raise ValueError(f"candidate score must be finite: {score!r}")
+            raise InvalidArgument(f"candidate score must be finite: {score!r}")
     compliant = [(text, score) for text, score in candidates
                  if check_compliance(text, policy)]
     if not compliant:

@@ -25,6 +25,7 @@ from .errors import (
     AgentRecError,
     ChannelClosed,
     ConflictingDelta,
+    InvalidArgument,
     NoData,
     PayloadInvalid,
     SchemaViolation,
@@ -112,7 +113,7 @@ class CommMatrix:
 
     def register(self, agent_id: str) -> None:
         if agent_id in self._index:
-            raise ValueError(f"duplicate agent id: {agent_id!r}")
+            raise InvalidArgument(f"duplicate agent id: {agent_id!r}")
         self._index[agent_id] = len(self._ids)
         self._ids.append(agent_id)
         for row in self._grid:
@@ -171,7 +172,7 @@ class Environment:
     def __post_init__(self):
         self._by_id = {item.id: item for item in self.catalog}
         if len(self._by_id) != len(self.catalog):
-            raise ValueError("catalog ids must be unique")
+            raise InvalidArgument("catalog ids must be unique")
 
     def item_by_id(self, item_id: str) -> CatalogItem:
         try:
@@ -193,7 +194,7 @@ def _delta_target(op: dict):
         return ("item_field", op["id"], op["field"])
     if name == "set_profile":
         return ("profile", op["user"], op["key"])
-    raise ValueError(f"unknown delta op: {name!r}")
+    raise InvalidArgument(f"unknown delta op: {name!r}")
 
 
 def apply_env_update(env: Environment, delta: Sequence) -> Environment:
@@ -282,7 +283,7 @@ class MasRuntime:
 
     def register_agent(self, agent: AgentSpec, allow_to=(), allow_from=()) -> None:
         if agent.id in self.agents:
-            raise ValueError(f"duplicate agent id: {agent.id!r}")
+            raise InvalidArgument(f"duplicate agent id: {agent.id!r}")
         for kind in set(agent.input_schema) | set(agent.output_schema):
             if kind not in self.schemata:
                 raise UnknownSchema(

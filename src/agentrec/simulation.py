@@ -19,7 +19,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .errors import AgentRecError, NoSummaries, NoTraces
+from .errors import AgentRecError, InvalidArgument, NoSummaries, NoTraces
 from .memory import MemoryLabel, MemoryStore, RawContext, cosine, update_memory
 # Re-exported, not called here: perfbench/spans.py wraps `simulation.embed_text`.
 from .memory import embed_text  # noqa: F401
@@ -45,9 +45,9 @@ class UserSimulator:
         if self.cohort is None:
             self.cohort = self.simulator_id
         if not math.isfinite(self.noise_scale) or self.noise_scale < 0:
-            raise ValueError("noise_scale must be finite and >= 0")
+            raise InvalidArgument("noise_scale must be finite and >= 0")
         if len(self.action_space) < 2:
-            raise ValueError("action space needs a positive and a negative action")
+            raise InvalidArgument("action space needs a positive and a negative action")
 
     @property
     def positive_action(self) -> str:
@@ -79,7 +79,7 @@ def simulate_action(sim: UserSimulator, recs: RankedList,
                     env: Environment, rng: random.Random) -> str:
     """Draw the positive action with the clamped cosine-plus-noise probability."""
     if not recs.entries:
-        raise ValueError("recs must be non-empty")
+        raise InvalidArgument("recs must be non-empty")
     p = select_probability(sim, recs, env, rng)
     return sim.positive_action if rng.random() < p else sim.negative_action
 
@@ -118,13 +118,6 @@ def make_diversity_penalty_reward(penalty: float = 0.5):
     return reward
 
 
-REWARDS = {
-    "select": lambda config: reward_select,
-    "diversity_penalty": lambda config: make_diversity_penalty_reward(
-        float(config.get("penalty", 0.5))),
-}
-
-
 def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
                  env: Environment, sessions_per_sim: int = 1,
                  top_l: int = 1, reward: Callable = reward_select) -> list:
@@ -136,7 +129,7 @@ def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
     fully determined by (sims, env, config).
     """
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise InvalidArgument("horizon must be >= 1")
     traces = []
     for sim in sims:
         rng = random.Random(sim.seed)
@@ -292,7 +285,7 @@ def aggregate_report(summaries: Sequence, format: str = "table") -> str:
     if format == "jsonlines":
         return "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n"
     if format != "table":
-        raise ValueError(f"unknown report format: {format!r}")
+        raise InvalidArgument(f"unknown report format: {format!r}")
     header = "  ".join(f"{name:>20}" for name in _REPORT_COLUMNS)
     lines = [header]
     for row in rows:
