@@ -30,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .agents import DEFAULT_CONTEXT_BUDGET, DEFAULT_STM_TOKENS
 from .blueprints import build_interactive_runtime, build_store, ranked_entries_from_trace
-from .errors import AgentRecError, ConfigInvalid, Unreadable
+from .errors import AgentRecError, ConfigInvalid, InvalidArgument, Unreadable
 from .memory import embed_text, retrieve_topk
 from .pipelines import (
     DEFAULT_COMPAT_TAU,
@@ -134,6 +134,10 @@ def tuple_of(*items):
     return check
 
 
+def nullable(check):
+    return lambda value, field, findings: None if value is None else check(value, field, findings)
+
+
 def map_of(item):
     def check(value, field, findings):
         if not isinstance(value, dict):
@@ -151,7 +155,7 @@ def obj(fields, kinds=None, kind=REQUIRED):
 
     def check(value, field, findings):
         if not isinstance(value, dict):
-            return _flag(findings, field, "must be an object")
+            return _flag(findings, field or "<file>", "must be an object")
         value, pending = dict(value), dict(fields)
         while pending:
             name = next(iter(pending))
@@ -254,6 +258,10 @@ CONFIG_SPEC = obj({
 })
 
 
+def _describe(findings) -> str:
+    return "; ".join(f"{f['field']}: {f['rule']}" for f in findings)
+
+
 def _cross_check(config, findings) -> None:
     """Checks between fields, run once every field passed its own check."""
     for field in ("catalog", "policy"):
@@ -312,8 +320,7 @@ def _parse_config(data: bytes, path) -> dict:
     elif not findings:
         _flag(findings, "<file>", "config must be a JSON object")
     if findings:
-        raise ConfigInvalid("; ".join(f"{f['field']}: {f['rule']}" for f in findings),
-                            findings)
+        raise ConfigInvalid(_describe(findings), findings)
     return config
 
 
@@ -334,39 +341,96 @@ def _resolve(config: dict, relative) -> Path:
     return (Path(config["__path__"]).parent / relative).resolve()
 
 
-def load_catalog(path) -> list:
+# The last catalog load_catalog built: (sha256 of the file's bytes, its items).
+_last_catalog = (None, ())
+
+_STRING = frozenset({str})
+_NUMBER = frozenset({int, float})  # JSON numbers; bool is neither
+
+
+def _catalog_item(record) -> CatalogItem:
+    """One catalog record as an item; InvalidArgument names the first bad field."""
+    if type(record) is not dict:
+        raise InvalidArgument("must be an object")
+    ident = record.get("id")
+    if type(ident) is not str or not ident:
+        raise InvalidArgument("id: must be a non-empty string")
+    title = record.get("title", ident)
+    if type(title) is not str:
+        raise InvalidArgument("title: must be a string")
+    tags = record.get("tags", [])
+    if type(tags) is not list or not set(map(type, tags)) <= _STRING:
+        raise InvalidArgument("tags: must be a list of strings")
+    price = record.get("price", 0.0)
+    if type(price) not in _NUMBER or not math.isfinite(price):
+        raise InvalidArgument("price: must be a finite number")
+    palette = record.get("palette")
+    if palette is not None and not (type(palette) is list and set(map(type, palette)) <= _NUMBER
+                                    and all(map(math.isfinite, palette))):
+        raise InvalidArgument("palette: must be null or a list of finite numbers")
+    return CatalogItem(ident, title, tuple(tags), float(price), tuple(palette) if palette else None)
+
+
+def _build_catalog(data: bytes, path) -> list:
     try:
-        records = json.loads(Path(path).read_text(encoding="utf-8"))
-        catalog = [
-            CatalogItem(
-                record["id"],
-                record.get("title", record["id"]),
-                tuple(record.get("tags", ())),
-                float(record.get("price", 0.0)),
-                tuple(record["palette"]) if record.get("palette") else None,
-            )
-            for record in records
-        ]
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        records = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
         raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
-    if not catalog:
-        raise ConfigInvalid(f"catalog {path} holds no items")
+    if type(records) is not list or not records:
+        raise ConfigInvalid(f"catalog {path} must be a non-empty list of records")
+    catalog = []
+    for index, record in enumerate(records):
+        try:
+            catalog.append(_catalog_item(record))
+        except InvalidArgument as exc:
+            raise ConfigInvalid(f"catalog {path} record {index}: {exc}") from None
     return catalog
+
+
+def load_catalog(path) -> list:
+    """The catalog file's items, in file order, as a new list.
+
+    Every call reads the file and takes the sha256 of its bytes. When it
+    equals that of the last catalog built, the call returns that catalog's
+    items without parsing: the same frozen items, with the embeddings they
+    already cached. Otherwise it checks and builds the items and keeps them
+    in place of the last ones, so at most one catalog is kept.
+    """
+    global _last_catalog
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
+    digest = hashlib.sha256(data).digest()
+    last_digest, items = _last_catalog
+    if digest != last_digest:
+        items = tuple(_build_catalog(data, path))
+        _last_catalog = (digest, items)
+    return list(items)
+
+
+_POLICY = obj({
+    "banned_terms": (list_of(text()), []),
+    "required_disclosures": (list_of(_PAIR), []),
+    "tone_allowlist": (nullable(list_of(text())), None),
+})
 
 
 def load_policy(path) -> BrandPolicy:
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
-        allow = record.get("tone_allowlist")
-        return BrandPolicy(
-            banned_terms=frozenset(record.get("banned_terms", ())),
-            required_disclosures=tuple(
-                (trigger, disclosure)
-                for trigger, disclosure in record.get("required_disclosures", ())),
-            tone_allowlist=frozenset(allow) if allow is not None else None,
-        )
-    except (OSError, ValueError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigInvalid(f"policy {path} is malformed: {type(exc).__name__}: {exc}") from exc
+    findings = []
+    record = _POLICY(record, "", findings)
+    if findings:
+        raise ConfigInvalid(f"policy {path} is malformed: {_describe(findings)}", findings)
+    allow = record["tone_allowlist"]
+    return BrandPolicy(
+        banned_terms=frozenset(record["banned_terms"]),
+        required_disclosures=tuple(map(tuple, record["required_disclosures"])),
+        tone_allowlist=frozenset(allow) if allow is not None else None,
+    )
 
 
 # record helpers --------------------------------------------------------------

@@ -367,7 +367,10 @@ class MasRuntime:
                 pending = self.inboxes.get(sender_id, [])
                 self.inboxes[sender_id] = []
                 input_text = "\n".join(m.payload.get("text", "") for m in pending)
-                input_kind = pending[0].kind if pending and pending[0].seq >= 0 else None
+                # every consumed message must fit the input schema (the unsequenced
+                # initial query is exempt); step_agent raises on the first that does not
+                input_kind = next((m.kind for m in pending if m.seq >= 0
+                                   and m.kind not in agent.input_schema), None)
                 output = step_agent(agent, input_text, now=tick, kind=input_kind)
                 if kind not in agent.output_schema:
                     raise SchemaViolation(

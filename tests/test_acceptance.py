@@ -172,6 +172,42 @@ def test_c04_communication_soundness():
     print("ACCEPTANCE 4 (communication soundness, 10^4 fuzzed sends): PASS")
 
 
+def test_c04_schema_gate_on_every_consumed_message():
+    """A mixed-kind inbox aborts on its first kind outside the consumer's input schema."""
+    rng = random.Random(4204)
+    kinds = ["query", "item_set", "ranked_list"]
+    schemata = [MessageSchema(kind, ("text",)) for kind in kinds]
+    hidden = 0  # inboxes whose first message is accepted but a later one is not
+    for trial in range(300):
+        runtime = MasRuntime(Environment(), schemata)
+        accepted = frozenset(rng.sample(kinds, rng.randint(1, 2)))
+        runtime.register_agent(AgentSpec(
+            id="consumer", core=scripted_core((r".*", "$input")),
+            input_schema=accepted, output_schema=frozenset({"query"})))
+        runtime.register_agent(AgentSpec(
+            id="sender", core=scripted_core((r".*", "$input")),
+            input_schema=frozenset(kinds), output_schema=frozenset(kinds)),
+            allow_to=["consumer"], allow_from=["consumer"])
+        sent = [rng.choice(kinds) for _ in range(rng.randint(1, 4))]
+        for kind in sent:
+            runtime.send_message(Message(sender="sender", recipient="consumer", kind=kind,
+                                         payload={"text": kind}))
+        # the unsequenced initial query is exempt, whatever the schema
+        initial = "start" if rng.random() < 0.5 else ""
+        result = runtime.run_episode([("consumer", "sender", "query")], seed=trial,
+                                     initial_input=initial)
+        rejected = [kind for kind in sent if kind not in accepted]
+        if rejected:
+            hidden += sent[0] in accepted
+            assert result.error == (f"SchemaViolation: agent 'consumer' does not accept "
+                                    f"kind {rejected[0]!r}")
+            assert result.trace == []
+        else:
+            assert result.error is None and len(result.trace) == 1
+    assert hidden >= 50
+    print(f"ACCEPTANCE 4b (schema gate, 300 seeded mixed inboxes, {hidden} hidden): PASS")
+
+
 EXPECTED_KINDS = ["query", "episode_list", "validated_episodes", "spawn",
                   "item_set", "item_set", "item_set", "validated_set",
                   "ranked_list"]

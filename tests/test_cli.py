@@ -10,8 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from agentrec.cli import derive_seed, load_config, main, run_scenario, validate_config
-from agentrec.errors import Unreadable
+from agentrec.cli import (
+    derive_seed,
+    load_catalog,
+    load_config,
+    main,
+    run_scenario,
+    validate_config,
+)
+from agentrec.errors import ConfigInvalid, Unreadable
 from agentrec.runtime import trace_from_jsonl
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -95,6 +102,17 @@ def test_bundled_scenario_artifacts_match_golden_hashes(tmp_path, capsys, name):
     got = {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
            for artifact in GOLDEN[name]}
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_rerun_on_reused_catalog_matches_golden_hashes(tmp_path, capsys, name):
+    # the second run gets the first run's items back, embeddings already cached
+    for sub in ("first", "second"):
+        status, out = run_into(tmp_path, name, sub)
+        assert status == 0
+        got = {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+               for artifact in GOLDEN[name]}
+        assert got == GOLDEN[name], sub
 
 
 def test_party_planner_kind_sequence_and_gluten(tmp_path):
@@ -243,3 +261,80 @@ def test_load_config_rejects_non_object(tmp_path):
     from agentrec.errors import ConfigInvalid
     with pytest.raises(ConfigInvalid):
         load_config(path)
+
+
+# catalog loading and reuse ----------------------------------------------------------
+
+def test_identical_catalog_bytes_at_another_path_give_the_same_items(tmp_path):
+    first_path, second_path = tmp_path / "first.json", tmp_path / "second.json"
+    shutil.copy(SCENARIOS / "party_catalog.json", first_path)
+    first = load_catalog(first_path)
+    shutil.copy(first_path, second_path)  # same bytes, another inode and mtime
+    second = load_catalog(second_path)
+    assert second is not first and len(second) == len(first)
+    assert all(a is b for a, b in zip(first, second))
+    expected = list(second)
+    second.append(second[0])
+    first.clear()
+    assert load_catalog(second_path) == expected
+
+
+def test_same_length_rewrite_with_old_mtime_gives_the_new_items(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text('[{"id": "aa", "price": 1}]')
+    before = path.stat()
+    assert [(item.id, item.price) for item in load_catalog(path)] == [("aa", 1.0)]
+    path.write_text('[{"id": "bb", "price": 2}]')
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+        before.st_size, before.st_mtime_ns, before.st_ino)
+    assert [(item.id, item.price) for item in load_catalog(path)] == [("bb", 2.0)]
+
+
+@pytest.mark.parametrize("text", ["[{not json", "[]", '[{"id": "x", "title": 5}]'])
+def test_malformed_catalog_after_a_good_one_raises_and_keeps_the_good_one(tmp_path, text):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    shutil.copy(SCENARIOS / "party_catalog.json", good)
+    items = load_catalog(good)
+    bad.write_text(text)
+    with pytest.raises(ConfigInvalid, match="bad.json"):
+        load_catalog(bad)
+    again = load_catalog(good)
+    assert len(again) == len(items) and all(a is b for a, b in zip(items, again))
+
+
+@pytest.mark.parametrize("record, field", [
+    ("5", "record 1: must be an object"),
+    ('{"title": "cake"}', "id"),
+    ('{"id": ""}', "id"),
+    ('{"id": 7}', "id"),
+    ('{"id": "x", "title": null}', "title"),
+    ('{"id": "x", "tags": "home"}', "tags"),
+    ('{"id": "x", "tags": ["home", 1]}', "tags"),
+    ('{"id": "x", "price": "5"}', "price"),
+    ('{"id": "x", "price": true}', "price"),
+    ('{"id": "x", "price": NaN}', "price"),
+    ('{"id": "x", "price": 1e999}', "price"),
+    ('{"id": "x", "palette": "red"}', "palette"),
+    ('{"id": "x", "palette": [0.5, "red"]}', "palette"),
+    ('{"id": "x", "palette": [0.5, true]}', "palette"),
+    ('{"id": "x", "palette": [0.5, Infinity]}', "palette"),
+])
+def test_catalog_record_rules_name_file_record_and_field(tmp_path, record, field):
+    path = tmp_path / "catalog.json"
+    path.write_text(f'[{{"id": "ok"}}, {record}]')
+    with pytest.raises(ConfigInvalid) as caught:
+        load_catalog(path)
+    assert str(path) in str(caught.value) and "record 1" in str(caught.value)
+    assert field in str(caught.value)
+
+
+def test_catalog_record_defaults_and_accepted_forms(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text('[{"id": "a"}, {"id": "b", "title": "t", "tags": [], "price": 3, '
+                    '"palette": null}, {"id": "c", "palette": []}, '
+                    '{"id": "d", "price": 2.5, "palette": [1, 0.5, 0]}]')
+    assert [(i.id, i.title, i.tags, i.price, i.palette) for i in load_catalog(path)] == [
+        ("a", "a", (), 0.0, None), ("b", "t", (), 3.0, None), ("c", "c", (), 0.0, None),
+        ("d", "d", (), 2.5, (1, 0.5, 0))]

@@ -93,6 +93,14 @@ FILE_CASES = [
      "ConfigInvalid", "policy"),
     ("duplicate-catalog-ids", "simulate_colony", "rotation_catalog.json",
      '[{"id": "rot_1"}, {"id": "rot_1"}]', "InvalidArgument", "unique"),
+    ("numeric-catalog-title", "simulate_colony", "rotation_catalog.json",
+     '[{"id": "rot_1"}, {"id": "rot_2", "title": 5}]', "ConfigInvalid", "record 1: title"),
+    ("text-catalog-tags", "simulate_colony", "rotation_catalog.json",
+     '[{"id": "rot_1", "tags": "home"}]', "ConfigInvalid", "record 0: tags"),
+    ("text-banned-terms", "explain_revision", "brand_policy.json",
+     '{"banned_terms": "guaranteed"}', "ConfigInvalid", "banned_terms"),
+    ("text-tone-allowlist", "explain_revision", "brand_policy.json",
+     '{"tone_allowlist": "warm"}', "ConfigInvalid", "tone_allowlist"),
 ]
 
 
