@@ -49,7 +49,7 @@ from .reliability import (
     propagation_probability,
     simulate_error_cascade,
 )
-from .runtime import CatalogItem, Environment, Message, trace_to_jsonl
+from .runtime import Environment, Message, catalog_item, trace_to_jsonl
 from .simulation import (
     UserSimulator,
     aggregate_report,
@@ -344,33 +344,6 @@ def _resolve(config: dict, relative) -> Path:
 # The last catalog load_catalog built: (sha256 of the file's bytes, its items).
 _last_catalog = (None, ())
 
-_STRING = frozenset({str})
-_NUMBER = frozenset({int, float})  # JSON numbers; bool is neither
-
-
-def _catalog_item(record) -> CatalogItem:
-    """One catalog record as an item; InvalidArgument names the first bad field."""
-    if type(record) is not dict:
-        raise InvalidArgument("must be an object")
-    ident = record.get("id")
-    if type(ident) is not str or not ident:
-        raise InvalidArgument("id: must be a non-empty string")
-    title = record.get("title", ident)
-    if type(title) is not str:
-        raise InvalidArgument("title: must be a string")
-    tags = record.get("tags", [])
-    if type(tags) is not list or not set(map(type, tags)) <= _STRING:
-        raise InvalidArgument("tags: must be a list of strings")
-    price = record.get("price", 0.0)
-    if type(price) not in _NUMBER or not math.isfinite(price):
-        raise InvalidArgument("price: must be a finite number")
-    palette = record.get("palette")
-    if palette is not None and not (type(palette) is list and set(map(type, palette)) <= _NUMBER
-                                    and all(map(math.isfinite, palette))):
-        raise InvalidArgument("palette: must be null or a list of finite numbers")
-    return CatalogItem(ident, title, tuple(tags), float(price), tuple(palette) if palette else None)
-
-
 def _build_catalog(data: bytes, path) -> list:
     try:
         records = json.loads(data.decode("utf-8"))
@@ -381,7 +354,7 @@ def _build_catalog(data: bytes, path) -> list:
     catalog = []
     for index, record in enumerate(records):
         try:
-            catalog.append(_catalog_item(record))
+            catalog.append(catalog_item(record))
         except InvalidArgument as exc:
             raise ConfigInvalid(f"catalog {path} record {index}: {exc}") from None
     return catalog
@@ -447,21 +420,12 @@ def _jsonl(records) -> str:
 
 # scenario runners -------------------------------------------------------------
 
-class ScenarioAborted(AgentRecError):
-    """Episode failed mid-run; carries the module error name verbatim."""
-
-    def __init__(self, error_text: str):
-        name, _, message = error_text.partition(": ")
-        super().__init__(message or error_text)
-        self.error_name = name or "ScenarioAborted"
-
-
 def _run_interactive(config, env, policy, seed):
     runtime, routing = build_interactive_runtime(config, env)
     result = runtime.run_episode(routing, seed=seed,
                                  initial_input=config["query"])
-    if result.error is not None:
-        raise ScenarioAborted(result.error)
+    if result.exception is not None:
+        raise result.exception
     entries = ranked_entries_from_trace(result.trace)
     report_rows = []
     for rank, (item_id, score) in enumerate(entries, start=1):
@@ -657,25 +621,22 @@ def run_scenario(config_path, out=None, seed=None,
         env.rules_kb = policy
         trace_text, report_jsonl, report_text = _RUNNERS[config["kind"]](
             config, env, policy, effective_seed)
-    except ScenarioAborted as exc:
-        return _emit_error(out_dir, exc.error_name, str(exc))
-    except AgentRecError as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "trace.jsonl").write_text(trace_text, encoding="utf-8")
+        (out_dir / "report.jsonl").write_text(report_jsonl, encoding="utf-8")
+        (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
+        manifest = {
+            "config_hash": "sha256:" + hashlib.sha256(config_bytes).hexdigest(),
+            "seed": effective_seed,
+            "version": __version__,
+            "scenario": config["kind"],
+            "outputs": ["trace.jsonl", "report.jsonl", "report.txt"],
+            "timings": {"elapsed_seconds": time.perf_counter() - started},
+        }
+        (out_dir / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    except (AgentRecError, OSError) as exc:  # OSError: the artifacts cannot be written
         return _emit_error(out_dir, type(exc).__name__, str(exc))
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "trace.jsonl").write_text(trace_text, encoding="utf-8")
-    (out_dir / "report.jsonl").write_text(report_jsonl, encoding="utf-8")
-    (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
-    manifest = {
-        "config_hash": "sha256:" + hashlib.sha256(config_bytes).hexdigest(),
-        "seed": effective_seed,
-        "version": __version__,
-        "scenario": config["kind"],
-        "outputs": ["trace.jsonl", "report.jsonl", "report.txt"],
-        "timings": {"elapsed_seconds": time.perf_counter() - started},
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     if report_format == "table":
         sys.stdout.write(report_text)
     else:

@@ -14,8 +14,9 @@ traced message.
 from __future__ import annotations
 
 import json
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
@@ -95,47 +96,36 @@ class DeliveryReceipt:
 
 
 class CommMatrix:
-    """n x n boolean permission grid; the diagonal is pinned closed."""
+    """The paper's communication matrix over the registered ids, stored as its
+    open (sender, recipient) entries; the diagonal and all others are closed."""
 
     def __init__(self, ids: Iterable[str] = ()):
-        self._ids = []
-        self._index = {}
-        self._grid = []
+        self._ids = set()
+        self._open = set()
         for agent_id in ids:
             self.register(agent_id)
 
-    @property
-    def n(self) -> int:
-        return len(self._ids)
-
-    def ids(self) -> list:
-        return list(self._ids)
-
     def register(self, agent_id: str) -> None:
-        if agent_id in self._index:
+        if agent_id in self._ids:
             raise InvalidArgument(f"duplicate agent id: {agent_id!r}")
-        self._index[agent_id] = len(self._ids)
-        self._ids.append(agent_id)
-        for row in self._grid:
-            row.append(False)
-        self._grid.append([False] * len(self._ids))
+        self._ids.add(agent_id)
 
-    def _idx(self, agent_id: str) -> int:
-        try:
-            return self._index[agent_id]
-        except KeyError:
-            raise UnknownAgent(f"unregistered agent: {agent_id!r}") from None
+    def _check(self, sender: str, recipient: str) -> None:
+        for agent_id in (sender, recipient):
+            if agent_id not in self._ids:
+                raise UnknownAgent(f"unregistered agent: {agent_id!r}")
 
     def allows(self, sender: str, recipient: str) -> bool:
-        return self._grid[self._idx(sender)][self._idx(recipient)]
+        self._check(sender, recipient)
+        return (sender, recipient) in self._open
 
     def set_channel(self, sender: str, recipient: str, open_: bool) -> None:
         if sender == recipient:
             raise SelfChannel(f"agents do not address themselves: {sender!r}")
-        self._grid[self._idx(sender)][self._idx(recipient)] = bool(open_)
-
-    def grid(self) -> list:
-        return [row[:] for row in self._grid]
+        self._check(sender, recipient)
+        self._open.discard((sender, recipient))
+        if open_:
+            self._open.add((sender, recipient))
 
 
 @dataclass(frozen=True)
@@ -154,9 +144,36 @@ class CatalogItem:
         """The embedding of ``text()``, computed on first use and kept by this item.
 
         Not a dataclass field, so equality, hash and repr ignore it. An edit
-        (``dataclasses.replace``) builds a new item that embeds afresh.
+        builds a new item that embeds afresh.
         """
         return memory.embed_text(self.text())
+
+
+_NUMBER = frozenset({int, float})  # JSON numbers; bool is neither
+
+
+def catalog_item(record) -> CatalogItem:
+    """One catalog record, from a file or a delta, as an item; InvalidArgument
+    names the first bad field."""
+    if type(record) is not dict:
+        raise InvalidArgument("must be an object")
+    ident = record.get("id")
+    if type(ident) is not str or not ident:
+        raise InvalidArgument("id: must be a non-empty string")
+    title = record.get("title", ident)
+    if type(title) is not str:
+        raise InvalidArgument("title: must be a string")
+    tags = record.get("tags", [])
+    if type(tags) is not list or not set(map(type, tags)) <= {str}:
+        raise InvalidArgument("tags: must be a list of strings")
+    price = record.get("price", 0.0)
+    if type(price) not in _NUMBER or not math.isfinite(price):
+        raise InvalidArgument("price: must be a finite number")
+    palette = record.get("palette")
+    if palette is not None and not (type(palette) is list and set(map(type, palette)) <= _NUMBER
+                                    and all(map(math.isfinite, palette))):
+        raise InvalidArgument("palette: must be null or a list of finite numbers")
+    return CatalogItem(ident, title, tuple(tags), float(price), tuple(palette) if palette else None)
 
 
 @dataclass
@@ -184,56 +201,70 @@ class Environment:
         return item_id in self._by_id
 
 
-def _delta_target(op: dict):
-    name = op.get("op")
+_SETTABLE_FIELDS = ("title", "tags", "price", "palette")
+
+
+def _delta_target(index: int, op) -> tuple:
+    """What one op writes, as a key; InvalidArgument names a malformed op."""
+    name = op.get("op") if type(op) is dict else None
     if name == "add_item":
-        return ("item", op["item"]["id"])
-    if name == "remove_item":
-        return ("item", op["id"])
-    if name == "set_item_field":
-        return ("item_field", op["id"], op["field"])
-    if name == "set_profile":
-        return ("profile", op["user"], op["key"])
-    raise InvalidArgument(f"unknown delta op: {name!r}")
+        item = op.get("item")
+        named, target = "item.id", ("item", item.get("id") if type(item) is dict else None)
+    elif name == "remove_item":
+        named, target = "id", ("item", op.get("id"))
+    elif name == "set_item_field":
+        named, target = "id, field", ("item_field", op.get("id"), op.get("field"))
+    elif name == "set_profile":
+        named, target = "user, key", ("profile", op.get("user"), op.get("key"))
+    else:
+        raise InvalidArgument(f"delta op {index}: must be an object whose op is one of "
+                              f"add_item, remove_item, set_item_field, set_profile")
+    if not all(type(part) is str for part in target[1:]):
+        raise InvalidArgument(f"delta op {index}: {name}: string required: {named}")
+    if name in ("set_item_field", "set_profile") and "value" not in op:
+        raise InvalidArgument(f"delta op {index}: {name}: value: required")
+    if name == "set_item_field" and op["field"] not in _SETTABLE_FIELDS:
+        raise InvalidArgument(f"delta op {index}: set_item_field: field: must be one "
+                              f"of {list(_SETTABLE_FIELDS)}")
+    return target
 
 
 def apply_env_update(env: Environment, delta: Sequence) -> Environment:
-    """Apply a change set atomically, incrementing the version by exactly one."""
-    targets = [_delta_target(op) for op in delta]
+    """Apply a change set atomically, incrementing the version by exactly one.
+
+    Every op's shape is checked before any is applied; `env` never changes.
+    Items are added, and edited in one of _SETTABLE_FIELDS, by `catalog_item`'s
+    record rules; an added item goes last and the others keep their order.
+    """
+    targets = [_delta_target(index, op) for index, op in enumerate(delta)]
     if len(targets) != len(set(targets)):
         raise ConflictingDelta("delta touches the same field twice")
 
-    catalog = list(env.catalog)
+    items = dict(env._by_id)
     profiles = {user: dict(facts) for user, facts in env.user_profiles.items()}
-    for op in delta:
+    for index, op in enumerate(delta):
         name = op["op"]
-        if name == "add_item":
-            spec = op["item"]
-            if any(item.id == spec["id"] for item in catalog):
-                raise ConflictingDelta(f"item already in catalog: {spec['id']!r}")
-            catalog.append(CatalogItem(
-                id=spec["id"], title=spec.get("title", spec["id"]),
-                tags=tuple(spec.get("tags", ())), price=float(spec.get("price", 0.0)),
-                palette=tuple(spec["palette"]) if spec.get("palette") else None,
-            ))
-        elif name == "remove_item":
-            before = len(catalog)
-            catalog = [item for item in catalog if item.id != op["id"]]
-            if len(catalog) == before:
+        try:
+            if name == "add_item":
+                item = catalog_item(op["item"])
+                if item.id in items:
+                    raise ConflictingDelta(f"item already in catalog: {item.id!r}")
+                items[item.id] = item
+            elif name == "set_profile":
+                profiles.setdefault(op["user"], {})[op["key"]] = op["value"]
+            elif op["id"] not in items:
                 raise UnknownItem(f"unknown catalog item: {op['id']!r}")
-        elif name == "set_item_field":
-            for i, item in enumerate(catalog):
-                if item.id == op["id"]:
-                    value = op["value"]
-                    if op["field"] in ("tags", "palette") and value is not None:
-                        value = tuple(value)
-                    catalog[i] = replace(item, **{op["field"]: value})
-                    break
-            else:
-                raise UnknownItem(f"unknown catalog item: {op['id']!r}")
-        elif name == "set_profile":
-            profiles.setdefault(op["user"], {})[op["key"]] = op["value"]
-    return Environment(catalog=catalog, user_profiles=profiles,
+            elif name == "remove_item":
+                del items[op["id"]]
+            else:  # the item's record with the field set, checked as a new record
+                item = items[op["id"]]
+                items[item.id] = catalog_item({
+                    "id": item.id, "title": item.title, "tags": list(item.tags),
+                    "price": item.price, "palette": list(item.palette or ()),
+                    op["field"]: op["value"]})
+        except InvalidArgument as exc:  # a record rule: name the op
+            raise InvalidArgument(f"delta op {index}: {exc}") from None
+    return Environment(catalog=list(items.values()), user_profiles=profiles,
                        rules_kb=env.rules_kb, version=env.version + 1)
 
 
@@ -254,12 +285,20 @@ class MetricsSnapshot:
 
 @dataclass
 class EpisodeResult:
+    """An episode's trace and the exception that aborted it, if one did;
+    `error` gives it as "Name: message", the form trace.jsonl keeps."""
+
     trace: list
-    error: Optional[str] = None
+    exception: Optional[AgentRecError] = None
+
+    @property
+    def error(self) -> Optional[str]:
+        exc = self.exception
+        return None if exc is None else f"{type(exc).__name__}: {exc}"
 
     @property
     def aborted(self) -> bool:
-        return self.error is not None
+        return self.exception is not None
 
 
 @dataclass
@@ -345,7 +384,7 @@ class MasRuntime:
 
         An edge is (sender, recipient-or-recipient-list, kind). A closed
         channel or schema failure mid-episode aborts with the partial trace
-        and an error marker naming the failure.
+        and the exception that aborted it.
         """
         trace = []
         started = time.perf_counter()
@@ -383,8 +422,7 @@ class MasRuntime:
                 tick += 1
         except AgentRecError as exc:
             self.metrics.elapsed_seconds += time.perf_counter() - started
-            return EpisodeResult(trace=trace,
-                                 error=f"{type(exc).__name__}: {exc}")
+            return EpisodeResult(trace=trace, exception=exc)
         self.metrics.elapsed_seconds += time.perf_counter() - started
         self.metrics.episode_count += 1
         return EpisodeResult(trace=trace)

@@ -212,6 +212,21 @@ def test_malformed_cascade_config_gives_error_record(tmp_path, field, value):
     assert field in record["message"]
 
 
+def test_unwritable_out_gives_error_record(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("a file, not a directory\n")
+    env = dict(os.environ, PYTHONPATH=str(SCENARIOS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "agentrec.cli", "run", str(SCENARIOS / "error_cascade.json"),
+         "--out", str(out)], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    record = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert set(record) == {"error", "message"}
+    assert record["error"] == "FileExistsError" and str(out) in record["message"]
+    assert out.read_text() == "a file, not a directory\n"
+
+
 def test_aborted_episode_reports_module_error_name(tmp_path, capsys):
     config = json.loads((SCENARIOS / "party_planner.json").read_text())
     config["matrix"]["allow"] = [pair for pair in config["matrix"]["allow"]

@@ -1,13 +1,17 @@
 """MAS runtime: matrix-gated delivery, env versioning, episodes, metrics."""
 
+import copy
+import math
 import random
 
 import pytest
 
 from agentrec.agents import AgentSpec, scripted_core
 from agentrec.errors import (
+    AgentRecError,
     ChannelClosed,
     ConflictingDelta,
+    InvalidArgument,
     NoData,
     PayloadInvalid,
     SelfChannel,
@@ -169,6 +173,20 @@ def test_matrix_diagonal_starts_closed():
         assert matrix.allows(agent_id, agent_id) is False
 
 
+def test_matrix_rejects_duplicate_and_unregistered_ids():
+    with pytest.raises(InvalidArgument):
+        CommMatrix(["x", "y", "x"])
+    matrix = CommMatrix(["x", "y"])
+    for sender, recipient in (("x", "ghost"), ("ghost", "y")):
+        with pytest.raises(UnknownAgent):
+            matrix.allows(sender, recipient)
+        with pytest.raises(UnknownAgent):
+            matrix.set_channel(sender, recipient, True)
+    matrix.register("z")
+    matrix.set_channel("z", "x", True)
+    assert matrix.allows("z", "x") and not matrix.allows("x", "z")
+
+
 # environment updates --------------------------------------------------------------
 
 def sample_env():
@@ -278,6 +296,191 @@ def test_item_embedding_is_not_part_of_equality_hash_or_repr():
     assert "embedding" not in repr(embedded)
 
 
+@pytest.mark.parametrize("op", [
+    {"op": "add_item", "item": {"id": "b", "tags": "home"}},
+    {"op": "set_item_field", "id": "i1", "field": "tags", "value": "home"},
+    {"op": "add_item", "item": {"id": "b", "title": 5}},
+    {"op": "set_item_field", "id": "i1", "field": "title", "value": 5},
+    {"op": "add_item", "item": {"id": "b", "price": "5"}},
+    {"op": "set_item_field", "id": "i1", "field": "price", "value": "5"},
+    {"op": "set_item_field", "id": "i1", "field": "colour", "value": "red"},
+    {"op": "set_item_field", "id": "i1", "field": "id", "value": "i9"},
+    {"op": "set_item_field", "id": "i1", "field": "tags"},
+    {"op": "remove_item"},
+    {"op": "remove_item", "id": ["i1"]},
+    {"op": "add_item", "item": {"title": "no id"}},
+    {"op": "add_item", "item": "b"},
+    {"op": "add_item"},
+    {"op": "set_profile", "user": "u1", "key": ["k"], "value": 1},
+    {"op": "rename_item", "id": "i1"},
+    {"id": "i1"},
+    ["remove_item", "i1"],
+], ids=["add-tags-text", "set-tags-text", "add-title-int", "set-title-int", "add-price-text",
+        "set-price-text", "set-unknown-field", "set-id", "set-no-value", "remove-no-id",
+        "remove-list-id", "add-no-id", "add-text-item", "add-no-item", "profile-list-key",
+        "unknown-op", "no-op", "op-not-object"])
+def test_malformed_delta_op_is_invalid_argument_naming_its_index(op):
+    env = sample_env()
+    with pytest.raises(InvalidArgument, match="^delta op 1: "):
+        apply_env_update(env, [{"op": "set_profile", "user": "u1", "key": "k", "value": 1}, op])
+    assert env.catalog == sample_env().catalog and env.user_profiles == {}
+
+
+def test_edited_fields_follow_the_record_rules():
+    updated = apply_env_update(sample_env(), [
+        {"op": "set_item_field", "id": "i1", "field": "price", "value": 5},
+        {"op": "set_item_field", "id": "i1", "field": "palette", "value": []},
+        {"op": "set_item_field", "id": "i2", "field": "palette", "value": [1, 0.5]},
+    ])
+    first, second = updated.catalog
+    assert (first.price, type(first.price), first.palette) == (5.0, float, None)
+    assert second.palette == (1, 0.5)
+
+
+# seeded delta fuzz: apply_env_update against a plain-dict model -------------------
+
+SETTABLE = ("title", "tags", "price", "palette")
+GOOD = {"title": ["lamp", "", "rattan chair"], "tags": [[], ["home"], ["eco", "rug"]],
+        "price": [0, 5, 2.5, -1.0], "palette": [None, [], [0.1, 1], [1, 0.5, 0.0]]}
+BAD = {"title": [5, None, ["lamp"]], "tags": ["home", ["home", 1], None, ("eco",)],
+       "price": ["5", True, None, math.nan, math.inf],
+       "palette": ["red", [0.5, "red"], [True], [math.inf], (0.1,)]}
+
+
+def model_row(record):
+    """The catalog record rules over plain values: (id, title, tags, price,
+    palette), or None when the record breaks them."""
+    def finite(value):
+        return type(value) in (int, float) and math.isfinite(value)
+
+    if type(record) is not dict or type(record.get("id")) is not str or not record["id"]:
+        return None
+    title, tags = record.get("title", record["id"]), record.get("tags", [])
+    price, palette = record.get("price", 0.0), record.get("palette")
+    if (type(title) is not str or type(tags) is not list
+            or not all(type(tag) is str for tag in tags) or not finite(price)
+            or not (palette is None or type(palette) is list and all(map(finite, palette)))):
+        return None
+    return (record["id"], title, tuple(tags), float(price), tuple(palette or ()) or None)
+
+
+def model_target(op):
+    """What a well-formed op writes, or None for a malformed op."""
+    if type(op) is not dict:
+        return None
+    name = op.get("op")
+    if name == "add_item" and type(op.get("item")) is dict:
+        target = ("item", op["item"].get("id"))
+    elif name == "remove_item":
+        target = ("item", op.get("id"))
+    elif name == "set_item_field" and op.get("field") in SETTABLE and "value" in op:
+        target = ("field", op.get("id"), op["field"])
+    elif name == "set_profile" and "value" in op:
+        target = ("profile", op.get("user"), op.get("key"))
+    else:
+        return None
+    return target if all(type(part) is str for part in target[1:]) else None
+
+
+def model_apply(rows, profiles, delta):
+    """(rows, profiles) after the delta, or None when it must be rejected; rows
+    maps each id to its row in catalog order."""
+    targets = [model_target(op) for op in delta]
+    if None in targets or len(set(targets)) != len(targets):
+        return None
+    rows, profiles = dict(rows), copy.deepcopy(profiles)
+    for op in delta:
+        name = op["op"]
+        if name == "set_profile":
+            profiles.setdefault(op["user"], {})[op["key"]] = op["value"]
+            continue
+        if name == "add_item":
+            row = model_row(op["item"])
+            if row is None or row[0] in rows:
+                return None
+        elif op["id"] not in rows:
+            return None
+        elif name == "remove_item":
+            del rows[op["id"]]
+            continue
+        else:
+            ident, title, tags, price, palette = rows[op["id"]]
+            record = {"id": ident, "title": title, "tags": list(tags), "price": price,
+                      "palette": list(palette) if palette else None}
+            row = model_row(dict(record, **{op["field"]: op["value"]}))
+            if row is None:
+                return None
+        rows[row[0]] = row
+    return rows, profiles
+
+
+def random_delta_op(rng, ids):
+    """One op on a catalog holding `ids`; most ops are valid alone, some break a rule."""
+    def pick(field):
+        return copy.deepcopy(rng.choice(GOOD[field] if rng.random() < 0.9 else BAD[field]))
+
+    def some_id():
+        if ids and rng.random() < 0.9:
+            return rng.choice(ids)
+        return rng.choice([f"n{rng.randrange(1000)}", "", 5, None])
+
+    name = rng.choice(["add_item"] * 3 + ["remove_item"] * 2 + ["set_item_field"] * 4
+                      + ["set_profile", "junk"])
+    if name == "add_item":
+        item = {"id": f"n{rng.randrange(1000)}" if rng.random() < 0.85 else some_id()}
+        item.update({field: pick(field) for field in SETTABLE if rng.random() < 0.5})
+        op = {"op": name, "item": item if rng.random() < 0.97 else "n0"}
+    elif name == "remove_item":
+        op = {"op": name, "id": some_id()}
+    elif name == "set_item_field":
+        field = rng.choice(SETTABLE * 5 + ("id", "colour", 3))
+        op = {"op": name, "id": some_id(), "field": field,
+              "value": pick(field) if field in SETTABLE else "n0"}
+    elif name == "set_profile":
+        op = {"op": name, "user": rng.choice(["u1", "u2", 7]), "key": rng.choice(["k1", "k2"]),
+              "value": rng.randrange(10)}
+    else:
+        return rng.choice(["add_item", None, {}, {"op": "drop_item", "id": "i1"},
+                           {"op": ["remove_item"], "id": "i1"}])
+    if rng.random() < 0.03:
+        del op[rng.choice([key for key in op if key != "op"])]
+    return op
+
+
+def test_seeded_delta_fuzz_matches_the_dict_model():
+    rng = random.Random(20260)
+    env = Environment(catalog=[CatalogItem(f"i{i}", f"item {i}", ("seed",), float(i))
+                               for i in range(3)])
+    rows = {item.id: (item.id, item.title, item.tags, item.price, item.palette)
+            for item in env.catalog}
+    accepted = rejected = 0
+    for _ in range(1500):
+        ids = [item.id for item in env.catalog]
+        delta = [random_delta_op(rng, ids) for _ in range(rng.randrange(4))]
+        before = (list(env.catalog), copy.deepcopy(env.user_profiles), env.version)
+        want = model_apply(rows, env.user_profiles, delta)
+        try:
+            updated = apply_env_update(env, copy.deepcopy(delta))
+        except AgentRecError:
+            assert want is None, delta
+            rejected += 1
+        else:
+            assert want is not None, delta
+            want_rows, want_profiles = want
+            assert [(item.id, item.title, item.tags, item.price, item.palette)
+                    for item in updated.catalog] == list(want_rows.values()), delta
+            assert all(type(item.price) is float for item in updated.catalog)
+            assert updated.user_profiles == want_profiles
+            assert updated.version == env.version + 1
+            accepted += 1
+        after = (env.catalog, env.user_profiles, env.version)
+        assert all(a is b for a, b in zip(before[0], after[0])) and before == after, delta
+        assert env._by_id == {item.id: item for item in before[0]}, delta
+        if want is not None:
+            env, rows = updated, want[0]
+    assert accepted > 300 and rejected > 300
+
+
 # episodes -------------------------------------------------------------------------
 
 def chain_runtime(hops=3):
@@ -334,6 +537,15 @@ def test_closed_channel_aborts_with_partial_trace():
     assert result.aborted
     assert "ChannelClosed" in result.error
     assert len(result.trace) == 2  # first two hops fired
+
+
+def test_aborted_episode_keeps_the_exception():
+    runtime, routing = chain_runtime(3)
+    runtime.toggle_channel("n2", "n3", False)
+    result = runtime.run_episode(routing, seed=1, initial_input="x")
+    assert isinstance(result.exception, ChannelClosed)
+    assert result.error == f"ChannelClosed: {result.exception}"
+    assert chain_runtime(1)[0].run_episode([], seed=1).exception is None
 
 
 def test_abort_does_not_count_episode():
