@@ -107,7 +107,6 @@ class Tool:
 
     name: str
     handler: Callable[[str], str]
-    cost_tokens: int = 0
 
 
 class ToolRegistry:
@@ -131,14 +130,6 @@ class ToolRegistry:
         return list(self._tools)
 
 
-@dataclass(frozen=True)
-class ToolCall:
-    name: str
-    args: str
-    result: str
-    cost_tokens: int
-
-
 @dataclass
 class AgentSpec:
     """One agent: id, core, message schemas, tools, and its memory store.
@@ -157,31 +148,18 @@ class AgentSpec:
     context_budget: int = DEFAULT_CONTEXT_BUDGET
     stm_tokens: int = DEFAULT_STM_TOKENS
     retain_label: MemoryLabel = MemoryLabel.EPI
-    call_log: list = field(default_factory=list)
-
-    def total_tool_cost(self) -> int:
-        return sum(call.cost_tokens for call in self.call_log)
-
-
-def memory_partition(agent: AgentSpec, partition: str):
-    """STM returns the tail text; EPI/SEM/PROC return label-filtered items."""
-    if partition == "STM":
-        return tail_window(agent.memory, agent.stm_tokens) if agent.memory.raw_log else ""
-    return agent.memory.labelled_items(MemoryLabel(partition))
 
 
 def invoke_tool(agent: AgentSpec, name: str, args: str) -> str:
-    """Run a registered tool and record the call in the agent's call log."""
+    """Run a registered tool and return its result; any other exception the
+    handler raises becomes a ToolFailure naming the tool."""
     tool = agent.tools.get(name)
     try:
-        result = tool.handler(args)
+        return tool.handler(args)
     except ToolFailure:
         raise
     except Exception as exc:
         raise ToolFailure(name, str(exc)) from exc
-    agent.call_log.append(ToolCall(name=name, args=args, result=result,
-                                   cost_tokens=tool.cost_tokens))
-    return result
 
 
 def resolve_directives(agent: AgentSpec, text: str) -> str:

@@ -81,7 +81,7 @@ def _memory_recall_tool(env, budgets, store, tool_cfg) -> Tool:
         return render_facts(
             (item.slot(), item.canonical_text().partition(": ")[2]) for item in hits)
 
-    return Tool(name=tool_cfg["name"], handler=handler, cost_tokens=tool_cfg["cost_tokens"])
+    return Tool(name=tool_cfg["name"], handler=handler)
 
 
 def _nli_validate_tool(env, budgets, store, tool_cfg) -> Tool:
@@ -95,7 +95,7 @@ def _nli_validate_tool(env, budgets, store, tool_cfg) -> Tool:
         ]
         return render_sections(query=query, facts=render_facts(validated))
 
-    return Tool(name=tool_cfg["name"], handler=handler, cost_tokens=tool_cfg["cost_tokens"])
+    return Tool(name=tool_cfg["name"], handler=handler)
 
 
 def _category_search_tool(env, budgets, store, tool_cfg) -> Tool:
@@ -121,7 +121,7 @@ def _category_search_tool(env, budgets, store, tool_cfg) -> Tool:
             "facts": sections.get("facts", ""),
         }, sort_keys=True)
 
-    return Tool(name=tool_cfg["name"], handler=handler, cost_tokens=tool_cfg["cost_tokens"])
+    return Tool(name=tool_cfg["name"], handler=handler)
 
 
 def _collection_check_tool(env, budgets, store, tool_cfg) -> Tool:
@@ -143,7 +143,7 @@ def _collection_check_tool(env, budgets, store, tool_cfg) -> Tool:
         return json.dumps({"items": validated, "query": query, "facts": facts_text},
                           sort_keys=True)
 
-    return Tool(name=tool_cfg["name"], handler=handler, cost_tokens=tool_cfg["cost_tokens"])
+    return Tool(name=tool_cfg["name"], handler=handler)
 
 
 def _rank_items_tool(env, budgets, store, tool_cfg) -> Tool:
@@ -155,7 +155,7 @@ def _rank_items_tool(env, budgets, store, tool_cfg) -> Tool:
                         key=lambda entry: (-entry[1], entry[0]))
         return json.dumps({"ranked": ranked[:top_l]}, sort_keys=True)
 
-    return Tool(name=tool_cfg["name"], handler=handler, cost_tokens=tool_cfg["cost_tokens"])
+    return Tool(name=tool_cfg["name"], handler=handler)
 
 
 TOOL_KINDS = {

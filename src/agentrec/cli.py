@@ -178,7 +178,7 @@ _FACTS = map_of(_leaf(lambda v: isinstance(v, (str, int, float)), "must be a str
 _RECIPIENTS = _leaf(lambda v: isinstance(v, str) or isinstance(v, list) and bool(v) and all(
     isinstance(name, str) for name in v), "must be an agent id or a non-empty list of agent ids")
 
-_TOOL = obj({"name": (text(), REQUIRED), "cost_tokens": (integer(0), 0)}, kinds={
+_TOOL = obj({"name": (text(), REQUIRED)}, kinds={
     "memory_recall": {"top_k": (integer(1), 4)},
     "category_search": {"category": (text(), REQUIRED), "limit": (integer(1), 3)},
     "rank_items": {"top_l": (integer(1), None)},  # None: the scenario's L budget

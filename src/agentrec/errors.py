@@ -63,10 +63,6 @@ class ConflictingDelta(AgentRecError):
     """An environment delta touches the same field twice."""
 
 
-class NoData(AgentRecError):
-    """Metrics requested before any episode completed."""
-
-
 # pipelines
 class NoFeasibleItem(AgentRecError):
     """Every catalog item was filtered out by the constraint set."""

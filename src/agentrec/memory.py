@@ -152,11 +152,9 @@ def make_item(slot: str, value: str, label: MemoryLabel, now: int,
 
 @dataclass
 class RawContext:
-    """One step's raw material: turns, optional reasoning trace, pending tool calls."""
+    """One step's raw material: its (speaker, text) turns."""
 
     turns: list  # list[tuple[str speaker, str text]]
-    trace: Optional[str] = None
-    pending_tool_calls: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.turns:

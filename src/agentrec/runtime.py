@@ -2,8 +2,8 @@
 
 Episode execution is single-threaded and sequential in routing order, so a
 fixed (agents, routing, seed, environment) tuple always produces the same
-trace. Wall-clock latency and throughput are collected separately from the
-trace and never serialized into it.
+trace. The runtime reads no clock: wall-clock timings belong to the run
+manifest and the benchmark, never to the trace.
 
 Spawn edges realize on-demand sub-agent activation: the parent's declared
 children are registered and their channels opened at the moment the spawn
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -27,7 +26,6 @@ from .errors import (
     ChannelClosed,
     ConflictingDelta,
     InvalidArgument,
-    NoData,
     PayloadInvalid,
     SchemaViolation,
     SelfChannel,
@@ -87,12 +85,6 @@ class Message:
             seq=record["seq"],
             env_version=record["env_version"],
         )
-
-
-@dataclass(frozen=True)
-class DeliveryReceipt:
-    seq: int
-    recipients: tuple
 
 
 class CommMatrix:
@@ -269,21 +261,6 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
 
 
 @dataclass
-class MasMetrics:
-    latency_samples: list = field(default_factory=list)
-    message_count: int = 0
-    episode_count: int = 0
-    elapsed_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    mean_latency: float
-    throughput: float
-    message_count: int
-
-
-@dataclass
 class EpisodeResult:
     """An episode's trace and the exception that aborted it, if one did;
     `error` gives it as "Name: message", the form trace.jsonl keeps."""
@@ -315,20 +292,17 @@ class MasRuntime:
         self.schemata = {schema.kind: schema for schema in schemata}
         self.agents = {}
         self.matrix = CommMatrix()
-        self.metrics = MasMetrics()
         self.inboxes = {}
         self.spawns = {}
-        self._seq = 0
+        self.message_count = 0  # messages delivered so far, and the next seq
 
     def register_agent(self, agent: AgentSpec, allow_to=(), allow_from=()) -> None:
-        if agent.id in self.agents:
-            raise InvalidArgument(f"duplicate agent id: {agent.id!r}")
         for kind in set(agent.input_schema) | set(agent.output_schema):
             if kind not in self.schemata:
                 raise UnknownSchema(
                     f"agent {agent.id!r} declares kind {kind!r} outside the schemata")
+        self.matrix.register(agent.id)  # raises on a duplicate id
         self.agents[agent.id] = agent
-        self.matrix.register(agent.id)
         self.inboxes[agent.id] = []
         for recipient in allow_to:
             self.matrix.set_channel(agent.id, recipient, True)
@@ -342,14 +316,13 @@ class MasRuntime:
     def toggle_channel(self, sender: str, recipient: str, open_: bool) -> None:
         self.matrix.set_channel(sender, recipient, open_)
 
-    def send_message(self, message: Message) -> DeliveryReceipt:
-        """Deliver iff the channel is open, the kind is known, and the payload fits."""
-        if message.sender not in self.agents:
-            raise UnknownAgent(f"unregistered sender: {message.sender!r}")
+    def send_message(self, message: Message) -> None:
+        """Deliver iff there is a recipient, every channel is open, the kind is
+        known, and the payload fits; then stamp the message's seq and env version."""
         recipients = message.recipients()
+        if not recipients:
+            raise InvalidArgument(f"message from {message.sender!r} names no recipient")
         for recipient in recipients:
-            if recipient not in self.agents:
-                raise UnknownAgent(f"unregistered recipient: {recipient!r}")
             if not self.matrix.allows(message.sender, recipient):
                 raise ChannelClosed(
                     f"channel {message.sender!r} -> {recipient!r} is closed")
@@ -360,13 +333,11 @@ class MasRuntime:
             raise PayloadInvalid(
                 f"payload for kind {message.kind!r} must have fields "
                 f"{sorted(schema.payload_shape)}")
-        message.seq = self._seq
+        message.seq = self.message_count
         message.env_version = self.env.version
-        self._seq += 1
+        self.message_count += 1
         for recipient in recipients:
             self.inboxes[recipient].append(message)
-        self.metrics.message_count += 1
-        return DeliveryReceipt(seq=message.seq, recipients=recipients)
 
     def _apply_spawn(self, parent_id: str) -> None:
         decl = self.spawns.get(parent_id)
@@ -387,7 +358,6 @@ class MasRuntime:
         and the exception that aborted it.
         """
         trace = []
-        started = time.perf_counter()
         if routing and initial_input:
             first_sender = routing[0][0]
             self.inboxes.setdefault(first_sender, []).append(Message(
@@ -397,7 +367,6 @@ class MasRuntime:
         tick = 0
         try:
             for sender_id, recipient, kind in routing:
-                hop_started = time.perf_counter()
                 agent = self.agents.get(sender_id)
                 if agent is None:
                     raise UnknownAgent(f"unregistered sender: {sender_id!r}")
@@ -418,24 +387,10 @@ class MasRuntime:
                                   kind=kind, payload={"text": output})
                 self.send_message(message)
                 trace.append(message)
-                self.metrics.latency_samples.append(time.perf_counter() - hop_started)
                 tick += 1
         except AgentRecError as exc:
-            self.metrics.elapsed_seconds += time.perf_counter() - started
             return EpisodeResult(trace=trace, exception=exc)
-        self.metrics.elapsed_seconds += time.perf_counter() - started
-        self.metrics.episode_count += 1
         return EpisodeResult(trace=trace)
-
-    def snapshot_metrics(self) -> MetricsSnapshot:
-        if self.metrics.episode_count == 0:
-            raise NoData("no completed episodes")
-        samples = self.metrics.latency_samples
-        mean_latency = sum(samples) / len(samples) if samples else 0.0
-        elapsed = self.metrics.elapsed_seconds
-        throughput = (self.metrics.message_count / elapsed) if elapsed > 0 else 0.0
-        return MetricsSnapshot(mean_latency=mean_latency, throughput=throughput,
-                               message_count=self.metrics.message_count)
 
 
 # trace persistence -------------------------------------------------------

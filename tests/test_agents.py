@@ -13,7 +13,6 @@ from agentrec.agents import (
     ToolRegistry,
     assemble_context,
     invoke_tool,
-    memory_partition,
     resolve_directives,
     scripted_core,
     step_agent,
@@ -100,11 +99,16 @@ def test_step_resolves_embedded_directive():
 
 def test_directive_resolution_single_pass():
     # the tool result may itself contain directive-looking text: not re-resolved
-    agent = make_agent([(r".*", '$input')],
-                       tools=[Tool("Echo", lambda args: 'CALL(Echo, "again")')])
+    calls = []
+
+    def echo(args):
+        calls.append(args)
+        return 'CALL(Echo, "again")'
+
+    agent = make_agent([(r".*", '$input')], tools=[Tool("Echo", echo)])
     out = resolve_directives(agent, 'CALL(Echo, "x")')
     assert out == 'CALL(Echo, "again")'
-    assert len(agent.call_log) == 1
+    assert calls == ["x"]
 
 
 def test_directive_args_may_embed_quotes():
@@ -134,15 +138,6 @@ def test_tool_failure_carries_tool_name():
     with pytest.raises(ToolFailure) as excinfo:
         invoke_tool(agent, "Flaky", "x")
     assert "Flaky" in str(excinfo.value)
-
-
-def test_tool_cost_accounting_is_additive():
-    agent = make_agent([(r".*", "$input")],
-                       tools=[Tool("Paid", lambda a: "ok", cost_tokens=7)])
-    for _ in range(3):
-        invoke_tool(agent, "Paid", "x")
-    assert agent.total_tool_cost() == 21
-    assert [call.name for call in agent.call_log] == ["Paid"] * 3
 
 
 # schema handling ---------------------------------------------------------------
@@ -203,16 +198,6 @@ def test_scripted_agents_are_deterministic():
         return outputs, list(agent.memory.raw_log)
 
     assert run() == run()
-
-
-def test_memory_partitions_are_views():
-    agent = make_agent([(r".*", "ok")])
-    step_agent(agent, "theme = space", now=0)
-    assert memory_partition(agent, "STM")  # tail text non-empty
-    assert [i.canonical_text() for i in memory_partition(agent, "EPI")] == [
-        "theme: space"]
-    assert memory_partition(agent, "SEM") == []
-    assert memory_partition(agent, "PROC") == []
 
 
 # remote core ----------------------------------------------------------------------

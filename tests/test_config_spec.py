@@ -177,6 +177,20 @@ def test_spec_tool_kinds_match_the_tool_factories():
     assert findings == []
 
 
+def test_tool_cost_tokens_key_is_ignored(tmp_path):
+    config = json.loads((SCENARIOS / "party_planner.json").read_text())
+    _scenario_dir(tmp_path)
+    assert _run(tmp_path, config, "plain") == (0, None)
+    agents = config["agents"] + [child for decl in config["children"].values()
+                                 for child in decl["agents"]]
+    tools = [tool for agent in agents for tool in agent.get("tools", [])]
+    for tool in tools:
+        tool["cost_tokens"] = -1
+    assert tools and _run(tmp_path, config, "costed") == (0, None)
+    assert ((tmp_path / "costed-out" / "trace.jsonl").read_bytes()
+            == (tmp_path / "plain-out" / "trace.jsonl").read_bytes())
+
+
 # mutation fuzz ---------------------------------------------------------------------
 
 def _paths(value, prefix=()):
