@@ -19,22 +19,30 @@ Pinned constants (changing any of these changes every persisted vector):
   item against that vector (memory items carry their key); a
   ``runtime.CatalogItem`` embeds its title+tags text lazily on first use and
   keeps the vector for its own lifetime (an edited item is a new object
-  with no vector yet)
+  with no vector yet); an upsert whose value text is unchanged keeps the
+  item's key
 * top-K tie-break: higher score first, then older timestamp, then
   lexicographically smaller canonical value text
 * context window: exact 0/1-knapsack dynamic program up to 20 items, greedy
   score-density heuristic beyond (result flagged approximate)
+* raw log: uncapped; an agent step appends two entries (its input and its
+  output) and ``store_to_jsonl`` snapshots all of them. Only the short-term
+  tail is bounded: ``tail_window`` walks back from the newest entry and
+  stops once it holds its ``max_tokens`` (the agent's ``L_stm``), so its cost
+  is bounded by ``L_stm`` tokens plus one entry, not by the log's length
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidArgument, UnknownEntity
@@ -140,9 +148,14 @@ class MemoryItem:
         return max(1, len(self.canonical_text().split()))
 
 
+def _fact_text(slot: str, value: str) -> str:
+    """The value text of a retained fact's item."""
+    return f"{slot}: {value}"
+
+
 def make_item(slot: str, value: str, label: MemoryLabel, now: int,
               update_count: int = 1) -> MemoryItem:
-    text = f"{slot}: {value}"
+    text = _fact_text(slot, value)
     return MemoryItem(
         key=embed_text(text),
         value=text,
@@ -213,8 +226,7 @@ def retrieve_topk(store: MemoryStore, query: Union[str, Vector], k: int,
     candidates = store.all_items() if label_filter is None else store.labelled_items(label_filter)
     query = query_vector(query)
     scored = [(relevance_score(query, item), item) for item in candidates]
-    scored.sort(key=_topk_sort_key)
-    return [item for _, item in scored[:k]]
+    return [item for _, item in heapq.nsmallest(k, scored, key=_topk_sort_key)]
 
 
 # retention -------------------------------------------------------------
@@ -226,7 +238,12 @@ class RetentionRule:
     pattern: str
     slot: Optional[str] = None  # fixed slot; None means use the 'slot' group
 
+    @cached_property
     def compiled(self):
+        """The case-insensitive pattern, compiled on first use and kept by this rule.
+
+        Not a dataclass field, so equality, hash and repr ignore it.
+        """
         return re.compile(self.pattern, re.IGNORECASE)
 
 
@@ -256,7 +273,6 @@ def retain(ctx: RawContext, rules: tuple = DEFAULT_RETENTION_RULES) -> list:
     one fact: the first rule in the table that matches wins. Output order
     follows turn order, then segment position.
     """
-    compiled = [(rule, rule.compiled()) for rule in rules]
     facts = []
     for speaker, text in ctx.turns:
         if speaker.lower() != _USER_TAG:
@@ -264,8 +280,8 @@ def retain(ctx: RawContext, rules: tuple = DEFAULT_RETENTION_RULES) -> list:
         for segment in _SEGMENT_RE.split(text):
             if not segment.strip():
                 continue
-            for rule, regex in compiled:
-                match = regex.search(segment)
+            for rule in rules:
+                match = rule.compiled.search(segment)
                 if match is None:
                     continue
                 slot = rule.slot if rule.slot is not None else _normalize_slot(match.group("slot"))
@@ -292,26 +308,39 @@ def update_memory(store: MemoryStore, ctx: RawContext, label: MemoryLabel,
 
     An existing (slot, label) item keeps its creation timestamp, gets the new
     value, and its update counter is incremented; otherwise a fresh item with
-    update_count=1 is inserted. Nothing else changes.
+    update_count=1 is inserted. Nothing else changes. An unchanged value keeps
+    the existing item's key instead of embedding the same text again.
     """
     store.raw_log.extend((speaker, text) for speaker, text in ctx.turns)
     for slot, value in retain(ctx, rules):
         existing = store.items.get((slot, label))
         if existing is None:
             store.items[(slot, label)] = make_item(slot, value, label, now)
+            continue
+        meta = replace(existing.meta, update_count=existing.meta.update_count + 1)
+        if existing.value == _fact_text(slot, value):
+            store.items[(slot, label)] = replace(existing, meta=meta)
         else:
             store.items[(slot, label)] = make_item(
-                slot, value, label, existing.meta.timestamp,
-                update_count=existing.meta.update_count + 1,
-            )
+                slot, value, label, meta.timestamp, update_count=meta.update_count)
     return store
 
 
 def tail_window(store: MemoryStore, max_tokens: int) -> str:
-    """Suffix of the concatenated raw log, at most ``max_tokens`` whitespace tokens."""
+    """Suffix of the concatenated raw log, at most ``max_tokens`` whitespace tokens.
+
+    Equal to ``" ".join(texts).split()[-max_tokens:]`` joined by spaces, but
+    reads the log from the newest entry back and stops once it holds
+    ``max_tokens`` tokens, so its cost is bounded by the window plus one
+    entry, not by the length of the log.
+    """
     if max_tokens < 1:
         raise InvalidArgument("max_tokens must be >= 1")
-    tokens = " ".join(text for _, text in store.raw_log).split()
+    tokens = []
+    for _, text in reversed(store.raw_log):
+        tokens[:0] = text.split()
+        if len(tokens) >= max_tokens:
+            break
     return " ".join(tokens[-max_tokens:])
 
 

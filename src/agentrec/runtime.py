@@ -355,21 +355,21 @@ class MasRuntime:
 
         An edge is (sender, recipient-or-recipient-list, kind). A closed
         channel or schema failure mid-episode aborts with the partial trace
-        and the exception that aborted it.
+        and the exception that aborted it. The initial input enters the first
+        sender's inbox only after that sender is found registered.
         """
         trace = []
-        if routing and initial_input:
-            first_sender = routing[0][0]
-            self.inboxes.setdefault(first_sender, []).append(Message(
-                sender="__input__", recipient=first_sender, kind="query",
-                payload={"text": initial_input}, seq=-1,
-                env_version=self.env.version))
         tick = 0
         try:
             for sender_id, recipient, kind in routing:
                 agent = self.agents.get(sender_id)
                 if agent is None:
                     raise UnknownAgent(f"unregistered sender: {sender_id!r}")
+                if tick == 0 and initial_input:
+                    self.inboxes[sender_id].append(Message(
+                        sender="__input__", recipient=sender_id, kind="query",
+                        payload={"text": initial_input}, seq=-1,
+                        env_version=self.env.version))
                 if kind == "spawn":
                     self._apply_spawn(sender_id)
                 pending = self.inboxes.get(sender_id, [])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -12,8 +13,10 @@ from agentrec.memory import (
     EMBED_DIM,
     MemoryItem,
     MemoryLabel,
+    DEFAULT_RETENTION_RULES,
     MemoryStore,
     RawContext,
+    RetentionRule,
     _bucket_sign,
     add_triple,
     cosine,
@@ -246,6 +249,25 @@ def test_retrieve_matches_bruteforce_on_random_store():
     assert got == exhaustive_topk(store, query, 7)
 
 
+def test_retrieve_equals_full_sort_on_tied_stores():
+    # few words, timestamps and slots, so scores, timestamps and texts tie,
+    # and items with equal texts tie on the whole sort key
+    rng = random.Random(2718)
+    words = ("cake", "gluten", "lamp", "party")
+    for _ in range(60):
+        store = MemoryStore()
+        for _ in range(rng.randint(0, 30)):
+            slot = rng.choice(("a", "b", "c"))
+            label = rng.choice(list(MemoryLabel))
+            value = " ".join(rng.choices(words, k=rng.randint(1, 2)))
+            store.items[(slot + str(rng.randint(0, 3)), label)] = make_item(
+                slot, value, label, now=rng.randint(0, 2))
+        query = " ".join(rng.choices(words + ("",), k=rng.randint(0, 3)))
+        label = rng.choice((None,) + tuple(MemoryLabel))
+        for k in range(1, len(store.items) + 2):
+            assert retrieve_topk(store, query, k, label) == exhaustive_topk(store, query, k, label)
+
+
 def test_retrieve_tiebreak_older_then_lexicographic():
     # all items score 0 against the query: order must be timestamp, then text
     store = fact_store(("b_slot", "zzz"), ("a_slot", "zzz"))
@@ -312,6 +334,20 @@ def test_retain_order_follows_turns():
     assert facts == [("budget", "50"), ("theme", "space")]
 
 
+def test_retention_rule_compiles_once_and_compares_by_fields():
+    fresh = [RetentionRule(rule.pattern, rule.slot) for rule in DEFAULT_RETENTION_RULES]
+    reprs = [repr(rule) for rule in fresh]
+    hashes = [hash(rule) for rule in fresh]
+    retain(ctx(("user", "theme = space")), tuple(fresh))
+    for rule, original in zip(fresh, DEFAULT_RETENTION_RULES):
+        assert rule.compiled is rule.compiled
+        assert rule.compiled.pattern == rule.pattern
+        assert rule.compiled.flags & re.IGNORECASE
+        assert rule == original
+    assert [repr(rule) for rule in fresh] == reprs
+    assert [hash(rule) for rule in fresh] == hashes
+
+
 def test_summarize_keeps_first_fact_per_turn():
     facts = summarize_turns(ctx(("user", "theme = mickey mouse; budget = 200"),
                                 ("user", "color: red")))
@@ -351,6 +387,38 @@ def test_update_overwrites_value_and_recomputes_key():
     assert item.canonical_text() == "theme: mickey mouse"
     assert item.key == embed_text("theme: mickey mouse")
     assert item.meta.update_count == 2
+
+
+def test_update_unchanged_value_keeps_key_and_counts():
+    store = MemoryStore()
+    update_memory(store, ctx(("user", "theme = pirates")), MemoryLabel.EPI, now=1)
+    first = store.items[("theme", MemoryLabel.EPI)]
+    update_memory(store, ctx(("user", "Theme = pirates")), MemoryLabel.EPI, now=2)
+    again = store.items[("theme", MemoryLabel.EPI)]
+    assert again.key is first.key
+    assert again.value == first.value
+    assert (again.meta.timestamp, again.meta.update_count) == (1, 2)
+
+
+def test_update_snapshot_equals_reembedding_every_upsert():
+    # oracle: every upsert builds its item from the text, as make_item does
+    rng = random.Random(3141)
+    slots, values = ("theme", "budget", "colour"), ("pirates", "space", "200", "blue sky")
+    for _ in range(40):
+        store, oracle = MemoryStore(), MemoryStore()
+        for now in range(rng.randint(1, 12)):
+            turn = ("user", "; ".join(f"{rng.choice(slots)} = {rng.choice(values)}"
+                                      for _ in range(rng.randint(1, 3))))
+            label = rng.choice(list(MemoryLabel))
+            update_memory(store, ctx(turn), label, now)
+            oracle.raw_log.append(turn)
+            for slot, value in retain(ctx(turn)):
+                existing = oracle.items.get((slot, label))
+                oracle.items[(slot, label)] = make_item(
+                    slot, value, label,
+                    now if existing is None else existing.meta.timestamp,
+                    1 if existing is None else existing.meta.update_count + 1)
+        assert store_to_jsonl(store) == store_to_jsonl(oracle)
 
 
 def test_update_two_facts_grows_log_by_turn_count():
@@ -417,6 +485,36 @@ def test_tail_straddles_turn_boundary():
         all_tokens.extend(text.split())
     for limit in range(1, len(all_tokens) + 2):
         assert tail_window(store, limit) == " ".join(all_tokens[-limit:])
+
+
+def test_tail_equals_join_everything_oracle_fuzz():
+    rng = random.Random(1618)
+    pieces = ("a", "bb", "ccc", "dd-d", " ", "  ", "\t", "\n", " \t\n ", "\u3000", "")
+    for _ in range(150):
+        log = []
+        for _ in range(rng.randint(0, 8)):
+            if rng.random() < 0.15:
+                text = rng.choice(("", " ", "\t\n", "   "))
+            elif rng.random() < 0.1:
+                text = " ".join(f"long{i}" for i in range(rng.randint(10, 30)))
+            else:
+                text = "".join(rng.choices(pieces, k=rng.randint(1, 12)))
+            log.append((rng.choice(("user", "agent")), text))
+        store = MemoryStore(raw_log=log)
+        tokens = " ".join(text for _, text in log).split()
+        for limit in range(1, len(tokens) + 2):
+            assert tail_window(store, limit) == " ".join(tokens[-limit:])
+
+
+def test_tail_reads_only_the_suffix_it_needs():
+    # an entry read by the walk would raise on None.split()
+    untouchable = [("user", None)] * 50
+    store = MemoryStore(raw_log=untouchable + [("user", "a b c"), ("agent", ""),
+                                               ("agent", "d e f")])
+    assert tail_window(store, 2) == "e f"
+    assert tail_window(store, 3) == "d e f"
+    assert tail_window(store, 4) == "c d e f"
+    assert tail_window(store, 6) == "a b c d e f"
 
 
 def test_tail_rejects_bad_limit():

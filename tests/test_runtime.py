@@ -610,6 +610,14 @@ def test_aborted_episode_keeps_the_exception():
     assert chain_runtime(1)[0].run_episode([], seed=1).exception is None
 
 
+def test_unregistered_first_sender_gets_no_inbox():
+    runtime = MasRuntime(Environment(), SCHEMATA)
+    result = runtime.run_episode([("ghost", "x", "query")], seed=0, initial_input="hi")
+    assert result.aborted and result.trace == []
+    assert result.error == "UnknownAgent: unregistered sender: 'ghost'"
+    assert runtime.inboxes == {}
+
+
 # message counts -------------------------------------------------------------------
 
 def test_metrics_message_count_additive_across_episodes():
