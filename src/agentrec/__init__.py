@@ -12,7 +12,6 @@ from .memory import (
     MemoryItem,
     MemoryLabel,
     MemoryStore,
-    RawContext,
     Triple,
     embed_text,
     query_triples,

@@ -24,7 +24,6 @@ from .errors import InvalidArgument, SchemaViolation, ToolFailure, UnknownTool
 from .memory import (
     MemoryLabel,
     MemoryStore,
-    RawContext,
     regulate_context,
     tail_window,
     update_memory,
@@ -126,9 +125,6 @@ class ToolRegistry:
         except KeyError:
             raise UnknownTool(f"unknown tool: {name!r}") from None
 
-    def names(self) -> list:
-        return list(self._tools)
-
 
 @dataclass
 class AgentSpec:
@@ -174,9 +170,7 @@ def resolve_directives(agent: AgentSpec, text: str) -> str:
 def assemble_context(agent: AgentSpec, query: str) -> str:
     """Working context: log tail plus regulated items, within the token budget."""
     budget = agent.context_budget
-    stm = ""
-    if agent.memory.raw_log:
-        stm = tail_window(agent.memory, max(1, min(agent.stm_tokens, budget)))
+    stm = tail_window(agent.memory, max(1, min(agent.stm_tokens, budget)))
     remaining = budget - len(stm.split())
     selection = regulate_context(agent.memory, query, max(0, remaining))
     parts = [stm] + [item.canonical_text() for item in selection.items]
@@ -199,7 +193,7 @@ def step_agent(agent: AgentSpec, input_text: str, now: int,
     output = resolve_directives(agent, raw)
     update_memory(
         agent.memory,
-        RawContext(turns=[("user", input_text), ("agent", output)]),
+        [("user", input_text), ("agent", output)],
         agent.retain_label,
         now,
     )

@@ -21,7 +21,6 @@ from .agents import AgentSpec, Tool, ToolRegistry, scripted_core
 from .memory import (
     MemoryLabel,
     MemoryStore,
-    RawContext,
     make_item,
     relevance_score,
     retain,
@@ -65,7 +64,7 @@ def _facts_in_play(sections: dict) -> list:
     facts = parse_facts(sections.get("facts", ""))
     query = sections.get("query", "")
     if query:
-        facts += retain(RawContext(turns=[("user", query)]))
+        facts += retain([("user", query)])
     return facts
 
 
@@ -78,8 +77,7 @@ def _memory_recall_tool(env, budgets, store, tool_cfg) -> Tool:
         query_vec = memory.embed_text(args)
         items = retrieve_topk(store, query_vec, top_k)
         hits = [item for item in items if relevance_score(query_vec, item) > 0.0]
-        return render_facts(
-            (item.slot(), item.canonical_text().partition(": ")[2]) for item in hits)
+        return render_facts(item.fact() for item in hits)
 
     return Tool(name=tool_cfg["name"], handler=handler)
 
@@ -88,7 +86,7 @@ def _nli_validate_tool(env, budgets, store, tool_cfg) -> Tool:
     def handler(args: str) -> str:
         sections = parse_sections(args)
         query = sections.get("query", args)
-        current = dict(retain(RawContext(turns=[("user", query)])))
+        current = dict(retain([("user", query)]))
         validated = [
             (slot, value) for slot, value in parse_facts(sections.get("facts", ""))
             if slot not in current or current[slot].lower() == value.lower()

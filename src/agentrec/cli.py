@@ -618,7 +618,6 @@ def run_scenario(config_path, out=None, seed=None,
             if config["catalog"] is not None else [])
         policy = (load_policy(_resolve(config, config["policy"]))
                   if config["policy"] is not None else EMPTY_POLICY)
-        env.rules_kb = policy
         trace_text, report_jsonl, report_text = _RUNNERS[config["kind"]](
             config, env, policy, effective_seed)
         out_dir.mkdir(parents=True, exist_ok=True)

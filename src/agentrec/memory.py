@@ -131,18 +131,20 @@ class MemoryItem:
     """One long-term memory unit: retrieval key, payload, metadata."""
 
     key: Vector
-    value: Union[str, Triple]
+    value: str
     meta: ItemMeta
 
     def canonical_text(self) -> str:
-        if isinstance(self.value, Triple):
-            return f"{self.value.subject} {self.value.relation} {self.value.object}"
         return self.value
+
+    def fact(self) -> tuple:
+        """(slot, value): the value text split at its first ': '; value is "" without one."""
+        slot, _, value = self.value.partition(": ")
+        return slot, value
 
     def slot(self) -> str:
         """The fact slot; the text before the first ': ' of the value."""
-        text = self.canonical_text()
-        return text.split(": ", 1)[0]
+        return self.fact()[0]
 
     def token_length(self) -> int:
         return max(1, len(self.canonical_text().split()))
@@ -161,17 +163,6 @@ def make_item(slot: str, value: str, label: MemoryLabel, now: int,
         value=text,
         meta=ItemMeta(timestamp=now, label=label, update_count=update_count),
     )
-
-
-@dataclass
-class RawContext:
-    """One step's raw material: its (speaker, text) turns."""
-
-    turns: list  # list[tuple[str speaker, str text]]
-
-    def __post_init__(self):
-        if not self.turns:
-            raise InvalidArgument("RawContext requires at least one turn")
 
 
 @dataclass
@@ -266,15 +257,15 @@ def _normalize_slot(raw: str) -> str:
     return "_".join(raw.strip().lower().split())
 
 
-def retain(ctx: RawContext, rules: tuple = DEFAULT_RETENTION_RULES) -> list:
-    """Extract (slot, value) assertions from the user turns of a raw context.
+def retain(turns: Sequence, rules: tuple = DEFAULT_RETENTION_RULES) -> list:
+    """Extract (slot, value) assertions from the user turns of a (speaker, text) list.
 
     Turns are split into segments on ; . , and each segment yields at most
     one fact: the first rule in the table that matches wins. Output order
     follows turn order, then segment position.
     """
     facts = []
-    for speaker, text in ctx.turns:
+    for speaker, text in turns:
         if speaker.lower() != _USER_TAG:
             continue
         for segment in _SEGMENT_RE.split(text):
@@ -292,27 +283,27 @@ def retain(ctx: RawContext, rules: tuple = DEFAULT_RETENTION_RULES) -> list:
     return facts
 
 
-def summarize_turns(ctx: RawContext, rules: tuple = DEFAULT_RETENTION_RULES) -> list:
+def summarize_turns(turns: Sequence, rules: tuple = DEFAULT_RETENTION_RULES) -> list:
     """Extractive compression: keep only the first retained fact of each turn."""
     facts = []
-    for speaker, text in ctx.turns:
-        per_turn = retain(RawContext(turns=[(speaker, text)]), rules)
+    for speaker, text in turns:
+        per_turn = retain([(speaker, text)], rules)
         if per_turn:
             facts.append(per_turn[0])
     return facts
 
 
-def update_memory(store: MemoryStore, ctx: RawContext, label: MemoryLabel,
+def update_memory(store: MemoryStore, turns: Sequence, label: MemoryLabel,
                   now: int, rules: tuple = DEFAULT_RETENTION_RULES) -> MemoryStore:
-    """Append raw turns and upsert retained facts at slot/label granularity.
+    """Append the (speaker, text) turns and upsert retained facts at slot/label granularity.
 
     An existing (slot, label) item keeps its creation timestamp, gets the new
     value, and its update counter is incremented; otherwise a fresh item with
     update_count=1 is inserted. Nothing else changes. An unchanged value keeps
     the existing item's key instead of embedding the same text again.
     """
-    store.raw_log.extend((speaker, text) for speaker, text in ctx.turns)
-    for slot, value in retain(ctx, rules):
+    store.raw_log.extend((speaker, text) for speaker, text in turns)
+    for slot, value in retain(turns, rules):
         existing = store.items.get((slot, label))
         if existing is None:
             store.items[(slot, label)] = make_item(slot, value, label, now)
@@ -470,8 +461,7 @@ def store_to_jsonl(store: MemoryStore) -> str:
         record = {
             "kind": "item",
             "key": list(item.key),
-            "value": (item.value if isinstance(item.value, str)
-                      else [item.value.subject, item.value.relation, item.value.object]),
+            "value": item.value,
             "meta": {
                 "timestamp": item.meta.timestamp,
                 "label": item.meta.label.value,
@@ -487,32 +477,63 @@ def store_to_jsonl(store: MemoryStore) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_LABEL_VALUES = [label.value for label in MemoryLabel]
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidArgument(message)
+
+
+def _strings(record: dict, names: tuple) -> list:
+    """The named fields of a snapshot record, each of which must be a string."""
+    values = [record.get(name) for name in names]
+    _check(all(type(value) is str for value in values),
+           f"{record['kind']}: {', '.join(names)} must be strings")
+    return values
+
+
+def _load_record(store: MemoryStore, record) -> None:
+    """Add one parsed snapshot record to the store; InvalidArgument says what is wrong."""
+    _check(type(record) is dict, "must be an object")
+    kind = record.get("kind")
+    if kind == "turn":
+        store.raw_log.append(tuple(_strings(record, ("speaker", "text"))))
+    elif kind == "item":
+        key, value, meta = record.get("key"), record.get("value"), record.get("meta")
+        _check(type(key) is list and len(key) == EMBED_DIM
+               and all(type(x) is float and math.isfinite(x) for x in key),
+               f"item: key must be a list of {EMBED_DIM} finite floats")
+        _check(type(value) is str, "item: value must be a string")
+        _check(type(meta) is dict and meta.get("label") in _LABEL_VALUES,
+               f"item: meta must be an object whose label is one of {_LABEL_VALUES}")
+        _check(type(meta.get("timestamp")) is int and type(meta.get("update_count")) is int,
+               "item: meta.timestamp and meta.update_count must be integers")
+        item = MemoryItem(
+            key=tuple(key),
+            value=value,
+            meta=ItemMeta(timestamp=meta["timestamp"],
+                          label=MemoryLabel(meta["label"]),
+                          update_count=meta["update_count"]),
+        )
+        store.items[(item.slot(), item.meta.label)] = item
+    elif kind == "triple":
+        add_triple(store, *_strings(record, ("subject", "relation", "object")))
+    else:
+        raise InvalidArgument(f"unknown snapshot record kind: {kind!r}")
+
+
 def store_from_jsonl(text: str) -> MemoryStore:
+    """The store a ``store_to_jsonl`` snapshot holds; a malformed line raises
+    InvalidArgument("snapshot line N: ...") naming its 1-based number."""
     store = MemoryStore()
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        record = json.loads(line)
-        kind = record["kind"]
-        if kind == "turn":
-            store.raw_log.append((record["speaker"], record["text"]))
-        elif kind == "item":
-            meta = record["meta"]
-            value = record["value"]
-            if isinstance(value, list):
-                value = Triple(*value)
-            item = MemoryItem(
-                key=tuple(record["key"]),
-                value=value,
-                meta=ItemMeta(timestamp=meta["timestamp"],
-                              label=MemoryLabel(meta["label"]),
-                              update_count=meta["update_count"]),
-            )
-            store.items[(item.slot(), item.meta.label)] = item
-        elif kind == "triple":
-            add_triple(store, record["subject"], record["relation"], record["object"])
-        else:
-            raise InvalidArgument(f"unknown snapshot record kind: {kind!r}")
+        try:
+            _load_record(store, json.loads(line))
+        except ValueError as exc:  # not JSON, or InvalidArgument from a record rule
+            raise InvalidArgument(f"snapshot line {number}: {exc}") from None
     return store
 
 

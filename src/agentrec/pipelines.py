@@ -35,7 +35,6 @@ from .errors import (
 from .memory import (
     MemoryLabel,
     MemoryStore,
-    RawContext,
     Vector,
     cosine,
     embed_text,
@@ -152,8 +151,7 @@ def facts_from_memory(memory: MemoryStore,
     facts = []
     for label in labels:
         for item in memory.labelled_items(label):
-            text = item.canonical_text()
-            slot, _, value = text.partition(": ")
+            slot, value = item.fact()
             if value:
                 facts.append((slot, value))
     return facts
@@ -182,8 +180,8 @@ def score_item(query: Union[str, Vector], item: CatalogItem) -> float:
 def extract_session_constraints(transcript: Transcript,
                                 memory: MemoryStore):
     """(constraint set, augmented query) from the dialogue plus EPI/SEM memory."""
-    ctx = RawContext(turns=[("user", text) for text in transcript.user_turns()])
-    facts = retain(ctx) + facts_from_memory(memory)
+    facts = (retain([("user", text) for text in transcript.user_turns()])
+             + facts_from_memory(memory))
     constraints = constraints_from_facts(facts)
     query_parts = transcript.user_turns() + [f"{slot}: {value}" for slot, value in facts]
     return constraints, " ".join(query_parts)
@@ -315,9 +313,8 @@ def _render_explanation(template: str, recs: RankedList, ctx_items: list,
     top_item = recs.entries[0][0]
     mapping = {"item": top_item}
     if ctx_items:
-        text = ctx_items[0].canonical_text()
-        slot, _, value = text.partition(": ")
-        mapping.update({"slot": slot, "value": value or text})
+        slot, value = ctx_items[0].fact()
+        mapping.update({"slot": slot, "value": value or ctx_items[0].value})
     text = Template(template).safe_substitute(mapping)
     cited_items, cited_facts = parse_citations(text)
     return Explanation(text=text, cited_items=cited_items,

@@ -1,9 +1,10 @@
 """Multi-agent runtime: registry, shared environment, matrix-gated message routing.
 
 Episode execution is single-threaded and sequential in routing order, so a
-fixed (agents, routing, seed, environment) tuple always produces the same
-trace. The runtime reads no clock: wall-clock timings belong to the run
-manifest and the benchmark, never to the trace.
+fixed (agents, routing, environment) tuple always produces the same trace.
+The runtime draws no randomness, so an episode's seed does not affect its
+trace, and reads no clock: wall-clock timings belong to the run manifest and
+the benchmark, never to the trace.
 
 Spawn edges realize on-demand sub-agent activation: the parent's declared
 children are registered and their channels opened at the moment the spawn
@@ -174,7 +175,6 @@ class Environment:
 
     catalog: list = field(default_factory=list)
     user_profiles: dict = field(default_factory=dict)
-    rules_kb: object = None
     version: int = 0
     _by_id: dict = field(init=False, repr=False, compare=False)
 
@@ -257,13 +257,13 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
         except InvalidArgument as exc:  # a record rule: name the op
             raise InvalidArgument(f"delta op {index}: {exc}") from None
     return Environment(catalog=list(items.values()), user_profiles=profiles,
-                       rules_kb=env.rules_kb, version=env.version + 1)
+                       version=env.version + 1)
 
 
 @dataclass
 class EpisodeResult:
     """An episode's trace and the exception that aborted it, if one did;
-    `error` gives it as "Name: message", the form trace.jsonl keeps."""
+    `error` gives that exception as "Name: message"."""
 
     trace: list
     exception: Optional[AgentRecError] = None
@@ -356,7 +356,9 @@ class MasRuntime:
         An edge is (sender, recipient-or-recipient-list, kind). A closed
         channel or schema failure mid-episode aborts with the partial trace
         and the exception that aborted it. The initial input enters the first
-        sender's inbox only after that sender is found registered.
+        sender's inbox only after that sender is found registered. The runtime
+        draws no randomness, so `seed` does not affect the trace; it stays
+        because callers pass it.
         """
         trace = []
         tick = 0
@@ -395,28 +397,16 @@ class MasRuntime:
 
 # trace persistence -------------------------------------------------------
 
-ERROR_KIND = "error"
-
-
-def trace_to_jsonl(trace: Sequence, error: Optional[str] = None) -> str:
+def trace_to_jsonl(trace: Sequence) -> str:
     lines = [json.dumps(message.to_record(), sort_keys=True) for message in trace]
-    if error is not None:
-        lines.append(json.dumps(
-            {"seq": -1, "from": "", "to": "", "kind": ERROR_KIND,
-             "payload": {"error": error}, "env_version": -1},
-            sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def trace_from_jsonl(text: str):
-    """Returns (messages, error-or-None)."""
-    messages, error = [], None
+def trace_from_jsonl(text: str) -> list:
+    """The messages of a ``trace_to_jsonl`` text, in order."""
+    messages = []
     for line in text.splitlines():
         if not line.strip():
             continue
-        record = json.loads(line)
-        if record["kind"] == ERROR_KIND:
-            error = record["payload"]["error"]
-        else:
-            messages.append(Message.from_record(record))
-    return messages, error
+        messages.append(Message.from_record(json.loads(line)))
+    return messages

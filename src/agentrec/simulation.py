@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .errors import AgentRecError, InvalidArgument, NoSummaries, NoTraces
-from .memory import MemoryLabel, MemoryStore, RawContext, cosine, update_memory
+from .memory import EMBED_DIM, MemoryLabel, MemoryStore, cosine, update_memory
 # Re-exported, not called here: perfbench/spans.py wraps `simulation.embed_text`.
 from .memory import embed_text  # noqa: F401
 from .pipelines import RankedList
@@ -58,9 +58,9 @@ class UserSimulator:
         return self.action_space[1]
 
 
-def random_unit_vector(rng: random.Random, dim: int = 64) -> tuple:
+def random_unit_vector(rng: random.Random) -> tuple:
     while True:
-        values = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        values = [rng.gauss(0.0, 1.0) for _ in range(EMBED_DIM)]
         norm = math.sqrt(sum(v * v for v in values))
         if norm > 0:
             return tuple(v / norm for v in values)
@@ -160,8 +160,7 @@ def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
                 shown_before.add(top_id)
                 update_memory(
                     sim.memory,
-                    RawContext(turns=[("user", f"shown: {top_id}"),
-                                      ("agent", action)]),
+                    [("user", f"shown: {top_id}"), ("agent", action)],
                     MemoryLabel.EPI,
                     now=session_index * horizon + t,
                 )

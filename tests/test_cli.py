@@ -1,6 +1,7 @@
 """Scenario CLI: validation findings, artifacts, determinism, exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import agentrec
 from agentrec.cli import (
     derive_seed,
     load_catalog,
@@ -104,6 +106,32 @@ def test_bundled_scenario_artifacts_match_golden_hashes(tmp_path, capsys, name):
     assert got == GOLDEN[name]
 
 
+def test_benchmark_tracer_wraps_and_restores_every_name():
+    # perfbench/spans.py swaps names in these modules for wrappers; a name it
+    # wraps that the package no longer has fails here, not only in a benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", SCENARIOS.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    owners = [getattr(agentrec, name) for name in (
+        "memory", "agents", "runtime", "pipelines", "blueprints", "simulation", "cli")]
+    owners += [agentrec.runtime.MasRuntime, agentrec.runtime.Environment]
+    before = [dict(vars(owner)) for owner in owners]
+    tools = dict(agentrec.blueprints.TOOL_KINDS)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer, agentrec)
+        wrapped = sum(vars(owner)[name] is not value
+                      for owner, names in zip(owners, before) for name, value in names.items())
+        assert wrapped > 0
+    finally:
+        tracer.uninstall()
+    for owner, names in zip(owners, before):
+        assert vars(owner).keys() == names.keys()
+        assert all(vars(owner)[name] is value for name, value in names.items()), owner
+    assert agentrec.blueprints.TOOL_KINDS == tools
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_rerun_on_reused_catalog_matches_golden_hashes(tmp_path, capsys, name):
     # the second run gets the first run's items back, embeddings already cached
@@ -157,8 +185,7 @@ def test_manifest_hash_matches_recomputation(tmp_path, capsys):
 def test_trace_reloads_into_equal_structures(tmp_path, capsys):
     status, out = run_into(tmp_path, "party_planner")
     text = (out / "trace.jsonl").read_text()
-    messages, error = trace_from_jsonl(text)
-    assert error is None
+    messages = trace_from_jsonl(text)
     from agentrec.runtime import trace_to_jsonl
     assert trace_to_jsonl(messages) == text
 

@@ -1,6 +1,7 @@
 """Memory core: embeddings, retrieval, retention, merge, triples, knapsack."""
 
 import itertools
+import json
 import math
 import random
 import re
@@ -8,14 +9,13 @@ import struct
 
 import pytest
 
-from agentrec.errors import UnknownEntity
+from agentrec.errors import InvalidArgument, UnknownEntity
 from agentrec.memory import (
     EMBED_DIM,
     MemoryItem,
     MemoryLabel,
     DEFAULT_RETENTION_RULES,
     MemoryStore,
-    RawContext,
     RetentionRule,
     _bucket_sign,
     add_triple,
@@ -297,7 +297,7 @@ def test_retrieve_rejects_bad_k():
 # retention --------------------------------------------------------------
 
 def ctx(*turns):
-    return RawContext(turns=list(turns))
+    return list(turns)
 
 
 def test_retain_gluten_diet_sentence():
@@ -702,3 +702,128 @@ def test_snapshot_round_trip():
     assert loaded.triples == store.triples
     assert loaded.entity_set == store.entity_set
     assert store_to_jsonl(loaded) == text
+
+
+SNAPSHOT_WORDS = ["cake", "decor", "theme", "budget", "pirates", "vanilla", "guest", "party"]
+
+
+def snapshot_store(rng):
+    """A store built only by the public writers: turns, facts under every label, triples."""
+    store = MemoryStore()
+    for now in range(rng.randint(3, 12)):
+        turns = [("user", rng.choice([
+            f"{rng.choice(SNAPSHOT_WORDS)} = "
+            f"{' '.join(rng.choices(SNAPSHOT_WORDS, k=rng.randint(1, 3)))}",
+            f"the {rng.choice(SNAPSHOT_WORDS)} is {rng.choice(SNAPSHOT_WORDS)}",
+            GLUTEN_TURN[1], "", "   ", "caf\u00e9: na\u00efve \u2028 text"]))]
+        if rng.random() < 0.5:
+            turns.append(("agent", " ".join(rng.choices(SNAPSHOT_WORDS, k=3))))
+        update_memory(store, turns, rng.choice(list(MemoryLabel)), now=now)
+    # a value text with no [0-9a-z] token: its key is the all-zero vector
+    store.items[("\u2014", MemoryLabel.PROC)] = make_item(
+        "\u2014", "\u2026", MemoryLabel.PROC, now=99)
+    for _ in range(rng.randint(0, 4)):
+        add_triple(store, *rng.sample(SNAPSHOT_WORDS, 3))
+    return store
+
+
+def test_snapshot_round_trip_of_every_record_kind():
+    rng = random.Random(2718)
+    for _ in range(40):
+        store = snapshot_store(rng)
+        text = store_to_jsonl(store)
+        lines = text.splitlines()
+        lines.insert(rng.randint(0, len(lines)), "  ")  # blank lines are skipped
+        loaded = store_from_jsonl("\n".join(lines))
+        assert loaded.raw_log == store.raw_log
+        assert loaded.items == store.items
+        assert loaded.triples == store.triples
+        assert loaded.entity_set == store.entity_set
+        assert store_to_jsonl(loaded) == text
+
+
+VALID_ITEM = {"kind": "item", "key": [0.125] * EMBED_DIM, "value": "theme: pirates",
+              "meta": {"timestamp": 1, "label": "EPI", "update_count": 1}}
+
+
+def item_with(**fields):
+    return json.dumps(dict(VALID_ITEM, **fields))
+
+
+@pytest.mark.parametrize("line", [
+    "not json",
+    '{"kind": "turn"}',
+    "[1]",
+    item_with(meta=dict(VALID_ITEM["meta"], label="LTM")),
+    item_with(value=["a", "b"]),
+    item_with(value=["user", "likes", "cake"]),
+    item_with(key=[0.5, 0.5, 0.5]),
+    item_with(value=7),
+    item_with(key="0.125"),
+    item_with(key=[0.125] * (EMBED_DIM - 1) + ["x"]),
+    item_with(key=[0.125] * (EMBED_DIM - 1) + [float("nan")]),
+    item_with(meta=dict(VALID_ITEM["meta"], timestamp="1")),
+    '{"kind": "triple", "subject": "user", "relation": "likes", "object": 5}',
+    '{"kind": "triple", "subject": "", "relation": "likes", "object": "cake"}',
+    '{"kind": "error"}',
+], ids=["not-json", "turn-without-fields", "not-an-object", "unknown-label",
+        "pair-value", "triple-value", "short-key", "number-value", "string-key",
+        "string-in-key", "nan-in-key", "string-timestamp", "number-in-triple",
+        "empty-triple-part", "unknown-kind"])
+def test_snapshot_rejects_each_malformed_line_naming_it(line):
+    text = "\n".join([item_with(), "", line, item_with(value="budget: 5")])
+    with pytest.raises(InvalidArgument, match=r"^snapshot line 3: ") as excinfo:
+        store_from_jsonl(text)
+    assert excinfo.type is InvalidArgument
+
+
+WRONG_TYPES = [None, True, 3, 2.5, "", "x", [], ["a", "b", "c"], {}]
+
+
+def mutate(rng, record):
+    """A copy of one snapshot record that no snapshot may hold, as its JSON line."""
+    kind = record["kind"]
+    fields = {"turn": ("speaker", "text"), "item": ("key", "value", "meta"),
+              "triple": ("subject", "relation", "object")}[kind]
+    choice = rng.randrange(6)
+    if choice == 0:  # a cut line: every record line starts with "{"
+        line = json.dumps(record, sort_keys=True)
+        return line[:rng.randrange(1, len(line))]
+    if choice == 1:
+        return json.dumps(rng.choice([[record], "x", 5, None, True, []]))
+    if choice == 2:
+        del record[rng.choice(("kind",) + fields)]
+    elif choice == 3:
+        record["kind"] = rng.choice(["Turn", "ITEM", "", None, 5, "error"])
+    elif choice == 4 or kind != "item":  # a wrong-typed field; items also get choice 5
+        name = rng.choice(fields)
+        record[name] = rng.choice([value for value in WRONG_TYPES
+                                   if name in ("key", "meta") or type(value) is not str
+                                   or kind == "triple" and not value])
+    else:  # a bad component of an item's key or meta
+        key, meta = record["key"], record["meta"]
+        rng.choice([
+            lambda: key.pop(rng.randrange(len(key))),
+            lambda: key.append(0.0),
+            lambda: key.__setitem__(rng.randrange(len(key)), rng.choice(
+                ["0.1", None, True, 1, [0.1], float("inf"), float("nan")])),
+            lambda: meta.pop(rng.choice(sorted(meta))),
+            lambda: meta.__setitem__("label", rng.choice(["epi", "", None, 1, ["EPI"]])),
+            lambda: meta.__setitem__(rng.choice(["timestamp", "update_count"]),
+                                     rng.choice([None, "1", 1.0, True, [1]])),
+        ])()
+    return json.dumps(record, sort_keys=True)
+
+
+def test_snapshot_mutation_fuzz_names_the_bad_line():
+    rng = random.Random(3141)
+    base = store_to_jsonl(snapshot_store(rng)).splitlines()
+    base.insert(1, "")  # line numbers count blank lines too
+    for _ in range(600):
+        index = rng.choice([i for i, line in enumerate(base) if line])
+        lines = list(base)
+        lines[index] = mutate(rng, json.loads(base[index]))
+        with pytest.raises(InvalidArgument) as excinfo:
+            store_from_jsonl("\n".join(lines))
+        assert excinfo.type is InvalidArgument
+        assert str(excinfo.value).startswith(f"snapshot line {index + 1}: "), lines[index]

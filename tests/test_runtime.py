@@ -716,17 +716,6 @@ def test_trace_round_trip():
     runtime, routing = chain_runtime(3)
     result = runtime.run_episode(routing, seed=1, initial_input="payload text")
     text = trace_to_jsonl(result.trace)
-    messages, error = trace_from_jsonl(text)
-    assert error is None
+    messages = trace_from_jsonl(text)
     assert messages == result.trace
     assert trace_to_jsonl(messages) == text
-
-
-def test_trace_round_trip_with_error_marker():
-    runtime, routing = chain_runtime(2)
-    runtime.toggle_channel("n1", "n2", False)
-    result = runtime.run_episode(routing, seed=1, initial_input="x")
-    text = trace_to_jsonl(result.trace, error=result.error)
-    messages, error = trace_from_jsonl(text)
-    assert error == result.error
-    assert messages == result.trace
