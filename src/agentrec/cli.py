@@ -277,9 +277,20 @@ def _cross_check(config, findings) -> None:
             _flag(findings, "matrix", "matrix dimension must equal the agent count")
         for name in sorted({n for pair in config["matrix"]["allow"] for n in pair} - set(ids)):
             _flag(findings, "matrix", f"allow pair references unknown agent: {name}")
+        for name in sorted(set(config["children"]) - set(known)):
+            _flag(findings, "children", f"parent is not a declared agent: {name}")
+        opened = [pair for decl in config["children"].values() for pair in decl["open"]]
+        for name in sorted({n for pair in opened for n in pair} - set(known)):
+            _flag(findings, "children", f"open pair references unknown agent: {name}")
+        for field, pairs in (("matrix", config["matrix"]["allow"]), ("children", opened)):
+            for name in sorted({sender for sender, recipient in pairs if sender == recipient}):
+                _flag(findings, field, f"channel from an agent to itself: {name}")
         routed = set()
         for sender, recipient, _ in config["routing"]:
-            routed.update([sender] + (recipient if isinstance(recipient, list) else [recipient]))
+            recipients = recipient if isinstance(recipient, list) else [recipient]
+            routed.update([sender] + recipients)
+            for dup in sorted({name for name in recipients if recipients.count(name) > 1}):
+                _flag(findings, "routing", f"duplicate recipient: {dup}")
         for name in sorted(routed - set(known)):
             _flag(findings, "routing", f"unknown agent in routing: {name}")
     elif config["kind"] == "cascade":

@@ -16,11 +16,10 @@ Pinned constants (changing any of these changes every persisted vector):
   dot product and norms are left-to-right float sums of the componentwise
   products
 * embed once: a scoring call embeds its query text once and scores every
-  item against that vector (memory items carry their key); a
-  ``runtime.CatalogItem`` embeds its title+tags text lazily on first use and
-  keeps the vector for its own lifetime (an edited item is a new object
-  with no vector yet); an upsert whose value text is unchanged keeps the
-  item's key
+  item against that vector; a ``MemoryItem``'s key is the embedding of its
+  value text and a ``runtime.CatalogItem``'s vector that of its title+tags
+  text, each computed lazily on first use and kept for the object's
+  lifetime (an upserted or edited item is a new object with no vector yet)
 * top-K tie-break: higher score first, then older timestamp, then
   lexicographically smaller canonical value text
 * context window: exact 0/1-knapsack dynamic program up to 20 items, greedy
@@ -40,7 +39,7 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -128,11 +127,19 @@ class ItemMeta:
 
 @dataclass(frozen=True)
 class MemoryItem:
-    """One long-term memory unit: retrieval key, payload, metadata."""
+    """One long-term memory unit: payload, metadata, and the payload's retrieval key."""
 
-    key: Vector
     value: str
     meta: ItemMeta
+
+    @cached_property
+    def key(self) -> Vector:
+        """The embedding of ``value``, computed on first use and kept by this item.
+
+        Not a dataclass field, so equality, hash and repr ignore it: the key
+        is a function of the value.
+        """
+        return embed_text(self.value)
 
     def canonical_text(self) -> str:
         return self.value
@@ -150,18 +157,11 @@ class MemoryItem:
         return max(1, len(self.canonical_text().split()))
 
 
-def _fact_text(slot: str, value: str) -> str:
-    """The value text of a retained fact's item."""
-    return f"{slot}: {value}"
-
-
 def make_item(slot: str, value: str, label: MemoryLabel, now: int,
               update_count: int = 1) -> MemoryItem:
-    text = _fact_text(slot, value)
     return MemoryItem(
-        key=embed_text(text),
-        value=text,
-        meta=ItemMeta(timestamp=now, label=label, update_count=update_count),
+        f"{slot}: {value}",
+        ItemMeta(timestamp=now, label=label, update_count=update_count),
     )
 
 
@@ -299,21 +299,17 @@ def update_memory(store: MemoryStore, turns: Sequence, label: MemoryLabel,
 
     An existing (slot, label) item keeps its creation timestamp, gets the new
     value, and its update counter is incremented; otherwise a fresh item with
-    update_count=1 is inserted. Nothing else changes. An unchanged value keeps
-    the existing item's key instead of embedding the same text again.
+    update_count=1 is inserted. Nothing else changes. Nothing is embedded:
+    each upsert is a new item whose key is computed when first scored.
     """
     store.raw_log.extend((speaker, text) for speaker, text in turns)
     for slot, value in retain(turns, rules):
         existing = store.items.get((slot, label))
         if existing is None:
             store.items[(slot, label)] = make_item(slot, value, label, now)
-            continue
-        meta = replace(existing.meta, update_count=existing.meta.update_count + 1)
-        if existing.value == _fact_text(slot, value):
-            store.items[(slot, label)] = replace(existing, meta=meta)
         else:
             store.items[(slot, label)] = make_item(
-                slot, value, label, meta.timestamp, update_count=meta.update_count)
+                slot, value, label, existing.meta.timestamp, existing.meta.update_count + 1)
     return store
 
 
@@ -501,21 +497,21 @@ def _load_record(store: MemoryStore, record) -> None:
         store.raw_log.append(tuple(_strings(record, ("speaker", "text"))))
     elif kind == "item":
         key, value, meta = record.get("key"), record.get("value"), record.get("meta")
-        _check(type(key) is list and len(key) == EMBED_DIM
-               and all(type(x) is float and math.isfinite(x) for x in key),
-               f"item: key must be a list of {EMBED_DIM} finite floats")
         _check(type(value) is str, "item: value must be a string")
         _check(type(meta) is dict and meta.get("label") in _LABEL_VALUES,
                f"item: meta must be an object whose label is one of {_LABEL_VALUES}")
         _check(type(meta.get("timestamp")) is int and type(meta.get("update_count")) is int,
                "item: meta.timestamp and meta.update_count must be integers")
         item = MemoryItem(
-            key=tuple(key),
-            value=value,
-            meta=ItemMeta(timestamp=meta["timestamp"],
-                          label=MemoryLabel(meta["label"]),
-                          update_count=meta["update_count"]),
+            value,
+            ItemMeta(timestamp=meta["timestamp"],
+                     label=MemoryLabel(meta["label"]),
+                     update_count=meta["update_count"]),
         )
+        # comparing caches the key, so the loaded item does not embed again
+        _check(key == list(item.key), "item: key must be the embedding of value")
+        _check((item.slot(), item.meta.label) not in store.items,
+               f"item: repeats slot {item.slot()!r} under label {item.meta.label.value}")
         store.items[(item.slot(), item.meta.label)] = item
     elif kind == "triple":
         add_triple(store, *_strings(record, ("subject", "relation", "object")))

@@ -317,11 +317,14 @@ class MasRuntime:
         self.matrix.set_channel(sender, recipient, open_)
 
     def send_message(self, message: Message) -> None:
-        """Deliver iff there is a recipient, every channel is open, the kind is
-        known, and the payload fits; then stamp the message's seq and env version."""
+        """Deliver iff there is a recipient, none is named twice, every channel is
+        open, the kind is known, and the payload fits; then stamp the message's
+        seq and env version."""
         recipients = message.recipients()
         if not recipients:
             raise InvalidArgument(f"message from {message.sender!r} names no recipient")
+        if len(set(recipients)) != len(recipients):
+            raise InvalidArgument(f"message from {message.sender!r} names a recipient twice")
         for recipient in recipients:
             if not self.matrix.allows(message.sender, recipient):
                 raise ChannelClosed(

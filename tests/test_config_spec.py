@@ -18,6 +18,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = ["party_planner", "simulate_colony", "multimodal_bundle", "explain_revision",
            "error_cascade"]
 DELETE = object()
+PARTY_CHILDREN = json.loads((SCENARIOS / "party_planner.json").read_text())["children"]
 
 
 def _scenario_dir(tmp_path) -> Path:
@@ -59,6 +60,13 @@ CONFIG_CASES = [
     ("three-name-allow-pair", "party_planner", ("matrix", "allow", 0), ["chat", "epi", "nli"],
      "matrix"),
     ("text-rules", "party_planner", ("agents", 0, "rules"), "x", "agents"),
+    ("children-of-undeclared-parent", "party_planner", ("children",),
+     {"ghost": PARTY_CHILDREN["sac"]}, "children"),
+    ("open-pair-unknown-agent", "party_planner", ("children", "sac", "open", 0),
+     ["sac", "ghost"], "children"),
+    ("self-allow-pair", "party_planner", ("matrix", "allow", 0), ["chat", "chat"], "matrix"),
+    ("duplicate-recipient", "party_planner", ("routing", 3, 1),
+     ["cake", "cake", "decor", "favor"], "routing"),
     ("cohort-without-id", "simulate_colony", ("cohorts", 0, "id"), DELETE, "cohorts"),
     ("negative-noise", "simulate_colony", ("cohorts", 0, "noise"), -1, "cohorts"),
     ("unknown-reward-kind", "simulate_colony", ("reward", "kind"), "bogus", "reward"),

@@ -200,8 +200,7 @@ def test_relevance_empty_query_is_zero():
 def test_relevance_negative_cosine_clamped_to_zero():
     # "cherry" and "mango" hash to the same bucket with opposite signs,
     # so their raw cosine is -1.0 (pinned by the reference script)
-    item = MemoryItem(key=embed_text("cherry"), value="cherry",
-                      meta=make_item("x", "y", MemoryLabel.SEM, 0).meta)
+    item = MemoryItem(value="cherry", meta=make_item("x", "y", MemoryLabel.SEM, 0).meta)
     assert cosine(embed_text("mango"), embed_text("cherry")) == -1.0
     assert relevance_score("mango", item) == 0.0
 
@@ -395,9 +394,48 @@ def test_update_unchanged_value_keeps_key_and_counts():
     first = store.items[("theme", MemoryLabel.EPI)]
     update_memory(store, ctx(("user", "Theme = pirates")), MemoryLabel.EPI, now=2)
     again = store.items[("theme", MemoryLabel.EPI)]
-    assert again.key is first.key
     assert again.value == first.value
     assert (again.meta.timestamp, again.meta.update_count) == (1, 2)
+
+
+def count_embeds(monkeypatch):
+    """Counts the calls to ``memory.embed_text`` from here on, by the text embedded."""
+    import agentrec.memory as memory_module
+    calls, original = [], memory_module.embed_text
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+    monkeypatch.setattr(memory_module, "embed_text", counting)
+    return calls
+
+
+def test_update_memory_embeds_nothing(monkeypatch):
+    rng = random.Random(1618)
+    slots, values = ("theme", "budget", "colour", "cake"), ("pirates", "space", "200", "blue")
+    calls = count_embeds(monkeypatch)
+    store = MemoryStore()
+    for now in range(200):
+        turn = ("user", "; ".join(f"{rng.choice(slots)} = {rng.choice(values)}"
+                                  for _ in range(rng.randint(1, 3))))
+        update_memory(store, [turn, ("agent", "noted")], rng.choice(list(MemoryLabel)), now)
+    assert len(store.items) > 1
+    assert calls == []
+
+
+def test_scoring_a_store_twice_embeds_each_item_once(monkeypatch):
+    store = MemoryStore()
+    for now, turn in enumerate(["theme = pirates", "budget = 200", "theme = space",
+                                "colour = blue; cake = vanilla", "budget = 200"]):
+        update_memory(store, ctx(("user", turn)), MemoryLabel.EPI, now)
+    calls = count_embeds(monkeypatch)
+    query = embed_text("pirates cake")
+    first = retrieve_topk(store, query, 3)
+    assert sorted(calls) == sorted(item.value for item in store.all_items())
+    calls.clear()
+    assert retrieve_topk(store, query, 3) == first
+    regulate_context(store, "pirates cake", 4)
+    assert calls == ["pirates cake"]  # the query text only
 
 
 def test_update_snapshot_equals_reembedding_every_upsert():
@@ -742,12 +780,32 @@ def test_snapshot_round_trip_of_every_record_kind():
         assert store_to_jsonl(loaded) == text
 
 
-VALID_ITEM = {"kind": "item", "key": [0.125] * EMBED_DIM, "value": "theme: pirates",
+def test_every_loaded_item_scores_one_against_its_own_value():
+    rng = random.Random(1414)
+    for _ in range(20):
+        loaded = store_from_jsonl(store_to_jsonl(snapshot_store(rng)))
+        for item in loaded.all_items():
+            # a value with no [0-9a-z] token embeds to the all-zero sentinel
+            assert relevance_score(item.value, item) == (1.0 if tokenize(item.value) else 0.0)
+
+
+def test_loaded_items_keep_the_key_the_loader_checked(monkeypatch):
+    text = store_to_jsonl(fact_store(("theme", "pirates"), ("budget", "200")))
+    loaded = store_from_jsonl(text)
+    calls = count_embeds(monkeypatch)
+    retrieve_topk(loaded, embed_text("pirates"), 2)
+    assert calls == []
+
+
+VALID_ITEM = {"kind": "item", "value": "theme: pirates",
               "meta": {"timestamp": 1, "label": "EPI", "update_count": 1}}
 
 
 def item_with(**fields):
-    return json.dumps(dict(VALID_ITEM, **fields))
+    """An item line; unless given, its key is the embedding of its value."""
+    record = dict(VALID_ITEM, **fields)
+    record.setdefault("key", list(embed_text(str(record["value"]))))
+    return json.dumps(record)
 
 
 @pytest.mark.parametrize("line", [
@@ -766,15 +824,25 @@ def item_with(**fields):
     '{"kind": "triple", "subject": "user", "relation": "likes", "object": 5}',
     '{"kind": "triple", "subject": "", "relation": "likes", "object": "cake"}',
     '{"kind": "error"}',
+    # the value was edited and the key was not
+    item_with(value="theme: vanilla cake", key=list(embed_text("theme: pirates"))),
+    # line 1 holds the same slot under the same label
+    item_with(meta=dict(VALID_ITEM["meta"], timestamp=7)),
 ], ids=["not-json", "turn-without-fields", "not-an-object", "unknown-label",
         "pair-value", "triple-value", "short-key", "number-value", "string-key",
         "string-in-key", "nan-in-key", "string-timestamp", "number-in-triple",
-        "empty-triple-part", "unknown-kind"])
+        "empty-triple-part", "unknown-kind", "other-value-key", "repeated-slot-label"])
 def test_snapshot_rejects_each_malformed_line_naming_it(line):
     text = "\n".join([item_with(), "", line, item_with(value="budget: 5")])
     with pytest.raises(InvalidArgument, match=r"^snapshot line 3: ") as excinfo:
         store_from_jsonl(text)
     assert excinfo.type is InvalidArgument
+
+
+def test_snapshot_same_slot_under_another_label_loads():
+    sem = item_with(meta=dict(VALID_ITEM["meta"], label="SEM"))
+    loaded = store_from_jsonl("\n".join([item_with(), sem]))
+    assert sorted(label.value for _, label in loaded.items) == ["EPI", "SEM"]
 
 
 WRONG_TYPES = [None, True, 3, 2.5, "", "x", [], ["a", "b", "c"], {}]

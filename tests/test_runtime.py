@@ -118,6 +118,15 @@ def test_empty_multicast_rejected_before_taking_a_seq():
     assert message.seq == 0 and runtime.message_count == 1
 
 
+def test_multicast_naming_a_recipient_twice_rejected_before_taking_a_seq():
+    runtime = two_agent_runtime()
+    with pytest.raises(InvalidArgument, match="names a recipient twice"):
+        runtime.send_message(Message(
+            sender="rec", recipient=("eval", "eval"), kind="query", payload={"text": "x"}))
+    assert runtime.message_count == 0
+    assert inbox_sizes(runtime) == {"rec": 0, "eval": 0}
+
+
 @pytest.mark.parametrize("sender, recipient", [
     ("ghost", "eval"),
     ("rec", "ghost"),
