@@ -26,7 +26,7 @@ from .memory import (
     retain,
     retrieve_topk,
 )
-from .pipelines import constraints_from_facts, score_item, violations_for
+from .pipelines import constraints_from_facts, score_item, top_l, violations_for
 from .runtime import Environment, MasRuntime, MessageSchema
 
 SECTION_SEPARATOR = " | "
@@ -74,7 +74,7 @@ def _memory_recall_tool(env, budgets, store, tool_cfg) -> Tool:
     top_k = tool_cfg["top_k"]
 
     def handler(args: str) -> str:
-        query_vec = memory.embed_text(args)
+        query_vec = memory.prepare_query(memory.embed_text(args))
         items = retrieve_topk(store, query_vec, top_k)
         hits = [item for item in items if relevance_score(query_vec, item) > 0.0]
         return render_facts(item.fact() for item in hits)
@@ -109,12 +109,11 @@ def _category_search_tool(env, budgets, store, tool_cfg) -> Tool:
         candidates = [item for item in env.catalog
                       if category in item.tags
                       and not violations_for(item, constraints)]
-        query_vec = memory.embed_text(query)
-        scored = sorted(((score_item(query_vec, item), item) for item in candidates),
-                        key=lambda pair: (-pair[0], pair[1].id))
+        query_vec = memory.prepare_query(memory.embed_text(query))
+        ranked = top_l(((score_item(query_vec, item), item) for item in candidates), limit)
         return json.dumps({
             "category": category,
-            "items": [[item.id, score] for score, item in scored[:limit]],
+            "items": [[item.id, score] for score, item in ranked],
             "query": sections.get("query", ""),
             "facts": sections.get("facts", ""),
         }, sort_keys=True)
@@ -145,13 +144,13 @@ def _collection_check_tool(env, budgets, store, tool_cfg) -> Tool:
 
 
 def _rank_items_tool(env, budgets, store, tool_cfg) -> Tool:
-    top_l = tool_cfg["top_l"] or budgets["L"]
+    limit = tool_cfg["top_l"] or budgets["L"]
 
     def handler(args: str) -> str:
         record = json.loads(args)
         ranked = sorted(record.get("items", []),
                         key=lambda entry: (-entry[1], entry[0]))
-        return json.dumps({"ranked": ranked[:top_l]}, sort_keys=True)
+        return json.dumps({"ranked": ranked[:limit]}, sort_keys=True)
 
     return Tool(name=tool_cfg["name"], handler=handler)
 

@@ -14,12 +14,22 @@ Pinned constants (changing any of these changes every persisted vector):
   costs memory only for its nonzero buckets
 * relevance = cosine clamped to [0, 1]; identical keys score exactly 1.0;
   dot product and norms are left-to-right float sums of the componentwise
-  products
-* embed once: a scoring call embeds its query text once and scores every
-  item against that vector; a ``MemoryItem``'s key is the embedding of its
-  value text and a ``runtime.CatalogItem``'s vector that of its title+tags
-  text, each computed lazily on first use and kept for the object's
-  lifetime (an upserted or edited item is a new object with no vector yet)
+  products (``left_sum``, not ``sum()``, which compensates float sums from
+  Python 3.12 on)
+* sparse scoring: an embedding is scored through its ``SparseVector`` (its
+  nonzero buckets in ascending order, their values and its norm). Dropping
+  a product with a zero factor drops a ``±0.0`` term, which leaves a
+  left-to-right sum unchanged, so ``relevance`` equals the clamped dense
+  ``cosine`` bit for bit; dense ``cosine`` remains for palettes and scenes
+* embed once: a scoring call prepares its query once (``prepare_query``:
+  the dense tuple and its sparse form) and scores every item against it; a
+  ``MemoryItem``'s sparse vector is that of its value text and a
+  ``runtime.CatalogItem``'s that of its title+tags text, each computed
+  lazily on first use and kept for the object's lifetime (an upserted or
+  edited item is a new object with no vector yet); the dense ``key`` and
+  ``embedding`` are rebuilt from it on demand
+* token hashing: ``_bucket_sign`` keeps the 4,096 most recently hashed
+  tokens (a fixed bound, not an option)
 * top-K tie-break: higher score first, then older timestamp, then
   lexicographically smaller canonical value text
 * context window: exact 0/1-knapsack dynamic program up to 20 items, greedy
@@ -41,7 +51,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
 from typing import Optional, Sequence, Union
 
 from .errors import InvalidArgument, UnknownEntity
@@ -58,6 +68,16 @@ def tokenize(text: str) -> list:
     return [t for t in _TOKEN_RE.split(text.lower()) if t]
 
 
+def left_sum(values) -> float:
+    """Left-to-right float sum started at 0.0: what ``sum()`` gives up to Python 3.11.
+
+    From 3.12 on ``sum()`` compensates float sums and can round differently,
+    so every pinned sum goes through here.
+    """
+    return reduce(operator.add, values, 0.0)
+
+
+@lru_cache(maxsize=4096)
 def _bucket_sign(token: str):
     digest = hashlib.blake2b(
         token.encode("utf-8"), digest_size=9, person=_HASH_PERSON
@@ -77,10 +97,10 @@ def embed_text(text: str) -> Vector:
     for token in tokenize(text):
         bucket, sign = _bucket_sign(token)
         values[bucket] += sign
-    norm = math.sqrt(sum(map(operator.mul, values, values)))
+    norm = math.sqrt(left_sum(map(operator.mul, values, values)))
     if norm == 0.0:
         return tuple(values)
-    return tuple(v / norm if v else 0.0 for v in values)
+    return tuple([v / norm if v else 0.0 for v in values])
 
 
 def cosine(a: Sequence, b: Sequence) -> float:
@@ -91,12 +111,59 @@ def cosine(a: Sequence, b: Sequence) -> float:
     """
     if tuple(a) == tuple(b):
         return 1.0 if any(a) else 0.0
-    na = math.sqrt(sum(map(operator.mul, a, a)))
-    nb = math.sqrt(sum(map(operator.mul, b, b)))
+    na = math.sqrt(left_sum(map(operator.mul, a, a)))
+    nb = math.sqrt(left_sum(map(operator.mul, b, b)))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    dot = sum(map(operator.mul, a, b))
+    dot = left_sum(map(operator.mul, a, b))
     return max(-1.0, min(1.0, dot / (na * nb)))
+
+
+class SparseVector:
+    """An embedding's nonzero buckets (ascending), their values and its L2 norm."""
+
+    __slots__ = ("buckets", "values", "norm")
+
+    def __init__(self, vector: Sequence):
+        buckets = [i for i, v in enumerate(vector) if v]
+        self.buckets = tuple(buckets)
+        self.values = tuple([vector[i] for i in buckets])
+        self.norm = math.sqrt(left_sum(map(operator.mul, self.values, self.values)))
+
+    def to_dense(self) -> Vector:
+        """The EMBED_DIM-tuple this vector came from (every zero the shared ``0.0``)."""
+        values = [0.0] * EMBED_DIM
+        for bucket, value in zip(self.buckets, self.values):
+            values[bucket] = value
+        return tuple(values)
+
+
+class QueryVector(SparseVector):
+    """A query prepared once per scoring call: its sparse form plus the dense
+    tuple that each item's buckets index into."""
+
+    __slots__ = ("dense",)
+
+    def __init__(self, vector: Sequence):
+        self.dense = tuple(vector)
+        super().__init__(self.dense)
+
+
+def prepare_query(query: Union[str, Vector, QueryVector]) -> QueryVector:
+    """The query text or embedding prepared for scoring; a prepared query as is."""
+    if isinstance(query, QueryVector):
+        return query
+    return QueryVector(embed_text(query) if isinstance(query, str) else query)
+
+
+def relevance(query: QueryVector, item: SparseVector) -> float:
+    """``max(0, cosine(query.dense, item.to_dense()))`` bit for bit, over the item's buckets only."""
+    if query.buckets == item.buckets and query.values == item.values:
+        return 1.0 if item.buckets else 0.0
+    if query.norm == 0.0 or item.norm == 0.0:
+        return 0.0
+    dot = left_sum(map(operator.mul, item.values, map(query.dense.__getitem__, item.buckets)))
+    return max(0.0, min(1.0, dot / (query.norm * item.norm)))
 
 
 class MemoryLabel(str, Enum):
@@ -133,13 +200,19 @@ class MemoryItem:
     meta: ItemMeta
 
     @cached_property
-    def key(self) -> Vector:
-        """The embedding of ``value``, computed on first use and kept by this item.
+    def sparse(self) -> SparseVector:
+        """The sparse form of ``value``'s embedding, computed on first use and kept
+        by this item.
 
-        Not a dataclass field, so equality, hash and repr ignore it: the key
-        is a function of the value.
+        Not a dataclass field, so equality, hash and repr ignore it: it is a
+        function of the value.
         """
-        return embed_text(self.value)
+        return SparseVector(embed_text(self.value))
+
+    @property
+    def key(self) -> Vector:
+        """The embedding of ``value``, rebuilt from ``sparse`` on each read."""
+        return self.sparse.to_dense()
 
     def canonical_text(self) -> str:
         return self.value
@@ -187,18 +260,13 @@ class MemoryStore:
         return [m for m in self.items.values() if m.meta.label == label]
 
 
-def query_vector(query: Union[str, Vector]) -> Vector:
-    """The embedding of a query given as text, or the query itself if already embedded."""
-    return embed_text(query) if isinstance(query, str) else query
-
-
-def relevance_score(query: Union[str, Vector], item: MemoryItem) -> float:
+def relevance_score(query: Union[str, Vector, QueryVector], item: MemoryItem) -> float:
     """Non-negative query/item affinity: cosine clamped at zero.
 
-    ``query`` is the query text or its embedding; a caller scoring many
-    items embeds the query once and passes the vector.
+    ``query`` is the query text, its embedding or the prepared query; a
+    caller scoring many items prepares the query once and passes that.
     """
-    return max(0.0, cosine(query_vector(query), item.key))
+    return relevance(prepare_query(query), item.sparse)
 
 
 def _topk_sort_key(scored):
@@ -210,12 +278,12 @@ def retrieve_topk(store: MemoryStore, query: Union[str, Vector], k: int,
                   label_filter: Optional[MemoryLabel] = None) -> list:
     """The K highest-scoring items, exhaustively scored and deterministically ordered.
 
-    ``query`` is the query text or its embedding.
+    ``query`` is the query text, its embedding or the prepared query.
     """
     if k < 1:
         raise InvalidArgument("k must be >= 1")
     candidates = store.all_items() if label_filter is None else store.labelled_items(label_filter)
-    query = query_vector(query)
+    query = prepare_query(query)
     scored = [(relevance_score(query, item), item) for item in candidates]
     return [item for _, item in heapq.nsmallest(k, scored, key=_topk_sort_key)]
 
@@ -378,7 +446,7 @@ def _selection(chosen: list, scored: dict, approximate: bool) -> ContextSelectio
     return ContextSelection(
         items=chosen,
         approximate=approximate,
-        total_score=sum(scored[id(m)] for m in chosen),
+        total_score=left_sum(scored[id(m)] for m in chosen),
         total_tokens=sum(m.token_length() for m in chosen),
     )
 
@@ -392,8 +460,8 @@ def regulate_context(store: MemoryStore, query: str, budget: int) -> ContextSele
     items = store.all_items()
     if budget <= 0 or not items:
         return _selection([], {}, approximate=False)
-    query_vec = embed_text(query)
-    scores = [relevance_score(query_vec, m) for m in items]
+    query = prepare_query(query)
+    scores = [relevance_score(query, m) for m in items]
     lengths = [m.token_length() for m in items]
     scored = {id(m): s for m, s in zip(items, scores)}
 
@@ -508,7 +576,7 @@ def _load_record(store: MemoryStore, record) -> None:
                      label=MemoryLabel(meta["label"]),
                      update_count=meta["update_count"]),
         )
-        # comparing caches the key, so the loaded item does not embed again
+        # comparing caches the sparse vector, so the loaded item does not embed again
         _check(key == list(item.key), "item: key must be the embedding of value")
         _check((item.slot(), item.meta.label) not in store.items,
                f"item: repeats slot {item.slot()!r} under label {item.meta.label.value}")

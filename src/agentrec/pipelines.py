@@ -8,9 +8,11 @@ Everything else (theme, preferences) only augments the scoring query, never
 hard-filters.
 
 Item relevance is the clamped-cosine score between the constraint-augmented
-query and the item's title+tags text. Catalog ranking ties break by item id.
-A ranking call embeds its query once; each item's vector is the item's own
-cached ``CatalogItem.embedding``.
+query and the item's title+tags text. A ranking call prepares its query once
+(``memory.prepare_query``) and scores each item through the item's own
+cached ``CatalogItem.sparse``, so only the item's nonzero buckets are
+summed. Every catalog cut goes through ``top_l``: higher score first, ties
+broken by item id.
 
 Explanations are template-rendered with inline citation markers
 ``[item:ID]`` and ``[fact:SLOT]``; the consistency check re-parses the text
@@ -19,6 +21,7 @@ rather than trusting the recorded citation sets.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from dataclasses import dataclass
@@ -35,10 +38,13 @@ from .errors import (
 from .memory import (
     MemoryLabel,
     MemoryStore,
+    QueryVector,
     Vector,
     cosine,
     embed_text,
-    query_vector,
+    left_sum,
+    prepare_query,
+    relevance,
     retain,
 )
 from .reliability import BrandPolicy, check_compliance
@@ -170,9 +176,21 @@ def violations_for(item: CatalogItem, constraints: ConstraintSet) -> list:
     return found
 
 
-def score_item(query: Union[str, Vector], item: CatalogItem) -> float:
-    """Clamped cosine of the query (text or its embedding) and the item's embedding."""
-    return max(0.0, cosine(query_vector(query), item.embedding))
+def score_item(query: Union[str, Vector, QueryVector], item: CatalogItem) -> float:
+    """Clamped cosine of the query (text, embedding or prepared query) and the item's embedding."""
+    return relevance(prepare_query(query), item.sparse)
+
+
+def top_l(scored_pairs: Iterable, l: int) -> list:
+    """The ``l`` best (score, catalog item) pairs, higher score first, then smaller id.
+
+    Item ids are unique, so the order is total and equals a full sort cut
+    after ``l`` pairs.
+    """
+    return heapq.nsmallest(l, scored_pairs, key=lambda pair: (-pair[0], pair[1].id))
+
+
+_top_l = top_l  # for recommend_interactive, whose ``top_l`` parameter shadows it
 
 
 # interactive recommendation ----------------------------------------------
@@ -196,12 +214,9 @@ def recommend_interactive(transcript: Transcript, env: Environment,
     survivors = [item for item in env.catalog if not violations_for(item, constraints)]
     if not survivors:
         raise NoFeasibleItem("all catalog items violate the session constraints")
-    query_vec = embed_text(query)
-    scored = sorted(
-        ((score_item(query_vec, item), item) for item in survivors),
-        key=lambda pair: (-pair[0], pair[1].id),
-    )
-    return RankedList(entries=[(item.id, score) for score, item in scored[:top_l]])
+    query_vec = prepare_query(embed_text(query))
+    ranked = _top_l(((score_item(query_vec, item), item) for item in survivors), top_l)
+    return RankedList(entries=[(item.id, score) for score, item in ranked])
 
 
 def check_collection_consistency(ranked: RankedList, constraints: ConstraintSet,
@@ -245,7 +260,7 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
         raise InvalidArgument("at least one target category required")
     constraints = constraints_from_facts(facts_from_memory(profile))
     scene = tuple(scene_features)
-    text_vec = embed_text(text_constraints)
+    text_vec = prepare_query(embed_text(text_constraints))
 
     per_category = []
     truncated = False
@@ -260,19 +275,17 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
         if not feasible:
             raise NoCompatibleBundle(
                 f"category {category!r} has no feasible candidate")
-        scored = sorted(
+        if len(feasible) > TOP_CANDIDATES_PER_CATEGORY:
+            truncated = True
+        per_category.append(top_l(
             ((alpha * score_item(text_vec, item)
               + (1.0 - alpha) * cosine(item.palette, scene), item)
              for item in feasible),
-            key=lambda pair: (-pair[0], pair[1].id),
-        )
-        if len(scored) > TOP_CANDIDATES_PER_CATEGORY:
-            truncated = True
-        per_category.append(scored[:TOP_CANDIDATES_PER_CATEGORY])
+            TOP_CANDIDATES_PER_CATEGORY))
 
     combos = sorted(
         itertools.product(*per_category),
-        key=lambda combo: (-sum(score for score, _ in combo),
+        key=lambda combo: (-left_sum(score for score, _ in combo),
                            tuple(item.id for _, item in combo)),
     )
     for combo in combos:

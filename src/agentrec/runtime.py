@@ -133,13 +133,19 @@ class CatalogItem:
         return " ".join((self.title,) + tuple(self.tags))
 
     @cached_property
-    def embedding(self) -> tuple:
-        """The embedding of ``text()``, computed on first use and kept by this item.
+    def sparse(self) -> memory.SparseVector:
+        """The sparse form of ``text()``'s embedding, computed on first use and
+        kept by this item.
 
         Not a dataclass field, so equality, hash and repr ignore it. An edit
         builds a new item that embeds afresh.
         """
-        return memory.embed_text(self.text())
+        return memory.SparseVector(memory.embed_text(self.text()))
+
+    @property
+    def embedding(self) -> tuple:
+        """The embedding of ``text()``, rebuilt from ``sparse`` on each read."""
+        return self.sparse.to_dense()
 
 
 _NUMBER = frozenset({int, float})  # JSON numbers; bool is neither

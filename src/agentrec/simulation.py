@@ -17,12 +17,23 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import AgentRecError, InvalidArgument, NoSummaries, NoTraces
-from .memory import EMBED_DIM, MemoryLabel, MemoryStore, cosine, update_memory
-# Re-exported, not called here: perfbench/spans.py wraps `simulation.embed_text`.
-from .memory import embed_text  # noqa: F401
+from .memory import (
+    EMBED_DIM,
+    MemoryLabel,
+    MemoryStore,
+    QueryVector,
+    left_sum,
+    prepare_query,
+    relevance,
+    update_memory,
+)
+# Re-exported, not called here: perfbench/spans.py wraps `simulation.cosine`
+# and `simulation.embed_text`.
+from .memory import cosine, embed_text  # noqa: F401
 from .pipelines import RankedList
 from .runtime import Environment
 
@@ -49,6 +60,11 @@ class UserSimulator:
         if len(self.action_space) < 2:
             raise InvalidArgument("action space needs a positive and a negative action")
 
+    @cached_property
+    def theta_query(self) -> QueryVector:
+        """``theta`` prepared for scoring, once per simulator (theta is not reassigned)."""
+        return prepare_query(self.theta)
+
     @property
     def positive_action(self) -> str:
         return self.action_space[0]
@@ -61,7 +77,7 @@ class UserSimulator:
 def random_unit_vector(rng: random.Random) -> tuple:
     while True:
         values = [rng.gauss(0.0, 1.0) for _ in range(EMBED_DIM)]
-        norm = math.sqrt(sum(v * v for v in values))
+        norm = math.sqrt(left_sum(v * v for v in values))
         if norm > 0:
             return tuple(v / norm for v in values)
 
@@ -69,7 +85,7 @@ def random_unit_vector(rng: random.Random) -> tuple:
 def select_probability(sim: UserSimulator, recs: RankedList,
                        env: Environment, rng: random.Random) -> float:
     top_id = recs.entries[0][0]
-    p = max(0.0, cosine(sim.theta, env.item_by_id(top_id).embedding))
+    p = relevance(sim.theta_query, env.item_by_id(top_id).sparse)
     if sim.noise_scale > 0.0:
         p += rng.gauss(0.0, sim.noise_scale)
     return max(0.0, min(1.0, p))
@@ -190,7 +206,7 @@ def evaluate(traces: Sequence, positive_action: str = "Select") -> EvalReport:
     """Mean total reward, select rate, and Shannon entropy of shown item ids."""
     if not traces:
         raise NoTraces("evaluation requires at least one trace")
-    totals = [sum(step.reward for step in trace.steps) for trace in traces]
+    totals = [left_sum(step.reward for step in trace.steps) for trace in traces]
     ctrs = []
     shown_counts = {}
     for trace in traces:
@@ -237,7 +253,7 @@ def summarize_session(trace: SessionTrace,
         simulator_id=trace.simulator_id,
         cohort=trace.cohort,
         seed=trace.seed,
-        total_reward=sum(step.reward for step in trace.steps),
+        total_reward=left_sum(step.reward for step in trace.steps),
         selects=sum(1 for action in actions if action == positive_action),
         distinct_items=len(shown),
         first_action=actions[0] if actions else "",

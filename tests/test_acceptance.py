@@ -20,6 +20,7 @@ from agentrec.memory import (
     MemoryLabel,
     MemoryStore,
     embed_text,
+    left_sum,
     make_item,
     regulate_context,
     relevance_score,
@@ -87,7 +88,7 @@ def test_c01_knapsack_exactness():
             if total_len <= budget and total_score > best:
                 best = total_score
         chosen = set(map(id, selection.items))
-        resummed = sum(s for m, s in zip(items, scores) if id(m) in chosen)
+        resummed = left_sum(s for m, s in zip(items, scores) if id(m) in chosen)
         assert resummed == best, f"instance {instance}: {resummed} != {best}"
         assert sum(m.token_length() for m in selection.items) <= budget or not selection.items
         assert selection.approximate is False

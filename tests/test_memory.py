@@ -17,13 +17,17 @@ from agentrec.memory import (
     DEFAULT_RETENTION_RULES,
     MemoryStore,
     RetentionRule,
+    SparseVector,
     _bucket_sign,
     add_triple,
     cosine,
     embed_text,
+    left_sum,
     make_item,
+    prepare_query,
     query_triples,
     regulate_context,
+    relevance,
     relevance_score,
     retain,
     retrieve_topk,
@@ -88,14 +92,15 @@ def test_embed_case_and_punctuation_insensitive():
     assert embed_text("Gluten-Free!") == embed_text("gluten free")
 
 
-# reference arithmetic: the generator-expression forms the module once used
+# reference arithmetic: the generator-expression forms the module once used,
+# with every float sum left to right as the README pins it
 
 def reference_embed_text(text):
     values = [0.0] * EMBED_DIM
     for token in tokenize(text):
         bucket, sign = _bucket_sign(token)
         values[bucket] += sign
-    norm = math.sqrt(sum(v * v for v in values))
+    norm = math.sqrt(left_sum(v * v for v in values))
     if norm == 0.0:
         return tuple(values)
     return tuple(v / norm for v in values)
@@ -106,11 +111,11 @@ def reference_cosine(a, b):
         if any(x != 0.0 for x in a):
             return 1.0
         return 0.0
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
+    na = math.sqrt(left_sum(x * x for x in a))
+    nb = math.sqrt(left_sum(x * x for x in b))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    dot = sum(x * y for x, y in zip(a, b))
+    dot = left_sum(x * y for x, y in zip(a, b))
     return max(-1.0, min(1.0, dot / (na * nb)))
 
 
@@ -162,6 +167,72 @@ def test_cosine_bit_identical_to_reference():
     for a, b in pairs:
         got, want = cosine(a, b), reference_cosine(a, b)
         assert bits((got,)) == bits((want,)), (a, b)
+
+
+def cancelling_pair():
+    """Two tokens that hash to one bucket with opposite signs, so together they embed to 0."""
+    seen = {}
+    for i in itertools.count():
+        token = f"w{i}"
+        bucket, sign = _bucket_sign(token)
+        other = seen.get((bucket, -sign))
+        if other is not None:
+            return other, token
+        seen.setdefault((bucket, sign), token)
+
+
+def test_sparse_relevance_bit_identical_to_dense_cosine():
+    rng = random.Random(23)
+    first, second = cancelling_pair()
+    zero = (0.0,) * EMBED_DIM
+    texts = ["", "!!!", f"{first} {second}", f"{first} {second} mango",
+             f"{first} mango", f"{second} {second} {first} cherry", "mango", "mango"]
+    texts += [random_text(rng) for _ in range(150)]
+    texts += [f"{random_text(rng)} {first} {second}" for _ in range(50)]
+    assert embed_text(f"{first} {second}") == zero
+    cancelled = embed_text(f"{first} {second} mango")
+    assert cancelled == embed_text("mango")
+    items = [embed_text(text) for text in texts]
+    for _ in range(50):  # unnormalized vectors: self-similarity is 1.0 only by the shortcut
+        values = [rng.uniform(-3.0, 3.0) for _ in range(EMBED_DIM)]
+        for bucket in rng.sample(range(EMBED_DIM), rng.randint(0, 60)):
+            values[bucket] = 0.0
+        items.append(tuple(values))
+    queries = list(items) + [zero]
+    for _ in range(150):
+        theta = list(random_unit(rng, EMBED_DIM))
+        for bucket in rng.sample(range(EMBED_DIM), rng.randint(0, 60)):
+            theta[bucket] = rng.choice((0.0, -0.0))
+        queries.append(tuple(theta))
+        queries.append(tuple(rng.uniform(-3.0, 3.0) for _ in range(EMBED_DIM)))
+    for item_vec in items:
+        sparse = SparseVector(item_vec)
+        assert bits(sparse.to_dense()) == bits(item_vec)
+        assert list(sparse.buckets) == sorted(sparse.buckets)
+        assert 0.0 not in sparse.values
+        for query_vec in rng.sample(queries, 40) + [item_vec, zero]:
+            want = max(0.0, cosine(query_vec, item_vec))
+            assert bits((want,)) == bits((max(0.0, reference_cosine(query_vec, item_vec)),))
+            got = relevance(prepare_query(query_vec), sparse)
+            assert bits((got,)) == bits((want,)), (query_vec, item_vec)
+    # identical vectors score exactly 1.0, the all-zero sentinel 0.0 even against itself
+    mango = SparseVector(embed_text("mango"))
+    assert relevance(prepare_query("mango"), mango) == 1.0
+    assert relevance(prepare_query(cancelled), mango) == 1.0
+    assert relevance(prepare_query(zero), SparseVector(zero)) == 0.0
+    assert relevance(prepare_query(""), mango) == 0.0
+
+
+def test_memory_item_caches_only_its_sparse_vector():
+    item = make_item("theme", "pirate ship", MemoryLabel.EPI, now=0)
+    assert item.key == embed_text("theme: pirate ship")
+    relevance_score("pirates", item)
+    assert set(vars(item)) == {"value", "meta", "sparse"}
+    assert bits(item.key) == bits(embed_text("theme: pirate ship"))
+
+
+def test_token_hash_cache_is_bounded():
+    assert _bucket_sign.cache_info().maxsize == 4096
 
 
 def test_scoring_with_query_vector_equals_reembedding_loop():
@@ -702,7 +773,7 @@ def test_regulate_matches_bruteforce_small_instances():
         lengths = [m.token_length() for m in items]
         assert selection.total_tokens <= budget or not selection.items
         chosen = set(map(id, selection.items))
-        resummed = sum(s for m, s in zip(items, scores) if id(m) in chosen)
+        resummed = left_sum(s for m, s in zip(items, scores) if id(m) in chosen)
         assert resummed == knapsack_bruteforce(scores, lengths, budget)
         assert selection.approximate is False
 

@@ -12,7 +12,14 @@ from agentrec.errors import (
     RevisionExhausted,
     UnknownItem,
 )
-from agentrec.memory import MemoryLabel, MemoryStore, cosine, embed_text, make_item
+from agentrec.memory import (
+    MemoryLabel,
+    MemoryStore,
+    cosine,
+    embed_text,
+    left_sum,
+    make_item,
+)
 from agentrec.pipelines import (
     Bundle,
     BundleItem,
@@ -30,6 +37,7 @@ from agentrec.pipelines import (
     recommend_interactive,
     recommend_multimodal,
     score_item,
+    top_l,
     violations_for,
 )
 from agentrec.reliability import BrandPolicy, EMPTY_POLICY
@@ -180,6 +188,17 @@ def test_interactive_matches_filter_sort_oracle():
             continue
         ranked = recommend_interactive(transcript, env, memory, top_l=7)
         assert ranked.entries == want
+
+
+def test_top_l_equals_full_sort_cut_on_tied_scores():
+    rng = random.Random(33)
+    for n in (0, 1, 2, 7, 30):
+        items = [CatalogItem(f"t{i:02d}", "x", ("cake",), 1.0) for i in range(n)]
+        rng.shuffle(items)
+        pairs = [(rng.choice((0.0, 0.25, 0.5, 1.0)), item) for item in items]
+        full = sorted(pairs, key=lambda pair: (-pair[0], pair[1].id))
+        for l in range(n + 2):
+            assert top_l(iter(pairs), l) == full[:l]
 
 
 # collection consistency ------------------------------------------------------------
@@ -396,7 +415,7 @@ def reembedding_bundle(text, scene, profile, categories, env, alpha, tau):
                     and not violations_for(item, constraints)]
         per_category.append(reembedding_scored(text, feasible, alpha, scene)[:3])
     combos = sorted(itertools.product(*per_category),
-                    key=lambda combo: (-sum(score for score, _ in combo),
+                    key=lambda combo: (-left_sum(score for score, _ in combo),
                                        tuple(item.id for _, item in combo)))
     for combo in combos:
         palettes = [item.palette for _, item in combo]

@@ -334,8 +334,8 @@ def test_item_embedding_lives_with_the_item_across_versions():
     ])
     transcript = Transcript(turns=[("user", "mickey banner")])
     recommend_interactive(transcript, env, MemoryStore(), top_l=3)  # embeds every item
-    kept = env.item_by_id("rug").embedding
-    assert kept == embed_text("red rug decor")
+    kept = env.item_by_id("rug").sparse
+    assert env.item_by_id("rug").embedding == embed_text("red rug decor")
 
     updated = apply_env_update(env, [
         {"op": "set_item_field", "id": "cake", "field": "title", "value": "mickey banner"},
@@ -351,10 +351,10 @@ def test_item_embedding_lives_with_the_item_across_versions():
     assert ranked.entries == [(item_id, score) for score, item_id in want]
     assert ranked.ids()[:2] == ["cake", "lamp"]
 
-    # untouched items keep their vector object; a price edit is a new item
+    # untouched items keep their sparse vector object; a price edit is a new item
     moved = apply_env_update(updated, [{"op": "remove_item", "id": "rug"}])
-    assert moved.item_by_id("cake").embedding is updated.item_by_id("cake").embedding
-    assert updated.item_by_id("rug").embedding is not kept
+    assert moved.item_by_id("cake").sparse is updated.item_by_id("cake").sparse
+    assert updated.item_by_id("rug").sparse is not kept
 
 
 def test_item_embedding_is_not_part_of_equality_hash_or_repr():
@@ -365,6 +365,13 @@ def test_item_embedding_is_not_part_of_equality_hash_or_repr():
     assert hash(embedded) == hash(fresh)
     assert repr(embedded) == repr(fresh)
     assert "embedding" not in repr(embedded)
+
+
+def test_catalog_item_caches_only_its_sparse_vector():
+    item = CatalogItem(id="i1", title="red rug", tags=("decor",), price=1.0)
+    assert item.embedding == embed_text("red rug decor")
+    assert item.embedding is not item.embedding  # rebuilt on each read, never kept
+    assert set(vars(item)) == {"id", "title", "tags", "price", "palette", "sparse"}
 
 
 @pytest.mark.parametrize("op", [
