@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from string import Template
 from typing import Callable, Optional
 
-from .errors import InvalidArgument, SchemaViolation, ToolFailure, UnknownTool
+from .errors import InvalidArgument, ToolFailure, UnknownTool
 from .memory import (
     MemoryLabel,
     MemoryStore,
@@ -177,12 +177,8 @@ def assemble_context(agent: AgentSpec, query: str) -> str:
     return " ".join(part for part in parts if part)
 
 
-def step_agent(agent: AgentSpec, input_text: str, now: int,
-               kind: Optional[str] = None) -> str:
+def step_agent(agent: AgentSpec, input_text: str, now: int) -> str:
     """One policy step: context, core, tool resolution, memory commit."""
-    if kind is not None and kind not in agent.input_schema:
-        raise SchemaViolation(
-            f"agent {agent.id!r} does not accept kind {kind!r}")
     context = assemble_context(agent, input_text)
     prompt = " ".join(part for part in (context, input_text) if part)
     raw = agent.core.generate(

@@ -15,9 +15,11 @@ communication matrix, the routing, and the spawn declarations.
 from __future__ import annotations
 
 import json
+import sys
 
 from . import memory  # embed_text via the module, so wrappers on memory.embed_text see it
 from .agents import AgentSpec, Tool, ToolRegistry, scripted_core
+from .errors import PayloadInvalid
 from .memory import (
     MemoryLabel,
     MemoryStore,
@@ -218,10 +220,27 @@ def build_interactive_runtime(config: dict, env: Environment):
     return runtime, routing
 
 
+def _ranked_entry(entry) -> bool:  # [item id, number that is finite as a float]
+    return (type(entry) is list and len(entry) == 2 and type(entry[0]) is str
+            and type(entry[1]) in (int, float) and abs(entry[1]) <= sys.float_info.max)
+
+
 def ranked_entries_from_trace(trace) -> list:
-    """The final ranked list carried by the last ranked_list message."""
+    """The final ranked list carried by the last ranked_list message.
+
+    Raises PayloadInvalid unless that message's text is a JSON object whose
+    "ranked" (default []) is a list of [item id, finite number] pairs.
+    """
     for message in reversed(trace):
         if message.kind == "ranked_list":
-            record = json.loads(message.payload["text"])
-            return [(item_id, score) for item_id, score in record.get("ranked", [])]
+            try:
+                record = json.loads(message.payload["text"])
+            except ValueError:
+                record = None
+            ranked = record.get("ranked", []) if type(record) is dict else None
+            if type(ranked) is not list or not all(map(_ranked_entry, ranked)):
+                raise PayloadInvalid(
+                    f"ranked_list message {message.seq}: must be a JSON object whose "
+                    f"ranked is a list of [item id, finite number] pairs")
+            return [(item_id, score) for item_id, score in ranked]
     return []

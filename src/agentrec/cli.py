@@ -174,6 +174,9 @@ def obj(fields, kinds=None, kind=REQUIRED):
 
 
 _PAIR = tuple_of(text(), text())
+_CHANNEL = _leaf(lambda v: isinstance(v, list) and len(v) == 2 and all(
+    isinstance(name, str) for name in v) and v[0] != v[1],
+    "must be a [from, to] pair of two different agent ids")
 _FACTS = map_of(_leaf(lambda v: isinstance(v, (str, int, float)), "must be a string or a number"))
 _RECIPIENTS = _leaf(lambda v: isinstance(v, str) or isinstance(v, list) and bool(v) and all(
     isinstance(name, str) for name in v), "must be an agent id or a non-empty list of agent ids")
@@ -216,9 +219,8 @@ CONFIG_SPEC = obj({
                          "L": (integer(1), 5)}), {}),
         "agents": (list_of(_AGENT, nonempty=True), REQUIRED),
         "children": (map_of(obj({"agents": (list_of(_AGENT), []),
-                                 "open": (list_of(_PAIR), [])})), {}),
-        "matrix": (obj({"agents": (list_of(text()), REQUIRED),
-                        "allow": (list_of(_PAIR), [])}), {}),
+                                 "open": (list_of(_CHANNEL), [])})), {}),
+        "matrix": (obj({"allow": (list_of(_CHANNEL), [])}), {}),
         "routing": (list_of(tuple_of(text(), _RECIPIENTS, text())), []),
     },
     "simulate": {
@@ -273,8 +275,6 @@ def _cross_check(config, findings) -> None:
                        for child in decl["agents"]]
         for dup in sorted({i for i in known if known.count(i) > 1}):
             _flag(findings, "agents", f"duplicate agent id: {dup}")
-        if sorted(config["matrix"]["agents"]) != sorted(set(ids)):
-            _flag(findings, "matrix", "matrix dimension must equal the agent count")
         for name in sorted({n for pair in config["matrix"]["allow"] for n in pair} - set(ids)):
             _flag(findings, "matrix", f"allow pair references unknown agent: {name}")
         for name in sorted(set(config["children"]) - set(known)):
@@ -282,17 +282,14 @@ def _cross_check(config, findings) -> None:
         opened = [pair for decl in config["children"].values() for pair in decl["open"]]
         for name in sorted({n for pair in opened for n in pair} - set(known)):
             _flag(findings, "children", f"open pair references unknown agent: {name}")
-        for field, pairs in (("matrix", config["matrix"]["allow"]), ("children", opened)):
-            for name in sorted({sender for sender, recipient in pairs if sender == recipient}):
-                _flag(findings, field, f"channel from an agent to itself: {name}")
-        routed = set()
-        for sender, recipient, _ in config["routing"]:
-            recipients = recipient if isinstance(recipient, list) else [recipient]
-            routed.update([sender] + recipients)
-            for dup in sorted({name for name in recipients if recipients.count(name) > 1}):
-                _flag(findings, "routing", f"duplicate recipient: {dup}")
-        for name in sorted(routed - set(known)):
-            _flag(findings, "routing", f"unknown agent in routing: {name}")
+        if not findings:  # the wiring, through the runtime's own gates
+            try:
+                runtime, routing = build_interactive_runtime(config, Environment())
+            except AgentRecError as exc:
+                return _flag(findings, "agents", f"{type(exc).__name__}: {exc}")
+            result = runtime.replay(routing)
+            if result.aborted:
+                _flag(findings, f"routing[{len(result.trace)}]", result.error)
     elif config["kind"] == "cascade":
         nodes = config["nodes"]
         for dup in sorted({node for node in nodes if nodes.count(node) > 1}):

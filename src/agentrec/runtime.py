@@ -362,17 +362,31 @@ class MasRuntime:
                     initial_input: str = "") -> EpisodeResult:
         """Fire the routing edges in order; each hop forwards the sender's step output.
 
-        An edge is (sender, recipient-or-recipient-list, kind). A closed
-        channel or schema failure mid-episode aborts with the partial trace
-        and the exception that aborted it. The initial input enters the first
-        sender's inbox only after that sender is found registered. The runtime
-        draws no randomness, so `seed` does not affect the trace; it stays
-        because callers pass it.
+        An edge is (sender, recipient-or-recipient-list, kind). A gate failure
+        or step error mid-episode aborts with the partial trace and the
+        exception that aborted it. The initial input enters the first sender's
+        inbox only after that sender is found registered. The runtime draws no
+        randomness, so `seed` does not affect the trace; it stays because
+        callers pass it.
         """
+        # step_agent is looked up per call, so a wrapper on runtime.step_agent sees every step
+        return self._fire(routing, initial_input, step_agent)
+
+    def replay(self, routing: Sequence) -> EpisodeResult:
+        """`run_episode` with no initial input and a step that returns "".
+
+        The gates read only the routing, the registrations, the spawn
+        declarations and the schemata, so on a fresh runtime a replay aborts at
+        the edge, and with the error, that an episode would, unless a step
+        error aborts the episode first. Like an episode it delivers and spawns.
+        """
+        return self._fire(routing, "", lambda agent, input_text, now: "")
+
+    def _fire(self, routing: Sequence, initial_input: str, step) -> EpisodeResult:
+        """The one loop over routing edges; `step(agent, input_text, now)` is a hop's text."""
         trace = []
-        tick = 0
         try:
-            for sender_id, recipient, kind in routing:
+            for tick, (sender_id, recipient, kind) in enumerate(routing):
                 agent = self.agents.get(sender_id)
                 if agent is None:
                     raise UnknownAgent(f"unregistered sender: {sender_id!r}")
@@ -383,14 +397,16 @@ class MasRuntime:
                         env_version=self.env.version))
                 if kind == "spawn":
                     self._apply_spawn(sender_id)
-                pending = self.inboxes.get(sender_id, [])
+                pending = self.inboxes[sender_id]
                 self.inboxes[sender_id] = []
+                # every consumed message must fit the input schema; the
+                # unsequenced initial query is exempt
+                for consumed in pending:
+                    if consumed.seq >= 0 and consumed.kind not in agent.input_schema:
+                        raise SchemaViolation(f"agent {sender_id!r} does not accept "
+                                              f"kind {consumed.kind!r}")
                 input_text = "\n".join(m.payload.get("text", "") for m in pending)
-                # every consumed message must fit the input schema (the unsequenced
-                # initial query is exempt); step_agent raises on the first that does not
-                input_kind = next((m.kind for m in pending if m.seq >= 0
-                                   and m.kind not in agent.input_schema), None)
-                output = step_agent(agent, input_text, now=tick, kind=input_kind)
+                output = step(agent, input_text, now=tick)
                 if kind not in agent.output_schema:
                     raise SchemaViolation(
                         f"agent {sender_id!r} cannot emit kind {kind!r}")
@@ -398,7 +414,6 @@ class MasRuntime:
                                   kind=kind, payload={"text": output})
                 self.send_message(message)
                 trace.append(message)
-                tick += 1
         except AgentRecError as exc:
             return EpisodeResult(trace=trace, exception=exc)
         return EpisodeResult(trace=trace)

@@ -17,7 +17,7 @@ from agentrec.agents import (
     scripted_core,
     step_agent,
 )
-from agentrec.errors import SchemaViolation, ToolFailure, UnknownTool
+from agentrec.errors import ToolFailure, UnknownTool
 from agentrec.memory import MemoryLabel, make_item
 
 
@@ -138,20 +138,6 @@ def test_tool_failure_carries_tool_name():
     with pytest.raises(ToolFailure) as excinfo:
         invoke_tool(agent, "Flaky", "x")
     assert "Flaky" in str(excinfo.value)
-
-
-# schema handling ---------------------------------------------------------------
-
-def test_schema_violation_on_unaccepted_kind():
-    agent = make_agent([(r".*", "$input")], input_schema=frozenset({"query"}))
-    with pytest.raises(SchemaViolation):
-        step_agent(agent, "hello", now=0, kind="gossip")
-    assert step_agent(agent, "hello", now=0, kind="query") == "hello"
-
-
-def test_kind_none_skips_check():
-    agent = make_agent([(r".*", "$input")], input_schema=frozenset({"query"}))
-    assert step_agent(agent, "hello", now=0) == "hello"
 
 
 # step pipeline ------------------------------------------------------------------

@@ -60,14 +60,16 @@ def test_duplicate_agent_id_finding(tmp_path):
 
 
 def test_matrix_dimension_mismatch_finding(tmp_path):
+    # the matrix's ids are the agents' ids: a leftover matrix.agents, even one
+    # that leaves an agent out, is ignored like any unknown key
     config = json.loads((SCENARIOS / "party_planner.json").read_text())
-    config["matrix"]["agents"] = config["matrix"]["agents"][:-1]
+    config["matrix"]["agents"] = ["chat", "epi"]
     path = tmp_path / "dim.json"
     path.write_text(json.dumps(config))
     shutil.copy(SCENARIOS / "party_catalog.json", tmp_path / "party_catalog.json")
     shutil.copy(SCENARIOS / "brand_policy.json", tmp_path / "brand_policy.json")
-    findings = validate_config(path)
-    assert any("matrix dimension" in f["rule"] for f in findings)
+    assert validate_config(path) == []
+    assert load_config(path)["matrix"]["agents"] == ["chat", "epi"]
 
 
 def test_missing_catalog_path_finding(tmp_path):
@@ -255,19 +257,20 @@ def test_unwritable_out_gives_error_record(tmp_path):
 
 
 def test_aborted_episode_reports_module_error_name(tmp_path, capsys):
+    # a wiring fault is a ConfigInvalid at load; only a step error aborts an episode
     config = json.loads((SCENARIOS / "party_planner.json").read_text())
-    config["matrix"]["allow"] = [pair for pair in config["matrix"]["allow"]
-                                 if pair != ["rank", "chat"]]
-    path = tmp_path / "closed.json"
+    config["agents"][5]["rules"] = [[".*", 'CALL(NoSuchTool, "$input")']]
+    path = tmp_path / "aborted.json"
     path.write_text(json.dumps(config))
     shutil.copy(SCENARIOS / "party_catalog.json", tmp_path / "party_catalog.json")
     shutil.copy(SCENARIOS / "brand_policy.json", tmp_path / "brand_policy.json")
-    out = tmp_path / "closed_out"
+    out = tmp_path / "aborted_out"
+    assert validate_config(path) == []
     status = run_scenario(path, out=out)
     captured = capsys.readouterr()
     assert status != 0
     record = json.loads(captured.err.strip().splitlines()[-1])
-    assert record["error"] == "ChannelClosed"
+    assert record == {"error": "UnknownTool", "message": "unknown tool: 'NoSuchTool'"}
 
 
 def test_main_run_and_validate_entry(tmp_path, capsys):

@@ -18,7 +18,8 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = ["party_planner", "simulate_colony", "multimodal_bundle", "explain_revision",
            "error_cascade"]
 DELETE = object()
-PARTY_CHILDREN = json.loads((SCENARIOS / "party_planner.json").read_text())["children"]
+PARTY = json.loads((SCENARIOS / "party_planner.json").read_text())
+PARTY_CHILDREN = PARTY["children"]
 
 
 def _scenario_dir(tmp_path) -> Path:
@@ -67,6 +68,20 @@ CONFIG_CASES = [
     ("self-allow-pair", "party_planner", ("matrix", "allow", 0), ["chat", "chat"], "matrix"),
     ("duplicate-recipient", "party_planner", ("routing", 3, 1),
      ["cake", "cake", "decor", "favor"], "routing"),
+    # wiring faults, found by replaying the routing through the runtime's gates
+    ("closed-first-channel", "party_planner", ("matrix", "allow"), PARTY["matrix"]["allow"][1:],
+     "routing[0]: ChannelClosed"),
+    ("child-routed-before-spawn", "party_planner", ("routing",),
+     [PARTY["routing"][i] for i in (0, 1, 2, 4, 3, 5, 6, 7, 8)], "routing[3]: UnknownAgent"),
+    ("chat-emits-ranked-list", "party_planner", ("agents", 0, "output_kinds"), ["ranked_list"],
+     "routing[0]: SchemaViolation"),
+    ("open-pair-names-another-parents-child", "party_planner", ("children",),
+     {"sac": dict(PARTY_CHILDREN["sac"], open=PARTY_CHILDREN["sac"]["open"] + [["favor", "extra"]]),
+      "rank": {"agents": [{"id": "extra"}]}}, "routing[3]: UnknownAgent"),
+    ("repeated-tool-name", "party_planner", ("agents", 1, "tools"), PARTY["agents"][1]["tools"] * 2,
+     "agents: InvalidArgument"),
+    ("closed-last-channel", "party_planner", ("matrix", "allow"), PARTY["matrix"]["allow"][:-1],
+     "routing[8]: ChannelClosed"),
     ("cohort-without-id", "simulate_colony", ("cohorts", 0, "id"), DELETE, "cohorts"),
     ("negative-noise", "simulate_colony", ("cohorts", 0, "noise"), -1, "cohorts"),
     ("unknown-reward-kind", "simulate_colony", ("reward", "kind"), "bogus", "reward"),
@@ -138,6 +153,18 @@ def test_malformed_data_file_gives_error_record(tmp_path, capsys, name, scenario
     assert set(record) == {"error", "message"}
     assert record["error"] == error
     assert word in record["message"]
+
+
+@pytest.mark.parametrize("text", ["hello", "[1]", '{"ranked": [["a"]]}',
+                                  '{"ranked": [["cake_1", "x"]]}', '{"ranked": [["cake_1", NaN]]}'])
+def test_malformed_ranked_list_gives_payload_invalid(tmp_path, text):
+    _scenario_dir(tmp_path)
+    config = json.loads(json.dumps(PARTY))
+    config["agents"][5]["rules"] = [[".*", text]]
+    status, record = _run(tmp_path, config)
+    assert status == 1
+    assert record["error"] == "PayloadInvalid"
+    assert record["message"].startswith("ranked_list message 8: ")
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -251,3 +278,60 @@ def test_mutation_fuzz_ends_in_exit_0_or_error_record(tmp_path, capsys, name):
             assert set(record) == {"error", "message"}, config
             assert all(isinstance(v, str) for v in record.values()), config
         capsys.readouterr()
+
+
+# wiring fuzz -----------------------------------------------------------------------
+
+PARTY_IDS = [agent["id"] for agent in PARTY["agents"] + PARTY_CHILDREN["sac"]["agents"]]
+PARTY_KINDS = sorted({kind for _, _, kind in PARTY["routing"]})
+WIRING_ERRORS = {"ChannelClosed", "UnknownAgent", "SchemaViolation", "SelfChannel",
+                 "UnknownSchema", "InvalidArgument", "ConfigInvalid"}
+
+
+def _wiring(path) -> bool:
+    """matrix.allow, routing, children.*.open and .agents, and each agent's
+    input_kinds, output_kinds and tools."""
+    return (path[-1] in ("allow", "routing", "open", "input_kinds", "output_kinds", "tools")
+            or path[0] == "children" and path[-1] == "agents")
+
+
+def _mutate_wiring(rng, config):
+    """Drops, duplicates, swaps, renames or retypes one entry of one wiring list."""
+    path, entries = rng.choice([(path, value) for path, value in _paths(config)
+                                if _wiring(path) and value])
+    entries = json.loads(json.dumps(entries))
+    i, j = rng.randrange(len(entries)), rng.randrange(len(entries))
+    action = rng.choice(("drop", "duplicate", "swap", "rename", "retype"))
+    if action == "drop":
+        del entries[i]
+    elif action == "duplicate":
+        entries.insert(j, json.loads(json.dumps(entries[i])))
+    elif action == "swap":
+        entries[i], entries[j] = entries[j], entries[i]
+    else:  # one string inside entry i becomes an agent id or a message kind
+        names = PARTY_IDS + ["ghost"] if action == "rename" else PARTY_KINDS + ["gossip"]
+        leaves = [leaf for leaf, value in _paths(entries)
+                  if leaf[0] == i and isinstance(value, str)]
+        _set(entries, rng.choice(leaves), rng.choice(names))
+    _set(config, path, entries)
+
+
+def test_wiring_fuzz_validate_agrees_with_run(tmp_path, capsys):
+    # validate fails iff run fails at load with the same findings; a config that
+    # validates never fails a run on a wiring gate
+    _scenario_dir(tmp_path)
+    rng = random.Random("wiring-fuzz")
+    invalid = 0
+    for case in range(200):
+        config = json.loads(json.dumps(PARTY))
+        for _ in range(rng.randint(1, 2)):
+            _mutate_wiring(rng, config)
+        status, record = _run(tmp_path, config, name=f"wiring-{case}")
+        capsys.readouterr()
+        if main(["validate", str(tmp_path / "scenarios" / f"wiring-{case}.json")]):
+            invalid += 1
+            findings = "; ".join(capsys.readouterr().out.splitlines())
+            assert record == {"error": "ConfigInvalid", "message": findings}, config
+        else:
+            assert status == 0 or record["error"] not in WIRING_ERRORS, (config, record)
+    assert 40 <= invalid <= 160  # both sides of the equivalence are exercised
