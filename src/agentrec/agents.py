@@ -32,7 +32,7 @@ from .memory import (
 DEFAULT_CONTEXT_BUDGET = 64
 DEFAULT_STM_TOKENS = 256
 
-_DIRECTIVE_RE = re.compile(r'CALL\(([A-Za-z_]\w*), "(.*)"\)', re.DOTALL)
+DIRECTIVE_RE = re.compile(r'CALL\(([A-Za-z_]\w*), "(.*)"\)', re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def invoke_tool(agent: AgentSpec, name: str, args: str) -> str:
 
 def resolve_directives(agent: AgentSpec, text: str) -> str:
     """Replace the first CALL(name, "args") directive with its tool result."""
-    match = _DIRECTIVE_RE.search(text)
+    match = DIRECTIVE_RE.search(text)
     if match is None:
         return text
     result = invoke_tool(agent, match.group(1), match.group(2))

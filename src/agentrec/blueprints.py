@@ -28,7 +28,13 @@ from .memory import (
     retain,
     retrieve_topk,
 )
-from .pipelines import constraints_from_facts, score_item, top_l, violations_for
+from .pipelines import (  # noqa: F401  (score_item: benchmark tracers wrap this name)
+    admitted_ids,
+    constraints_from_facts,
+    rank_admitted,
+    score_item,
+    violations_for,
+)
 from .runtime import Environment, MasRuntime, MessageSchema
 
 SECTION_SEPARATOR = " | "
@@ -108,11 +114,9 @@ def _category_search_tool(env, budgets, store, tool_cfg) -> Tool:
         constraints = constraints_from_facts(facts)
         query = " ".join(
             part for part in (sections.get("query", ""), render_facts(facts)) if part)
-        candidates = [item for item in env.catalog
-                      if category in item.tags
-                      and not violations_for(item, constraints)]
-        query_vec = memory.prepare_query(memory.embed_text(query))
-        ranked = top_l(((score_item(query_vec, item), item) for item in candidates), limit)
+        index = env.catalog_index()
+        ranked = rank_admitted(index, admitted_ids(index, constraints, category),
+                               memory.prepare_query(memory.embed_text(query)), limit)
         return json.dumps({
             "category": category,
             "items": [[item.id, score] for score, item in ranked],

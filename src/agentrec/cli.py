@@ -28,7 +28,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .agents import DEFAULT_CONTEXT_BUDGET, DEFAULT_STM_TOKENS
+from .agents import DEFAULT_CONTEXT_BUDGET, DEFAULT_STM_TOKENS, DIRECTIVE_RE
 from .blueprints import build_interactive_runtime, build_store, ranked_entries_from_trace
 from .errors import AgentRecError, ConfigInvalid, InvalidArgument, Unreadable
 from .memory import embed_text, retrieve_topk
@@ -282,6 +282,15 @@ def _cross_check(config, findings) -> None:
         opened = [pair for decl in config["children"].values() for pair in decl["open"]]
         for name in sorted({n for pair in opened for n in pair} - set(known)):
             _flag(findings, "children", f"open pair references unknown agent: {name}")
+        for field, agents in [("agents", config["agents"])] + [
+                ("children", decl["agents"]) for decl in config["children"].values()]:
+            for agent in agents:  # a replay steps no agent, so it calls no tool
+                tools = {tool["name"] for tool in agent["tools"]}
+                for index, (_, template) in enumerate(agent["rules"]):
+                    call = DIRECTIVE_RE.search(template)
+                    if call and call.group(1) not in tools:
+                        _flag(findings, field, f"agent {agent['id']} rule {index} calls "
+                                               f"unknown tool: {call.group(1)}")
         if not findings:  # the wiring, through the runtime's own gates
             try:
                 runtime, routing = build_interactive_runtime(config, Environment())

@@ -20,7 +20,12 @@ Pinned constants (changing any of these changes every persisted vector):
   nonzero buckets in ascending order, their values and its norm). Dropping
   a product with a zero factor drops a ``±0.0`` term, which leaves a
   left-to-right sum unchanged, so ``relevance`` equals the clamped dense
-  ``cosine`` bit for bit; dense ``cosine`` remains for palettes and scenes
+  ``cosine`` bit for bit; dense ``cosine`` remains for palettes and scenes.
+  Catalog ranking accumulates the same products term at a time over
+  ``runtime.CatalogIndex``'s postings of the query's nonzero buckets, in
+  ascending bucket order, so each item's sum is the same left-to-right sum;
+  the index lives for one catalog version, is built lazily on first use,
+  is derived for the next version by patching, and has no option
 * embed once: a scoring call prepares its query once (``prepare_query``:
   the dense tuple and its sparse form) and scores every item against it; a
   ``MemoryItem``'s sparse vector is that of its value text and a

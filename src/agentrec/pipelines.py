@@ -8,11 +8,13 @@ Everything else (theme, preferences) only augments the scoring query, never
 hard-filters.
 
 Item relevance is the clamped-cosine score between the constraint-augmented
-query and the item's title+tags text. A ranking call prepares its query once
-(``memory.prepare_query``) and scores each item through the item's own
-cached ``CatalogItem.sparse``, so only the item's nonzero buckets are
-summed. Every catalog cut goes through ``top_l``: higher score first, ties
-broken by item id.
+query and the item's title+tags text. Catalog ranking reads the version's
+``runtime.CatalogIndex``: the admitted ids come from tag-set algebra plus
+the budget test, and each item's dot product with the query is accumulated
+term at a time over the postings of the query's nonzero buckets, in
+ascending bucket order, which is the per-item left-to-right sum of
+``memory.relevance`` bit for bit. Every catalog cut goes through ``top_l``:
+higher score first, ties broken by item id.
 
 Explanations are template-rendered with inline citation markers
 ``[item:ID]`` and ``[fact:SLOT]``; the consistency check re-parses the text
@@ -48,7 +50,7 @@ from .memory import (
     retain,
 )
 from .reliability import BrandPolicy, check_compliance
-from .runtime import CatalogItem, Environment
+from .runtime import CatalogIndex, CatalogItem, Environment
 
 DEFAULT_COMPAT_TAU = 0.7
 DEFAULT_PALETTE_WEIGHT = 0.5
@@ -190,7 +192,65 @@ def top_l(scored_pairs: Iterable, l: int) -> list:
     return heapq.nsmallest(l, scored_pairs, key=lambda pair: (-pair[0], pair[1].id))
 
 
-_top_l = top_l  # for recommend_interactive, whose ``top_l`` parameter shadows it
+def admitted_ids(index: CatalogIndex, constraints: ConstraintSet,
+                 category: Optional[str] = None) -> set:
+    """Ids of the items ``violations_for`` finds nothing in (that also carry
+    ``category``, if one is given), from the index's tag sets."""
+    required = [index.tags.get(tag, ()) for tag in constraints.required_tags]
+    if category is not None:
+        required.append(index.tags.get(category, ()))
+    required.sort(key=len)
+    ids = set(required[0]).intersection(*required[1:]) if required else set(index.items)
+    for tag in constraints.forbidden_tags:
+        ids.difference_update(index.tags.get(tag, ()))
+    budget = constraints.budget_max
+    if budget is not None:
+        items = index.items
+        ids = {item_id for item_id in ids if not items[item_id].price > budget}
+    return ids
+
+
+def _query_dots(index: CatalogIndex, query: QueryVector) -> dict:
+    """Item id -> dot product with the query, for every item sharing a nonzero
+    bucket with it: term at a time over the query's buckets in ascending order."""
+    dots = {}
+    get = dots.get
+    for bucket, weight in zip(query.buckets, query.values):
+        for item_id, value in index.postings[bucket].items():
+            dots[item_id] = get(item_id, 0.0) + value * weight
+    return dots
+
+
+def _relevance(query: QueryVector, item: CatalogItem, dot: float) -> float:
+    """``relevance(query, item.sparse)`` from the item's accumulated dot product."""
+    if dot <= 0.0:
+        return 0.0
+    sparse = item.sparse
+    if sparse.buckets == query.buckets and sparse.values == query.values:
+        return 1.0
+    return min(1.0, dot / (query.norm * sparse.norm))
+
+
+def rank_admitted(index: CatalogIndex, ids: set, query: QueryVector, l: int) -> list:
+    """``top_l`` of the admitted ``ids`` by relevance to the query.
+
+    Only ids with a positive dot product are scored; when fewer than ``l``
+    score above zero, the rest are zero-score ids in ascending order, which
+    is where a full sort puts them.
+    """
+    items = index.items
+    positive = []
+    for item_id, dot in _query_dots(index, query).items():
+        if dot > 0.0 and item_id in ids:
+            item = items[item_id]
+            score = _relevance(query, item, dot)
+            if score > 0.0:
+                positive.append((score, item))
+    ranked = top_l(positive, l)
+    if len(ranked) < l:
+        rest = ids.difference([item.id for _, item in ranked])
+        ranked += [(0.0, items[item_id]) for item_id in heapq.nsmallest(l - len(ranked), rest)]
+    return ranked
 
 
 # interactive recommendation ----------------------------------------------
@@ -211,11 +271,11 @@ def recommend_interactive(transcript: Transcript, env: Environment,
     if not env.catalog:
         raise InvalidArgument("catalog must be non-empty")
     constraints, query = extract_session_constraints(transcript, memory)
-    survivors = [item for item in env.catalog if not violations_for(item, constraints)]
-    if not survivors:
+    index = env.catalog_index()
+    admitted = admitted_ids(index, constraints)
+    if not admitted:
         raise NoFeasibleItem("all catalog items violate the session constraints")
-    query_vec = prepare_query(embed_text(query))
-    ranked = _top_l(((score_item(query_vec, item), item) for item in survivors), top_l)
+    ranked = rank_admitted(index, admitted, prepare_query(embed_text(query)), top_l)
     return RankedList(entries=[(item.id, score) for score, item in ranked])
 
 
@@ -262,23 +322,25 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
     scene = tuple(scene_features)
     text_vec = prepare_query(embed_text(text_constraints))
 
+    index = env.catalog_index()
+    dots = _query_dots(index, text_vec)
     per_category = []
     truncated = False
     for category in categories:
-        with_palette = [item for item in env.catalog
-                        if category in item.tags and item.palette is not None]
+        with_palette = {item_id for item_id in index.tags.get(category, ())
+                        if index.items[item_id].palette is not None}
         if not with_palette:
             raise MissingPalette(
                 f"category {category!r} has no catalog item with a palette vector")
-        feasible = [item for item in with_palette
-                    if not violations_for(item, constraints)]
+        feasible = [index.items[item_id]
+                    for item_id in with_palette & admitted_ids(index, constraints, category)]
         if not feasible:
             raise NoCompatibleBundle(
                 f"category {category!r} has no feasible candidate")
         if len(feasible) > TOP_CANDIDATES_PER_CATEGORY:
             truncated = True
         per_category.append(top_l(
-            ((alpha * score_item(text_vec, item)
+            ((alpha * _relevance(text_vec, item, dots.get(item.id, 0.0))
               + (1.0 - alpha) * cosine(item.palette, scene), item)
              for item in feasible),
             TOP_CANDIDATES_PER_CATEGORY))

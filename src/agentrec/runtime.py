@@ -175,19 +175,79 @@ def catalog_item(record) -> CatalogItem:
     return CatalogItem(ident, title, tuple(tags), float(price), tuple(palette) if palette else None)
 
 
+class CatalogIndex:
+    """One catalog version's inverted file: bucket postings and tag sets.
+
+    ``items`` is the version's id -> item dict. ``postings[b]`` maps the id of
+    every item whose embedding is nonzero in bucket ``b`` to that component
+    (from the item's cached ``sparse``); ``tags[t]`` is the set of ids of the
+    items carrying tag ``t``, and no set is empty. An index is never changed
+    once built: ``patched`` derives the next version's.
+    """
+
+    __slots__ = ("items", "postings", "tags")
+
+    def __init__(self, items: dict, postings: list, tags: dict):
+        self.items, self.postings, self.tags = items, postings, tags
+
+    @classmethod
+    def build(cls, items: dict) -> "CatalogIndex":
+        index = cls(items, [{} for _ in range(memory.EMBED_DIM)], {})
+        index._add(items.values())
+        return index
+
+    def patched(self, items: dict, dropped: Sequence, added: Sequence) -> "CatalogIndex":
+        """The index of ``items``: this one without ``dropped`` and with ``added``.
+
+        Only the bucket dicts and tag sets those items touch are copied, so
+        this index, which readers of the older version may still hold, is
+        unchanged.
+        """
+        touched = list(dropped) + list(added)
+        postings, tags = list(self.postings), dict(self.tags)
+        for bucket in {bucket for item in touched for bucket in item.sparse.buckets}:
+            postings[bucket] = dict(postings[bucket])
+        for tag in {tag for item in touched for tag in item.tags}:
+            tags[tag] = set(tags.get(tag, ()))
+        for item in dropped:
+            for bucket in item.sparse.buckets:
+                del postings[bucket][item.id]
+            for tag in item.tags:
+                tags[tag].discard(item.id)
+        index = CatalogIndex(items, postings, tags)
+        index._add(added)
+        index.tags = {tag: ids for tag, ids in tags.items() if ids}
+        return index
+
+    def _add(self, items: Iterable) -> None:
+        postings, tags = self.postings, self.tags
+        for item in items:
+            sparse = item.sparse
+            for bucket, value in zip(sparse.buckets, sparse.values):
+                postings[bucket][item.id] = value
+            for tag in item.tags:
+                tags.setdefault(tag, set()).add(item.id)
+
+
 @dataclass
 class Environment:
-    """Shared world state; readers only ever observe whole versions."""
+    """Shared world state; readers only ever observe whole versions.
+
+    ``_by_id`` may be given by ``apply_env_update``, which has already built
+    it with unique ids; otherwise it is built here, and a repeated id raises.
+    """
 
     catalog: list = field(default_factory=list)
     user_profiles: dict = field(default_factory=dict)
     version: int = 0
-    _by_id: dict = field(init=False, repr=False, compare=False)
+    _by_id: Optional[dict] = field(default=None, repr=False, compare=False)
+    _index: Optional[CatalogIndex] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._by_id = {item.id: item for item in self.catalog}
-        if len(self._by_id) != len(self.catalog):
-            raise InvalidArgument("catalog ids must be unique")
+        if self._by_id is None:
+            self._by_id = {item.id: item for item in self.catalog}
+            if len(self._by_id) != len(self.catalog):
+                raise InvalidArgument("catalog ids must be unique")
 
     def item_by_id(self, item_id: str) -> CatalogItem:
         try:
@@ -197,6 +257,13 @@ class Environment:
 
     def has_item(self, item_id: str) -> bool:
         return item_id in self._by_id
+
+    def catalog_index(self) -> CatalogIndex:
+        """This version's index, built on first use (a run that never ranks
+        the catalog never builds it) and kept for the version's lifetime."""
+        if self._index is None:
+            self._index = CatalogIndex.build(self._by_id)
+        return self._index
 
 
 _SETTABLE_FIELDS = ("title", "tags", "price", "palette")
@@ -227,12 +294,18 @@ def _delta_target(index: int, op) -> tuple:
     return target
 
 
+def _indexed(item: Optional[CatalogItem]) -> Optional[tuple]:
+    """What a catalog index reads of an item: its embedded text and its tags."""
+    return None if item is None else (item.title, item.tags)
+
+
 def apply_env_update(env: Environment, delta: Sequence) -> Environment:
     """Apply a change set atomically, incrementing the version by exactly one.
 
     Every op's shape is checked before any is applied; `env` never changes.
     Items are added, and edited in one of _SETTABLE_FIELDS, by `catalog_item`'s
     record rules; an added item goes last and the others keep their order.
+    If `env`'s catalog index is built, the new version's is patched from it.
     """
     targets = [_delta_target(index, op) for index, op in enumerate(delta)]
     if len(targets) != len(set(targets)):
@@ -262,8 +335,17 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
                     op["field"]: op["value"]})
         except InvalidArgument as exc:  # a record rule: name the op
             raise InvalidArgument(f"delta op {index}: {exc}") from None
-    return Environment(catalog=list(items.values()), user_profiles=profiles,
-                       version=env.version + 1)
+    index = env._index
+    if index is not None:  # derive the new version's index from this one's
+        touched = dict.fromkeys(target[1] for target in targets if target[0] != "profile")
+        changed = [item_id for item_id in touched
+                   if _indexed(env._by_id.get(item_id)) != _indexed(items.get(item_id))]
+        index = index.patched(items, [env._by_id[i] for i in changed if i in env._by_id],
+                              [items[i] for i in changed if i in items])
+    updated = Environment(catalog=list(items.values()), user_profiles=profiles,
+                          version=env.version + 1, _by_id=items)
+    updated._index = index
+    return updated
 
 
 @dataclass

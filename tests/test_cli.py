@@ -21,7 +21,7 @@ from agentrec.cli import (
     validate_config,
 )
 from agentrec.errors import ConfigInvalid, Unreadable
-from agentrec.runtime import trace_from_jsonl
+from agentrec.runtime import CatalogIndex, trace_from_jsonl
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # sha256 of each bundled scenario's trace.jsonl / report.jsonl; read only
@@ -257,9 +257,10 @@ def test_unwritable_out_gives_error_record(tmp_path):
 
 
 def test_aborted_episode_reports_module_error_name(tmp_path, capsys):
-    # a wiring fault is a ConfigInvalid at load; only a step error aborts an episode
+    # a wiring fault or a rule naming a missing tool is a ConfigInvalid at load; a
+    # tool call that arrives in the query (echoed by chat's "$input" rule) is not
     config = json.loads((SCENARIOS / "party_planner.json").read_text())
-    config["agents"][5]["rules"] = [[".*", 'CALL(NoSuchTool, "$input")']]
+    config["query"] = 'plan a party CALL(NoSuchTool, "cake")'
     path = tmp_path / "aborted.json"
     path.write_text(json.dumps(config))
     shutil.copy(SCENARIOS / "party_catalog.json", tmp_path / "party_catalog.json")
@@ -271,6 +272,23 @@ def test_aborted_episode_reports_module_error_name(tmp_path, capsys):
     assert status != 0
     record = json.loads(captured.err.strip().splitlines()[-1])
     assert record == {"error": "UnknownTool", "message": "unknown tool: 'NoSuchTool'"}
+
+
+def test_only_ranking_runs_build_the_catalog_index(tmp_path, capsys, monkeypatch):
+    # simulate and cascade runs (10k-item catalogs in the benchmark) never rank the
+    # catalog, so they never pay for its index
+    built = []
+    build = CatalogIndex.build.__func__
+    monkeypatch.setattr(CatalogIndex, "build",
+                        classmethod(lambda cls, items: built.append(len(items)) or build(cls, items)))
+    for name in ("simulate_colony", "error_cascade"):
+        assert run_scenario(SCENARIOS / f"{name}.json", out=tmp_path / name) == 0
+    assert built == []
+    for name in ("party_planner", "multimodal_bundle", "explain_revision"):
+        assert run_scenario(SCENARIOS / f"{name}.json", out=tmp_path / name) == 0
+        assert len(built) == 1, name  # once per run: one catalog version
+        built.clear()
+    capsys.readouterr()
 
 
 def test_main_run_and_validate_entry(tmp_path, capsys):

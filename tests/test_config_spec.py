@@ -82,6 +82,13 @@ CONFIG_CASES = [
      "agents: InvalidArgument"),
     ("closed-last-channel", "party_planner", ("matrix", "allow"), PARTY["matrix"]["allow"][:-1],
      "routing[8]: ChannelClosed"),
+    # a replay steps no agent, so a rule's tool call is checked against the agent's tools
+    ("rule-calls-unknown-tool", "party_planner", ("agents", 5, "rules"),
+     [[".*", 'CALL(NoSuchTool, "$input")']],
+     "agents: agent rank rule 0 calls unknown tool: NoSuchTool"),
+    ("child-rule-calls-another-childs-tool", "party_planner",
+     ("children", "sac", "agents", 0, "rules"), [[".*", 'CALL(DecorSearch, "$input")']],
+     "children: agent cake rule 0 calls unknown tool: DecorSearch"),
     ("cohort-without-id", "simulate_colony", ("cohorts", 0, "id"), DELETE, "cohorts"),
     ("negative-noise", "simulate_colony", ("cohorts", 0, "noise"), -1, "cohorts"),
     ("unknown-reward-kind", "simulate_colony", ("reward", "kind"), "bogus", "reward"),
@@ -285,7 +292,7 @@ def test_mutation_fuzz_ends_in_exit_0_or_error_record(tmp_path, capsys, name):
 PARTY_IDS = [agent["id"] for agent in PARTY["agents"] + PARTY_CHILDREN["sac"]["agents"]]
 PARTY_KINDS = sorted({kind for _, _, kind in PARTY["routing"]})
 WIRING_ERRORS = {"ChannelClosed", "UnknownAgent", "SchemaViolation", "SelfChannel",
-                 "UnknownSchema", "InvalidArgument", "ConfigInvalid"}
+                 "UnknownSchema", "InvalidArgument", "ConfigInvalid", "UnknownTool"}
 
 
 def _wiring(path) -> bool:

@@ -1,6 +1,7 @@
 """Pipelines: constraint filtering, ranking, bundles, explanations."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -452,6 +453,179 @@ def test_multimodal_equals_reembedding_loop():
         bundle = recommend_multimodal(text, scene, profile, chosen, env, alpha, tau)
         assert [item.id for item in bundle.items] == want
     assert found >= 10
+
+
+# catalog index: ranking against the per-item scan ------------------------------------
+
+EDGE_WORDS = ["red", "rug", "lamp", "oak", "cake", "mickey", "gluten", "--", "!!", ""]
+EDGE_TAGS = ["cake", "decor", "chair", "lamp", "gluten", "red", "!!"]
+
+
+def edge_record(rng, ident):
+    """A catalog record whose title or tags may carry no token at all."""
+    palette = None
+    if rng.random() < 0.7:
+        palette = [rng.random() for _ in range(3)]
+        norm = sum(v * v for v in palette) ** 0.5
+        palette = [v / norm for v in palette]
+    return {"id": ident, "title": " ".join(rng.choices(EDGE_WORDS, k=rng.randint(0, 3))),
+            "tags": rng.sample(EDGE_TAGS, k=rng.randint(0, 3)),
+            "price": float(rng.randint(1, 50)), "palette": palette}
+
+
+def edge_delta(rng, env):
+    """One valid add, remove or field edit."""
+    ids = [item.id for item in env.catalog]
+    kind = rng.choice(["add", "add", "remove", "edit", "edit", "edit"])
+    if kind == "add" or len(ids) < 3:
+        return {"op": "add_item", "item": edge_record(rng, f"z{env.version:04d}")}
+    if kind == "remove":
+        return {"op": "remove_item", "id": rng.choice(ids)}
+    fresh = edge_record(rng, "unused")
+    field = rng.choice(["title", "tags", "price", "palette"])
+    return {"op": "set_item_field", "id": rng.choice(ids), "field": field, "value": fresh[field]}
+
+
+def edge_query(rng, env):
+    """A query with no token, of random words, or equal to an item's text."""
+    roll = rng.random()
+    if roll < 0.15:
+        return "-- !!"
+    if roll < 0.35 and env.catalog:
+        return rng.choice(env.catalog).text()
+    return " ".join(rng.choices(EDGE_WORDS, k=rng.randint(1, 5)))
+
+
+def edge_facts(rng):
+    facts = {}
+    if rng.random() < 0.5:
+        facts["guest_allergy"] = rng.choice(["gluten", "red", "!!", "cake"])
+    if rng.random() < 0.3:
+        facts["required_kind"] = rng.choice(
+            [tag for tag in ("cake", "decor", "lamp", "oak") if tag != facts.get("guest_allergy")])
+    if rng.random() < 0.4:
+        facts["budget"] = str(rng.randint(0, 50))
+    return facts
+
+
+def scan_bundle(text, scene, profile, categories, env, alpha, tau):
+    """Each category's candidates by filter, per-item score and top_l: the
+    bundle search as it was before the index, errors in the same order."""
+    categories = sorted(set(categories))
+    constraints = constraints_from_facts(facts_from_memory(profile))
+    per_category, truncated = [], False
+    for category in categories:
+        with_palette = [item for item in env.catalog
+                        if category in item.tags and item.palette is not None]
+        if not with_palette:
+            raise MissingPalette(
+                f"category {category!r} has no catalog item with a palette vector")
+        feasible = [item for item in with_palette if not violations_for(item, constraints)]
+        if not feasible:
+            raise NoCompatibleBundle(f"category {category!r} has no feasible candidate")
+        truncated = truncated or len(feasible) > 3
+        per_category.append(top_l(
+            ((alpha * score_item(text, item) + (1.0 - alpha) * cosine(item.palette, scene),
+              item) for item in feasible), 3))
+    combos = sorted(itertools.product(*per_category),
+                    key=lambda combo: (-left_sum(score for score, _ in combo),
+                                       tuple(item.id for _, item in combo)))
+    for combo in combos:
+        bundle = Bundle([BundleItem(item.id, category, item.palette)
+                         for category, (_, item) in zip(categories, combo)],
+                        frozenset(categories), truncated)
+        if compat_check(bundle, tau):
+            return bundle
+    raise NoCompatibleBundle("no candidate combination passes the compatibility check")
+
+
+def outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (MissingPalette, NoCompatibleBundle, NoFeasibleItem) as exc:
+        return type(exc).__name__, str(exc)
+    return result
+
+
+def test_catalog_index_ranking_fuzz_equals_per_item_scan():
+    from agentrec.blueprints import _category_search_tool
+    from agentrec.pipelines import extract_session_constraints
+    from agentrec.runtime import apply_env_update, catalog_item
+    rng = random.Random(1302)
+    seen = set()
+    env = Environment(catalog=[catalog_item(edge_record(rng, f"e{i:02d}")) for i in range(25)])
+    for trial in range(300):
+        if trial % 3:  # the index is patched from the parent's when that one is built
+            env = apply_env_update(env, [edge_delta(rng, env)])
+        facts = edge_facts(rng)
+        memory = fact_store(**facts)
+        query = edge_query(rng, env)
+        transcript = Transcript(turns=[("user", query)])
+        constraints, text = extract_session_constraints(transcript, memory)
+        l = rng.randint(1, len(env.catalog) + 2)
+        want = filter_sort_oracle(env, constraints, text, l)
+        got = outcome(lambda: recommend_interactive(transcript, env, memory, l).entries)
+        assert got == (want or ("NoFeasibleItem",
+                                "all catalog items violate the session constraints"))
+        if want:
+            seen.add("exact" if want[0][1] == 1.0 else "ranked")
+            seen.add("zero-fill" if want[-1][1] == 0.0 else "positive")
+            if not any(embed_text(text)):
+                seen.add("zero-token query")
+        else:
+            seen.add("no survivor")
+
+        category = rng.choice(EDGE_TAGS + ["sofa"])
+        tool = _category_search_tool(env, {}, memory, {"name": "Search", "category": category,
+                                                      "limit": l})
+        record = json.loads(tool.handler(f"query={query} | facts=" + "; ".join(
+            f"{slot}: {value}" for slot, value in facts.items())))
+        tool_constraints = constraints_from_facts(list(facts.items()))
+        tool_text = " ".join(part for part in (query, "; ".join(
+            f"{slot}: {value}" for slot, value in facts.items())) if part)
+        in_category = Environment(catalog=[item for item in env.catalog
+                                           if category in item.tags])
+        assert record["items"] == [[item_id, score] for item_id, score in filter_sort_oracle(
+            in_category, tool_constraints, tool_text, l)]
+
+        profile = fact_store(**{("material_ban" if slot == "guest_allergy" else slot): value
+                                for slot, value in facts.items()})
+        chosen = rng.sample(["cake", "decor", "chair", "lamp", "sofa"], k=rng.randint(1, 3))
+        scene = tuple(rng.random() for _ in range(3))
+        tau = rng.choice([0.5, 0.8, 0.95])
+        want_bundle = outcome(scan_bundle, query, scene, profile, chosen, env, 0.5, tau)
+        got_bundle = outcome(recommend_multimodal, query, scene, profile, chosen, env, 0.5, tau)
+        assert got_bundle == want_bundle
+        seen.add(want_bundle[0] if type(want_bundle) is tuple else "bundle")
+    assert seen >= {"exact", "ranked", "zero-fill", "positive", "zero-token query",
+                    "no survivor", "MissingPalette", "NoCompatibleBundle", "bundle"}
+
+
+def test_catalog_index_scores_a_query_equal_to_an_item_exactly_one():
+    # unnormalized cached vectors, whose self-cosine by division can round below
+    # 1.0: only the identical-vector shortcut makes it exactly 1.0
+    from agentrec.memory import QueryVector, SparseVector
+    from agentrec.pipelines import admitted_ids, rank_admitted
+    rng = random.Random(1303)
+    items, below = [], 0
+    for i in range(60):
+        item = CatalogItem(f"u{i:02d}", "x", (), 1.0)
+        values = [rng.uniform(-3.0, 3.0) for _ in range(64)]
+        for bucket in rng.sample(range(64), rng.randint(0, 60)):
+            values[bucket] = 0.0
+        item.__dict__["sparse"] = SparseVector(values)  # the cached_property's slot
+        items.append((item, tuple(values)))
+    env = Environment(catalog=[item for item, _ in items])
+    index = env.catalog_index()
+    for item, values in items:
+        query = QueryVector(values)
+        ranked = rank_admitted(index, admitted_ids(index, ConstraintSet()), query, 3)
+        assert [(i.id, score) for score, i in ranked] == filter_sort_oracle(
+            env, ConstraintSet(), query, 3)
+        assert ranked[0] == (1.0, item)
+        dot = left_sum(v * v for v in item.sparse.values)
+        below += dot / (query.norm * item.sparse.norm) < 1.0
+    assert below > 0
 
 
 # explanations -------------------------------------------------------------------------

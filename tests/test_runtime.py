@@ -25,6 +25,7 @@ from agentrec.errors import (
 from agentrec.memory import MemoryStore, cosine, embed_text
 from agentrec.pipelines import Transcript, recommend_interactive
 from agentrec.runtime import (
+    CatalogIndex,
     CatalogItem,
     CommMatrix,
     Environment,
@@ -32,6 +33,7 @@ from agentrec.runtime import (
     Message,
     MessageSchema,
     apply_env_update,
+    catalog_item,
     trace_from_jsonl,
     trace_to_jsonl,
 )
@@ -557,6 +559,84 @@ def test_seeded_delta_fuzz_matches_the_dict_model():
         if want is not None:
             env, rows = updated, want[0]
     assert accepted > 300 and rejected > 300
+
+
+# catalog index: built lazily, patched per version -----------------------------------
+
+INDEX_WORDS = ["red", "rug", "lamp", "oak", "cake", "mickey", "--", ""]
+
+
+def index_record(rng, ident):
+    return {"id": ident, "title": " ".join(rng.choices(INDEX_WORDS, k=rng.randint(0, 3))),
+            "tags": rng.sample(["cake", "decor", "red", "eco", "!!"], k=rng.randint(0, 3))
+            + rng.choice([[], ["cake"]]),  # sometimes a repeated tag
+            "price": float(rng.randint(1, 40)),
+            "palette": rng.choice([None, [0.5, 0.5], [1.0]])}
+
+
+def index_delta(rng, env):
+    """1-3 valid ops; several may touch one item (two field edits, or an edit then
+    a removal)."""
+    ids = [item.id for item in env.catalog]
+    delta, fields = [], {}
+    for n in range(rng.randint(1, 3)):
+        kind = rng.choice(["add", "remove", "edit", "edit", "edit"])
+        if kind == "add" or not ids:
+            delta.append({"op": "add_item", "item": index_record(rng, f"v{env.version}-{n}")})
+            continue
+        item_id = rng.choice(ids)
+        if kind == "remove":
+            delta.append({"op": "remove_item", "id": item_id})
+            ids.remove(item_id)
+            continue
+        field = rng.choice([f for f in ("title", "tags", "price", "palette")
+                            if f not in fields.get(item_id, ())])
+        fields.setdefault(item_id, set()).add(field)
+        delta.append({"op": "set_item_field", "id": item_id, "field": field,
+                      "value": index_record(rng, item_id)[field]})
+    return delta
+
+
+def index_state(index):
+    return copy.deepcopy((index.items, index.postings, index.tags))
+
+
+def rankings(env, queries):
+    out = []
+    for query in queries:
+        try:
+            out.append(recommend_interactive(Transcript([("user", query)]), env,
+                                             MemoryStore(), top_l=4).entries)
+        except AgentRecError as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def test_catalog_index_patched_per_delta_equals_fresh_build():
+    rng = random.Random(1301)
+    env = Environment(catalog=[catalog_item(index_record(rng, f"i{i}")) for i in range(12)])
+    queries = ["red rug", "oak lamp cake", "require = eco; red", "guests ban decor; mickey"]
+    for _ in range(250):
+        parent, parent_index = env, env.catalog_index()
+        before, ranked_before = index_state(parent_index), rankings(parent, queries)
+        env = apply_env_update(parent, index_delta(rng, parent))
+        fresh = CatalogIndex.build({item.id: item for item in env.catalog})
+        assert env._index is not None and env._index is not parent_index
+        assert (env._index.items, env._index.postings, env._index.tags) == (
+            fresh.items, fresh.postings, fresh.tags)
+        assert index_state(parent_index) == before
+        assert rankings(parent, queries) == ranked_before
+        assert rankings(env, queries) == rankings(Environment(catalog=list(env.catalog)), queries)
+
+
+def test_catalog_index_is_built_on_first_use_only():
+    env = Environment(catalog=[CatalogItem("a", "red rug", ("decor",), 1.0)])
+    updated = apply_env_update(env, [{"op": "set_item_field", "id": "a", "field": "price",
+                                      "value": 2}])
+    assert env._index is None and updated._index is None
+    index = updated.catalog_index()
+    assert updated.catalog_index() is index and env._index is None
+    assert index.tags == {"decor": {"a"}}
 
 
 # episodes -------------------------------------------------------------------------
