@@ -25,6 +25,7 @@ import random
 import re
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -49,7 +50,13 @@ from .reliability import (
     propagation_probability,
     simulate_error_cascade,
 )
-from .runtime import Environment, Message, catalog_item, trace_to_jsonl
+from .runtime import (
+    Environment,
+    Message,
+    catalog_item,
+    records_to_jsonl,
+    trace_to_jsonl,
+)
 from .simulation import (
     UserSimulator,
     aggregate_report,
@@ -358,8 +365,10 @@ def _resolve(config: dict, relative) -> Path:
     return (Path(config["__path__"]).parent / relative).resolve()
 
 
-# The last catalog load_catalog built: (sha256 of the file's bytes, its items).
-_last_catalog = (None, ())
+# The last catalog load_catalog built: (sha256 of the file's bytes, its items,
+# their id dict). Every Environment run_scenario builds on it shares the dict;
+# nothing mutates it, as apply_env_update copies it.
+_last_catalog = (None, (), {})
 
 def _build_catalog(data: bytes, path) -> list:
     try:
@@ -383,8 +392,9 @@ def load_catalog(path) -> list:
     Every call reads the file and takes the sha256 of its bytes. When it
     equals that of the last catalog built, the call returns that catalog's
     items without parsing: the same frozen items, with the embeddings they
-    already cached. Otherwise it checks and builds the items and keeps them
-    in place of the last ones, so at most one catalog is kept.
+    already cached. Otherwise it checks and builds the items and their id
+    dict (a repeated id raises InvalidArgument) and keeps them in place of
+    the last ones, so at most one catalog is kept.
     """
     global _last_catalog
     try:
@@ -392,11 +402,19 @@ def load_catalog(path) -> list:
     except OSError as exc:
         raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
     digest = hashlib.sha256(data).digest()
-    last_digest, items = _last_catalog
-    if digest != last_digest:
-        items = tuple(_build_catalog(data, path))
-        _last_catalog = (digest, items)
-    return list(items)
+    if digest != _last_catalog[0]:
+        catalog = _build_catalog(data, path)
+        _last_catalog = (digest, tuple(catalog), Environment(catalog=catalog)._by_id)
+    return list(_last_catalog[1])
+
+
+def _environment(config) -> Environment:
+    """The config's catalog as version 0, over the cached catalog's id dict."""
+    if config["catalog"] is None:
+        return Environment()
+    catalog = load_catalog(_resolve(config, config["catalog"]))
+    # load_catalog has just built or matched _last_catalog: its dict indexes catalog
+    return Environment(catalog=catalog, _by_id=_last_catalog[2])
 
 
 _POLICY = obj({
@@ -430,11 +448,6 @@ def _post(messages, sender, recipient, kind, payload) -> None:
     messages.append(Message(sender, recipient, kind, payload, seq=len(messages), env_version=0))
 
 
-def _jsonl(records) -> str:
-    return "\n".join(json.dumps(record, sort_keys=True) for record in records) + (
-        "\n" if records else "")
-
-
 # scenario runners -------------------------------------------------------------
 
 def _run_interactive(config, env, policy, seed):
@@ -454,7 +467,7 @@ def _run_interactive(config, env, policy, seed):
         lines.append(f"{row['rank']:>4}  {row['item_id']:<24} "
                      f"{row['score']:>10.6f}  {','.join(row['tags'])}")
     return (trace_to_jsonl(result.trace),
-            _jsonl(report_rows),
+            records_to_jsonl(report_rows),
             "\n".join(lines) + "\n")
 
 
@@ -518,7 +531,7 @@ def _run_simulate(config, env, policy, seed):
     text = (table + f"\noverall psi_hat={report.psi_hat:.6f} ctr={report.ctr:.6f} "
             f"diversity_entropy={report.diversity_entropy:.6f} "
             f"sessions={report.sessions}\n")
-    return trace_to_jsonl(messages), _jsonl(rows + [overall]), text
+    return trace_to_jsonl(messages), records_to_jsonl(rows + [overall]), text
 
 
 def _run_multimodal(config, env, policy, seed):
@@ -543,7 +556,7 @@ def _run_multimodal(config, env, policy, seed):
     rows.append({"compat": compatible, "truncated_search": bundle.truncated_search})
     lines = [f"{item.category:<12} {item.id}" for item in bundle.items]
     lines.append(f"compat={compatible} truncated_search={bundle.truncated_search}")
-    return trace_to_jsonl(messages), _jsonl(rows), "\n".join(lines) + "\n"
+    return trace_to_jsonl(messages), records_to_jsonl(rows), "\n".join(lines) + "\n"
 
 
 def _user_transcript(texts) -> Transcript:
@@ -574,7 +587,7 @@ def _run_explain(config, env, policy, seed):
     _post(messages, "eval", "chat", "final_report",
           dict(row, context_missing=explanation.context_missing))
     text = (f"rounds={rounds}\n{explanation.text}\n")
-    return trace_to_jsonl(messages), _jsonl([row]), text
+    return trace_to_jsonl(messages), records_to_jsonl([row]), text
 
 
 def _run_cascade(config, env, policy, seed):
@@ -592,7 +605,8 @@ def _run_cascade(config, env, policy, seed):
     _post(messages, "monitor", "chat", "final_report", report)
     text = (f"closed_form={closed_form:.6f} empirical={empirical:.6f} "
             f"abs_diff={report['abs_diff']:.6f}\n")
-    return trace_to_jsonl(messages), _jsonl([dict(report, trials=config["trials"])]), text
+    return (trace_to_jsonl(messages), records_to_jsonl([dict(report, trials=config["trials"])]),
+            text)
 
 
 _RUNNERS = {
@@ -630,9 +644,7 @@ def run_scenario(config_path, out=None, seed=None,
         if out_dir is None:
             out_dir = _resolve(config, config["out"])
         effective_seed = seed if seed is not None else config["seed"]
-        env = Environment(
-            catalog=load_catalog(_resolve(config, config["catalog"]))
-            if config["catalog"] is not None else [])
+        env = _environment(config)
         policy = (load_policy(_resolve(config, config["policy"]))
                   if config["policy"] is not None else EMPTY_POLICY)
         trace_text, report_jsonl, report_text = _RUNNERS[config["kind"]](
@@ -660,7 +672,9 @@ def run_scenario(config_path, out=None, seed=None,
     return 0
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="agentrec",
         description="Deterministic multi-agent recommender scenario runner.")
@@ -676,8 +690,11 @@ def main(argv=None) -> int:
 
     validate_parser = sub.add_parser("validate", help="check a scenario config")
     validate_parser.add_argument("config")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "run":
         return run_scenario(args.config, out=args.out, seed=args.seed,
                             report_format=args.format)

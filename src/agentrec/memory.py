@@ -366,23 +366,30 @@ def summarize_turns(turns: Sequence, rules: tuple = DEFAULT_RETENTION_RULES) -> 
     return facts
 
 
-def update_memory(store: MemoryStore, turns: Sequence, label: MemoryLabel,
-                  now: int, rules: tuple = DEFAULT_RETENTION_RULES) -> MemoryStore:
-    """Append the (speaker, text) turns and upsert retained facts at slot/label granularity.
+def upsert_fact(store: MemoryStore, slot: str, value: str, label: MemoryLabel,
+                now: int) -> MemoryStore:
+    """Write one fact at (slot, label) granularity; the raw log is not touched.
 
     An existing (slot, label) item keeps its creation timestamp, gets the new
     value, and its update counter is incremented; otherwise a fresh item with
-    update_count=1 is inserted. Nothing else changes. Nothing is embedded:
-    each upsert is a new item whose key is computed when first scored.
+    update_count=1 is inserted. Nothing is embedded: each upsert is a new
+    item whose key is computed when first scored.
     """
+    existing = store.items.get((slot, label))
+    if existing is None:
+        store.items[(slot, label)] = make_item(slot, value, label, now)
+    else:
+        store.items[(slot, label)] = make_item(
+            slot, value, label, existing.meta.timestamp, existing.meta.update_count + 1)
+    return store
+
+
+def update_memory(store: MemoryStore, turns: Sequence, label: MemoryLabel,
+                  now: int, rules: tuple = DEFAULT_RETENTION_RULES) -> MemoryStore:
+    """Append the (speaker, text) turns and ``upsert_fact`` each retained fact."""
     store.raw_log.extend((speaker, text) for speaker, text in turns)
     for slot, value in retain(turns, rules):
-        existing = store.items.get((slot, label))
-        if existing is None:
-            store.items[(slot, label)] = make_item(slot, value, label, now)
-        else:
-            store.items[(slot, label)] = make_item(
-                slot, value, label, existing.meta.timestamp, existing.meta.update_count + 1)
+        upsert_fact(store, slot, value, label, now)
     return store
 
 

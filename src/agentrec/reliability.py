@@ -13,10 +13,8 @@ contiguous token run. Substring matches never trigger.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
-from itertools import islice, repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -28,7 +26,7 @@ from .errors import (
 from .memory import tokenize
 
 # trials per block of simulate_error_cascade; the block's draw buffer holds
-# CASCADE_BLOCK * len(nodes) floats
+# CASCADE_BLOCK * len(nodes) draws of 8 bytes each
 CASCADE_BLOCK = 4096
 
 
@@ -104,6 +102,23 @@ def propagation_probability(error_rates: Sequence) -> float:
     return 1.0 - product
 
 
+def _draw_test(rate) -> tuple:
+    """How simulate_error_cascade tests ``random() < rate`` on a draw's two words.
+
+    ``random()`` is ``k / 2**53`` with ``k = (w0 >> 5) * 2**26 + (w1 >> 6)``,
+    where ``w0`` and ``w1`` are the two 32-bit words it consumes, so the draw
+    is below ``rate`` exactly when ``k < threshold = ceil(rate * 2**53)``.
+    Returns ``(threshold, table)``: ``table`` maps ``w0``'s top byte to 1
+    when every such draw is below the rate, 0 when none is and 2 when only
+    ``k`` can tell. Rates 0 and 1 need no table.
+    """
+    threshold = math.ceil(rate * 2 ** 53)
+    if threshold <= 0 or threshold >= 2 ** 53:
+        return threshold, None
+    top = threshold >> 45  # k >> 45 is w0's top byte
+    return threshold, b"\x01" * top + b"\x02" + b"\x00" * (255 - top)
+
+
 def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
                            trials: int, seed: int) -> float:
     """Empirical fraction of trials in which any sink emits an invalid message.
@@ -116,9 +131,13 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
     ``i`` fails intrinsically iff that draw is ``< rate``. The result is the
     exact count of bad trials divided by ``trials``.
 
-    Trials run in blocks of ``CASCADE_BLOCK``: over a block each node's
-    outcome is one int with one byte-wide lane per trial, so corruption is
-    an OR of masks and the bad count a ``bit_count``.
+    Trials run in blocks of ``CASCADE_BLOCK``. A block's draws are read as
+    the 32-bit words ``random()`` would consume, from one ``getrandbits``
+    call, and compared with each rate as integers (``_draw_test``): a byte
+    table on each draw's first word decides all but about one lane in 256,
+    which are compared exactly. Over a block each node's outcome is one int
+    with one byte-wide lane per trial, so corruption is an OR of masks and
+    the bad count a ``bit_count``.
     """
     if trials < 1:
         raise InvalidArgument("trials must be >= 1")
@@ -126,24 +145,37 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
     index = {node: i for i, node in enumerate(order)}
     sinks = {index[node] for node in graph.sinks()}
     predecessors = [[index[p] for p in graph.predecessors(node)] for node in order]
-    rates = [graph.error_rates.get(node, 0.0) for node in order]
+    tests = [_draw_test(graph.error_rates.get(node, 0.0)) for node in order]
     # the oracle judges each node's two possible emissions; hoisted out of
     # the trial loop since the verdict per (node, emission) is fixed
     clean_invalid = [not oracle.valid(f"{node}:ok") for node in order]
     corrupt_invalid = [not oracle.valid(f"{node}:corrupt") for node in order]
-    draws = iter(random.Random(seed).random, None)
+    rng = random.Random(seed)
     n = len(order)
     bad_trials = 0
     for start in range(0, trials, CASCADE_BLOCK):
         m = min(CASCADE_BLOCK, trials - start)
-        block = list(islice(draws, m * n))
+        # draw d is bytes 8d..8d+7: its first word, then its second, little-endian
+        draws = rng.getrandbits(64 * m * n).to_bytes(8 * m * n, "little")
         ones = int.from_bytes(b"\x01" * m, "big")
         invalid = []
         bad = 0
         for i in range(n):
-            # operator.lt, not float.__gt__, so int rates 0 and 1 work too
-            corrupted = int.from_bytes(
-                bytes(map(operator.lt, block[i::n], repeat(rates[i]))), "big")
+            threshold, table = tests[i]
+            if table is None:
+                corrupted = ones if threshold > 0 else 0
+            else:
+                lanes = draws[8 * i + 3::8 * n].translate(table)
+                if 2 in lanes:
+                    lanes = bytearray(lanes)
+                    lane = lanes.find(2)
+                    while lane >= 0:
+                        at = 8 * (lane * n + i)
+                        k = ((int.from_bytes(draws[at:at + 4], "little") >> 5) << 26
+                             | int.from_bytes(draws[at + 4:at + 8], "little") >> 6)
+                        lanes[lane] = k < threshold
+                        lane = lanes.find(2, lane + 1)
+                corrupted = int.from_bytes(lanes, "big")
             for j in predecessors[i]:
                 corrupted |= invalid[j]
             mask = ((corrupted if corrupt_invalid[i] else 0)

@@ -503,9 +503,19 @@ class MasRuntime:
 
 # trace persistence -------------------------------------------------------
 
-def trace_to_jsonl(trace: Sequence) -> str:
-    lines = [json.dumps(message.to_record(), sort_keys=True) for message in trace]
+# json.dumps(record, sort_keys=True) builds an encoder per call; this one is
+# built once and gives the same bytes.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def records_to_jsonl(records: Iterable) -> str:
+    """One ``json.dumps(record, sort_keys=True)`` line per record; "" for none."""
+    lines = list(map(_encode, records))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def trace_to_jsonl(trace: Sequence) -> str:
+    return records_to_jsonl(message.to_record() for message in trace)
 
 
 def trace_from_jsonl(text: str) -> list:

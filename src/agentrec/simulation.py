@@ -7,7 +7,9 @@ first element of the action space is the positive action, the second the
 negative one; degenerate cases (cos 1 / cos 0 at zero noise) are exact.
 
 Sessions are independent given disjoint simulators; one simulator's episodic
-memory carries across its own sessions for repeat-exposure effects.
+memory carries across its own sessions for repeat-exposure effects. That
+memory is one ("shown", EPI) fact, the last top item shown verbatim, whose
+update count is the number of acted steps; no raw log is kept.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from .memory import (
     left_sum,
     prepare_query,
     relevance,
-    update_memory,
+    upsert_fact,
 )
-# Re-exported, not called here: perfbench/spans.py wraps `simulation.cosine`
-# and `simulation.embed_text`.
-from .memory import cosine, embed_text  # noqa: F401
+# Re-exported, not called here: perfbench/spans.py wraps `simulation.cosine`,
+# `simulation.embed_text` and `simulation.update_memory`.
+from .memory import cosine, embed_text, update_memory  # noqa: F401
 from .pipelines import RankedList
 from .runtime import Environment
 
@@ -174,12 +176,8 @@ def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
                                          reward=step_reward))
                 top_id = recs.entries[0][0]
                 shown_before.add(top_id)
-                update_memory(
-                    sim.memory,
-                    [("user", f"shown: {top_id}"), ("agent", action)],
-                    MemoryLabel.EPI,
-                    now=session_index * horizon + t,
-                )
+                upsert_fact(sim.memory, "shown", top_id, MemoryLabel.EPI,
+                            now=session_index * horizon + t)
                 last_action = action
             traces.append(SessionTrace(steps=steps, seed=sim.seed,
                                        simulator_id=sim.simulator_id,

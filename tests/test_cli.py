@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import agentrec
+from agentrec import cli
 from agentrec.cli import (
     derive_seed,
     load_catalog,
@@ -20,8 +21,15 @@ from agentrec.cli import (
     run_scenario,
     validate_config,
 )
-from agentrec.errors import ConfigInvalid, Unreadable
-from agentrec.runtime import CatalogIndex, trace_from_jsonl
+from agentrec.errors import ConfigInvalid, Unreadable, UnknownItem
+from agentrec.runtime import (
+    CatalogIndex,
+    Message,
+    apply_env_update,
+    records_to_jsonl,
+    trace_from_jsonl,
+    trace_to_jsonl,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # sha256 of each bundled scenario's trace.jsonl / report.jsonl; read only
@@ -188,8 +196,34 @@ def test_trace_reloads_into_equal_structures(tmp_path, capsys):
     status, out = run_into(tmp_path, "party_planner")
     text = (out / "trace.jsonl").read_text()
     messages = trace_from_jsonl(text)
-    from agentrec.runtime import trace_to_jsonl
     assert trace_to_jsonl(messages) == text
+
+
+def dumps_lines(records):
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
+ODD_RECORDS = [
+    {"text": "caf\u00e9 \u2014 \u6587\u5b57 \U0001f389", "z": [1, [2, [3.5, "x"]]], "a": None},
+    {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "b": [True, False]},
+    {"nested": {"y": {"list": [[], {}, [[]]]}, "x": -0.0}, "\u00fc": "\n\t\"quoted\""},
+]
+
+
+def test_trace_and_report_lines_are_json_dumps_bytes(tmp_path, capsys):
+    # the one reused encoder gives json.dumps(record, sort_keys=True) byte for byte
+    for name in ALL_SCENARIOS:
+        status, out = run_into(tmp_path, name, name)
+        assert status == 0
+        messages = trace_from_jsonl((out / "trace.jsonl").read_text())
+        assert trace_to_jsonl(messages) == dumps_lines(m.to_record() for m in messages)
+        rows = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+        assert records_to_jsonl(rows) == dumps_lines(rows)
+    assert trace_to_jsonl([]) == records_to_jsonl([]) == records_to_jsonl(iter([])) == ""
+    assert records_to_jsonl(ODD_RECORDS) == dumps_lines(ODD_RECORDS)
+    odd = [Message("a\u00e9", ["b", "c"], "note", record, seq=i, env_version=0)
+           for i, record in enumerate(ODD_RECORDS)]
+    assert trace_to_jsonl(odd) == dumps_lines(m.to_record() for m in odd)
 
 
 def test_exit_code_contract(tmp_path, capsys):
@@ -303,6 +337,24 @@ def test_main_run_and_validate_entry(tmp_path, capsys):
     assert status == 0
 
 
+def test_parser_is_built_once_and_keeps_its_exit_codes(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as caught:
+        main(["run"])  # missing config
+    assert caught.value.code == 2
+    with pytest.raises(SystemExit) as caught:
+        main(["run", "x.json", "--format", "xml"])
+    assert caught.value.code == 2
+    with pytest.raises(SystemExit) as caught:
+        main(["--help"])
+    assert caught.value.code == 0
+    assert "usage: agentrec" in capsys.readouterr().out
+    assert main(["validate", str(SCENARIOS / "error_cascade.json")]) == 0
+    assert main(["run", str(SCENARIOS / "error_cascade.json"), "--out",
+                 str(tmp_path / "after-errors")]) == 0
+    assert main(["validate", str(tmp_path / "missing.json")]) == 1
+
+
 def test_jsonlines_format_writes_same_artifacts(tmp_path, capsys):
     out = tmp_path / "fmt"
     status = run_scenario(SCENARIOS / "simulate_colony.json", out=out,
@@ -401,3 +453,37 @@ def test_catalog_record_defaults_and_accepted_forms(tmp_path):
     assert [(i.id, i.title, i.tags, i.price, i.palette) for i in load_catalog(path)] == [
         ("a", "a", (), 0.0, None), ("b", "t", (), 3.0, None), ("c", "c", (), 0.0, None),
         ("d", "d", (), 2.5, (1, 0.5, 0))]
+
+
+def test_runs_on_one_catalog_share_its_id_dict(tmp_path, capsys, monkeypatch):
+    for name in ("simulate_colony.json", "rotation_catalog.json"):
+        shutil.copy(SCENARIOS / name, tmp_path / name)
+    envs = []
+    simulate = cli._RUNNERS["simulate"]
+    monkeypatch.setitem(cli._RUNNERS, "simulate",
+                        lambda config, env, *rest: envs.append(env) or simulate(config, env, *rest))
+    config = tmp_path / "simulate_colony.json"
+    assert run_scenario(config, out=tmp_path / "first") == 0
+    assert run_scenario(config, out=tmp_path / "second") == 0
+    first, second = envs
+    assert first is not second and first.catalog is not second.catalog
+    assert first._by_id is second._by_id
+    assert list(first._by_id) == [item.id for item in first.catalog]
+
+    shared = dict(first._by_id)
+    updated = apply_env_update(first, [
+        {"op": "remove_item", "id": "rot_1"},
+        {"op": "set_item_field", "id": "rot_2", "field": "price", "value": 99},
+        {"op": "add_item", "item": {"id": "rot_new"}}])
+    assert first._by_id == shared and all(first._by_id[i] is shared[i] for i in shared)
+    assert updated._by_id is not first._by_id and not updated.has_item("rot_1")
+
+    records = json.loads((tmp_path / "rotation_catalog.json").read_text())
+    (tmp_path / "rotation_catalog.json").write_text(json.dumps(records[1:]))
+    assert run_scenario(config, out=tmp_path / "third") == 0
+    third = envs[-1]
+    assert third._by_id is not first._by_id
+    assert first._by_id == shared  # the old catalog's dict is left as it was
+    with pytest.raises(UnknownItem):
+        third.item_by_id("rot_1")
+    capsys.readouterr()

@@ -37,6 +37,7 @@ from agentrec.memory import (
     tail_window,
     tokenize,
     update_memory,
+    upsert_fact,
 )
 
 # golden values computed once with a standalone dict-based reference script
@@ -510,24 +511,37 @@ def test_scoring_a_store_twice_embeds_each_item_once(monkeypatch):
 
 
 def test_update_snapshot_equals_reembedding_every_upsert():
-    # oracle: every upsert builds its item from the text, as make_item does
+    # oracle: every upsert builds its item from the text, as make_item does;
+    # composed: the raw log appended by hand, then retain and upsert_fact
     rng = random.Random(3141)
     slots, values = ("theme", "budget", "colour"), ("pirates", "space", "200", "blue sky")
     for _ in range(40):
-        store, oracle = MemoryStore(), MemoryStore()
+        store, oracle, composed = MemoryStore(), MemoryStore(), MemoryStore()
         for now in range(rng.randint(1, 12)):
             turn = ("user", "; ".join(f"{rng.choice(slots)} = {rng.choice(values)}"
                                       for _ in range(rng.randint(1, 3))))
             label = rng.choice(list(MemoryLabel))
             update_memory(store, ctx(turn), label, now)
             oracle.raw_log.append(turn)
+            composed.raw_log.append(turn)
             for slot, value in retain(ctx(turn)):
                 existing = oracle.items.get((slot, label))
                 oracle.items[(slot, label)] = make_item(
                     slot, value, label,
                     now if existing is None else existing.meta.timestamp,
                     1 if existing is None else existing.meta.update_count + 1)
-        assert store_to_jsonl(store) == store_to_jsonl(oracle)
+                assert upsert_fact(composed, slot, value, label, now) is composed
+        assert store_to_jsonl(store) == store_to_jsonl(oracle) == store_to_jsonl(composed)
+
+
+def test_upsert_fact_writes_the_value_verbatim_and_no_log():
+    store = MemoryStore()
+    upsert_fact(store, "shown", "a, b; c. d", MemoryLabel.EPI, now=4)
+    upsert_fact(store, "shown", "e: f", MemoryLabel.EPI, now=9)
+    item = store.items[("shown", MemoryLabel.EPI)]
+    assert (item.value, item.fact()) == ("shown: e: f", ("shown", "e: f"))
+    assert (item.meta.timestamp, item.meta.update_count) == (4, 2)
+    assert store.raw_log == [] and len(store.items) == 1
 
 
 def test_update_two_facts_grows_log_by_turn_count():

@@ -200,6 +200,49 @@ def test_block_cascade_equals_reference_loop_exactly():
                 == reference_simulate_error_cascade(graph, oracle, trials, seed))
 
 
+def test_random_is_two_getrandbits_words():
+    # the layout simulate_error_cascade reads draws in, on this Python
+    for seed in range(20):
+        words, floats = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            pair = words.getrandbits(64)
+            w0, w1 = pair & 0xFFFFFFFF, pair >> 32
+            assert ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 == floats.random()
+        assert words.random() == floats.random()  # same state afterwards
+
+
+def test_block_cascade_equals_reference_loop_at_draw_valued_rates():
+    """Rates equal to a node's own draws, or one float step either side of
+    one, decide ``draw < rate`` at the exact boundary the integer test must
+    reproduce; the fixed extremes and the benchmark's rate range ride along."""
+    rng = random.Random(53)
+    extremes = [2**-53, 1 - 2**-53, 0, 1, 0.0, 1.0]
+    for case in range(120):
+        n = rng.randint(1, 8)
+        trials = rng.choice([1, 2, 37, 300, CASCADE_BLOCK + 9])
+        seed = rng.randrange(2**32)
+        source = random.Random(seed)
+        draws = [source.random() for _ in range(trials * n)]
+        nodes = [f"v{i}" for i in range(n)]
+        rates = {}
+        for i, node in enumerate(nodes):
+            pick = rng.randrange(4)
+            if pick < 2:
+                draw = draws[rng.randrange(trials) * n + i]
+                rates[node] = [draw, math.nextafter(draw, 1.0),
+                               math.nextafter(draw, 0.0)][rng.randrange(3)]
+            elif pick == 2:
+                rates[node] = rng.choice(extremes)
+            else:
+                rates[node] = rng.uniform(0.001, 0.03)
+        edges = [(nodes[a], nodes[b]) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < 0.3]
+        graph = AgentGraph(nodes=nodes, edges=edges, error_rates=rates)
+        oracle = random_oracle(rng, graph)
+        assert (simulate_error_cascade(graph, oracle, trials, seed)
+                == reference_simulate_error_cascade(graph, oracle, trials, seed)), case
+
+
 # consensus ---------------------------------------------------------------------------
 
 def test_strict_majority_wins():

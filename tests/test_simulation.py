@@ -7,7 +7,7 @@ import random
 import pytest
 
 from agentrec.errors import NoFeasibleItem, NoSummaries, NoTraces
-from agentrec.memory import EMBED_DIM, embed_text
+from agentrec.memory import EMBED_DIM, MemoryLabel, embed_text
 from agentrec.pipelines import RankedList
 from agentrec.runtime import CatalogItem, Environment
 from agentrec.simulation import (
@@ -202,6 +202,39 @@ def test_memory_carries_across_own_sessions():
     shown = sim.memory.items.get(("shown", list(sim.memory.items)[0][1]))
     assert shown is not None
     assert shown.meta.update_count == 6  # repeat exposure accumulates
+
+
+def test_simulator_memory_is_one_shown_fact_with_the_last_id_verbatim():
+    # ids that retain's segment split would cut: the fact is written directly
+    ids = ["plain", "comma, split", "semi; colon", "dot. end.", "key = value", "a: b"]
+    env = Environment(catalog=[CatalogItem(i, f"title {n}", ("home",), 1.0)
+                               for n, i in enumerate(ids)])
+    rng = random.Random(8)
+    sims = [UserSimulator(f"s{i}", theta=matching_theta(env, ids[i]), noise_scale=0.3,
+                          seed=i) for i in range(len(ids))]
+    shown = {}
+
+    def recommend(query, env_, memory, top_l):
+        if rng.random() < 0.25:
+            raise NoFeasibleItem("skipped step")
+        if rng.random() < 0.1:
+            return RankedList(entries=[])
+        top = rng.choice(ids)
+        shown[query.split()[0]] = top
+        return RankedList(entries=[(top, 1.0)])
+
+    traces = run_sessions(recommend, sims, horizon=7, env=env, sessions_per_sim=3)
+    for sim in sims:
+        acted = sum(step.action is not None for trace in traces
+                    if trace.simulator_id == sim.simulator_id for step in trace.steps)
+        assert sim.memory.raw_log == []
+        if not acted:
+            assert sim.memory.items == {}
+            continue
+        assert list(sim.memory.items) == [("shown", MemoryLabel.EPI)]
+        item = sim.memory.items[("shown", MemoryLabel.EPI)]
+        assert item.fact() == ("shown", shown[f"sim={sim.simulator_id}"])
+        assert item.meta.update_count == acted
 
 
 # evaluate -----------------------------------------------------------------------
