@@ -39,6 +39,7 @@ from .pipelines import (
     Transcript,
     compat_check,
     explain_with_revision,
+    palette_ids,
     recommend_interactive,
     recommend_multimodal,
 )
@@ -54,6 +55,7 @@ from .runtime import (
     Environment,
     Message,
     catalog_item,
+    json_scalar,
     records_to_jsonl,
     trace_to_jsonl,
 )
@@ -353,12 +355,37 @@ def load_config(path) -> dict:
 
 
 def validate_config(path) -> list:
-    """Findings as (field, rule) descriptions; empty iff the config can run."""
+    """Findings as (field, rule) descriptions; empty iff the config can run.
+
+    Past the config's own checks, the catalog and policy files are loaded
+    through the run's loaders and what the config names in them is looked
+    up. Only validate does this: a run loads each file once itself, and
+    would otherwise hash the catalog twice per job.
+    """
     try:
-        load_config(path)
+        config = load_config(path)
     except ConfigInvalid as exc:
         return exc.findings
-    return []
+    findings = []
+    if config["policy"] is not None:
+        _gate(findings, "policy", load_policy, _resolve(config, config["policy"]))
+    env = _gate(findings, "catalog", _environment, config)
+    if env is None:
+        return findings
+    if config["kind"] == "simulate" and config["recommender"].get("item_id") is not None:
+        _gate(findings, "recommender.item_id", env.item_by_id, config["recommender"]["item_id"])
+    elif config["kind"] == "multimodal":
+        for category in sorted(set(config["categories"])):
+            _gate(findings, "categories", palette_ids, env.catalog_index(), category)
+    return findings
+
+
+def _gate(findings, field, check, *args):
+    """check(*args), or None and an `<Error>: <message>` finding for what it raises."""
+    try:
+        return check(*args)
+    except AgentRecError as exc:
+        _flag(findings, field, f"{type(exc).__name__}: {exc}")
 
 
 def _resolve(config: dict, relative) -> Path:
@@ -448,6 +475,39 @@ def _post(messages, sender, recipient, kind, payload) -> None:
     messages.append(Message(sender, recipient, kind, payload, seq=len(messages), env_version=0))
 
 
+def _simulate_trace_jsonl(traces) -> str:
+    """The simulate runner's trace.jsonl, formatted straight from the steps.
+
+    A step gives a recommender -> simulator ``rec_list`` line and a simulator
+    -> eval ``user_action`` line; an errored step gives one recommender ->
+    simulator ``eval_event`` line. The bytes are those of ``trace_to_jsonl``
+    over the same messages posted with ``_post``: keys in sorted order, seq
+    the line index, environment version 0, each leaf through ``json_scalar``.
+    """
+    lines = []
+    for trace in traces:
+        sim = json_scalar(trace.simulator_id)
+        for step in trace.steps:
+            state = json_scalar(step.state)
+            if step.error is not None:
+                lines.append(
+                    f'{{"env_version": 0, "from": "recommender", "kind": "eval_event", '
+                    f'"payload": {{"error": {json_scalar(step.error)}, "state": {state}}}, '
+                    f'"seq": {len(lines)}, "to": {sim}}}')
+                continue
+            items = ", ".join([f"[{json_scalar(item_id)}, {json_scalar(score)}]"
+                               for item_id, score in step.recs.entries])
+            lines.append(
+                f'{{"env_version": 0, "from": "recommender", "kind": "rec_list", '
+                f'"payload": {{"items": [{items}], "state": {state}}}, '
+                f'"seq": {len(lines)}, "to": {sim}}}')
+            lines.append(
+                f'{{"env_version": 0, "from": {sim}, "kind": "user_action", '
+                f'"payload": {{"action": {json_scalar(step.action)}, '
+                f'"reward": {json_scalar(step.reward)}}}, "seq": {len(lines)}, "to": "eval"}}')
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 # scenario runners -------------------------------------------------------------
 
 def _run_interactive(config, env, policy, seed):
@@ -493,7 +553,7 @@ def _run_simulate(config, env, policy, seed):
                 cohort=cohort["id"],
             ))
     spec, reward = config["recommender"], config["reward"]
-    recommender = (make_rotation_recommender(env) if spec["kind"] == "rotation" else
+    recommender = (make_rotation_recommender() if spec["kind"] == "rotation" else
                    make_static_top_recommender(spec["item_id"] or env.catalog[0].id))
     traces = run_sessions(
         recommender, sims,
@@ -503,18 +563,6 @@ def _run_simulate(config, env, policy, seed):
         reward=(reward_select if reward["kind"] == "select"
                 else make_diversity_penalty_reward(reward["penalty"])),
     )
-
-    messages = []
-    for trace in traces:
-        for step in trace.steps:
-            if step.error is not None:
-                _post(messages, "recommender", trace.simulator_id, "eval_event",
-                      {"state": step.state, "error": step.error})
-                continue
-            _post(messages, "recommender", trace.simulator_id, "rec_list",
-                  {"state": step.state, "items": [[i, s] for i, s in step.recs.entries]})
-            _post(messages, trace.simulator_id, "eval", "user_action",
-                  {"action": step.action, "reward": step.reward})
 
     report = evaluate(traces)
     summaries = [summarize_session(trace) for trace in traces]
@@ -531,7 +579,7 @@ def _run_simulate(config, env, policy, seed):
     text = (table + f"\noverall psi_hat={report.psi_hat:.6f} ctr={report.ctr:.6f} "
             f"diversity_entropy={report.diversity_entropy:.6f} "
             f"sessions={report.sessions}\n")
-    return trace_to_jsonl(messages), records_to_jsonl(rows + [overall]), text
+    return _simulate_trace_jsonl(traces), records_to_jsonl(rows + [overall]), text
 
 
 def _run_multimodal(config, env, policy, seed):
@@ -647,19 +695,25 @@ def run_scenario(config_path, out=None, seed=None,
         env = _environment(config)
         policy = (load_policy(_resolve(config, config["policy"]))
                   if config["policy"] is not None else EMPTY_POLICY)
+        loaded = time.perf_counter()
         trace_text, report_jsonl, report_text = _RUNNERS[config["kind"]](
             config, env, policy, effective_seed)
+        ran = time.perf_counter()
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "trace.jsonl").write_text(trace_text, encoding="utf-8")
         (out_dir / "report.jsonl").write_text(report_jsonl, encoding="utf-8")
         (out_dir / "report.txt").write_text(report_text, encoding="utf-8")
+        persisted = time.perf_counter()
         manifest = {
             "config_hash": "sha256:" + hashlib.sha256(config_bytes).hexdigest(),
             "seed": effective_seed,
             "version": __version__,
             "scenario": config["kind"],
             "outputs": ["trace.jsonl", "report.jsonl", "report.txt"],
-            "timings": {"elapsed_seconds": time.perf_counter() - started},
+            "timings": {"elapsed_seconds": persisted - started,
+                        "load_seconds": loaded - started,
+                        "run_seconds": ran - loaded,
+                        "persist_seconds": persisted - ran},
         }
         (out_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")

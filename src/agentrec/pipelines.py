@@ -305,6 +305,18 @@ def compat_check(bundle: Bundle, tau: float = DEFAULT_COMPAT_TAU) -> bool:
     return worst >= tau
 
 
+def palette_ids(index, category: str) -> set:
+    """Ids of the category's catalog items that carry a palette vector.
+
+    Raises MissingPalette when there are none.
+    """
+    with_palette = {item_id for item_id in index.tags.get(category, ())
+                    if index.items[item_id].palette is not None}
+    if not with_palette:
+        raise MissingPalette(f"category {category!r} has no catalog item with a palette vector")
+    return with_palette
+
+
 def recommend_multimodal(text_constraints: str, scene_features: Sequence,
                          profile: MemoryStore, categories: Iterable,
                          env: Environment,
@@ -327,13 +339,8 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
     per_category = []
     truncated = False
     for category in categories:
-        with_palette = {item_id for item_id in index.tags.get(category, ())
-                        if index.items[item_id].palette is not None}
-        if not with_palette:
-            raise MissingPalette(
-                f"category {category!r} has no catalog item with a palette vector")
-        feasible = [index.items[item_id]
-                    for item_id in with_palette & admitted_ids(index, constraints, category)]
+        feasible = [index.items[item_id] for item_id in
+                    palette_ids(index, category) & admitted_ids(index, constraints, category)]
         if not feasible:
             raise NoCompatibleBundle(
                 f"category {category!r} has no feasible candidate")

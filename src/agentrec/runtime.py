@@ -514,6 +514,25 @@ def records_to_jsonl(records: Iterable) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_string = json.encoder.encode_basestring_ascii  # the encoder's own, as ensure_ascii=True
+
+
+def json_scalar(value) -> str:
+    """``json.dumps(value)`` for one leaf value, without building an encoder.
+
+    A str goes through the encoder's own ASCII string function and a finite
+    float through ``float.__repr__``, as the encoder does; anything else (an
+    int, a bool, None, NaN or ±inf, a str or float subclass) goes through
+    the reused encoder.
+    """
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is float and value - value == 0.0:  # finite
+        return float.__repr__(value)
+    return _encode(value)
+
+
 def trace_to_jsonl(trace: Sequence) -> str:
     return records_to_jsonl(message.to_record() for message in trace)
 

@@ -315,7 +315,7 @@ def aggregate_report(summaries: Sequence, format: str = "table") -> str:
 
 # built-in recommenders for simulation scenarios ---------------------------
 
-def make_rotation_recommender(env: Environment):
+def make_rotation_recommender():
     """Cycles deterministically through the catalog, one item per step."""
     counter = {"i": 0}
 

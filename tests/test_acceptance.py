@@ -305,7 +305,7 @@ def test_c08_entropy_bounds():
         CatalogItem(f"rot_{i}", f"distinct item {i} word{i}", ("home",), 1.0)
         for i in range(8)])
     sim = UserSimulator("s", theta=embed_text(env.catalog[0].text()))
-    traces = run_sessions(make_rotation_recommender(env), [sim],
+    traces = run_sessions(make_rotation_recommender(), [sim],
                           horizon=8, env=env)
     entropy = evaluate(traces).diversity_entropy
     assert abs(entropy - math.log(8)) <= 1e-9

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from agentrec.cli import (
     validate_config,
 )
 from agentrec.errors import ConfigInvalid, Unreadable, UnknownItem
+from agentrec.pipelines import RankedList
 from agentrec.runtime import (
     CatalogIndex,
     Message,
@@ -30,6 +32,7 @@ from agentrec.runtime import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
+from agentrec.simulation import SessionStep, SessionTrace
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # sha256 of each bundled scenario's trace.jsonl / report.jsonl; read only
@@ -94,6 +97,32 @@ def test_unknown_kind_finding(tmp_path):
     path.write_text(json.dumps({"kind": "daydream", "seed": 1}))
     findings = validate_config(path)
     assert any(f["field"] == "kind" for f in findings)
+
+
+@pytest.mark.parametrize("name, edit, field, error", [
+    ("simulate_colony", {"catalog": "bad_catalog.json"}, "catalog", "ConfigInvalid"),
+    ("simulate_colony", {"recommender": {"kind": "static_top", "item_id": "nope"}},
+     "recommender.item_id", "UnknownItem"),
+    ("multimodal_bundle", {"categories": ["chair", "spaceship"]}, "categories",
+     "MissingPalette"),
+    ("explain_revision", {"policy": "bad_policy.json"}, "policy", "ConfigInvalid"),
+])
+def test_file_content_faults_are_validate_findings(tmp_path, capsys, name, edit, field, error):
+    # faults in what the catalog and policy files hold fail validate as they fail run
+    for source in SCENARIOS.glob("*.json"):
+        shutil.copy(source, tmp_path / source.name)
+    (tmp_path / "bad_catalog.json").write_text("[{not json")
+    (tmp_path / "bad_policy.json").write_text('{"banned_terms": 5}')
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(dict(json.loads((SCENARIOS / f"{name}.json").read_text()),
+                                    **edit)))
+    findings = validate_config(path)
+    assert [f["field"] for f in findings] == [field]
+    assert findings[0]["rule"].startswith(f"{error}: ")
+    assert run_scenario(path, out=tmp_path / "out") == 1
+    record = json.loads((tmp_path / "out" / "error.json").read_text())
+    assert findings[0]["rule"] == f"{record['error']}: {record['message']}"
+    capsys.readouterr()
 
 
 # running ---------------------------------------------------------------------------
@@ -192,6 +221,16 @@ def test_manifest_hash_matches_recomputation(tmp_path, capsys):
     assert manifest["seed"] == 7
 
 
+def test_manifest_times_each_stage(tmp_path, capsys):
+    status, out = run_into(tmp_path, "simulate_colony")
+    timings = json.loads((out / "manifest.json").read_text())["timings"]
+    assert set(timings) == {"elapsed_seconds", "load_seconds", "run_seconds",
+                            "persist_seconds"}
+    stages = [timings[f"{stage}_seconds"] for stage in ("load", "run", "persist")]
+    assert min(stages) >= 0.0
+    assert sum(stages) == pytest.approx(timings["elapsed_seconds"])
+
+
 def test_trace_reloads_into_equal_structures(tmp_path, capsys):
     status, out = run_into(tmp_path, "party_planner")
     text = (out / "trace.jsonl").read_text()
@@ -224,6 +263,91 @@ def test_trace_and_report_lines_are_json_dumps_bytes(tmp_path, capsys):
     odd = [Message("a\u00e9", ["b", "c"], "note", record, seq=i, env_version=0)
            for i, record in enumerate(ODD_RECORDS)]
     assert trace_to_jsonl(odd) == dumps_lines(m.to_record() for m in odd)
+
+
+class OddFloat(float):
+    def __repr__(self):
+        return "odd"
+
+
+class OddStr(str):
+    def __str__(self):
+        return "odd"
+
+
+# pieces of generated text: quotes, backslashes, control characters, DEL,
+# non-ASCII, a line separator, an astral character and a lone surrogate
+TEXT_PIECES = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u00e9", "\u2028",
+               "\u6587", "\U0001f389", "\ud800", "a", "Z", "0", " ", "/", "'"]
+NUMBERS = [0, 1, -3, 2**70, True, 0.0, -0.0, 1.0, 0.1, -2.5e-7, 1e300, 5e-324,
+           2.2250738585072014e-308 / 3, float("nan"), float("inf"), float("-inf"),
+           OddFloat(0.25)]
+
+
+def odd_text(rng):
+    if rng.random() < 0.1:
+        return rng.choice(["", OddStr("s\u00e9")])
+    return "".join(rng.choice(TEXT_PIECES) for _ in range(rng.randrange(1, 8)))
+
+
+def odd_entries(rng):
+    ids = []
+    while len(ids) < rng.randrange(1, 6):
+        item_id = odd_text(rng)
+        if item_id not in ids:
+            ids.append(item_id)
+    scores = [rng.choice(NUMBERS) for _ in ids]
+    ordered = sorted((v for v in scores if v == v), reverse=True)  # NaN compares false
+    for nan in (v for v in scores if v != v):
+        ordered.insert(rng.randrange(len(ordered) + 1), nan)
+    return RankedList(entries=list(zip(ids, ordered)))
+
+
+def odd_step(rng):
+    state = odd_text(rng)
+    roll = rng.random()
+    if roll < 0.15:
+        return SessionStep(state=state, recs=RankedList(entries=[]), action=None,
+                           reward=0.0, error=f"UnknownItem: {odd_text(rng)}")
+    if roll < 0.25:
+        return SessionStep(state=state, recs=RankedList(entries=[]), action=None,
+                           reward=0.0, error="EmptyRecommendation")
+    return SessionStep(state=state, recs=odd_entries(rng), action=odd_text(rng),
+                       reward=rng.choice(NUMBERS))
+
+
+def posted_messages(traces):
+    """The simulate runner's trace as it was built: one posted Message per line."""
+    messages = []
+    for trace in traces:
+        for step in trace.steps:
+            if step.error is not None:
+                cli._post(messages, "recommender", trace.simulator_id, "eval_event",
+                          {"state": step.state, "error": step.error})
+                continue
+            cli._post(messages, "recommender", trace.simulator_id, "rec_list",
+                      {"state": step.state, "items": [[i, s] for i, s in step.recs.entries]})
+            cli._post(messages, trace.simulator_id, "eval", "user_action",
+                      {"action": step.action, "reward": step.reward})
+    return messages
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_trace_writer_matches_posted_messages(seed):
+    rng = random.Random(seed)
+    traces = [SessionTrace(steps=[odd_step(rng) for _ in range(rng.randrange(0, 12))],
+                           seed=index, simulator_id=odd_text(rng), cohort="c")
+              for index in range(60)]
+    steps = [step for trace in traces for step in trace.steps]
+    assert {step.error for step in steps} >= {None, "EmptyRecommendation"}
+    assert {len(step.recs.entries) for step in steps if step.error is None} == {1, 2, 3, 4, 5}
+    numbers = {repr(v) for step in steps for v in [step.reward] + [s for _, s in step.recs.entries]}
+    assert numbers >= {"0", "True", "-0.0", "5e-324", "nan", "inf", "-inf", "odd"}
+    messages = posted_messages(traces)
+    text = cli._simulate_trace_jsonl(traces)
+    assert text == records_to_jsonl(m.to_record() for m in messages)
+    assert text == dumps_lines(m.to_record() for m in messages)
+    assert cli._simulate_trace_jsonl([SessionTrace([], 0, "s", "c")]) == ""
 
 
 def test_exit_code_contract(tmp_path, capsys):

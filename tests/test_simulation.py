@@ -169,7 +169,7 @@ def test_rerun_with_same_seeds_is_byte_identical():
         sims = [UserSimulator(f"s{i}", theta=theta_with_cosine(env, "rot_1", 0.5),
                               noise_scale=0.2, seed=100 + i) for i in range(3)]
         return serialize_traces(run_sessions(
-            make_rotation_recommender(env), sims, horizon=6, env=env,
+            make_rotation_recommender(), sims, horizon=6, env=env,
             sessions_per_sim=2))
 
     assert run() == run()
@@ -267,7 +267,7 @@ def test_single_item_recommender_entropy_zero():
 def test_uniform_rotation_entropy_equals_ln8():
     env = rotation_env(8)
     sim = UserSimulator("s1", theta=matching_theta(env, "rot_1"))
-    traces = run_sessions(make_rotation_recommender(env), [sim],
+    traces = run_sessions(make_rotation_recommender(), [sim],
                           horizon=8, env=env)
     assert abs(evaluate(traces).diversity_entropy - math.log(8)) <= 1e-9
 
@@ -276,7 +276,7 @@ def test_entropy_bounds_hold():
     env = rotation_env(8)
     sims = [UserSimulator(f"s{i}", theta=theta_with_cosine(env, "rot_1", 0.4),
                           noise_scale=0.3, seed=i) for i in range(4)]
-    traces = run_sessions(make_rotation_recommender(env), sims, horizon=5, env=env)
+    traces = run_sessions(make_rotation_recommender(), sims, horizon=5, env=env)
     report = evaluate(traces)
     assert 0.0 <= report.diversity_entropy <= math.log(len(env.catalog)) + 1e-12
 
@@ -317,7 +317,7 @@ def test_summary_matches_recount_oracle():
     env = rotation_env(5)
     sim = UserSimulator("s1", theta=theta_with_cosine(env, "rot_1", 0.5),
                         noise_scale=0.3, seed=17)
-    trace = run_sessions(make_rotation_recommender(env), [sim],
+    trace = run_sessions(make_rotation_recommender(), [sim],
                          horizon=9, env=env)[0]
     summary = summarize_session(trace)
     # field-by-field independent recount
@@ -351,7 +351,7 @@ def test_aggregate_means_match_recomputation():
     env = rotation_env(4)
     sims = [UserSimulator(f"c-{i}", theta=theta_with_cosine(env, "rot_1", 0.5),
                           noise_scale=0.2, seed=i, cohort="c") for i in range(6)]
-    traces = run_sessions(make_rotation_recommender(env), sims, horizon=5, env=env)
+    traces = run_sessions(make_rotation_recommender(), sims, horizon=5, env=env)
     summaries = [summarize_session(t) for t in traces]
     row = aggregate_rows(summaries)[0]
     totals = [s.total_reward for s in summaries]
