@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from string import Template
 from typing import Callable, Optional
 
@@ -42,6 +43,20 @@ class ScriptedRule:
     pattern: str
     template: str
 
+    @cached_property
+    def compiled(self):
+        """The pattern, compiled on first use and kept by this rule.
+
+        Not a dataclass field, so equality, hash and repr ignore it; nor is
+        ``compiled_template``.
+        """
+        return re.compile(self.pattern)
+
+    @cached_property
+    def compiled_template(self) -> Template:
+        """The response template, built on first use and kept by this rule."""
+        return Template(self.template)
+
 
 @dataclass
 class LanguageCore:
@@ -64,11 +79,11 @@ class LanguageCore:
         mapping = dict(variables or {})
         mapping.setdefault("prompt", prompt)
         for rule in self.rules:
-            match = re.search(rule.pattern, prompt)
+            match = rule.compiled.search(prompt)
             if match is None:
                 continue
             mapping.update({k: v for k, v in match.groupdict().items() if v is not None})
-            return Template(rule.template).safe_substitute(mapping)
+            return rule.compiled_template.safe_substitute(mapping)
         return ""
 
     def _generate_remote(self, prompt: str, max_tokens: int) -> str:

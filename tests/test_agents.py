@@ -1,6 +1,7 @@
 """Agent core: scripted/remote cores, tool invocation, the step pipeline."""
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -9,6 +10,7 @@ import pytest
 from agentrec.agents import (
     AgentSpec,
     LanguageCore,
+    ScriptedRule,
     Tool,
     ToolRegistry,
     assemble_context,
@@ -55,6 +57,23 @@ def test_no_matching_rule_yields_empty_output():
 def test_first_matching_rule_wins():
     agent = make_agent([(r"cake", "first"), (r"cake", "second")])
     assert step_agent(agent, "cake please", now=0) == "first"
+
+
+def test_scripted_rule_compiles_once_and_compares_by_fields():
+    pairs = [(r"theme (?P<theme>\w+)", "theme is $theme; $input"), (r"cake", "$missing cake")]
+    rules = [ScriptedRule(p, t) for p, t in pairs]
+    reprs, hashes = [repr(rule) for rule in rules], [hash(rule) for rule in rules]
+    core = LanguageCore(kind="scripted", rules=tuple(rules))
+    assert core.generate("theme pirates", {"input": "hi"}) == "theme is pirates; hi"
+    assert core.generate("a cake") == "$missing cake"
+    for rule, (pattern, template) in zip(rules, pairs):
+        assert rule.compiled is rule.compiled
+        assert (rule.compiled.pattern, rule.compiled.flags) == (pattern, re.compile(pattern).flags)
+        assert rule.compiled_template is rule.compiled_template
+        assert rule.compiled_template.template == template
+        assert rule == ScriptedRule(pattern, template)
+    assert [repr(rule) for rule in rules] == reprs
+    assert [hash(rule) for rule in rules] == hashes
 
 
 def test_scripted_core_requires_rules():

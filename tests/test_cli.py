@@ -196,6 +196,27 @@ def test_party_planner_kind_sequence_and_gluten(tmp_path):
     assert all("gluten" not in row["tags"] for row in rows)
 
 
+def test_party_planner_episode_embeds_each_distinct_text_once(monkeypatch):
+    import agentrec.memory as memory_module
+    from agentrec.blueprints import build_interactive_runtime, ranked_entries_from_trace
+    from agentrec.runtime import Environment, catalog_item
+    memory_module._query_of_text.cache_clear()
+    memory_module._sparse_of_text.cache_clear()
+    calls, original = [], memory_module.embed_text
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+    monkeypatch.setattr(memory_module, "embed_text", counting)
+    config = load_config(SCENARIOS / "party_planner.json")
+    records = json.loads((SCENARIOS / "party_catalog.json").read_text())
+    env = Environment(catalog=[catalog_item(record) for record in records])  # none embedded yet
+    runtime, routing = build_interactive_runtime(config, env)
+    result = runtime.run_episode(routing, seed=0, initial_input=config["query"])
+    assert result.error is None and ranked_entries_from_trace(result.trace)
+    assert calls and len(calls) == len(set(calls))
+
+
 def test_rerun_same_config_and_seed_byte_identical(tmp_path, capsys):
     for name in ALL_SCENARIOS:
         status_a, out_a = run_into(tmp_path, name, sub=f"{name}_a")

@@ -16,9 +16,14 @@ from agentrec.memory import (
     MemoryLabel,
     DEFAULT_RETENTION_RULES,
     MemoryStore,
+    QueryVector,
     RetentionRule,
     SparseVector,
+    _TEXT_MEMO_SIZE,
     _bucket_sign,
+    _facts_of_text,
+    _query_of_text,
+    _sparse_of_text,
     add_triple,
     cosine,
     embed_text,
@@ -33,7 +38,6 @@ from agentrec.memory import (
     retrieve_topk,
     store_from_jsonl,
     store_to_jsonl,
-    summarize_turns,
     tail_window,
     tokenize,
     update_memory,
@@ -419,12 +423,6 @@ def test_retention_rule_compiles_once_and_compares_by_fields():
     assert [hash(rule) for rule in fresh] == hashes
 
 
-def test_summarize_keeps_first_fact_per_turn():
-    facts = summarize_turns(ctx(("user", "theme = mickey mouse; budget = 200"),
-                                ("user", "color: red")))
-    assert facts == [("theme", "mickey mouse"), ("color", "red")]
-
-
 # memory update -----------------------------------------------------------
 
 GLUTEN_TURN = ("user", "remember that two of my guests require a gluten-free diet")
@@ -496,6 +494,10 @@ def test_update_memory_embeds_nothing(monkeypatch):
 
 
 def test_scoring_a_store_twice_embeds_each_item_once(monkeypatch):
+    # the memos are process-wide: start them empty so the counts below do not
+    # depend on what earlier tests embedded
+    _query_of_text.cache_clear()
+    _sparse_of_text.cache_clear()
     store = MemoryStore()
     for now, turn in enumerate(["theme = pirates", "budget = 200", "theme = space",
                                 "colour = blue; cake = vanilla", "budget = 200"]):
@@ -508,6 +510,86 @@ def test_scoring_a_store_twice_embeds_each_item_once(monkeypatch):
     assert retrieve_topk(store, query, 3) == first
     regulate_context(store, "pirates cake", 4)
     assert calls == ["pirates cake"]  # the query text only
+    calls.clear()
+    regulate_context(store, "pirates cake", 4)
+    assert calls == []  # the prepared query comes from its memo
+
+
+def test_upsert_keeping_the_value_embeds_nothing_again(monkeypatch):
+    _query_of_text.cache_clear()
+    _sparse_of_text.cache_clear()
+    store = fact_store(("theme", "pirates ahoy"))
+    calls = count_embeds(monkeypatch)
+    regulate_context(store, "pirates", 8)
+    assert sorted(calls) == ["pirates", "theme: pirates ahoy"]
+    calls.clear()
+    upsert_fact(store, "theme", "pirates ahoy", MemoryLabel.EPI, now=5)
+    other = fact_store(("theme", "pirates ahoy"))  # another agent's item, same text
+    regulate_context(store, "pirates", 8)
+    regulate_context(other, "pirates", 8)
+    assert store.items[("theme", MemoryLabel.EPI)].meta.update_count == 2
+    assert calls == []
+
+
+# text memos ------------------------------------------------------------------
+
+MEMO_WORDS = ("theme budget colour cake pirates space mickey blue 200 the sofa is are my "
+              "guests require a gluten-free diet = : ; , . !!").split()
+
+
+def memo_texts(rng, count):
+    """``count`` distinct texts, each unique by its last word."""
+    return [" ".join(rng.choices(MEMO_WORDS, k=rng.randint(0, 8)) + [f"w{i}"])
+            for i in range(count)]
+
+
+def reference_retain(turns, rules=DEFAULT_RETENTION_RULES):
+    """``retain`` with no memo: every segment of every user turn matched afresh."""
+    facts = []
+    for speaker, text in turns:
+        if speaker.lower() != "user":
+            continue
+        for segment in re.split(r";\s*|[.,](?:\s+|$)", text):
+            if not segment.strip():
+                continue
+            for rule in rules:
+                match = re.search(rule.pattern, segment, re.IGNORECASE)
+                if match is None:
+                    continue
+                slot = rule.slot or "_".join(match.group("slot").strip().lower().split())
+                value = match.group("value").strip()
+                if slot and value:
+                    facts.append((slot, value))
+                break
+    return facts
+
+
+def test_text_memos_fuzz_equal_fresh_computation_past_their_bound():
+    rng = random.Random(1616)
+    for memo in (_query_of_text, _sparse_of_text, _facts_of_text):
+        memo.cache_clear()
+    texts = memo_texts(rng, _TEXT_MEMO_SIZE + 150)
+    tables = (DEFAULT_RETENTION_RULES, DEFAULT_RETENTION_RULES[::-1])
+    for _ in range(4 * len(texts)):
+        text = rng.choice(texts)
+        fresh = embed_text(text)
+        query, want = prepare_query(text), QueryVector(fresh)
+        assert (query.buckets, bits(query.values), bits([query.norm]), bits(query.dense)) == (
+            want.buckets, bits(want.values), bits([want.norm]), bits(want.dense))
+        item = make_item("note", text, MemoryLabel.EPI, 0)
+        sparse, want = item.sparse, SparseVector(embed_text(item.value))
+        assert (sparse.buckets, bits(sparse.values), bits([sparse.norm])) == (
+            want.buckets, bits(want.values), bits([want.norm]))
+        turns = [(rng.choice(["user", "User", "agent"]), text), ("user", rng.choice(texts))]
+        rules = rng.choice(tables)
+        got = retain(turns, rules)
+        assert got == reference_retain(turns, rules)
+        got.insert(0, ("mutated", "by caller"))
+        assert retain(turns, rules) == reference_retain(turns, rules)
+    for memo in (_query_of_text, _sparse_of_text, _facts_of_text):
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize == _TEXT_MEMO_SIZE
+        assert info.hits > 0 and info.misses > len(texts)  # evicted texts recomputed
 
 
 def test_update_snapshot_equals_reembedding_every_upsert():

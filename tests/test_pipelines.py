@@ -601,6 +601,36 @@ def test_catalog_index_ranking_fuzz_equals_per_item_scan():
                     "no survivor", "MissingPalette", "NoCompatibleBundle", "bundle"}
 
 
+def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
+    from agentrec.memory import QueryVector, prepare_query
+    from agentrec.pipelines import _query_dots, admitted_ids, rank_admitted
+    from agentrec.runtime import CatalogIndex, apply_env_update, catalog_item
+    rng = random.Random(1616)
+    envs = [Environment(catalog=[catalog_item(edge_record(rng, f"e{i:02d}"))
+                                 for i in range(25)])]
+    for _ in range(6):
+        envs[-1].catalog_index()  # so the next version's index is patched from it
+        envs.append(apply_env_update(envs[-1], [edge_delta(rng, envs[-1])]))
+        assert envs[-1].catalog_index().last_dots is None
+    # "red rug" and "rug red" embed alike; "red red rug" has their buckets, not their values
+    texts = ["red rug", "rug red", "red red rug", "cake mickey", "gluten cake", "-- !!"]
+    reused = 0
+    for _ in range(600):
+        env, text = rng.choice(envs), rng.choice(texts)
+        query = rng.choice([prepare_query(text), QueryVector(embed_text(text))])
+        index = env.catalog_index()
+        last = index.last_dots
+        got = _query_dots(index, query)
+        fresh = _query_dots(CatalogIndex(index.items, index.postings, index.tags), query)
+        assert list(got.items()) == list(fresh.items())
+        reused += last is not None and got is last[1]
+        ids = admitted_ids(index, ConstraintSet())
+        l = rng.randint(1, len(ids) + 1)
+        assert rank_admitted(index, ids, query, l) == rank_admitted(
+            CatalogIndex(index.items, index.postings, index.tags), ids, query, l)
+    assert 0 < reused < 600
+
+
 def test_catalog_index_scores_a_query_equal_to_an_item_exactly_one():
     # unnormalized cached vectors, whose self-cosine by division can round below
     # 1.0: only the identical-vector shortcut makes it exactly 1.0
