@@ -375,8 +375,14 @@ def validate_config(path) -> list:
     if config["kind"] == "simulate" and config["recommender"].get("item_id") is not None:
         _gate(findings, "recommender.item_id", env.item_by_id, config["recommender"]["item_id"])
     elif config["kind"] == "multimodal":
+        index, scene = env.catalog_index(), config["scene_palette"]
         for category in sorted(set(config["categories"])):
-            _gate(findings, "categories", palette_ids, env.catalog_index(), category)
+            ids = _gate(findings, "categories", palette_ids, index, category) or ()
+            odd = sorted(i for i in ids if len(index.items[i].palette) != len(scene))
+            if odd:  # the bundle search would take the cosine of the two
+                _flag(findings, "scene_palette",
+                      f"has {len(scene)} numbers, but the palette of item {odd[0]} "
+                      f"(category {category}) has {len(index.items[odd[0]].palette)}")
     return findings
 
 

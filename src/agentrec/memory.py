@@ -23,9 +23,12 @@ Pinned constants (changing any of these changes every persisted vector):
   ``cosine`` bit for bit; dense ``cosine`` remains for palettes and scenes.
   Catalog ranking accumulates the same products term at a time over
   ``runtime.CatalogIndex``'s postings of the query's nonzero buckets, in
-  ascending bucket order, so each item's sum is the same left-to-right sum;
-  the index lives for one catalog version, is built lazily on first use,
-  is derived for the next version by patching, and has no option
+  ascending bucket order, into a list indexed by item position, so each
+  item's sum is the same left-to-right sum; the index lives for one catalog
+  version, is built lazily on first use, is derived for the next version by
+  patching (freed positions are reused, so positions never outnumber the
+  most items a version has held), and has no option. Dense ``cosine``
+  refuses vectors of different lengths
 * embed once: a scoring call prepares its query once (``prepare_query``:
   the dense tuple and its sparse form) and scores every item against it; a
   ``MemoryItem``'s sparse vector is that of its value text and a
@@ -120,7 +123,10 @@ def cosine(a: Sequence, b: Sequence) -> float:
 
     Returns 0.0 when either vector is all-zero and exactly 1.0 when the two
     vectors are identical and nonzero (no float drift on self-similarity).
+    Raises InvalidArgument when their lengths differ.
     """
+    if len(a) != len(b):
+        raise InvalidArgument(f"cosine of vectors of different lengths: {len(a)} and {len(b)}")
     if tuple(a) == tuple(b):
         return 1.0 if any(a) else 0.0
     na = math.sqrt(left_sum(map(operator.mul, a, a)))

@@ -12,9 +12,12 @@ query and the item's title+tags text. Catalog ranking reads the version's
 ``runtime.CatalogIndex``: the admitted ids come from tag-set algebra plus
 the budget test, and each item's dot product with the query is accumulated
 term at a time over the postings of the query's nonzero buckets, in
-ascending bucket order, which is the per-item left-to-right sum of
-``memory.relevance`` bit for bit. Every catalog cut goes through ``top_l``:
-higher score first, ties broken by item id.
+ascending bucket order, into a list indexed by item position, which is the
+per-item left-to-right sum of ``memory.relevance`` bit for bit. Every
+catalog cut keeps the best ``l`` by one rule: higher score first, ties
+broken by item id. ``top_l`` applies it to (score, item) pairs (a bundle's
+candidates per category); ``rank_admitted`` applies it inline, as a
+key-free ``heapq.nsmallest`` of ``(-score, id)`` pairs.
 
 Explanations are template-rendered with inline citation markers
 ``[item:ID]`` and ``[fact:SLOT]``; the consistency check re-parses the text
@@ -56,6 +59,9 @@ from .runtime import CatalogIndex, CatalogItem, Environment
 DEFAULT_COMPAT_TAU = 0.7
 DEFAULT_PALETTE_WEIGHT = 0.5
 TOP_CANDIDATES_PER_CATEGORY = 3
+# A score above this may be an identical vector's self-cosine rounded off
+# 1.0 by a few ulps, so it takes ``_relevance``'s exact path.
+_NEAR_ONE = 1.0 - 1e-9
 
 
 @dataclass
@@ -211,9 +217,10 @@ def admitted_ids(index: CatalogIndex, constraints: ConstraintSet,
     return ids
 
 
-def _query_dots(index: CatalogIndex, query: QueryVector) -> dict:
-    """Item id -> dot product with the query, for every item sharing a nonzero
-    bucket with it: term at a time over the query's buckets in ascending order.
+def _query_dots(index: CatalogIndex, query: QueryVector) -> list:
+    """Position -> the item's dot product with the query (0.0 for an item
+    sharing no nonzero bucket with it, and for a freed position): term at a
+    time over the query's buckets in ascending order.
 
     The index keeps the last table built, and a query with the same buckets
     and values gets that table again; callers only read it.
@@ -221,11 +228,12 @@ def _query_dots(index: CatalogIndex, query: QueryVector) -> dict:
     last = index.last_dots
     if last is not None and last[0].buckets == query.buckets and last[0].values == query.values:
         return last[1]
-    dots = {}
-    get = dots.get
+    dots = [0.0] * len(index.ids)
+    postings = index.postings
     for bucket, weight in zip(query.buckets, query.values):
-        for item_id, value in index.postings[bucket].items():
-            dots[item_id] = get(item_id, 0.0) + value * weight
+        positions, values = postings[bucket]
+        for position, value in zip(positions, values):
+            dots[position] += value * weight
     index.last_dots = (query, dots)
     return dots
 
@@ -243,19 +251,22 @@ def _relevance(query: QueryVector, item: CatalogItem, dot: float) -> float:
 def rank_admitted(index: CatalogIndex, ids: set, query: QueryVector, l: int) -> list:
     """``top_l`` of the admitted ``ids`` by relevance to the query.
 
-    Only ids with a positive dot product are scored; when fewer than ``l``
-    score above zero, the rest are zero-score ids in ascending order, which
-    is where a full sort puts them.
+    Only ids with a positive dot product are scored, by ``_relevance``'s
+    expression, in one pass over the dot table; the cut is a key-free
+    ``heapq.nsmallest`` of ``(-score, id)`` pairs, ``top_l``'s order. When
+    fewer than ``l`` score above zero, the rest are zero-score ids in
+    ascending order, which is where a full sort puts them.
     """
-    items = index.items
-    positive = []
-    for item_id, dot in _query_dots(index, query).items():
+    items, qnorm = index.items, query.norm
+    scored = []
+    for dot, item_id, norm in zip(_query_dots(index, query), index.ids, index.norms):
         if dot > 0.0 and item_id in ids:
-            item = items[item_id]
-            score = _relevance(query, item, dot)
+            score = dot / (qnorm * norm)
+            if score > _NEAR_ONE:  # the identical-vector shortcut, then the clamp
+                score = _relevance(query, items[item_id], dot)
             if score > 0.0:
-                positive.append((score, item))
-    ranked = top_l(positive, l)
+                scored.append((-score, item_id))
+    ranked = [(-score, items[item_id]) for score, item_id in heapq.nsmallest(l, scored)]
     if len(ranked) < l:
         rest = ids.difference([item.id for _, item in ranked])
         ranked += [(0.0, items[item_id]) for item_id in heapq.nsmallest(l - len(ranked), rest)]
@@ -356,7 +367,7 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
         if len(feasible) > TOP_CANDIDATES_PER_CATEGORY:
             truncated = True
         per_category.append(top_l(
-            ((alpha * _relevance(text_vec, item, dots.get(item.id, 0.0))
+            ((alpha * _relevance(text_vec, item, dots[index.pos[item.id]])
               + (1.0 - alpha) * cosine(item.palette, scene), item)
              for item in feasible),
             TOP_CANDIDATES_PER_CATEGORY))

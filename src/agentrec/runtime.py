@@ -176,59 +176,99 @@ def catalog_item(record) -> CatalogItem:
 
 
 class CatalogIndex:
-    """One catalog version's inverted file: bucket postings and tag sets.
+    """One catalog version's inverted file: item positions, bucket postings
+    and tag sets.
 
-    ``items`` is the version's id -> item dict. ``postings[b]`` maps the id of
-    every item whose embedding is nonzero in bucket ``b`` to that component
-    (from the item's cached ``sparse``); ``tags[t]`` is the set of ids of the
-    items carrying tag ``t``, and no set is empty. Postings and tag sets are
-    never changed once built: ``patched`` derives the next version's.
-    ``last_dots`` is the (prepared query, dot-product table) pair that
-    ``pipelines`` ranked this version by last, or None; a patched index
-    starts with None.
+    ``items`` is the version's id -> item dict. Each live item has an integer
+    position: ``ids[p]`` is the id at position ``p`` (None for a freed one),
+    ``pos`` maps an id to its position and ``norms[p]`` is that item's
+    ``sparse.norm``. ``postings[b]`` is a pair of parallel lists
+    ``(positions, values)``: the position of every item whose embedding is
+    nonzero in bucket ``b`` and that component (from the item's cached
+    ``sparse``), in no set order. ``tags[t]`` is the set of ids of the items
+    carrying tag ``t``, and no set is empty. None of these is changed once
+    built: ``patched`` derives the next version's. ``last_dots`` is the
+    (prepared query, dot-product table) pair that ``pipelines`` ranked this
+    version by last, or None; a patched index starts with None.
     """
 
-    __slots__ = ("items", "postings", "tags", "last_dots")
+    __slots__ = ("items", "ids", "norms", "pos", "postings", "tags", "last_dots")
 
-    def __init__(self, items: dict, postings: list, tags: dict):
-        self.items, self.postings, self.tags = items, postings, tags
+    def __init__(self, items: dict, ids: list, norms: list, pos: dict, postings: list,
+                 tags: dict):
+        self.items, self.ids, self.norms, self.pos = items, ids, norms, pos
+        self.postings, self.tags = postings, tags
         self.last_dots = None
 
     @classmethod
     def build(cls, items: dict) -> "CatalogIndex":
-        index = cls(items, [{} for _ in range(memory.EMBED_DIM)], {})
+        index = cls(items, [], [], {}, [([], []) for _ in range(memory.EMBED_DIM)], {})
         index._add(items.values())
         return index
 
     def patched(self, items: dict, dropped: Sequence, added: Sequence) -> "CatalogIndex":
         """The index of ``items``: this one without ``dropped`` and with ``added``.
 
-        Only the bucket dicts and tag sets those items touch are copied, so
-        this index, which readers of the older version may still hold, is
-        unchanged.
+        An item in both (an edit) keeps its position; a dropped item's
+        position is freed, and an added item takes the lowest freed position
+        before it appends one, so there are never more positions than the
+        most items a version has held. Only the lists, dicts and tag sets
+        those items touch are copied, so this index, which readers of the
+        older version may still hold, is unchanged.
         """
         touched = list(dropped) + list(added)
         postings, tags = list(self.postings), dict(self.tags)
         for bucket in {bucket for item in touched for bucket in item.sparse.buckets}:
-            postings[bucket] = dict(postings[bucket])
-        for tag in {tag for item in touched for tag in item.tags}:
+            positions, values = postings[bucket]
+            postings[bucket] = (positions[:], values[:])
+        touched_tags = {tag for item in touched for tag in item.tags}
+        for tag in touched_tags:
             tags[tag] = set(tags.get(tag, ()))
+        ids, pos = self.ids, self.pos
+        dropped_ids, added_ids = {item.id for item in dropped}, {item.id for item in added}
+        removed = dropped_ids - added_ids
+        if dropped_ids != added_ids:  # not only edits: ids come or go
+            ids, pos = ids[:], dict(pos)
         for item in dropped:
+            position = self.pos[item.id]
             for bucket in item.sparse.buckets:
-                del postings[bucket][item.id]
+                positions, values = postings[bucket]
+                at = positions.index(position)
+                del positions[at], values[at]
             for tag in item.tags:
                 tags[tag].discard(item.id)
-        index = CatalogIndex(items, postings, tags)
+            if item.id in removed:
+                ids[position] = None
+                del pos[item.id]
+        index = CatalogIndex(items, ids, self.norms[:] if added else self.norms, pos,
+                             postings, tags)
         index._add(added)
-        index.tags = {tag: ids for tag, ids in tags.items() if ids}
+        for tag in touched_tags:
+            if not tags[tag]:
+                del tags[tag]
         return index
 
     def _add(self, items: Iterable) -> None:
-        postings, tags = self.postings, self.tags
+        ids, norms, pos, postings, tags = self.ids, self.norms, self.pos, self.postings, self.tags
+        free = len(ids) - len(pos)  # freed positions
         for item in items:
+            position = pos.get(item.id)
+            if position is None:
+                if free:
+                    position = ids.index(None)
+                    free -= 1
+                    ids[position] = item.id
+                else:
+                    position = len(ids)
+                    ids.append(item.id)
+                    norms.append(0.0)
+                pos[item.id] = position
             sparse = item.sparse
+            norms[position] = sparse.norm
             for bucket, value in zip(sparse.buckets, sparse.values):
-                postings[bucket][item.id] = value
+                positions, values = postings[bucket]
+                positions.append(position)
+                values.append(value)
             for tag in item.tags:
                 tags.setdefault(tag, set()).add(item.id)
 

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -123,6 +124,25 @@ def test_file_content_faults_are_validate_findings(tmp_path, capsys, name, edit,
     record = json.loads((tmp_path / "out" / "error.json").read_text())
     assert findings[0]["rule"] == f"{record['error']}: {record['message']}"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("scene", [[0.8, 0.6], [0.8, 0.6, 0.0, 5.0]])
+def test_scene_palette_of_another_length_fails_validate_and_run(tmp_path, capsys, scene):
+    # the catalog's palettes have 3 numbers; a cosine over fewer would read a cut pair
+    config = dict(json.loads((SCENARIOS / "multimodal_bundle.json").read_text()),
+                  catalog=str(SCENARIOS / "furniture_catalog.json"), scene_palette=scene)
+    path = tmp_path / "mismatched.json"
+    path.write_text(json.dumps(config))
+    findings = validate_config(path)
+    assert findings and {f["field"] for f in findings} == {"scene_palette"}
+    assert findings[0]["rule"].startswith(f"has {len(scene)} numbers, but the palette of item ")
+    assert findings[0]["rule"].endswith(" has 3")
+    assert main(["validate", str(path)]) == 1
+    assert run_scenario(path, out=tmp_path / "out") == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == json.loads((tmp_path / "out" / "error.json").read_text())
+    assert record["error"] == "InvalidArgument"
+    assert {"3", str(len(scene))} <= set(re.findall(r"\d+", record["message"]))
 
 
 # running ---------------------------------------------------------------------------

@@ -75,6 +75,13 @@ def test_embed_identity_cosine_is_exactly_one():
     assert cosine(a, b) == 1.0
 
 
+def test_cosine_of_vectors_of_different_lengths_raises_naming_both():
+    # zip would cut the longer one short: this pair read 0.743 before
+    for a, b in (((0.8, 0.6, 0.9), (0.8, 0.6)), ((0.8, 0.6), (0.8, 0.6, 0.0, 5.0))):
+        with pytest.raises(InvalidArgument, match=f"lengths: {len(a)} and {len(b)}$"):
+            cosine(a, b)
+
+
 def test_embed_unit_norm():
     for text in ("gluten allergy", "chocolate", "a b c d e f g", "MiXeD CaSe!"):
         vec = embed_text(text)

@@ -601,6 +601,11 @@ def test_catalog_index_ranking_fuzz_equals_per_item_scan():
                     "no survivor", "MissingPalette", "NoCompatibleBundle", "bundle"}
 
 
+def dots_by_id(index, dots):
+    """Item id -> dot product, for the nonzero entries of a dot table."""
+    return {index.ids[p]: dot for p, dot in enumerate(dots) if dot}
+
+
 def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
     from agentrec.memory import QueryVector, prepare_query
     from agentrec.pipelines import _query_dots, admitted_ids, rank_admitted
@@ -621,14 +626,82 @@ def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
         index = env.catalog_index()
         last = index.last_dots
         got = _query_dots(index, query)
-        fresh = _query_dots(CatalogIndex(index.items, index.postings, index.tags), query)
-        assert list(got.items()) == list(fresh.items())
+        fresh = CatalogIndex.build(index.items)  # its positions may differ from a patched one's
+        assert dots_by_id(index, got) == dots_by_id(fresh, _query_dots(fresh, query))
         reused += last is not None and got is last[1]
         ids = admitted_ids(index, ConstraintSet())
         l = rng.randint(1, len(ids) + 1)
-        assert rank_admitted(index, ids, query, l) == rank_admitted(
-            CatalogIndex(index.items, index.postings, index.tags), ids, query, l)
+        assert rank_admitted(index, ids, query, l) == rank_admitted(fresh, ids, query, l)
     assert 0 < reused < 600
+
+
+def churn_delta(rng, env):
+    """1-3 ops, each on its own item: an add, a removal, or a tag or title edit.
+    The catalog drifts between 4 and about 20 items."""
+    ids = [item.id for item in env.catalog]
+    rng.shuffle(ids)
+    delta = []
+    for n in range(rng.randint(1, 3)):
+        kind = rng.choice(["add", "remove", "tags", "title"])
+        if kind == "add" or len(ids) < 4:
+            delta.append({"op": "add_item", "item": edge_record(rng, f"c{env.version}-{n}")})
+        elif kind == "remove" or len(ids) > 20:
+            delta.append({"op": "remove_item", "id": ids.pop()})
+        else:
+            delta.append({"op": "set_item_field", "id": ids.pop(), "field": kind,
+                          "value": edge_record(rng, "unused")[kind]})
+    return delta
+
+
+def index_by_id(index):
+    """What an index says of each id, read through its positions."""
+    return ({item_id: index.norms[p] for item_id, p in index.pos.items()},
+            [{index.ids[p]: value for p, value in zip(*posting)} for posting in index.postings],
+            {tag: set(ids) for tag, ids in index.tags.items()}, dict(index.items))
+
+
+def test_catalog_index_churn_keeps_positions_bounded_and_rankings_exact():
+    from agentrec.pipelines import extract_session_constraints
+    from agentrec.runtime import apply_env_update, catalog_item
+    rng = random.Random(1717)
+    env = Environment(catalog=[catalog_item(edge_record(rng, f"e{i:02d}")) for i in range(12)])
+    peak, reused, freed = len(env.catalog), 0, 0
+    for _ in range(2000):
+        parent, parent_index = env, env.catalog_index()
+        before = index_by_id(parent_index)
+        env = apply_env_update(parent, churn_delta(rng, parent))
+        index = env.catalog_index()
+        assert index is not parent_index and index_by_id(parent_index) == before
+
+        peak = max(peak, len(env.catalog))
+        assert len(index.ids) <= peak
+        assert index.items.keys() == index.pos.keys()
+        assert [p for p, item_id in enumerate(index.ids) if item_id is not None] == sorted(
+            index.pos.values())
+        for item_id, p in index.pos.items():
+            assert index.ids[p] == item_id and index.norms[p] == index.items[item_id].sparse.norm
+        for positions, values in index.postings:
+            assert len(positions) == len(set(positions)) == len(values)
+            assert None not in map(index.ids.__getitem__, positions)
+        freed += None in index.ids
+        reused += any(index.pos[item_id] < len(parent_index.ids)
+                      for item_id in index.items.keys() - parent_index.items.keys())
+
+        facts = edge_facts(rng)
+        memory = fact_store(**facts)
+        query = edge_query(rng, env)
+        transcript = Transcript(turns=[("user", query)])
+        constraints, text = extract_session_constraints(transcript, memory)
+        l = rng.randint(1, len(env.catalog) + 2)
+        want = filter_sort_oracle(env, constraints, text, l)
+        got = outcome(lambda: recommend_interactive(transcript, env, memory, l).entries)
+        assert got == (want or ("NoFeasibleItem",
+                                "all catalog items violate the session constraints"))
+        chosen = rng.sample(["cake", "decor", "chair", "lamp"], k=rng.randint(1, 2))
+        scene = tuple(rng.random() for _ in range(3))
+        assert outcome(recommend_multimodal, query, scene, memory, chosen, env, 0.5, 0.8) == (
+            outcome(scan_bundle, query, scene, memory, chosen, env, 0.5, 0.8))
+    assert freed > 200 and reused > 200
 
 
 def test_catalog_index_scores_a_query_equal_to_an_item_exactly_one():

@@ -598,7 +598,13 @@ def index_delta(rng, env):
 
 
 def index_state(index):
-    return copy.deepcopy((index.items, index.postings, index.tags))
+    return copy.deepcopy(tuple(getattr(index, slot) for slot in CatalogIndex.__slots__
+                               if slot != "last_dots"))
+
+
+def postings_by_id(index):
+    """Per bucket, item id -> component: the postings with positions read as ids."""
+    return [{index.ids[p]: value for p, value in zip(*posting)} for posting in index.postings]
 
 
 def rankings(env, queries):
@@ -622,8 +628,8 @@ def test_catalog_index_patched_per_delta_equals_fresh_build():
         env = apply_env_update(parent, index_delta(rng, parent))
         fresh = CatalogIndex.build({item.id: item for item in env.catalog})
         assert env._index is not None and env._index is not parent_index
-        assert (env._index.items, env._index.postings, env._index.tags) == (
-            fresh.items, fresh.postings, fresh.tags)
+        assert (env._index.items, postings_by_id(env._index), env._index.tags) == (
+            fresh.items, postings_by_id(fresh), fresh.tags)
         assert index_state(parent_index) == before
         assert rankings(parent, queries) == ranked_before
         assert rankings(env, queries) == rankings(Environment(catalog=list(env.catalog)), queries)
