@@ -57,6 +57,7 @@ from .runtime import (
     catalog_item,
     json_scalar,
     records_to_jsonl,
+    trace_line,
     trace_to_jsonl,
 )
 from .simulation import (
@@ -486,31 +487,29 @@ def _simulate_trace_jsonl(traces) -> str:
 
     A step gives a recommender -> simulator ``rec_list`` line and a simulator
     -> eval ``user_action`` line; an errored step gives one recommender ->
-    simulator ``eval_event`` line. The bytes are those of ``trace_to_jsonl``
-    over the same messages posted with ``_post``: keys in sorted order, seq
-    the line index, environment version 0, each leaf through ``json_scalar``.
+    simulator ``eval_event`` line. Each is a ``runtime.trace_line`` with seq
+    the line index and a payload built leaf by leaf through ``json_scalar``,
+    so the bytes are those of ``trace_to_jsonl`` over the same messages
+    posted with ``_post``.
     """
     lines = []
     for trace in traces:
-        sim = json_scalar(trace.simulator_id)
+        sim = trace.simulator_id
         for step in trace.steps:
             state = json_scalar(step.state)
             if step.error is not None:
-                lines.append(
-                    f'{{"env_version": 0, "from": "recommender", "kind": "eval_event", '
-                    f'"payload": {{"error": {json_scalar(step.error)}, "state": {state}}}, '
-                    f'"seq": {len(lines)}, "to": {sim}}}')
+                lines.append(trace_line(
+                    len(lines), "recommender", sim, "eval_event",
+                    f'{{"error": {json_scalar(step.error)}, "state": {state}}}'))
                 continue
             items = ", ".join([f"[{json_scalar(item_id)}, {json_scalar(score)}]"
                                for item_id, score in step.recs.entries])
-            lines.append(
-                f'{{"env_version": 0, "from": "recommender", "kind": "rec_list", '
-                f'"payload": {{"items": [{items}], "state": {state}}}, '
-                f'"seq": {len(lines)}, "to": {sim}}}')
-            lines.append(
-                f'{{"env_version": 0, "from": {sim}, "kind": "user_action", '
-                f'"payload": {{"action": {json_scalar(step.action)}, '
-                f'"reward": {json_scalar(step.reward)}}}, "seq": {len(lines)}, "to": "eval"}}')
+            lines.append(trace_line(len(lines), "recommender", sim, "rec_list",
+                                    f'{{"items": [{items}], "state": {state}}}'))
+            lines.append(trace_line(
+                len(lines), sim, "eval", "user_action",
+                f'{{"action": {json_scalar(step.action)}, '
+                f'"reward": {json_scalar(step.reward)}}}'))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -581,8 +580,8 @@ def _run_simulate(config, env, policy, seed):
         "diversity_entropy": report.diversity_entropy,
         "halfwidths": report.halfwidths,
     }
-    table = aggregate_report(summaries, format="table")
-    text = (table + f"\noverall psi_hat={report.psi_hat:.6f} ctr={report.ctr:.6f} "
+    text = (aggregate_report(rows)
+            + f"\noverall psi_hat={report.psi_hat:.6f} ctr={report.ctr:.6f} "
             f"diversity_entropy={report.diversity_entropy:.6f} "
             f"sessions={report.sessions}\n")
     return _simulate_trace_jsonl(traces), records_to_jsonl(rows + [overall]), text

@@ -488,18 +488,11 @@ class ContextSelection:
 
     items: list
     approximate: bool
-    total_score: float
-    total_tokens: int
 
 
 def _selection(chosen: list, scored: dict, approximate: bool) -> ContextSelection:
     chosen = sorted(chosen, key=lambda m: _topk_sort_key((scored[id(m)], m)))
-    return ContextSelection(
-        items=chosen,
-        approximate=approximate,
-        total_score=left_sum(scored[id(m)] for m in chosen),
-        total_tokens=sum(m.token_length() for m in chosen),
-    )
+    return ContextSelection(items=chosen, approximate=approximate)
 
 
 def regulate_context(store: MemoryStore, query: str, budget: int) -> ContextSelection:

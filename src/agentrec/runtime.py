@@ -61,18 +61,6 @@ class Message:
             return tuple(self.recipient)
         return (self.recipient,)
 
-    def to_record(self) -> dict:
-        recipient = (list(self.recipient)
-                     if isinstance(self.recipient, (tuple, list)) else self.recipient)
-        return {
-            "seq": self.seq,
-            "from": self.sender,
-            "to": recipient,
-            "kind": self.kind,
-            "payload": self.payload,
-            "env_version": self.env_version,
-        }
-
     @classmethod
     def from_record(cls, record: dict) -> "Message":
         recipient = record["to"]
@@ -564,21 +552,36 @@ _string = json.encoder.encode_basestring_ascii  # the encoder's own, as ensure_a
 def json_scalar(value) -> str:
     """``json.dumps(value)`` for one leaf value, without building an encoder.
 
-    A str goes through the encoder's own ASCII string function and a finite
-    float through ``float.__repr__``, as the encoder does; anything else (an
-    int, a bool, None, NaN or ±inf, a str or float subclass) goes through
-    the reused encoder.
+    A str goes through the encoder's own ASCII string function, an int
+    through ``int.__repr__`` and a finite float through ``float.__repr__``, as
+    the encoder does; anything else (a bool, None, NaN or ±inf, a subclass, a
+    container) goes through the reused encoder.
     """
     kind = type(value)
     if kind is str:
         return _string(value)
+    if kind is int:
+        return int.__repr__(value)
     if kind is float and value - value == 0.0:  # finite
         return float.__repr__(value)
     return _encode(value)
 
 
+def trace_line(seq, sender, recipient, kind, payload_json: str, env_version=0) -> str:
+    """One trace.jsonl line: the one place that knows a message record's keys.
+
+    The bytes are ``json.dumps(record, sort_keys=True)`` of the record with
+    keys env_version, from, kind, payload, seq and to, a tuple recipient as a
+    list; ``payload_json`` is the payload already encoded that way.
+    """
+    return (f'{{"env_version": {json_scalar(env_version)}, "from": {json_scalar(sender)}, '
+            f'"kind": {json_scalar(kind)}, "payload": {payload_json}, '
+            f'"seq": {json_scalar(seq)}, "to": {json_scalar(recipient)}}}')
+
+
 def trace_to_jsonl(trace: Sequence) -> str:
-    return records_to_jsonl(message.to_record() for message in trace)
+    return "".join([trace_line(m.seq, m.sender, m.recipient, m.kind, _encode(m.payload),
+                               m.env_version) + "\n" for m in trace])
 
 
 def trace_from_jsonl(text: str) -> list:

@@ -6,33 +6,22 @@ only the top-ranked item drives the decision (position-1 attention). The
 first element of the action space is the positive action, the second the
 negative one; degenerate cases (cos 1 / cos 0 at zero noise) are exact.
 
-Sessions are independent given disjoint simulators; one simulator's episodic
-memory carries across its own sessions for repeat-exposure effects. That
-memory is one ("shown", EPI) fact, the last top item shown verbatim, whose
-update count is the number of acted steps; no raw log is kept.
+Sessions are independent given disjoint simulators. A simulator keeps no
+state across sessions but its seeded RNG: it is a policy scored on what it
+was shown, and writes no memory.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import AgentRecError, InvalidArgument, NoSummaries, NoTraces
-from .memory import (
-    EMBED_DIM,
-    MemoryLabel,
-    MemoryStore,
-    QueryVector,
-    left_sum,
-    prepare_query,
-    relevance,
-    upsert_fact,
-)
+from .memory import EMBED_DIM, QueryVector, left_sum, prepare_query, relevance
 # Re-exported, not called here: perfbench/spans.py wraps `simulation.cosine`,
 # `simulation.embed_text` and `simulation.update_memory`.
 from .memory import cosine, embed_text, update_memory  # noqa: F401
@@ -52,7 +41,6 @@ class UserSimulator:
     action_space: tuple = DEFAULT_ACTION_SPACE
     seed: int = 0
     cohort: Optional[str] = None
-    memory: MemoryStore = field(default_factory=MemoryStore)
 
     def __post_init__(self):
         if self.cohort is None:
@@ -141,7 +129,7 @@ def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
                  top_l: int = 1, reward: Callable = reward_select) -> list:
     """Alternate recommend -> act -> log for each simulator session.
 
-    ``recommender(query, env, memory, top_l)`` returns a RankedList.
+    ``recommender(query, env, top_l)`` returns a RankedList.
     Recommender errors are recorded in-trace and the step is skipped. Each
     simulator owns one seeded RNG reused across its sessions, so traces are
     fully determined by (sims, env, config).
@@ -159,7 +147,7 @@ def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
                 state = (f"sim={sim.simulator_id} session={session_index} "
                          f"t={t} last={last_action}")
                 try:
-                    recs = recommender(state, env, sim.memory, top_l)
+                    recs = recommender(state, env, top_l)
                 except AgentRecError as exc:
                     steps.append(SessionStep(
                         state=state, recs=RankedList(entries=[]), action=None,
@@ -174,10 +162,7 @@ def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
                 step_reward = reward(sim, state, recs, action, shown_before)
                 steps.append(SessionStep(state=state, recs=recs, action=action,
                                          reward=step_reward))
-                top_id = recs.entries[0][0]
-                shown_before.add(top_id)
-                upsert_fact(sim.memory, "shown", top_id, MemoryLabel.EPI,
-                            now=session_index * horizon + t)
+                shown_before.add(recs.entries[0][0])
                 last_action = action
             traces.append(SessionTrace(steps=steps, seed=sim.seed,
                                        simulator_id=sim.simulator_id,
@@ -292,13 +277,8 @@ def aggregate_rows(summaries: Sequence) -> list:
     return rows
 
 
-def aggregate_report(summaries: Sequence, format: str = "table") -> str:
-    """Per-cohort means and halfwidths, as a text table or JSON lines."""
-    rows = aggregate_rows(summaries)
-    if format == "jsonlines":
-        return "\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n"
-    if format != "table":
-        raise InvalidArgument(f"unknown report format: {format!r}")
+def aggregate_report(rows: Sequence) -> str:
+    """``aggregate_rows``' per-cohort means and halfwidths as a text table."""
     header = "  ".join(f"{name:>20}" for name in _REPORT_COLUMNS)
     lines = [header]
     for row in rows:
@@ -319,7 +299,7 @@ def make_rotation_recommender():
     """Cycles deterministically through the catalog, one item per step."""
     counter = {"i": 0}
 
-    def recommend(query, env_, memory, top_l):
+    def recommend(query, env_, top_l):
         items = env_.catalog
         entries = []
         for offset in range(min(top_l, len(items))):
@@ -334,7 +314,7 @@ def make_rotation_recommender():
 def make_static_top_recommender(item_id: str):
     """Always shows the same single item."""
 
-    def recommend(query, env_, memory, top_l):
+    def recommend(query, env_, top_l):
         return RankedList(entries=[(item_id, 1.0)])
 
     return recommend

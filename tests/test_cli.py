@@ -283,6 +283,13 @@ def dumps_lines(records):
     return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
 
 
+def message_record(m):
+    """A message as a trace record; json.dumps(record, sort_keys=True) is its reference line."""
+    recipient = list(m.recipient) if isinstance(m.recipient, (tuple, list)) else m.recipient
+    return {"seq": m.seq, "from": m.sender, "to": recipient, "kind": m.kind,
+            "payload": m.payload, "env_version": m.env_version}
+
+
 ODD_RECORDS = [
     {"text": "caf\u00e9 \u2014 \u6587\u5b57 \U0001f389", "z": [1, [2, [3.5, "x"]]], "a": None},
     {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "b": [True, False]},
@@ -296,14 +303,14 @@ def test_trace_and_report_lines_are_json_dumps_bytes(tmp_path, capsys):
         status, out = run_into(tmp_path, name, name)
         assert status == 0
         messages = trace_from_jsonl((out / "trace.jsonl").read_text())
-        assert trace_to_jsonl(messages) == dumps_lines(m.to_record() for m in messages)
+        assert trace_to_jsonl(messages) == dumps_lines(map(message_record, messages))
         rows = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
         assert records_to_jsonl(rows) == dumps_lines(rows)
     assert trace_to_jsonl([]) == records_to_jsonl([]) == records_to_jsonl(iter([])) == ""
     assert records_to_jsonl(ODD_RECORDS) == dumps_lines(ODD_RECORDS)
     odd = [Message("a\u00e9", ["b", "c"], "note", record, seq=i, env_version=0)
            for i, record in enumerate(ODD_RECORDS)]
-    assert trace_to_jsonl(odd) == dumps_lines(m.to_record() for m in odd)
+    assert trace_to_jsonl(odd) == dumps_lines(map(message_record, odd))
 
 
 class OddFloat(float):
@@ -386,8 +393,8 @@ def test_simulate_trace_writer_matches_posted_messages(seed):
     assert numbers >= {"0", "True", "-0.0", "5e-324", "nan", "inf", "-inf", "odd"}
     messages = posted_messages(traces)
     text = cli._simulate_trace_jsonl(traces)
-    assert text == records_to_jsonl(m.to_record() for m in messages)
-    assert text == dumps_lines(m.to_record() for m in messages)
+    assert text == records_to_jsonl(map(message_record, messages))
+    assert text == dumps_lines(map(message_record, messages))
     assert cli._simulate_trace_jsonl([SessionTrace([], 0, "s", "c")]) == ""
 
 

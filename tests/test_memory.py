@@ -854,8 +854,8 @@ def test_regulate_pinned_three_item_instance():
         memory_module.relevance_score = original
     texts = {item.canonical_text() for item in selection.items}
     assert texts == {"s1: a b c d e", "s3: l m n"}
-    assert selection.total_score == pytest.approx(1.4)
-    assert selection.total_tokens == 10
+    assert left_sum(fixed[item.canonical_text()] for item in selection.items) == pytest.approx(1.4)
+    assert sum(item.token_length() for item in selection.items) == 10
 
 
 def test_regulate_matches_bruteforce_small_instances():
@@ -874,7 +874,7 @@ def test_regulate_matches_bruteforce_small_instances():
         items = list(store.items.values())
         scores = [relevance_score(query, m) for m in items]
         lengths = [m.token_length() for m in items]
-        assert selection.total_tokens <= budget or not selection.items
+        assert sum(m.token_length() for m in selection.items) <= budget or not selection.items
         chosen = set(map(id, selection.items))
         resummed = left_sum(s for m, s in zip(items, scores) if id(m) in chosen)
         assert resummed == knapsack_bruteforce(scores, lengths, budget)
@@ -888,7 +888,7 @@ def test_regulate_large_store_uses_flagged_greedy():
             f"s{i}", f"word{i} extra", MemoryLabel.EPI, now=i)
     selection = regulate_context(store, "word1 word2", 10)
     assert selection.approximate is True
-    assert selection.total_tokens <= 10
+    assert sum(item.token_length() for item in selection.items) <= 10
 
 
 def test_regulate_output_sorted_by_score_descending():

@@ -1,5 +1,7 @@
 """Simulation colony: policy calibration, sessions, evaluation, reporting."""
 
+import copy
+import hashlib
 import json
 import math
 import random
@@ -7,7 +9,7 @@ import random
 import pytest
 
 from agentrec.errors import NoFeasibleItem, NoSummaries, NoTraces
-from agentrec.memory import EMBED_DIM, MemoryLabel, embed_text
+from agentrec.memory import EMBED_DIM, embed_text
 from agentrec.pipelines import RankedList
 from agentrec.runtime import CatalogItem, Environment
 from agentrec.simulation import (
@@ -181,7 +183,7 @@ def test_recommender_errors_recorded_in_trace():
 
     calls = {"n": 0}
 
-    def flaky(query, env_, memory, top_l):
+    def flaky(query, env_, top_l):
         calls["n"] += 1
         if calls["n"] % 2 == 1:
             raise NoFeasibleItem("nothing fits")
@@ -194,27 +196,19 @@ def test_recommender_errors_recorded_in_trace():
     assert len(steps) == 4  # session continues past errors
 
 
-def test_memory_carries_across_own_sessions():
-    env = single_env()
-    sim = UserSimulator("s1", theta=matching_theta(env, "solo"))
-    run_sessions(make_static_top_recommender("solo"), [sim], horizon=2,
-                 env=env, sessions_per_sim=3)
-    shown = sim.memory.items.get(("shown", list(sim.memory.items)[0][1]))
-    assert shown is not None
-    assert shown.meta.update_count == 6  # repeat exposure accumulates
-
-
-def test_simulator_memory_is_one_shown_fact_with_the_last_id_verbatim():
-    # ids that retain's segment split would cut: the fact is written directly
+def test_run_sessions_leaves_simulators_unchanged():
+    # a recommender that raises, returns empty lists and shows ids that
+    # retain's segment split would cut: no step writes to its simulator
     ids = ["plain", "comma, split", "semi; colon", "dot. end.", "key = value", "a: b"]
     env = Environment(catalog=[CatalogItem(i, f"title {n}", ("home",), 1.0)
                                for n, i in enumerate(ids)])
     rng = random.Random(8)
     sims = [UserSimulator(f"s{i}", theta=matching_theta(env, ids[i]), noise_scale=0.3,
                           seed=i) for i in range(len(ids))]
+    before = copy.deepcopy(sims)
     shown = {}
 
-    def recommend(query, env_, memory, top_l):
+    def recommend(query, env_, top_l):
         if rng.random() < 0.25:
             raise NoFeasibleItem("skipped step")
         if rng.random() < 0.1:
@@ -224,17 +218,20 @@ def test_simulator_memory_is_one_shown_fact_with_the_last_id_verbatim():
         return RankedList(entries=[(top, 1.0)])
 
     traces = run_sessions(recommend, sims, horizon=7, env=env, sessions_per_sim=3)
+    assert sims == before
+    # theta_query is the one cached attribute; nothing else is added
+    assert all(vars(sim).keys() - {"theta_query"} == vars(old).keys()
+               for sim, old in zip(sims, before))
+    steps = [step for trace in traces for step in trace.steps]
+    assert sum(step.action is not None for step in steps) == 80
+    assert sum(step.error is not None for step in steps) == 46
     for sim in sims:
-        acted = sum(step.action is not None for trace in traces
-                    if trace.simulator_id == sim.simulator_id for step in trace.steps)
-        assert sim.memory.raw_log == []
-        if not acted:
-            assert sim.memory.items == {}
-            continue
-        assert list(sim.memory.items) == [("shown", MemoryLabel.EPI)]
-        item = sim.memory.items[("shown", MemoryLabel.EPI)]
-        assert item.fact() == ("shown", shown[f"sim={sim.simulator_id}"])
-        assert item.meta.update_count == acted
+        acted = [step for trace in traces if trace.simulator_id == sim.simulator_id
+                 for step in trace.steps if step.action is not None]
+        assert acted[-1].recs.entries == [(shown[f"sim={sim.simulator_id}"], 1.0)]
+    # the traces, pinned byte for byte: no step, action or reward moved
+    digest = hashlib.sha256(serialize_traces(traces).encode()).hexdigest()
+    assert digest == "cdc424e7b7b69c72fa864437ede5f0778092d6246d596280843c265d7f2041e3"
 
 
 # evaluate -----------------------------------------------------------------------
@@ -358,17 +355,17 @@ def test_aggregate_means_match_recomputation():
     assert abs(row["mean_total_reward"] - sum(totals) / len(totals)) <= 1e-12
 
 
-def test_report_byte_stable_and_formats():
+
+
+def test_report_is_a_byte_stable_table_of_the_rows():
     env = single_env()
     sims = [UserSimulator("a-0", theta=matching_theta(env, "solo"), cohort="a")]
     traces = run_sessions(make_static_top_recommender("solo"), sims,
                           horizon=3, env=env)
-    summaries = [summarize_session(t) for t in traces]
-    table_a = aggregate_report(summaries, format="table")
-    table_b = aggregate_report(summaries, format="table")
-    assert table_a == table_b
-    jsonl = aggregate_report(summaries, format="jsonlines")
-    row = json.loads(jsonl.splitlines()[0])
-    assert row["cohort"] == "a"
-    with pytest.raises(ValueError):
-        aggregate_report(summaries, format="pdf")
+    rows = aggregate_rows([summarize_session(t) for t in traces])
+    table = aggregate_report(rows)
+    assert table == aggregate_report(aggregate_rows([summarize_session(t) for t in traces]))
+    header, line = table.splitlines()
+    assert header.split() == list(rows[0])
+    assert line.split() == ["a", "1", "3.000000", "0.000000", "3.000000", "0.000000",
+                            "1.000000", "0.000000"]
