@@ -31,7 +31,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from string import Template
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     InvalidArgument,
@@ -44,11 +44,10 @@ from .memory import (
     MemoryLabel,
     MemoryStore,
     QueryVector,
-    Vector,
     cosine,
     left_sum,
     prepare_query,
-    relevance,
+    relevance_score,
     retain,
 )
 # Re-exported, not called here: perfbench/spans.py wraps `pipelines.embed_text`.
@@ -185,9 +184,8 @@ def violations_for(item: CatalogItem, constraints: ConstraintSet) -> list:
     return found
 
 
-def score_item(query: Union[str, Vector, QueryVector], item: CatalogItem) -> float:
-    """Clamped cosine of the query (text, embedding or prepared query) and the item's embedding."""
-    return relevance(prepare_query(query), item.sparse)
+# a catalog item is scored as a memory item is: relevance_score reads only ``item.sparse``
+score_item = relevance_score
 
 
 def top_l(scored_pairs: Iterable, l: int) -> list:

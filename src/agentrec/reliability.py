@@ -187,12 +187,10 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
     return bad_trials / trials
 
 
-def consensus(replies: Sequence, rule: str = "majority") -> str:
+def consensus(replies: Sequence) -> str:
     """Majority vote over redundant replies; ties take the lexicographic smallest."""
     if not replies:
         raise InvalidArgument("consensus requires at least one reply")
-    if rule != "majority":
-        raise InvalidArgument(f"unknown consensus rule: {rule!r}")
     counts = {}
     for reply in replies:
         counts[reply] = counts.get(reply, 0) + 1

@@ -174,67 +174,46 @@ class CatalogIndex:
     ``(positions, values)``: the position of every item whose embedding is
     nonzero in bucket ``b`` and that component (from the item's cached
     ``sparse``), in no set order. ``tags[t]`` is the set of ids of the items
-    carrying tag ``t``, and no set is empty. None of these is changed once
-    built: ``patched`` derives the next version's. ``last_dots`` is the
+    carrying tag ``t``, and no set is empty. Only ``patch`` changes these,
+    when the index is handed on to the next version. ``last_dots`` is the
     (prepared query, dot-product table) pair that ``pipelines`` ranked this
-    version by last, or None; a patched index starts with None.
+    version by last, or None; ``patch`` resets it to None.
     """
 
     __slots__ = ("items", "ids", "norms", "pos", "postings", "tags", "last_dots")
 
-    def __init__(self, items: dict, ids: list, norms: list, pos: dict, postings: list,
-                 tags: dict):
-        self.items, self.ids, self.norms, self.pos = items, ids, norms, pos
-        self.postings, self.tags = postings, tags
-        self.last_dots = None
+    def __init__(self, items: dict):
+        self.items, self.ids, self.norms, self.pos = items, [], [], {}
+        self.postings = [([], []) for _ in range(memory.EMBED_DIM)]
+        self.tags, self.last_dots = {}, None
+        self._add(items.values())
 
-    @classmethod
-    def build(cls, items: dict) -> "CatalogIndex":
-        index = cls(items, [], [], {}, [([], []) for _ in range(memory.EMBED_DIM)], {})
-        index._add(items.values())
-        return index
+    def patch(self, items: dict, dropped: Sequence, added: Sequence) -> None:
+        """Make this the index of ``items``: without ``dropped`` and with ``added``.
 
-    def patched(self, items: dict, dropped: Sequence, added: Sequence) -> "CatalogIndex":
-        """The index of ``items``: this one without ``dropped`` and with ``added``.
-
-        An item in both (an edit) keeps its position; a dropped item's
-        position is freed, and an added item takes the lowest freed position
-        before it appends one, so there are never more positions than the
-        most items a version has held. Only the lists, dicts and tag sets
-        those items touch are copied, so this index, which readers of the
-        older version may still hold, is unchanged.
+        Edits in place and copies nothing. An item in both (an edit) keeps
+        its position; a dropped item's position is freed, and an added item
+        takes the lowest freed position before it appends one, so there are
+        never more positions than the most items a version has held.
         """
-        touched = list(dropped) + list(added)
-        postings, tags = list(self.postings), dict(self.tags)
-        for bucket in {bucket for item in touched for bucket in item.sparse.buckets}:
-            positions, values = postings[bucket]
-            postings[bucket] = (positions[:], values[:])
-        touched_tags = {tag for item in touched for tag in item.tags}
-        for tag in touched_tags:
-            tags[tag] = set(tags.get(tag, ()))
-        ids, pos = self.ids, self.pos
-        dropped_ids, added_ids = {item.id for item in dropped}, {item.id for item in added}
-        removed = dropped_ids - added_ids
-        if dropped_ids != added_ids:  # not only edits: ids come or go
-            ids, pos = ids[:], dict(pos)
+        self.items, self.last_dots = items, None
+        ids, pos, postings, tags = self.ids, self.pos, self.postings, self.tags
+        readded = {item.id for item in added}
         for item in dropped:
-            position = self.pos[item.id]
+            position = pos[item.id]
             for bucket in item.sparse.buckets:
                 positions, values = postings[bucket]
                 at = positions.index(position)
                 del positions[at], values[at]
-            for tag in item.tags:
-                tags[tag].discard(item.id)
-            if item.id in removed:
+            for tag in set(item.tags):  # an item may repeat a tag
+                tagged = tags[tag]
+                tagged.discard(item.id)
+                if not tagged:
+                    del tags[tag]
+            if item.id not in readded:
                 ids[position] = None
                 del pos[item.id]
-        index = CatalogIndex(items, ids, self.norms[:] if added else self.norms, pos,
-                             postings, tags)
-        index._add(added)
-        for tag in touched_tags:
-            if not tags[tag]:
-                del tags[tag]
-        return index
+        self._add(added)
 
     def _add(self, items: Iterable) -> None:
         ids, norms, pos, postings, tags = self.ids, self.norms, self.pos, self.postings, self.tags
@@ -292,9 +271,10 @@ class Environment:
 
     def catalog_index(self) -> CatalogIndex:
         """This version's index, built on first use (a run that never ranks
-        the catalog never builds it) and kept for the version's lifetime."""
+        the catalog never builds it) and kept until ``apply_env_update``
+        hands it on to a next version; a later call builds it again."""
         if self._index is None:
-            self._index = CatalogIndex.build(self._by_id)
+            self._index = CatalogIndex(self._by_id)
         return self._index
 
 
@@ -334,10 +314,13 @@ def _indexed(item: Optional[CatalogItem]) -> Optional[tuple]:
 def apply_env_update(env: Environment, delta: Sequence) -> Environment:
     """Apply a change set atomically, incrementing the version by exactly one.
 
-    Every op's shape is checked before any is applied; `env` never changes.
-    Items are added, and edited in one of _SETTABLE_FIELDS, by `catalog_item`'s
-    record rules; an added item goes last and the others keep their order.
-    If `env`'s catalog index is built, the new version's is patched from it.
+    Every op's shape is checked before any is applied. Items are added, and
+    edited in one of _SETTABLE_FIELDS, by `catalog_item`'s record rules; an
+    added item goes last and the others keep their order. `env`'s catalog,
+    items, profiles and version never change. Once every op has applied, a
+    built catalog index of `env`'s is handed to the new version and patched
+    there in place, and `env` builds its own again if it is ranked again; a
+    delta that raises leaves `env`'s index with it.
     """
     targets = [_delta_target(index, op) for index, op in enumerate(delta)]
     if len(targets) != len(set(targets)):
@@ -367,13 +350,13 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
                     op["field"]: op["value"]})
         except InvalidArgument as exc:  # a record rule: name the op
             raise InvalidArgument(f"delta op {index}: {exc}") from None
-    index = env._index
-    if index is not None:  # derive the new version's index from this one's
+    index, env._index = env._index, None
+    if index is not None:  # hand it on: patch it into the new version's
         touched = dict.fromkeys(target[1] for target in targets if target[0] != "profile")
         changed = [item_id for item_id in touched
                    if _indexed(env._by_id.get(item_id)) != _indexed(items.get(item_id))]
-        index = index.patched(items, [env._by_id[i] for i in changed if i in env._by_id],
-                              [items[i] for i in changed if i in items])
+        index.patch(items, [env._by_id[i] for i in changed if i in env._by_id],
+                    [items[i] for i in changed if i in items])
     updated = Environment(catalog=list(items.values()), user_profiles=profiles,
                           version=env.version + 1, _by_id=items)
     updated._index = index

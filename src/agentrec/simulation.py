@@ -2,9 +2,9 @@
 
 The user policy is pinned for analyzability: the select probability is
 clamp(max(0, cos(theta, top-item embedding)) + gauss(0, noise), 0, 1) and
-only the top-ranked item drives the decision (position-1 attention). The
-first element of the action space is the positive action, the second the
-negative one; degenerate cases (cos 1 / cos 0 at zero noise) are exact.
+only the top-ranked item drives the decision (position-1 attention). A
+simulator acts SELECT or NOT_SELECT, and the reward specs and the metrics
+count SELECT; degenerate cases (cos 1 / cos 0 at zero noise) are exact.
 
 Sessions are independent given disjoint simulators. A simulator keeps no
 state across sessions but its seeded RNG: it is a policy scored on what it
@@ -28,7 +28,7 @@ from .memory import cosine, embed_text, update_memory  # noqa: F401
 from .pipelines import RankedList
 from .runtime import Environment
 
-DEFAULT_ACTION_SPACE = ("Select", "NotSelect")
+SELECT, NOT_SELECT = "Select", "NotSelect"  # a simulator's two actions
 
 
 @dataclass
@@ -38,7 +38,6 @@ class UserSimulator:
     simulator_id: str
     theta: tuple
     noise_scale: float = 0.0
-    action_space: tuple = DEFAULT_ACTION_SPACE
     seed: int = 0
     cohort: Optional[str] = None
 
@@ -47,21 +46,11 @@ class UserSimulator:
             self.cohort = self.simulator_id
         if not math.isfinite(self.noise_scale) or self.noise_scale < 0:
             raise InvalidArgument("noise_scale must be finite and >= 0")
-        if len(self.action_space) < 2:
-            raise InvalidArgument("action space needs a positive and a negative action")
 
     @cached_property
     def theta_query(self) -> QueryVector:
         """``theta`` prepared for scoring, once per simulator (theta is not reassigned)."""
         return prepare_query(self.theta)
-
-    @property
-    def positive_action(self) -> str:
-        return self.action_space[0]
-
-    @property
-    def negative_action(self) -> str:
-        return self.action_space[1]
 
 
 def random_unit_vector(rng: random.Random) -> tuple:
@@ -83,11 +72,11 @@ def select_probability(sim: UserSimulator, recs: RankedList,
 
 def simulate_action(sim: UserSimulator, recs: RankedList,
                     env: Environment, rng: random.Random) -> str:
-    """Draw the positive action with the clamped cosine-plus-noise probability."""
+    """Draw SELECT with the clamped cosine-plus-noise probability."""
     if not recs.entries:
         raise InvalidArgument("recs must be non-empty")
     p = select_probability(sim, recs, env, rng)
-    return sim.positive_action if rng.random() < p else sim.negative_action
+    return SELECT if rng.random() < p else NOT_SELECT
 
 
 @dataclass
@@ -110,14 +99,14 @@ class SessionTrace:
 # reward specs -------------------------------------------------------------
 
 def reward_select(sim, step_state, recs, action, shown_before) -> float:
-    return 1.0 if action == sim.positive_action else 0.0
+    return 1.0 if action == SELECT else 0.0
 
 
 def make_diversity_penalty_reward(penalty: float = 0.5):
     """Select indicator minus a penalty whenever the top item repeats."""
 
     def reward(sim, step_state, recs, action, shown_before) -> float:
-        base = 1.0 if action == sim.positive_action else 0.0
+        base = 1.0 if action == SELECT else 0.0
         repeat = recs.entries and recs.entries[0][0] in shown_before
         return base - (penalty if repeat else 0.0)
 
@@ -185,7 +174,7 @@ def _halfwidth(values: list) -> float:
     return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
 
 
-def evaluate(traces: Sequence, positive_action: str = "Select") -> EvalReport:
+def evaluate(traces: Sequence) -> EvalReport:
     """Mean total reward, select rate, and Shannon entropy of shown item ids."""
     if not traces:
         raise NoTraces("evaluation requires at least one trace")
@@ -196,7 +185,7 @@ def evaluate(traces: Sequence, positive_action: str = "Select") -> EvalReport:
         acted = [step for step in trace.steps if step.action is not None]
         if acted:
             ctrs.append(sum(1 for step in acted
-                            if step.action == positive_action) / len(acted))
+                            if step.action == SELECT) / len(acted))
         for step in trace.steps:
             for item_id, _ in step.recs.entries:
                 shown_counts[item_id] = shown_counts.get(item_id, 0) + 1
@@ -227,8 +216,7 @@ class SessionSummary:
     last_action: str
 
 
-def summarize_session(trace: SessionTrace,
-                      positive_action: str = "Select") -> SessionSummary:
+def summarize_session(trace: SessionTrace) -> SessionSummary:
     """Fixed-shape digest of one session's salient outcomes."""
     actions = [step.action for step in trace.steps if step.action is not None]
     shown = {item_id for step in trace.steps for item_id, _ in step.recs.entries}
@@ -237,7 +225,7 @@ def summarize_session(trace: SessionTrace,
         cohort=trace.cohort,
         seed=trace.seed,
         total_reward=left_sum(step.reward for step in trace.steps),
-        selects=sum(1 for action in actions if action == positive_action),
+        selects=sum(1 for action in actions if action == SELECT),
         distinct_items=len(shown),
         first_action=actions[0] if actions else "",
         last_action=actions[-1] if actions else "",

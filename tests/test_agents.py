@@ -232,6 +232,8 @@ def generate_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
+    thread.join()
 
 
 def test_remote_core_wire_contract(generate_server):

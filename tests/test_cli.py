@@ -484,9 +484,9 @@ def test_only_ranking_runs_build_the_catalog_index(tmp_path, capsys, monkeypatch
     # simulate and cascade runs (10k-item catalogs in the benchmark) never rank the
     # catalog, so they never pay for its index
     built = []
-    build = CatalogIndex.build.__func__
-    monkeypatch.setattr(CatalogIndex, "build",
-                        classmethod(lambda cls, items: built.append(len(items)) or build(cls, items)))
+    init = CatalogIndex.__init__
+    monkeypatch.setattr(CatalogIndex, "__init__",
+                        lambda index, items: built.append(len(items)) or init(index, items))
     for name in ("simulate_colony", "error_cascade"):
         assert run_scenario(SCENARIOS / f"{name}.json", out=tmp_path / name) == 0
     assert built == []

@@ -614,7 +614,7 @@ def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
     envs = [Environment(catalog=[catalog_item(edge_record(rng, f"e{i:02d}"))
                                  for i in range(25)])]
     for _ in range(6):
-        envs[-1].catalog_index()  # so the next version's index is patched from it
+        envs[-1].catalog_index()  # so it is handed to the next version and patched
         envs.append(apply_env_update(envs[-1], [edge_delta(rng, envs[-1])]))
         assert envs[-1].catalog_index().last_dots is None
     # "red rug" and "rug red" embed alike; "red red rug" has their buckets, not their values
@@ -626,7 +626,7 @@ def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
         index = env.catalog_index()
         last = index.last_dots
         got = _query_dots(index, query)
-        fresh = CatalogIndex.build(index.items)  # its positions may differ from a patched one's
+        fresh = CatalogIndex(index.items)  # its positions may differ from a patched one's
         assert dots_by_id(index, got) == dots_by_id(fresh, _query_dots(fresh, query))
         reused += last is not None and got is last[1]
         ids = admitted_ids(index, ConstraintSet())
@@ -653,25 +653,37 @@ def churn_delta(rng, env):
     return delta
 
 
-def index_by_id(index):
-    """What an index says of each id, read through its positions."""
-    return ({item_id: index.norms[p] for item_id, p in index.pos.items()},
-            [{index.ids[p]: value for p, value in zip(*posting)} for posting in index.postings],
-            {tag: set(ids) for tag, ids in index.tags.items()}, dict(index.items))
+def ranked(env, query, facts, l):
+    """``recommend_interactive``'s entries, or the error ``outcome`` names."""
+    transcript = Transcript(turns=[("user", query)])
+    return outcome(lambda: recommend_interactive(transcript, env, fact_store(**facts), l).entries)
+
+
+def scanned(env, query, facts, l):
+    """``ranked`` by ``filter_sort_oracle``'s per-item scan."""
+    from agentrec.pipelines import extract_session_constraints
+    constraints, text = extract_session_constraints(Transcript(turns=[("user", query)]),
+                                                    fact_store(**facts))
+    return filter_sort_oracle(env, constraints, text, l) or (
+        "NoFeasibleItem", "all catalog items violate the session constraints")
 
 
 def test_catalog_index_churn_keeps_positions_bounded_and_rankings_exact():
-    from agentrec.pipelines import extract_session_constraints
+    # each update takes the parent's index and patches it in place; the parent
+    # builds a new one when it is ranked again, and ranks as before
     from agentrec.runtime import apply_env_update, catalog_item
     rng = random.Random(1717)
     env = Environment(catalog=[catalog_item(edge_record(rng, f"e{i:02d}")) for i in range(12)])
     peak, reused, freed = len(env.catalog), 0, 0
     for _ in range(2000):
         parent, parent_index = env, env.catalog_index()
-        before = index_by_id(parent_index)
+        parent_ids, parent_positions = set(parent_index.items), len(parent_index.ids)
+        asked = (edge_query(rng, parent), edge_facts(rng), rng.randint(1, 8))
+        parent_ranked = ranked(parent, *asked)
         env = apply_env_update(parent, churn_delta(rng, parent))
         index = env.catalog_index()
-        assert index is not parent_index and index_by_id(parent_index) == before
+        assert index is parent_index and parent._index is None
+        assert ranked(parent, *asked) == parent_ranked and parent._index is not index
 
         peak = max(peak, len(env.catalog))
         assert len(index.ids) <= peak
@@ -684,24 +696,44 @@ def test_catalog_index_churn_keeps_positions_bounded_and_rankings_exact():
             assert len(positions) == len(set(positions)) == len(values)
             assert None not in map(index.ids.__getitem__, positions)
         freed += None in index.ids
-        reused += any(index.pos[item_id] < len(parent_index.ids)
-                      for item_id in index.items.keys() - parent_index.items.keys())
+        reused += any(index.pos[item_id] < parent_positions
+                      for item_id in index.items.keys() - parent_ids)
 
         facts = edge_facts(rng)
-        memory = fact_store(**facts)
         query = edge_query(rng, env)
-        transcript = Transcript(turns=[("user", query)])
-        constraints, text = extract_session_constraints(transcript, memory)
         l = rng.randint(1, len(env.catalog) + 2)
-        want = filter_sort_oracle(env, constraints, text, l)
-        got = outcome(lambda: recommend_interactive(transcript, env, memory, l).entries)
-        assert got == (want or ("NoFeasibleItem",
-                                "all catalog items violate the session constraints"))
+        assert ranked(env, query, facts, l) == scanned(env, query, facts, l)
+        memory = fact_store(**facts)
         chosen = rng.sample(["cake", "decor", "chair", "lamp"], k=rng.randint(1, 2))
         scene = tuple(rng.random() for _ in range(3))
         assert outcome(recommend_multimodal, query, scene, memory, chosen, env, 0.5, 0.8) == (
             outcome(scan_bundle, query, scene, memory, chosen, env, 0.5, 0.8))
     assert freed > 200 and reused > 200
+
+
+def test_catalog_index_two_updates_from_one_parent_rank_as_the_scan():
+    # the first update takes the parent's index; the second finds none, or the
+    # one the parent built again when it was ranked in between
+    from agentrec.runtime import apply_env_update, catalog_item
+    rng = random.Random(1818)
+    env = Environment(catalog=[catalog_item(edge_record(rng, f"e{i:02d}")) for i in range(12)])
+    for trial in range(300):
+        parent, parent_index = env, env.catalog_index()
+        first = apply_env_update(parent, churn_delta(rng, parent))
+        if trial % 2:
+            ranked(parent, edge_query(rng, parent), {}, 3)
+        rebuilt = parent._index
+        second = apply_env_update(parent, churn_delta(rng, parent))
+        assert first._index is parent_index and second._index is rebuilt
+        assert (rebuilt is None) == (trial % 2 == 0)
+        envs = [first, second, parent]
+        rng.shuffle(envs)
+        for version in envs:
+            facts, query = edge_facts(rng), edge_query(rng, version)
+            l = rng.randint(1, len(version.catalog) + 2)
+            assert ranked(version, query, facts, l) == scanned(version, query, facts, l)
+        assert first._index is not second._index
+        env = rng.choice([first, second])
 
 
 def test_catalog_index_scores_a_query_equal_to_an_item_exactly_one():

@@ -561,7 +561,7 @@ def test_seeded_delta_fuzz_matches_the_dict_model():
     assert accepted > 300 and rejected > 300
 
 
-# catalog index: built lazily, patched per version -----------------------------------
+# catalog index: built lazily, handed on to the next version -------------------------
 
 INDEX_WORDS = ["red", "rug", "lamp", "oak", "cake", "mickey", "--", ""]
 
@@ -618,21 +618,70 @@ def rankings(env, queries):
     return out
 
 
+def assert_equals_fresh_build(index):
+    """``index`` says what a fresh build of its items says, by id, and its
+    positions agree with each other."""
+    fresh = CatalogIndex(dict(index.items))
+    assert (postings_by_id(index), index.tags) == (postings_by_id(fresh), fresh.tags)
+    assert index.pos == {item_id: p for p, item_id in enumerate(index.ids) if item_id is not None}
+    assert index.items.keys() == index.pos.keys()
+    for item_id, p in index.pos.items():
+        assert index.norms[p] == index.items[item_id].sparse.norm
+
+
+QUERIES = ["red rug", "oak lamp cake", "require = eco; red", "guests ban decor; mickey"]
+
+
 def test_catalog_index_patched_per_delta_equals_fresh_build():
+    # each update takes the parent's index and patches it in place; the parent
+    # builds a new one when it is ranked again, and ranks as before
     rng = random.Random(1301)
     env = Environment(catalog=[catalog_item(index_record(rng, f"i{i}")) for i in range(12)])
-    queries = ["red rug", "oak lamp cake", "require = eco; red", "guests ban decor; mickey"]
     for _ in range(250):
         parent, parent_index = env, env.catalog_index()
-        before, ranked_before = index_state(parent_index), rankings(parent, queries)
+        ranked_before = rankings(parent, QUERIES)
         env = apply_env_update(parent, index_delta(rng, parent))
-        fresh = CatalogIndex.build({item.id: item for item in env.catalog})
-        assert env._index is not None and env._index is not parent_index
-        assert (env._index.items, postings_by_id(env._index), env._index.tags) == (
-            fresh.items, postings_by_id(fresh), fresh.tags)
-        assert index_state(parent_index) == before
-        assert rankings(parent, queries) == ranked_before
-        assert rankings(env, queries) == rankings(Environment(catalog=list(env.catalog)), queries)
+        assert env._index is parent_index and parent._index is None
+        assert env._index.items == {item.id: item for item in env.catalog}
+        assert_equals_fresh_build(env._index)
+        assert rankings(parent, QUERIES) == ranked_before
+        assert parent._index is not parent_index
+        assert rankings(env, QUERIES) == rankings(Environment(catalog=list(env.catalog)), QUERIES)
+
+
+def test_catalog_index_stays_with_a_parent_whose_delta_raises():
+    rng = random.Random(1304)
+    env = Environment(catalog=[catalog_item(index_record(rng, f"i{i}")) for i in range(6)])
+    index = env.catalog_index()
+    state, ranked = index_state(index), rankings(env, QUERIES)
+    add = {"op": "add_item", "item": index_record(rng, "new")}
+    for delta in ([add, {"op": "remove_item", "id": "missing"}],
+                  [{"op": "remove_item", "id": "i0"}, {"op": "add_item", "item": {"id": "i1"}}],
+                  [add, {"op": "set_item_field", "id": "i2", "field": "tags", "value": [3]}],
+                  [{"op": "remove_item", "id": "i3"}, {"op": "remove_item", "id": "i3"}],
+                  [add, {"op": "set_profile", "user": "u"}]):
+        with pytest.raises(AgentRecError):
+            apply_env_update(env, delta)
+        assert env._index is index and index_state(index) == state
+        assert rankings(env, QUERIES) == ranked
+
+
+def test_catalog_index_edits_and_removes_an_item_that_repeats_a_tag():
+    # catalog_item keeps a repeated tag: the tag set loses the id once, and goes
+    # when it is empty
+    env = Environment(catalog=[catalog_item({"id": "a", "title": "red rug",
+                                             "tags": ["cake", "cake", "decor"]}),
+                               catalog_item({"id": "b", "title": "oak", "tags": ["decor"]})])
+    index = env.catalog_index()
+    for op, tags in (
+            ({"op": "set_item_field", "id": "a", "field": "tags", "value": ["eco", "eco"]},
+             {"decor": {"b"}, "eco": {"a"}}),
+            ({"op": "set_item_field", "id": "a", "field": "title", "value": "lamp"},
+             {"decor": {"b"}, "eco": {"a"}}),
+            ({"op": "remove_item", "id": "a"}, {"decor": {"b"}})):
+        env = apply_env_update(env, [op])
+        assert env._index is index and index.tags == tags
+        assert_equals_fresh_build(index)
 
 
 def test_catalog_index_is_built_on_first_use_only():

@@ -113,14 +113,6 @@ def test_action_draws_deterministic_given_rng_state():
     assert run(7) != run(8) or run(7) == run(8)  # same-seed equality is the contract
 
 
-def test_alternative_action_space_labels():
-    env = single_env()
-    sim = UserSimulator("s1", theta=matching_theta(env, "solo"), noise_scale=0.0,
-                        action_space=("Click", "Pass", "Purchase"))
-    recs = RankedList(entries=[("solo", 1.0)])
-    assert simulate_action(sim, recs, env, random.Random(0)) == "Click"
-
-
 def test_empty_recs_rejected():
     env = single_env()
     sim = UserSimulator("s1", theta=matching_theta(env, "solo"))
