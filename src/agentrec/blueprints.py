@@ -15,7 +15,6 @@ communication matrix, the routing, and the spawn declarations.
 from __future__ import annotations
 
 import json
-import sys
 
 from .agents import AgentSpec, Tool, ToolRegistry, scripted_core
 from .errors import PayloadInvalid
@@ -35,7 +34,7 @@ from .pipelines import (  # noqa: F401  (score_item: benchmark tracers wrap this
     score_item,
     violations_for,
 )
-from .runtime import Environment, MasRuntime, MessageSchema
+from .runtime import Environment, MasRuntime, MessageSchema, finite_numbers
 
 SECTION_SEPARATOR = " | "
 FACT_SEPARATOR = "; "
@@ -224,9 +223,9 @@ def build_interactive_runtime(config: dict, env: Environment):
     return runtime, routing
 
 
-def _ranked_entry(entry) -> bool:  # [item id, number that is finite as a float]
+def _ranked_entry(entry) -> bool:  # [item id, finite number]
     return (type(entry) is list and len(entry) == 2 and type(entry[0]) is str
-            and type(entry[1]) in (int, float) and abs(entry[1]) <= sys.float_info.max)
+            and finite_numbers(entry[1:]))
 
 
 def ranked_entries_from_trace(trace) -> list:

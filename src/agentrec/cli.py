@@ -55,6 +55,8 @@ from .runtime import (
     Environment,
     Message,
     catalog_item,
+    finite_norm,
+    finite_numbers,
     json_scalar,
     records_to_jsonl,
     trace_line,
@@ -117,8 +119,7 @@ def integer(low=None):
 
 
 def number(low=-math.inf, high=math.inf):
-    return _leaf(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-                 and math.isfinite(v) and low <= v <= high,
+    return _leaf(lambda v: finite_numbers((v,)) and low <= v <= high,
                  f"must be a finite number in [{low}, {high}]", float)
 
 
@@ -191,6 +192,15 @@ _FACTS = map_of(_leaf(lambda v: isinstance(v, (str, int, float)), "must be a str
 _RECIPIENTS = _leaf(lambda v: isinstance(v, str) or isinstance(v, list) and bool(v) and all(
     isinstance(name, str) for name in v), "must be an agent id or a non-empty list of agent ids")
 
+
+def _finite_palette(value, field, findings):
+    """A non-empty list of finite numbers, as floats, whose squared norm is finite."""
+    value = list_of(number(), nonempty=True)(value, field, findings)
+    if value is not None and None not in value and not finite_norm(value):
+        _flag(findings, field, "must have a finite squared norm")
+    return value
+
+
 _TOOL = obj({"name": (text(), REQUIRED)}, kinds={
     "memory_recall": {"top_k": (integer(1), 4)},
     "category_search": {"category": (text(), REQUIRED), "limit": (integer(1), 3)},
@@ -246,7 +256,7 @@ CONFIG_SPEC = obj({
     },
     "multimodal": {
         "categories": (list_of(text(), nonempty=True), REQUIRED),
-        "scene_palette": (list_of(number(), nonempty=True), REQUIRED),
+        "scene_palette": (_finite_palette, REQUIRED),
         "text_constraints": (text(), ""),
         "profile_facts": (_FACTS, {}),
         "alpha": (number(0, 1), DEFAULT_PALETTE_WEIGHT),

@@ -16,11 +16,6 @@ class InvalidArgument(AgentRecError, ValueError):
     """An argument or constructed value is out of its domain."""
 
 
-# memory
-class UnknownEntity(AgentRecError):
-    """A bound triple-query component is not in the store's entity set."""
-
-
 # agents
 class SchemaViolation(AgentRecError):
     """A message kind fell outside an agent's declared schema."""
@@ -100,10 +95,6 @@ class OutOfRange(AgentRecError):
 
 class CyclicGraph(AgentRecError):
     """The agent dependency graph must be acyclic."""
-
-
-class NoCompliantCandidate(AgentRecError):
-    """Every candidate message failed the compliance predicate."""
 
 
 # CLI

@@ -69,7 +69,7 @@ from enum import Enum
 from functools import cached_property, lru_cache, reduce
 from typing import Optional, Sequence, Union
 
-from .errors import InvalidArgument, UnknownEntity
+from .errors import InvalidArgument
 
 EMBED_DIM = 64
 _HASH_PERSON = b"embed-v1"
@@ -213,19 +213,6 @@ class MemoryLabel(str, Enum):
 
 
 @dataclass(frozen=True)
-class Triple:
-    """Symbolic (subject, relation, object) fact over the store's entity set."""
-
-    subject: str
-    relation: str
-    object: str
-
-    def __post_init__(self):
-        if not (self.subject and self.relation and self.object):
-            raise InvalidArgument("triple components must be non-empty")
-
-
-@dataclass(frozen=True)
 class ItemMeta:
     timestamp: int
     label: MemoryLabel
@@ -285,18 +272,15 @@ def make_item(slot: str, value: str, label: MemoryLabel, now: int,
 
 @dataclass
 class MemoryStore:
-    """Append-only raw log + labelled fact items + symbolic triples.
+    """Append-only raw log + labelled fact items.
 
     Single-writer, multiple-reader: every operation either leaves the store
     untouched or mutates it through the update functions below, which return
-    the same store for chaining. Entities enter the entity set only through
-    ``add_triple`` so a JSONL snapshot round-trips exactly.
+    the same store for chaining.
     """
 
     raw_log: list = field(default_factory=list)  # list[tuple[speaker, text]]
     items: dict = field(default_factory=dict)    # (slot, label) -> MemoryItem
-    triples: list = field(default_factory=list)  # insertion-ordered, de-duplicated
-    entity_set: set = field(default_factory=set)
 
     def all_items(self) -> list:
         return list(self.items.values())
@@ -450,33 +434,6 @@ def tail_window(store: MemoryStore, max_tokens: int) -> str:
     return " ".join(tokens[-max_tokens:])
 
 
-def add_triple(store: MemoryStore, subject: str, relation: str, obj: str) -> MemoryStore:
-    """Insert a symbolic triple; components register in the entity set."""
-    triple = Triple(subject, relation, obj)
-    if triple not in store.triples:
-        store.triples.append(triple)
-    store.entity_set.update((subject, relation, obj))
-    return store
-
-
-def query_triples(store: MemoryStore, pattern: tuple) -> list:
-    """All triples matching a (subject|None, relation|None, object|None) pattern.
-
-    None is the wildcard. Bound components must be known entities. Results
-    keep insertion order and agree with a linear scan.
-    """
-    for component in pattern:
-        if component is not None and component not in store.entity_set:
-            raise UnknownEntity(f"unknown entity: {component!r}")
-    subject, relation, obj = pattern
-    return [
-        t for t in store.triples
-        if (subject is None or t.subject == subject)
-        and (relation is None or t.relation == relation)
-        and (obj is None or t.object == obj)
-    ]
-
-
 # regulated context window ---------------------------------------------
 
 EXACT_KNAPSACK_LIMIT = 20
@@ -560,7 +517,7 @@ def _greedy_fill(items: list, scores: list, lengths: list, budget: int) -> list:
 # persistence ------------------------------------------------------------
 
 def store_to_jsonl(store: MemoryStore) -> str:
-    """One JSON object per line: turn records, then items, then triples."""
+    """One JSON object per line: turn records, then items."""
     lines = []
     for speaker, text in store.raw_log:
         lines.append(json.dumps(
@@ -577,11 +534,6 @@ def store_to_jsonl(store: MemoryStore) -> str:
             },
         }
         lines.append(json.dumps(record, sort_keys=True))
-    for triple in store.triples:
-        lines.append(json.dumps(
-            {"kind": "triple", "subject": triple.subject,
-             "relation": triple.relation, "object": triple.object},
-            sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -593,20 +545,14 @@ def _check(ok: bool, message: str) -> None:
         raise InvalidArgument(message)
 
 
-def _strings(record: dict, names: tuple) -> list:
-    """The named fields of a snapshot record, each of which must be a string."""
-    values = [record.get(name) for name in names]
-    _check(all(type(value) is str for value in values),
-           f"{record['kind']}: {', '.join(names)} must be strings")
-    return values
-
-
 def _load_record(store: MemoryStore, record) -> None:
     """Add one parsed snapshot record to the store; InvalidArgument says what is wrong."""
     _check(type(record) is dict, "must be an object")
     kind = record.get("kind")
     if kind == "turn":
-        store.raw_log.append(tuple(_strings(record, ("speaker", "text"))))
+        speaker, text = record.get("speaker"), record.get("text")
+        _check(type(speaker) is str and type(text) is str, "turn: speaker, text must be strings")
+        store.raw_log.append((speaker, text))
     elif kind == "item":
         key, value, meta = record.get("key"), record.get("value"), record.get("meta")
         _check(type(value) is str, "item: value must be a string")
@@ -625,8 +571,6 @@ def _load_record(store: MemoryStore, record) -> None:
         _check((item.slot(), item.meta.label) not in store.items,
                f"item: repeats slot {item.slot()!r} under label {item.meta.label.value}")
         store.items[(item.slot(), item.meta.label)] = item
-    elif kind == "triple":
-        add_triple(store, *_strings(record, ("subject", "relation", "object")))
     else:
         raise InvalidArgument(f"unknown snapshot record kind: {kind!r}")
 

@@ -123,7 +123,6 @@ class BundleItem:
 @dataclass
 class Bundle:
     items: list
-    target_categories: frozenset
     truncated_search: bool = False
 
 
@@ -379,7 +378,6 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
         bundle = Bundle(
             items=[BundleItem(id=item.id, category=category, palette=item.palette)
                    for category, (_, item) in zip(categories, combo)],
-            target_categories=frozenset(categories),
             truncated_search=truncated,
         )
         if compat_check(bundle, tau):
@@ -419,20 +417,6 @@ def _render_explanation(template: str, recs: RankedList, ctx_items: list,
     cited_items, cited_facts = parse_citations(text)
     return Explanation(text=text, cited_items=cited_items,
                        cited_facts=cited_facts, context_missing=context_missing)
-
-
-def generate_explanation(recs: RankedList, user_ctx: list,
-                         templates: tuple = DEFAULT_EXPLANATION_TEMPLATES) -> Explanation:
-    """Template-based narrative citing at least one item and one user fact.
-
-    With no user context available, an item-only explanation is emitted and
-    flagged instead of failing.
-    """
-    if not recs.entries:
-        raise InvalidArgument("cannot explain an empty recommendation list")
-    if not user_ctx:
-        return _render_explanation(ITEM_ONLY_TEMPLATE, recs, [], context_missing=True)
-    return _render_explanation(templates[0], recs, user_ctx, context_missing=False)
 
 
 def consistency_check(explanation: Explanation, recs: RankedList, ctx_items: list,

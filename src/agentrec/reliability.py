@@ -1,4 +1,4 @@
-"""Error propagation, consensus verification, and brand-compliance gating.
+"""Error propagation and brand-compliance checking.
 
 The closed-form invalid-output probability assumes independent residual
 errors; the structural cascade simulator exists to expose where graph shape
@@ -17,12 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    CyclicGraph,
-    InvalidArgument,
-    NoCompliantCandidate,
-    OutOfRange,
-)
+from .errors import CyclicGraph, InvalidArgument, OutOfRange
 from .memory import tokenize
 
 # trials per block of simulate_error_cascade; the block's draw buffer holds
@@ -187,17 +182,6 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
     return bad_trials / trials
 
 
-def consensus(replies: Sequence) -> str:
-    """Majority vote over redundant replies; ties take the lexicographic smallest."""
-    if not replies:
-        raise InvalidArgument("consensus requires at least one reply")
-    counts = {}
-    for reply in replies:
-        counts[reply] = counts.get(reply, 0) + 1
-    best = max(counts.values())
-    return min(reply for reply, count in counts.items() if count == best)
-
-
 # brand compliance --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -241,18 +225,3 @@ def check_compliance(text: str, policy: BrandPolicy,
             if tag not in policy.tone_allowlist:
                 return False
     return True
-
-
-def constrained_select(candidates: Sequence, policy: BrandPolicy) -> str:
-    """Highest-scoring compliant candidate text; ties take the smaller text."""
-    if not candidates:
-        raise InvalidArgument("candidates must be non-empty")
-    for text, score in candidates:
-        if not math.isfinite(score):
-            raise InvalidArgument(f"candidate score must be finite: {score!r}")
-    compliant = [(text, score) for text, score in candidates
-                 if check_compliance(text, policy)]
-    if not compliant:
-        raise NoCompliantCandidate("every candidate fails the compliance predicate")
-    compliant.sort(key=lambda pair: (-pair[1], pair[0]))
-    return compliant[0][0]

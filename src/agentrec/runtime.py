@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -60,20 +61,6 @@ class Message:
         if isinstance(self.recipient, (tuple, list)):
             return tuple(self.recipient)
         return (self.recipient,)
-
-    @classmethod
-    def from_record(cls, record: dict) -> "Message":
-        recipient = record["to"]
-        if isinstance(recipient, list):
-            recipient = tuple(recipient)
-        return cls(
-            sender=record["from"],
-            recipient=recipient,
-            kind=record["kind"],
-            payload=record["payload"],
-            seq=record["seq"],
-            env_version=record["env_version"],
-        )
 
 
 class CommMatrix:
@@ -139,6 +126,25 @@ class CatalogItem:
 _NUMBER = frozenset({int, float})  # JSON numbers; bool is neither
 
 
+def finite_numbers(values) -> bool:
+    """True iff every value is a JSON number (an int or a float, not a bool)
+    that converts to a finite float: an int too large for a float is not
+    finite. ``math.isfinite`` tests each in C and raises only for such an int."""
+    try:
+        return set(map(type, values)) <= _NUMBER and all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
+def finite_norm(values) -> bool:
+    """True iff the left-to-right sum of the squares of these numbers is a
+    finite float, so that a cosine of them cannot overflow to NaN."""
+    try:
+        return math.isfinite(memory.left_sum(map(operator.mul, values, values)))
+    except OverflowError:  # the square of an int past the float range
+        return False
+
+
 def catalog_item(record) -> CatalogItem:
     """One catalog record, from a file or a delta, as an item; InvalidArgument
     names the first bad field."""
@@ -154,12 +160,13 @@ def catalog_item(record) -> CatalogItem:
     if type(tags) is not list or not set(map(type, tags)) <= {str}:
         raise InvalidArgument("tags: must be a list of strings")
     price = record.get("price", 0.0)
-    if type(price) not in _NUMBER or not math.isfinite(price):
+    if not finite_numbers((price,)):
         raise InvalidArgument("price: must be a finite number")
     palette = record.get("palette")
-    if palette is not None and not (type(palette) is list and set(map(type, palette)) <= _NUMBER
-                                    and all(map(math.isfinite, palette))):
+    if palette is not None and not (type(palette) is list and finite_numbers(palette)):
         raise InvalidArgument("palette: must be null or a list of finite numbers")
+    if palette and not finite_norm(palette):
+        raise InvalidArgument("palette: must have a finite squared norm")
     return CatalogItem(ident, title, tuple(tags), float(price), tuple(palette) if palette else None)
 
 
@@ -265,9 +272,6 @@ class Environment:
             return self._by_id[item_id]
         except KeyError:
             raise UnknownItem(f"unknown catalog item: {item_id!r}") from None
-
-    def has_item(self, item_id: str) -> bool:
-        return item_id in self._by_id
 
     def catalog_index(self) -> CatalogIndex:
         """This version's index, built on first use (a run that never ranks
@@ -565,13 +569,3 @@ def trace_line(seq, sender, recipient, kind, payload_json: str, env_version=0) -
 def trace_to_jsonl(trace: Sequence) -> str:
     return "".join([trace_line(m.seq, m.sender, m.recipient, m.kind, _encode(m.payload),
                                m.env_version) + "\n" for m in trace])
-
-
-def trace_from_jsonl(text: str) -> list:
-    """The messages of a ``trace_to_jsonl`` text, in order."""
-    messages = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        messages.append(Message.from_record(json.loads(line)))
-    return messages

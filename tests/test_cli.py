@@ -30,7 +30,6 @@ from agentrec.runtime import (
     Message,
     apply_env_update,
     records_to_jsonl,
-    trace_from_jsonl,
     trace_to_jsonl,
 )
 from agentrec.simulation import SessionStep, SessionTrace
@@ -275,7 +274,7 @@ def test_manifest_times_each_stage(tmp_path, capsys):
 def test_trace_reloads_into_equal_structures(tmp_path, capsys):
     status, out = run_into(tmp_path, "party_planner")
     text = (out / "trace.jsonl").read_text()
-    messages = trace_from_jsonl(text)
+    messages = trace_messages(text)
     assert trace_to_jsonl(messages) == text
 
 
@@ -290,6 +289,17 @@ def message_record(m):
             "payload": m.payload, "env_version": m.env_version}
 
 
+def trace_messages(text):
+    """The messages of a trace.jsonl text, each line parsed with json.loads."""
+    messages = []
+    for record in map(json.loads, text.splitlines()):
+        recipient = record["to"]
+        messages.append(Message(record["from"], tuple(recipient) if type(recipient) is list
+                                else recipient, record["kind"], record["payload"],
+                                seq=record["seq"], env_version=record["env_version"]))
+    return messages
+
+
 ODD_RECORDS = [
     {"text": "caf\u00e9 \u2014 \u6587\u5b57 \U0001f389", "z": [1, [2, [3.5, "x"]]], "a": None},
     {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "b": [True, False]},
@@ -302,7 +312,7 @@ def test_trace_and_report_lines_are_json_dumps_bytes(tmp_path, capsys):
     for name in ALL_SCENARIOS:
         status, out = run_into(tmp_path, name, name)
         assert status == 0
-        messages = trace_from_jsonl((out / "trace.jsonl").read_text())
+        messages = trace_messages((out / "trace.jsonl").read_text())
         assert trace_to_jsonl(messages) == dumps_lines(map(message_record, messages))
         rows = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
         assert records_to_jsonl(rows) == dumps_lines(rows)
@@ -648,7 +658,7 @@ def test_runs_on_one_catalog_share_its_id_dict(tmp_path, capsys, monkeypatch):
         {"op": "set_item_field", "id": "rot_2", "field": "price", "value": 99},
         {"op": "add_item", "item": {"id": "rot_new"}}])
     assert first._by_id == shared and all(first._by_id[i] is shared[i] for i in shared)
-    assert updated._by_id is not first._by_id and not updated.has_item("rot_1")
+    assert updated._by_id is not first._by_id and "rot_1" not in updated._by_id
 
     records = json.loads((tmp_path / "rotation_catalog.json").read_text())
     (tmp_path / "rotation_catalog.json").write_text(json.dumps(records[1:]))

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from agentrec.blueprints import TOOL_KINDS
-from agentrec.cli import CONFIG_SPEC, load_config, main, validate_config
+from agentrec.cli import CONFIG_SPEC, load_catalog, load_config, main, validate_config
+from agentrec.errors import InvalidArgument
+from agentrec.runtime import Environment, apply_env_update
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = ["party_planner", "simulate_colony", "multimodal_bundle", "explain_revision",
@@ -172,6 +174,66 @@ def test_malformed_ranked_list_gives_payload_invalid(tmp_path, text):
     assert status == 1
     assert record["error"] == "PayloadInvalid"
     assert record["message"].startswith("ranked_list message 8: ")
+
+
+BIG = 10 ** 400  # a JSON integer too large for a float
+# name, data file (None: the multimodal config itself), path of the number, value,
+# field of the validate finding
+EDGE_NUMBER_CASES = [
+    ("config-float", None, ("alpha",), BIG, "alpha"),
+    ("negative-config-float", None, ("tau",), -BIG, "tau"),
+    ("scene-palette-entry", None, ("scene_palette", 2), BIG, "scene_palette"),
+    ("catalog-price", "furniture_catalog.json", (0, "price"), BIG, "catalog"),
+    ("negative-catalog-price", "furniture_catalog.json", (0, "price"), -BIG, "catalog"),
+    ("palette-entry", "furniture_catalog.json", (0, "palette", 1), BIG, "catalog"),
+    ("negative-palette-entry", "furniture_catalog.json", (0, "palette", 1), -BIG, "catalog"),
+    # each number is finite, but the squared norm overflows, and a cosine
+    # of it would read NaN and clamp it to 1.0
+    ("scene-palette-norm", None, ("scene_palette",), [1e308, 1e308, 1e308], "scene_palette"),
+    ("int-scene-palette-norm", None, ("scene_palette",), [10 ** 200, 0, 0], "scene_palette"),
+    ("palette-norm", "furniture_catalog.json", (0, "palette"), [1e308, 1e308, 1e308],
+     "catalog"),
+    ("int-palette-norm", "furniture_catalog.json", (0, "palette"), [-10 ** 200, 0, 0],
+     "catalog"),
+]
+
+
+@pytest.mark.parametrize("name, data_file, path, value, field", EDGE_NUMBER_CASES,
+                         ids=[case[0] for case in EDGE_NUMBER_CASES])
+def test_number_past_the_float_range_fails_validate_and_run(tmp_path, capsys, name, data_file,
+                                                            path, value, field):
+    work = _scenario_dir(tmp_path)
+    config = json.loads((SCENARIOS / "multimodal_bundle.json").read_text())
+    if data_file is None:
+        _set(config, path, value)
+    else:
+        records = json.loads((work / data_file).read_text())
+        _set(records, path, value)
+        (work / data_file).write_text(json.dumps(records))
+    status, record = _run(tmp_path, config)
+    assert status == 1 and set(record) == {"error", "message"}
+    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == record
+    assert main(["validate", str(work / "case.json")]) == 1
+    findings = capsys.readouterr().out.splitlines()
+    assert findings and all(finding.startswith(f"{field}") for finding in findings)
+    if data_file is None:  # a config finding is the run's whole message
+        assert record == {"error": "ConfigInvalid", "message": "; ".join(findings)}
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("price", BIG, "price: must be a finite number"),
+    ("price", -BIG, "price: must be a finite number"),
+    ("palette", [0.8, BIG, 0.0], "palette: must be null or a list of finite numbers"),
+    ("palette", [1e308, 1e308, 1e308], "palette: must have a finite squared norm"),
+], ids=["price", "negative-price", "palette-entry", "palette-norm"])
+def test_delta_number_past_the_float_range_names_the_op(field, value, rule):
+    env = Environment(catalog=load_catalog(SCENARIOS / "furniture_catalog.json"))
+    delta = [{"op": "set_profile", "user": "u", "key": "k", "value": 1},
+             {"op": "set_item_field", "id": "chair_rattan", "field": field, "value": value}]
+    with pytest.raises(InvalidArgument) as excinfo:
+        apply_env_update(env, delta)
+    assert str(excinfo.value) == f"delta op 1: {rule}"
+    assert env.version == 0 and env.item_by_id("chair_rattan").price == 120.0
 
 
 @pytest.mark.parametrize("name", BUNDLED)

@@ -1,4 +1,4 @@
-"""Memory core: embeddings, retrieval, retention, merge, triples, knapsack."""
+"""Memory core: embeddings, retrieval, retention, merge, knapsack, snapshots."""
 
 import itertools
 import json
@@ -9,7 +9,7 @@ import struct
 
 import pytest
 
-from agentrec.errors import InvalidArgument, UnknownEntity
+from agentrec.errors import InvalidArgument
 from agentrec.memory import (
     EMBED_DIM,
     MemoryItem,
@@ -24,13 +24,11 @@ from agentrec.memory import (
     _facts_of_text,
     _query_of_text,
     _sparse_of_text,
-    add_triple,
     cosine,
     embed_text,
     left_sum,
     make_item,
     prepare_query,
-    query_triples,
     regulate_context,
     relevance,
     relevance_score,
@@ -671,7 +669,6 @@ def test_replay_determinism_bit_identical_stores():
         update_memory(store, ctx(GLUTEN_TURN), MemoryLabel.EPI, now=1)
         update_memory(store, ctx(("user", "theme = mickey mouse; budget = 200")),
                       MemoryLabel.SEM, now=2)
-        add_triple(store, "user", "likes", "chocolate")
         return store
     assert store_to_jsonl(build()) == store_to_jsonl(build())
 
@@ -732,74 +729,6 @@ def test_tail_reads_only_the_suffix_it_needs():
 def test_tail_rejects_bad_limit():
     with pytest.raises(ValueError):
         tail_window(MemoryStore(), 0)
-
-
-# triples --------------------------------------------------------------------
-
-def test_query_triples_paper_example():
-    store = MemoryStore()
-    add_triple(store, "user", "likes", "chocolate")
-    got = query_triples(store, ("user", "likes", None))
-    assert [(t.subject, t.relation, t.object) for t in got] == [
-        ("user", "likes", "chocolate")]
-
-
-def test_query_triples_empty_store():
-    store = MemoryStore()
-    add_triple(store, "user", "likes", "chocolate")
-    store.triples.clear()
-    assert query_triples(store, ("user", None, None)) == []
-
-
-def test_query_triples_unknown_entity():
-    store = MemoryStore()
-    add_triple(store, "user", "likes", "chocolate")
-    with pytest.raises(UnknownEntity):
-        query_triples(store, ("stranger", None, None))
-
-
-def test_query_triples_matches_linear_scan():
-    rng = random.Random(7)
-    subjects = ["user", "child", "guest"]
-    relations = ["likes", "owns", "avoids"]
-    objects = ["chocolate", "vanilla", "berry", "sofa"]
-    store = MemoryStore()
-    for _ in range(20):
-        add_triple(store, rng.choice(subjects), rng.choice(relations),
-                   rng.choice(objects))
-    for pattern in itertools.product([None, "user"], [None, "likes"],
-                                     [None, "chocolate"]):
-        want = [t for t in store.triples
-                if (pattern[0] is None or t.subject == pattern[0])
-                and (pattern[1] is None or t.relation == pattern[1])
-                and (pattern[2] is None or t.object == pattern[2])]
-        assert query_triples(store, pattern) == want
-
-
-def test_query_triples_scan_equivalence_at_scale():
-    rng = random.Random(71)
-    combos = [(f"s{i}", rel, f"o{j}")
-              for i in range(20) for rel in ("likes", "owns", "near")
-              for j in range(20)]
-    rng.shuffle(combos)
-    store = MemoryStore()
-    for subject, relation, obj in combos[:1000]:
-        add_triple(store, subject, relation, obj)
-    assert len(store.triples) == 1000
-    patterns = [(None, None, None), ("s0", None, None), (None, "likes", None),
-                (None, None, "o3"), ("s1", "owns", None), ("s2", "near", "o5")]
-    for pattern in patterns:
-        want = [t for t in store.triples
-                if all(p is None or getattr(t, f) == p
-                       for p, f in zip(pattern, ("subject", "relation", "object")))]
-        assert query_triples(store, pattern) == want
-
-
-def test_add_triple_deduplicates():
-    store = MemoryStore()
-    add_triple(store, "user", "likes", "chocolate")
-    add_triple(store, "user", "likes", "chocolate")
-    assert len(store.triples) == 1
 
 
 # regulated context window -----------------------------------------------------
@@ -904,15 +833,11 @@ def test_snapshot_round_trip():
     store = MemoryStore()
     update_memory(store, ctx(GLUTEN_TURN, ("agent", "noted")), MemoryLabel.EPI, now=1)
     update_memory(store, ctx(("user", "theme = mickey mouse")), MemoryLabel.SEM, now=2)
-    add_triple(store, "user", "likes", "chocolate")
-    add_triple(store, "child", "likes", "vanilla")
 
     text = store_to_jsonl(store)
     loaded = store_from_jsonl(text)
     assert loaded.raw_log == store.raw_log
     assert loaded.items == store.items
-    assert loaded.triples == store.triples
-    assert loaded.entity_set == store.entity_set
     assert store_to_jsonl(loaded) == text
 
 
@@ -920,7 +845,7 @@ SNAPSHOT_WORDS = ["cake", "decor", "theme", "budget", "pirates", "vanilla", "gue
 
 
 def snapshot_store(rng):
-    """A store built only by the public writers: turns, facts under every label, triples."""
+    """A store built only by the public writers: turns and facts under every label."""
     store = MemoryStore()
     for now in range(rng.randint(3, 12)):
         turns = [("user", rng.choice([
@@ -934,8 +859,6 @@ def snapshot_store(rng):
     # a value text with no [0-9a-z] token: its key is the all-zero vector
     store.items[("\u2014", MemoryLabel.PROC)] = make_item(
         "\u2014", "\u2026", MemoryLabel.PROC, now=99)
-    for _ in range(rng.randint(0, 4)):
-        add_triple(store, *rng.sample(SNAPSHOT_WORDS, 3))
     return store
 
 
@@ -949,8 +872,6 @@ def test_snapshot_round_trip_of_every_record_kind():
         loaded = store_from_jsonl("\n".join(lines))
         assert loaded.raw_log == store.raw_log
         assert loaded.items == store.items
-        assert loaded.triples == store.triples
-        assert loaded.entity_set == store.entity_set
         assert store_to_jsonl(loaded) == text
 
 
@@ -995,6 +916,7 @@ def item_with(**fields):
     item_with(key=[0.125] * (EMBED_DIM - 1) + ["x"]),
     item_with(key=[0.125] * (EMBED_DIM - 1) + [float("nan")]),
     item_with(meta=dict(VALID_ITEM["meta"], timestamp="1")),
+    # a triple is not a snapshot record kind
     '{"kind": "triple", "subject": "user", "relation": "likes", "object": 5}',
     '{"kind": "triple", "subject": "", "relation": "likes", "object": "cake"}',
     '{"kind": "error"}',
@@ -1013,6 +935,13 @@ def test_snapshot_rejects_each_malformed_line_naming_it(line):
     assert excinfo.type is InvalidArgument
 
 
+def test_snapshot_triple_line_is_an_unknown_kind():
+    line = '{"kind": "triple", "object": "cake", "relation": "likes", "subject": "user"}'
+    with pytest.raises(InvalidArgument) as excinfo:
+        store_from_jsonl("\n".join([item_with(), line]))
+    assert str(excinfo.value) == "snapshot line 2: unknown snapshot record kind: 'triple'"
+
+
 def test_snapshot_same_slot_under_another_label_loads():
     sem = item_with(meta=dict(VALID_ITEM["meta"], label="SEM"))
     loaded = store_from_jsonl("\n".join([item_with(), sem]))
@@ -1025,8 +954,7 @@ WRONG_TYPES = [None, True, 3, 2.5, "", "x", [], ["a", "b", "c"], {}]
 def mutate(rng, record):
     """A copy of one snapshot record that no snapshot may hold, as its JSON line."""
     kind = record["kind"]
-    fields = {"turn": ("speaker", "text"), "item": ("key", "value", "meta"),
-              "triple": ("subject", "relation", "object")}[kind]
+    fields = {"turn": ("speaker", "text"), "item": ("key", "value", "meta")}[kind]
     choice = rng.randrange(6)
     if choice == 0:  # a cut line: every record line starts with "{"
         line = json.dumps(record, sort_keys=True)
@@ -1040,8 +968,7 @@ def mutate(rng, record):
     elif choice == 4 or kind != "item":  # a wrong-typed field; items also get choice 5
         name = rng.choice(fields)
         record[name] = rng.choice([value for value in WRONG_TYPES
-                                   if name in ("key", "meta") or type(value) is not str
-                                   or kind == "triple" and not value])
+                                   if name in ("key", "meta") or type(value) is not str])
     else:  # a bad component of an item's key or meta
         key, meta = record["key"], record["meta"]
         rng.choice([

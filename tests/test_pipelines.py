@@ -22,19 +22,20 @@ from agentrec.memory import (
     make_item,
 )
 from agentrec.pipelines import (
+    DEFAULT_EXPLANATION_TEMPLATES,
     Bundle,
     BundleItem,
     ConstraintSet,
     Explanation,
     RankedList,
     Transcript,
+    _render_explanation,
     check_collection_consistency,
     compat_check,
     consistency_check,
     constraints_from_facts,
     explain_with_revision,
     facts_from_memory,
-    generate_explanation,
     recommend_interactive,
     recommend_multimodal,
     score_item,
@@ -249,8 +250,7 @@ def test_collection_check_matches_per_rule_oracle():
 
 def bundle_of(*palettes):
     return Bundle(items=[BundleItem(id=f"b{i}", category=f"c{i}", palette=p)
-                         for i, p in enumerate(palettes)],
-                  target_categories=frozenset(f"c{i}" for i in range(len(palettes))))
+                         for i, p in enumerate(palettes)])
 
 
 def test_compat_identical_palettes_true():
@@ -282,8 +282,7 @@ def test_compat_invariant_under_permutation():
 
 
 def test_compat_requires_palettes():
-    bundle = Bundle(items=[BundleItem(id="x", category="c", palette=None)],
-                    target_categories=frozenset({"c"}))
+    bundle = Bundle(items=[BundleItem(id="x", category="c", palette=None)])
     with pytest.raises(MissingPalette):
         compat_check(bundle)
 
@@ -333,8 +332,7 @@ def test_multimodal_two_categories_only_one_pair_compatible():
         for sofa_id in ("s_warm",):
             pair = Bundle(items=[
                 BundleItem(chair_id, "chair", env.item_by_id(chair_id).palette),
-                BundleItem(sofa_id, "sofa", env.item_by_id(sofa_id).palette)],
-                target_categories=frozenset({"chair", "sofa"}))
+                BundleItem(sofa_id, "sofa", env.item_by_id(sofa_id).palette)])
             if compat_check(pair):
                 passing.append((chair_id, sofa_id))
     assert passing == [("c_warm", "s_warm")]
@@ -533,7 +531,7 @@ def scan_bundle(text, scene, profile, categories, env, alpha, tau):
     for combo in combos:
         bundle = Bundle([BundleItem(item.id, category, item.palette)
                          for category, (_, item) in zip(categories, combo)],
-                        frozenset(categories), truncated)
+                        truncated)
         if compat_check(bundle, tau):
             return bundle
     raise NoCompatibleBundle("no candidate combination passes the compatibility check")
@@ -772,7 +770,8 @@ def ctx_items(**facts):
 
 def test_explanation_cites_item_and_fact():
     recs = RankedList(entries=[("cake_7", 0.9)])
-    explanation = generate_explanation(recs, ctx_items(guest_allergy="gluten"))
+    explanation, _ = explain_with_revision(recs, ctx_items(guest_allergy="gluten"),
+                                           EMPTY_POLICY, 1)
     assert explanation.cited_items == {"cake_7"}
     assert explanation.cited_facts == {"guest_allergy"}
     assert "gluten" in explanation.text
@@ -781,7 +780,7 @@ def test_explanation_cites_item_and_fact():
 
 def test_explanation_empty_context_flagged_item_only():
     recs = RankedList(entries=[("cake_7", 0.9)])
-    explanation = generate_explanation(recs, [])
+    explanation, _ = explain_with_revision(recs, [], EMPTY_POLICY, 1)
     assert explanation.context_missing is True
     assert explanation.cited_items == {"cake_7"}
     assert explanation.cited_facts == frozenset()
@@ -790,7 +789,7 @@ def test_explanation_empty_context_flagged_item_only():
 def test_cited_sets_match_independent_scanner():
     import re
     recs = RankedList(entries=[("itemx", 0.5)])
-    explanation = generate_explanation(recs, ctx_items(theme="space"))
+    explanation, _ = explain_with_revision(recs, ctx_items(theme="space"), EMPTY_POLICY, 1)
     # independent scanner with its own regexes
     items = set(re.findall(r"\[item:([^\]]+)\]", explanation.text))
     facts = set(re.findall(r"\[fact:([^\]]+)\]", explanation.text))
@@ -808,7 +807,7 @@ def test_consistency_rejects_out_of_list_citation():
 def test_consistency_accepts_clean_explanation():
     recs = RankedList(entries=[("real", 0.9)])
     items = ctx_items(theme="space")
-    explanation = generate_explanation(recs, items)
+    explanation, _ = explain_with_revision(recs, items, EMPTY_POLICY, 1)
     assert consistency_check(explanation, recs, items, EMPTY_POLICY) is True
 
 
@@ -816,7 +815,8 @@ def test_consistency_rejects_banned_phrase():
     policy = BrandPolicy(banned_terms=frozenset({"told us"}))
     recs = RankedList(entries=[("real", 0.9)])
     items = ctx_items(theme="space")
-    explanation = generate_explanation(recs, items)  # first template says "told us"
+    # the first template says "told us"
+    explanation = _render_explanation(DEFAULT_EXPLANATION_TEMPLATES[0], recs, items, False)
     assert "told us" in explanation.text
     assert consistency_check(explanation, recs, items, policy) is False
 

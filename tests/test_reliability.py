@@ -1,11 +1,11 @@
-"""Reliability: propagation closed form, cascade simulation, consensus, compliance."""
+"""Reliability: propagation closed form, cascade simulation, compliance."""
 
 import math
 import random
 
 import pytest
 
-from agentrec.errors import CyclicGraph, NoCompliantCandidate, OutOfRange
+from agentrec.errors import CyclicGraph, OutOfRange
 from agentrec.reliability import (
     CASCADE_BLOCK,
     AgentGraph,
@@ -13,8 +13,6 @@ from agentrec.reliability import (
     EMPTY_POLICY,
     ValidityOracle,
     check_compliance,
-    consensus,
-    constrained_select,
     default_oracle,
     propagation_probability,
     simulate_error_cascade,
@@ -243,39 +241,6 @@ def test_block_cascade_equals_reference_loop_at_draw_valued_rates():
                 == reference_simulate_error_cascade(graph, oracle, trials, seed)), case
 
 
-# consensus ---------------------------------------------------------------------------
-
-def test_strict_majority_wins():
-    assert consensus(["a", "a", "b"]) == "a"
-
-
-def test_tie_breaks_lexicographically():
-    assert consensus(["a", "b"]) == "a"
-    assert consensus(["b", "a"]) == "a"
-    assert consensus(["z", "y", "z", "y"]) == "y"
-
-
-def test_singleton_returned():
-    assert consensus(["x"]) == "x"
-
-
-def test_majority_property_random():
-    rng = random.Random(3)
-    for _ in range(200):
-        majority_reply = "winner"
-        n_major = rng.randint(3, 10)
-        n_minor = rng.randint(0, n_major - 1)
-        replies = [majority_reply] * n_major + [
-            f"noise{i}" for i in range(n_minor)]
-        rng.shuffle(replies)
-        assert consensus(replies) == majority_reply
-
-
-def test_empty_replies_rejected():
-    with pytest.raises(ValueError):
-        consensus([])
-
-
 # compliance ----------------------------------------------------------------------------
 
 def test_banned_term_fails():
@@ -352,53 +317,3 @@ def test_randomized_texts_match_reference_checker():
         text = " ".join(rng.choices(vocabulary, k=rng.randint(0, 10)))
         assert check_compliance(text, policy) == reference_compliance(text, policy)
 
-
-# constrained selection --------------------------------------------------------------------
-
-def test_constraint_dominates_score():
-    policy = BrandPolicy(banned_terms=frozenset({"miracle"}))
-    chosen = constrained_select(
-        [("a miracle product", 0.9), ("a solid product", 0.7)], policy)
-    assert chosen == "a solid product"
-
-
-def test_all_clean_returns_global_argmax():
-    chosen = constrained_select(
-        [("low", 0.1), ("high", 0.9), ("mid", 0.5)], EMPTY_POLICY)
-    assert chosen == "high"
-
-
-def test_all_banned_raises():
-    policy = BrandPolicy(banned_terms=frozenset({"x"}))
-    with pytest.raises(NoCompliantCandidate):
-        constrained_select([("x one", 0.9), ("x two", 0.8)], policy)
-
-
-def test_score_ties_take_lexicographic_smallest():
-    assert constrained_select([("bbb", 0.5), ("aaa", 0.5)], EMPTY_POLICY) == "aaa"
-
-
-def test_nonfinite_scores_rejected():
-    with pytest.raises(ValueError):
-        constrained_select([("a", float("nan"))], EMPTY_POLICY)
-
-
-def test_selection_soundness_fuzz():
-    rng = random.Random(21)
-    vocabulary = ["miracle", "cake", "sale", "terms", "apply", "fresh", "deal"]
-    policy = BrandPolicy(banned_terms=frozenset({"miracle"}),
-                         required_disclosures=(("sale", "terms apply"),))
-    for _ in range(300):
-        candidates = [(" ".join(rng.choices(vocabulary, k=rng.randint(1, 6))),
-                       round(rng.uniform(0, 1), 6))
-                      for _ in range(rng.randint(1, 6))]
-        compliant = [(t, s) for t, s in candidates if reference_compliance(t, policy)]
-        if not compliant:
-            with pytest.raises(NoCompliantCandidate):
-                constrained_select(candidates, policy)
-            continue
-        chosen = constrained_select(candidates, policy)
-        assert reference_compliance(chosen, policy)
-        best = max(s for _, s in compliant)
-        chosen_score = max(s for t, s in compliant if t == chosen)
-        assert chosen_score == best

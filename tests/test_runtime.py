@@ -2,6 +2,7 @@
 
 import copy
 import enum
+import json
 import math
 import random
 from pathlib import Path
@@ -34,7 +35,6 @@ from agentrec.runtime import (
     MessageSchema,
     apply_env_update,
     catalog_item,
-    trace_from_jsonl,
     trace_to_jsonl,
 )
 
@@ -283,8 +283,8 @@ def test_add_item_visible_after_update():
         {"op": "add_item", "item": {"id": "i3", "title": "three", "tags": ["c"],
                                     "price": 3.0}}])
     assert updated.version == 1
-    assert updated.has_item("i3")
-    assert not env.has_item("i3")
+    assert "i3" in updated._by_id
+    assert "i3" not in env._by_id
 
 
 def test_hundred_deltas_count_versions():
@@ -313,7 +313,7 @@ def test_remove_and_set_field():
         {"op": "remove_item", "id": "i2"},
         {"op": "set_item_field", "id": "i1", "field": "tags", "value": ["a", "x"]},
     ])
-    assert not updated.has_item("i2")
+    assert "i2" not in updated._by_id
     assert updated.item_by_id("i1").tags == ("a", "x")
 
 
@@ -323,7 +323,7 @@ def test_catalog_ids_must_be_unique_and_lookup_misses_raise():
                              CatalogItem(id="i1", title="uno", tags=(), price=2.0)])
     env = sample_env()
     assert env.item_by_id("i2").title == "two"
-    assert not env.has_item("i9")
+    assert "i9" not in env._by_id
     with pytest.raises(UnknownItem):
         env.item_by_id("i9")
 
@@ -867,6 +867,8 @@ def test_trace_round_trip():
     runtime, routing = chain_runtime(3)
     result = runtime.run_episode(routing, seed=1, initial_input="payload text")
     text = trace_to_jsonl(result.trace)
-    messages = trace_from_jsonl(text)
-    assert messages == result.trace
-    assert trace_to_jsonl(messages) == text
+    records = [json.loads(line) for line in text.splitlines()]
+    assert records == [{"seq": m.seq, "from": m.sender, "to": m.recipient, "kind": m.kind,
+                        "payload": m.payload, "env_version": m.env_version}
+                       for m in result.trace]
+    assert "".join(json.dumps(record, sort_keys=True) + "\n" for record in records) == text
