@@ -103,9 +103,9 @@ class LanguageCore:
             with urllib.request.urlopen(request, timeout=10.0) as response:
                 payload = json.loads(response.read().decode("utf-8"))
         except (urllib.error.URLError, ValueError, OSError) as exc:
-            raise ToolFailure("remote_core", str(exc))
+            raise ToolFailure(f"remote_core: {exc}")
         if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
-            raise ToolFailure("remote_core", "response missing 'text' field")
+            raise ToolFailure("remote_core: response missing 'text' field")
         return payload["text"]
 
 
@@ -158,7 +158,6 @@ class AgentSpec:
     memory: MemoryStore = field(default_factory=MemoryStore)
     context_budget: int = DEFAULT_CONTEXT_BUDGET
     stm_tokens: int = DEFAULT_STM_TOKENS
-    retain_label: MemoryLabel = MemoryLabel.EPI
 
 
 def invoke_tool(agent: AgentSpec, name: str, args: str) -> str:
@@ -170,7 +169,7 @@ def invoke_tool(agent: AgentSpec, name: str, args: str) -> str:
     except ToolFailure:
         raise
     except Exception as exc:
-        raise ToolFailure(name, str(exc)) from exc
+        raise ToolFailure(f"{name}: {exc}") from exc
 
 
 def resolve_directives(agent: AgentSpec, text: str) -> str:
@@ -205,7 +204,7 @@ def step_agent(agent: AgentSpec, input_text: str, now: int) -> str:
     update_memory(
         agent.memory,
         [("user", input_text), ("agent", output)],
-        agent.retain_label,
+        MemoryLabel.EPI,
         now,
     )
     return output

@@ -47,7 +47,6 @@ from .reliability import (
     AgentGraph,
     BrandPolicy,
     EMPTY_POLICY,
-    default_oracle,
     propagation_probability,
     simulate_error_cascade,
 )
@@ -143,10 +142,6 @@ def tuple_of(*items):
         return [item(entry, f"{field}[{i}]", findings)
                 for i, (item, entry) in enumerate(zip(items, value))]
     return check
-
-
-def nullable(check):
-    return lambda value, field, findings: None if value is None else check(value, field, findings)
 
 
 def map_of(item):
@@ -260,7 +255,8 @@ CONFIG_SPEC = obj({
         "text_constraints": (text(), ""),
         "profile_facts": (_FACTS, {}),
         "alpha": (number(0, 1), DEFAULT_PALETTE_WEIGHT),
-        "tau": (number(), DEFAULT_COMPAT_TAU),
+        # a palette cosine lies in [-1, 1], so a tau outside it passes no bundle
+        "tau": (number(-1, 1), DEFAULT_COMPAT_TAU),
     },
     "explain": {
         "policy": (text(), REQUIRED),
@@ -464,7 +460,6 @@ def _environment(config) -> Environment:
 _POLICY = obj({
     "banned_terms": (list_of(text()), []),
     "required_disclosures": (list_of(_PAIR), []),
-    "tone_allowlist": (nullable(list_of(text())), None),
 })
 
 
@@ -477,11 +472,9 @@ def load_policy(path) -> BrandPolicy:
     record = _POLICY(record, "", findings)
     if findings:
         raise ConfigInvalid(f"policy {path} is malformed: {_describe(findings)}", findings)
-    allow = record["tone_allowlist"]
     return BrandPolicy(
         banned_terms=frozenset(record["banned_terms"]),
         required_disclosures=tuple(map(tuple, record["required_disclosures"])),
-        tone_allowlist=frozenset(allow) if allow is not None else None,
     )
 
 
@@ -658,8 +651,7 @@ def _run_cascade(config, env, policy, seed):
     graph = AgentGraph(nodes=nodes, edges=[tuple(edge) for edge in config["edges"]],
                        error_rates=rates)
     closed_form = propagation_probability([rates[node] for node in nodes])
-    empirical = simulate_error_cascade(graph, default_oracle(graph),
-                                       trials=config["trials"], seed=seed)
+    empirical = simulate_error_cascade(graph, trials=config["trials"], seed=seed)
     messages = []
     for node in nodes:
         _post(messages, node, "monitor", "eval_event", {"error_rate": rates[node]})

@@ -26,11 +26,8 @@ class UnknownTool(AgentRecError):
 
 
 class ToolFailure(AgentRecError):
-    """A tool handler (or remote language core) signalled failure."""
-
-    def __init__(self, tool: str, message: str):
-        super().__init__(f"{tool}: {message}")
-        self.tool = tool
+    """A tool handler (or remote language core) signalled failure; the message
+    is "<tool>: <reason>"."""
 
 
 # runtime

@@ -37,10 +37,10 @@ Pinned constants (changing any of these changes every persisted vector):
   edited item is a new object with no vector yet); the dense ``key`` and
   ``embedding`` are rebuilt from it on demand
 * text memos: a query text's prepared query, a memory item's sparse vector
-  (keyed on its value text) and a user text's retained facts (keyed on the
-  text and the rule table) each come from a memo of the 256 most recently
-  used texts (a fixed bound, not an option), so an upsert that keeps its
-  value, or another agent's item with the same text, embeds nothing again.
+  (keyed on its value text) and a user text's retained facts each come from
+  a memo of the 256 most recently used texts (a fixed bound, not an option),
+  so an upsert that keeps its value, or another agent's item with the same
+  text, embeds nothing again.
   A query given as an embedding is prepared afresh. A catalog index keeps
   the dot-product table of the last query it ranked (see ``runtime``)
 * token hashing: ``_bucket_sign`` keeps the 4,096 most recently hashed
@@ -67,7 +67,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import InvalidArgument
 
@@ -303,48 +303,31 @@ def _topk_sort_key(scored):
     return (-score, item.meta.timestamp, item.canonical_text())
 
 
-def retrieve_topk(store: MemoryStore, query: Union[str, Vector], k: int,
-                  label_filter: Optional[MemoryLabel] = None) -> list:
+def retrieve_topk(store: MemoryStore, query: Union[str, Vector], k: int) -> list:
     """The K highest-scoring items, exhaustively scored and deterministically ordered.
 
     ``query`` is the query text, its embedding or the prepared query.
     """
     if k < 1:
         raise InvalidArgument("k must be >= 1")
-    candidates = store.all_items() if label_filter is None else store.labelled_items(label_filter)
     query = prepare_query(query)
-    scored = [(relevance_score(query, item), item) for item in candidates]
+    scored = [(relevance_score(query, item), item) for item in store.all_items()]
     return [item for _, item in heapq.nsmallest(k, scored, key=_topk_sort_key)]
 
 
 # retention -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RetentionRule:
-    """One extraction pattern: regex with named groups 'slot'/'value', or a fixed slot."""
-
-    pattern: str
-    slot: Optional[str] = None  # fixed slot; None means use the 'slot' group
-
-    @cached_property
-    def compiled(self):
-        """The case-insensitive pattern, compiled on first use and kept by this rule.
-
-        Not a dataclass field, so equality, hash and repr ignore it.
-        """
-        return re.compile(self.pattern, re.IGNORECASE)
-
-
-DEFAULT_RETENTION_RULES = (
+# (case-insensitive pattern with named groups 'slot'/'value', fixed slot):
+# a None slot means the 'slot' group names it
+RETENTION_RULES = tuple((re.compile(pattern, re.IGNORECASE), slot) for pattern, slot in (
     # "two of my guests require a gluten-free diet" -> guest_allergy: gluten
-    RetentionRule(r"requires?\s+an?\s+(?P<value>[a-z][\w-]*)-free\s+diet",
-                  slot="guest_allergy"),
+    (r"requires?\s+an?\s+(?P<value>[a-z][\w-]*)-free\s+diet", "guest_allergy"),
     # "theme = mickey mouse" / "budget: 200"
-    RetentionRule(r"^\s*(?P<slot>[A-Za-z][\w ]{0,40}?)\s*[:=]\s*(?P<value>.+?)\s*$"),
+    (r"^\s*(?P<slot>[A-Za-z][\w ]{0,40}?)\s*[:=]\s*(?P<value>.+?)\s*$", None),
     # "the sofa is blue" / "my guests are vegan"
-    RetentionRule(r"^\s*(?:the\s+|a\s+|an\s+|my\s+)?"
-                  r"(?P<slot>[A-Za-z][\w ]{0,40}?)\s+(?:is|are)\s+(?P<value>.+?)\s*$"),
-)
+    (r"^\s*(?:the\s+|a\s+|an\s+|my\s+)?"
+     r"(?P<slot>[A-Za-z][\w ]{0,40}?)\s+(?:is|are)\s+(?P<value>.+?)\s*$", None),
+))
 
 _SEGMENT_RE = re.compile(r";\s*|[.,](?:\s+|$)")
 _USER_TAG = "user"
@@ -355,17 +338,17 @@ def _normalize_slot(raw: str) -> str:
 
 
 @lru_cache(maxsize=_TEXT_MEMO_SIZE)
-def _facts_of_text(text: str, rules: tuple) -> tuple:
+def _facts_of_text(text: str) -> tuple:
     """The facts ``retain`` takes from one user text, in segment order."""
     facts = []
     for segment in _SEGMENT_RE.split(text):
         if not segment.strip():
             continue
-        for rule in rules:
-            match = rule.compiled.search(segment)
+        for pattern, fixed_slot in RETENTION_RULES:
+            match = pattern.search(segment)
             if match is None:
                 continue
-            slot = rule.slot if rule.slot is not None else _normalize_slot(match.group("slot"))
+            slot = fixed_slot if fixed_slot is not None else _normalize_slot(match.group("slot"))
             value = match.group("value").strip()
             if slot and value:
                 facts.append((slot, value))
@@ -373,18 +356,18 @@ def _facts_of_text(text: str, rules: tuple) -> tuple:
     return tuple(facts)
 
 
-def retain(turns: Sequence, rules: tuple = DEFAULT_RETENTION_RULES) -> list:
+def retain(turns: Sequence) -> list:
     """Extract (slot, value) assertions from the user turns of a (speaker, text) list.
 
     Turns are split into segments on ; . , and each segment yields at most
-    one fact: the first rule in the table that matches wins. Output order
-    follows turn order, then segment position. A text's facts come from a
-    memo keyed on (text, rules); the returned list is new on every call.
+    one fact: the first of ``RETENTION_RULES`` that matches wins. Output
+    order follows turn order, then segment position. A text's facts come
+    from a memo keyed on the text; the returned list is new on every call.
     """
     facts = []
     for speaker, text in turns:
         if speaker.lower() == _USER_TAG:
-            facts += _facts_of_text(text, rules)
+            facts += _facts_of_text(text)
     return facts
 
 
@@ -408,10 +391,10 @@ def upsert_fact(store: MemoryStore, slot: str, value: str, label: MemoryLabel,
 
 
 def update_memory(store: MemoryStore, turns: Sequence, label: MemoryLabel,
-                  now: int, rules: tuple = DEFAULT_RETENTION_RULES) -> MemoryStore:
+                  now: int) -> MemoryStore:
     """Append the (speaker, text) turns and ``upsert_fact`` each retained fact."""
     store.raw_log.extend((speaker, text) for speaker, text in turns)
-    for slot, value in retain(turns, rules):
+    for slot, value in retain(turns):
         upsert_fact(store, slot, value, label, now)
     return store
 

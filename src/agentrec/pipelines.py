@@ -159,10 +159,10 @@ def constraints_from_facts(facts: Iterable) -> ConstraintSet:
                          budget_max=budget)
 
 
-def facts_from_memory(memory: MemoryStore,
-                      labels=(MemoryLabel.EPI, MemoryLabel.SEM)) -> list:
+def facts_from_memory(memory: MemoryStore) -> list:
+    """The (slot, value) facts of the EPI items, then of the SEM items."""
     facts = []
-    for label in labels:
+    for label in (MemoryLabel.EPI, MemoryLabel.SEM):
         for item in memory.labelled_items(label):
             slot, value = item.fact()
             if value:
@@ -432,16 +432,16 @@ def consistency_check(explanation: Explanation, recs: RankedList, ctx_items: lis
 
 
 def explain_with_revision(recs: RankedList, ctx_items: list, policy: BrandPolicy,
-                          max_rounds: int,
-                          templates: tuple = DEFAULT_EXPLANATION_TEMPLATES):
-    """Generate-check loop; each failed round drops the violating template.
+                          max_rounds: int):
+    """Generate-check loop over ``DEFAULT_EXPLANATION_TEMPLATES`` (the item-only
+    template without context items); each failed round drops the violating template.
 
     Returns (explanation, rounds used) or raises RevisionExhausted once the
     round budget or the template pool runs out.
     """
     if max_rounds < 1:
         raise InvalidArgument("max_rounds must be >= 1")
-    candidates = list(templates) if ctx_items else [ITEM_ONLY_TEMPLATE]
+    candidates = list(DEFAULT_EXPLANATION_TEMPLATES) if ctx_items else [ITEM_ONLY_TEMPLATE]
     for round_number in range(1, max_rounds + 1):
         if not candidates:
             break

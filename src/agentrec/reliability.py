@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 from .errors import CyclicGraph, InvalidArgument, OutOfRange
 from .memory import tokenize
@@ -23,16 +23,6 @@ from .memory import tokenize
 # trials per block of simulate_error_cascade; the block's draw buffer holds
 # CASCADE_BLOCK * len(nodes) draws of 8 bytes each
 CASCADE_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class ValidityOracle:
-    """External ground truth: assertion key -> truth value."""
-
-    ground_truth: dict
-
-    def valid(self, assertion: str) -> bool:
-        return bool(self.ground_truth[assertion])
 
 
 @dataclass
@@ -78,15 +68,6 @@ class AgentGraph:
         return [upstream for upstream, downstream in self.edges if downstream == node]
 
 
-def default_oracle(graph: AgentGraph) -> ValidityOracle:
-    """Each node's clean emission is true, its corrupted emission false."""
-    truth = {}
-    for node in graph.nodes:
-        truth[f"{node}:ok"] = True
-        truth[f"{node}:corrupt"] = False
-    return ValidityOracle(ground_truth=truth)
-
-
 def propagation_probability(error_rates: Sequence) -> float:
     """Probability that at least one stage is invalid: 1 - prod(1 - p_i)."""
     product = 1.0
@@ -114,12 +95,12 @@ def _draw_test(rate) -> tuple:
     return threshold, b"\x01" * top + b"\x02" + b"\x00" * (255 - top)
 
 
-def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
-                           trials: int, seed: int) -> float:
+def simulate_error_cascade(graph: AgentGraph, trials: int, seed: int) -> float:
     """Empirical fraction of trials in which any sink emits an invalid message.
 
     Per trial every node fails intrinsically with its own rate; an invalid
-    upstream emission deterministically corrupts every consumer. Each trial
+    upstream emission deterministically corrupts every consumer, and a
+    node's emission is invalid exactly when it is corrupted. Each trial
     draws one ``random()`` per node, in topological order, and trials draw
     one after another (trial-major), so the draw for trial ``t`` and node
     ``i`` is draw ``t * len(nodes) + i`` of ``random.Random(seed)``; node
@@ -141,10 +122,6 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
     sinks = {index[node] for node in graph.sinks()}
     predecessors = [[index[p] for p in graph.predecessors(node)] for node in order]
     tests = [_draw_test(graph.error_rates.get(node, 0.0)) for node in order]
-    # the oracle judges each node's two possible emissions; hoisted out of
-    # the trial loop since the verdict per (node, emission) is fixed
-    clean_invalid = [not oracle.valid(f"{node}:ok") for node in order]
-    corrupt_invalid = [not oracle.valid(f"{node}:corrupt") for node in order]
     rng = random.Random(seed)
     n = len(order)
     bad_trials = 0
@@ -173,11 +150,9 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
                 corrupted = int.from_bytes(lanes, "big")
             for j in predecessors[i]:
                 corrupted |= invalid[j]
-            mask = ((corrupted if corrupt_invalid[i] else 0)
-                    | (ones ^ corrupted if clean_invalid[i] else 0))
-            invalid.append(mask)
+            invalid.append(corrupted)
             if i in sinks:
-                bad |= mask
+                bad |= corrupted
         bad_trials += bad.bit_count()
     return bad_trials / trials
 
@@ -186,11 +161,10 @@ def simulate_error_cascade(graph: AgentGraph, oracle: ValidityOracle,
 
 @dataclass(frozen=True)
 class BrandPolicy:
-    """Finite rule set: banned terms, trigger->disclosure pairs, tone allowlist."""
+    """Finite rule set: banned terms and trigger->disclosure pairs."""
 
     banned_terms: frozenset = frozenset()
     required_disclosures: tuple = ()   # tuple[(trigger, disclosure), ...]
-    tone_allowlist: Optional[frozenset] = None
 
     def __post_init__(self):
         disclosures = {disclosure for _, disclosure in self.required_disclosures}
@@ -210,8 +184,7 @@ def _contains_phrase(tokens: list, phrase: str) -> bool:
                for i in range(len(tokens) - span + 1))
 
 
-def check_compliance(text: str, policy: BrandPolicy,
-                     tone_tags: Iterable = ()) -> bool:
+def check_compliance(text: str, policy: BrandPolicy) -> bool:
     """True iff the text satisfies every rule in the policy."""
     tokens = tokenize(text)
     for term in policy.banned_terms:
@@ -220,8 +193,4 @@ def check_compliance(text: str, policy: BrandPolicy,
     for trigger, disclosure in policy.required_disclosures:
         if _contains_phrase(tokens, trigger) and not _contains_phrase(tokens, disclosure):
             return False
-    if policy.tone_allowlist is not None:
-        for tag in tone_tags:
-            if tag not in policy.tone_allowlist:
-                return False
     return True

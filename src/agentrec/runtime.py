@@ -67,11 +67,9 @@ class CommMatrix:
     """The paper's communication matrix over the registered ids, stored as its
     open (sender, recipient) entries; the diagonal and all others are closed."""
 
-    def __init__(self, ids: Iterable[str] = ()):
+    def __init__(self):
         self._ids = set()
         self._open = set()
-        for agent_id in ids:
-            self.register(agent_id)
 
     def register(self, agent_id: str) -> None:
         if agent_id in self._ids:
@@ -256,7 +254,6 @@ class Environment:
     """
 
     catalog: list = field(default_factory=list)
-    user_profiles: dict = field(default_factory=dict)
     version: int = 0
     _by_id: Optional[dict] = field(default=None, repr=False, compare=False)
     _index: Optional[CatalogIndex] = field(default=None, init=False, repr=False, compare=False)
@@ -295,15 +292,13 @@ def _delta_target(index: int, op) -> tuple:
         named, target = "id", ("item", op.get("id"))
     elif name == "set_item_field":
         named, target = "id, field", ("item_field", op.get("id"), op.get("field"))
-    elif name == "set_profile":
-        named, target = "user, key", ("profile", op.get("user"), op.get("key"))
     else:
         raise InvalidArgument(f"delta op {index}: must be an object whose op is one of "
-                              f"add_item, remove_item, set_item_field, set_profile")
+                              f"add_item, remove_item, set_item_field")
     if not all(type(part) is str for part in target[1:]):
         raise InvalidArgument(f"delta op {index}: {name}: string required: {named}")
-    if name in ("set_item_field", "set_profile") and "value" not in op:
-        raise InvalidArgument(f"delta op {index}: {name}: value: required")
+    if name == "set_item_field" and "value" not in op:
+        raise InvalidArgument(f"delta op {index}: set_item_field: value: required")
     if name == "set_item_field" and op["field"] not in _SETTABLE_FIELDS:
         raise InvalidArgument(f"delta op {index}: set_item_field: field: must be one "
                               f"of {list(_SETTABLE_FIELDS)}")
@@ -321,7 +316,7 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
     Every op's shape is checked before any is applied. Items are added, and
     edited in one of _SETTABLE_FIELDS, by `catalog_item`'s record rules; an
     added item goes last and the others keep their order. `env`'s catalog,
-    items, profiles and version never change. Once every op has applied, a
+    items and version never change. Once every op has applied, a
     built catalog index of `env`'s is handed to the new version and patched
     there in place, and `env` builds its own again if it is ranked again; a
     delta that raises leaves `env`'s index with it.
@@ -331,7 +326,6 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
         raise ConflictingDelta("delta touches the same field twice")
 
     items = dict(env._by_id)
-    profiles = {user: dict(facts) for user, facts in env.user_profiles.items()}
     for index, op in enumerate(delta):
         name = op["op"]
         try:
@@ -340,8 +334,6 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
                 if item.id in items:
                     raise ConflictingDelta(f"item already in catalog: {item.id!r}")
                 items[item.id] = item
-            elif name == "set_profile":
-                profiles.setdefault(op["user"], {})[op["key"]] = op["value"]
             elif op["id"] not in items:
                 raise UnknownItem(f"unknown catalog item: {op['id']!r}")
             elif name == "remove_item":
@@ -356,13 +348,12 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
             raise InvalidArgument(f"delta op {index}: {exc}") from None
     index, env._index = env._index, None
     if index is not None:  # hand it on: patch it into the new version's
-        touched = dict.fromkeys(target[1] for target in targets if target[0] != "profile")
+        touched = dict.fromkeys(target[1] for target in targets)
         changed = [item_id for item_id in touched
                    if _indexed(env._by_id.get(item_id)) != _indexed(items.get(item_id))]
         index.patch(items, [env._by_id[i] for i in changed if i in env._by_id],
                     [items[i] for i in changed if i in items])
-    updated = Environment(catalog=list(items.values()), user_profiles=profiles,
-                          version=env.version + 1, _by_id=items)
+    updated = Environment(catalog=list(items.values()), version=env.version + 1, _by_id=items)
     updated._index = index
     return updated
 
@@ -403,7 +394,7 @@ class MasRuntime:
         self.spawns = {}
         self.message_count = 0  # messages delivered so far, and the next seq
 
-    def register_agent(self, agent: AgentSpec, allow_to=(), allow_from=()) -> None:
+    def register_agent(self, agent: AgentSpec) -> None:
         for kind in set(agent.input_schema) | set(agent.output_schema):
             if kind not in self.schemata:
                 raise UnknownSchema(
@@ -411,10 +402,6 @@ class MasRuntime:
         self.matrix.register(agent.id)  # raises on a duplicate id
         self.agents[agent.id] = agent
         self.inboxes[agent.id] = []
-        for recipient in allow_to:
-            self.matrix.set_channel(agent.id, recipient, True)
-        for sender in allow_from:
-            self.matrix.set_channel(sender, agent.id, True)
 
     def declare_spawn(self, parent_id: str, children, open_channels) -> None:
         self.spawns[parent_id] = SpawnDecl(children=list(children),

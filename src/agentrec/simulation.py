@@ -206,29 +206,22 @@ def evaluate(traces: Sequence) -> EvalReport:
 
 @dataclass
 class SessionSummary:
-    simulator_id: str
+    """What ``aggregate_rows`` reads of one session."""
+
     cohort: str
-    seed: int
     total_reward: float
     selects: int
     distinct_items: int
-    first_action: str
-    last_action: str
 
 
 def summarize_session(trace: SessionTrace) -> SessionSummary:
     """Fixed-shape digest of one session's salient outcomes."""
-    actions = [step.action for step in trace.steps if step.action is not None]
     shown = {item_id for step in trace.steps for item_id, _ in step.recs.entries}
     return SessionSummary(
-        simulator_id=trace.simulator_id,
         cohort=trace.cohort,
-        seed=trace.seed,
         total_reward=left_sum(step.reward for step in trace.steps),
-        selects=sum(1 for action in actions if action == SELECT),
+        selects=sum(1 for step in trace.steps if step.action == SELECT),
         distinct_items=len(shown),
-        first_action=actions[0] if actions else "",
-        last_action=actions[-1] if actions else "",
     )
 
 

@@ -4,6 +4,7 @@ Each test prints one PASS line on success (visible with pytest -s); a failed
 assertion is the FAIL line. Runtime-bounded criteria assert their own budget.
 """
 
+import json
 import math
 import random
 import time
@@ -13,7 +14,7 @@ import pytest
 
 from agentrec.agents import AgentSpec, scripted_core
 from agentrec.blueprints import build_interactive_runtime, ranked_entries_from_trace
-from agentrec.cli import load_catalog, load_config, run_scenario
+from agentrec.cli import load_catalog, load_config, main, run_scenario
 from agentrec.errors import ChannelClosed
 from agentrec.memory import (
     EMBED_DIM,
@@ -30,7 +31,6 @@ from agentrec.pipelines import Explanation, RankedList, consistency_check
 from agentrec.reliability import (
     BrandPolicy,
     check_compliance,
-    default_oracle,
     propagation_probability,
     simulate_error_cascade,
 )
@@ -103,11 +103,8 @@ def test_c02_retrieval_oracle():
         store = _random_store(rng, max_items=200)
         query = " ".join(rng.choices(WORDS, k=rng.randint(1, 4)))
         k = rng.randint(1, 25)
-        label = rng.choice([None] + list(MemoryLabel))
-        got = retrieve_topk(store, query, k, label_filter=label)
-        pool = [m for m in store.items.values()
-                if label is None or m.meta.label == label]
-        scored = [(relevance_score(query, m), m) for m in pool]
+        got = retrieve_topk(store, query, k)
+        scored = [(relevance_score(query, m), m) for m in store.items.values()]
         scored.sort(key=lambda p: (-p[0], p[1].meta.timestamp, p[1].canonical_text()))
         want = [m for _, m in scored[:k]]
         assert got == want
@@ -186,8 +183,9 @@ def test_c04_schema_gate_on_every_consumed_message():
             input_schema=accepted, output_schema=frozenset({"query"})))
         runtime.register_agent(AgentSpec(
             id="sender", core=scripted_core((r".*", "$input")),
-            input_schema=frozenset(kinds), output_schema=frozenset(kinds)),
-            allow_to=["consumer"], allow_from=["consumer"])
+            input_schema=frozenset(kinds), output_schema=frozenset(kinds)))
+        runtime.toggle_channel("sender", "consumer", True)
+        runtime.toggle_channel("consumer", "sender", True)
         sent = [rng.choice(kinds) for _ in range(rng.randint(1, 4))]
         for kind in sent:
             runtime.send_message(Message(sender="sender", recipient="consumer", kind=kind,
@@ -239,8 +237,7 @@ def test_c06_error_propagation_agreement():
                        error_rates={"n0": 0.1, "n1": 0.1})
     closed_form = propagation_probability([0.1, 0.1])
     assert closed_form == pytest.approx(0.19, abs=1e-15)
-    empirical = simulate_error_cascade(graph, default_oracle(graph),
-                                       trials=1_000_000, seed=606)
+    empirical = simulate_error_cascade(graph, trials=1_000_000, seed=606)
     assert abs(empirical - 0.19) <= 0.002
 
     rng = random.Random(808)
@@ -398,3 +395,68 @@ def test_c11_explanation_consistency_fixtures():
 
     assert accepted == 50 and rejected == 50
     print("ACCEPTANCE 11 (explanation consistency, 50 clean + 50 bad): PASS")
+
+
+# One number leaf of a bundled config set to an edge value. The size-driving
+# integers are left alone: a huge one is valid and would only make a run long.
+EDGE_NUMBERS = (10 ** 400, -10 ** 400, 1e308, -1e308, 5e-324, -0.0, 1e16, 2 ** 53 + 1,
+                1.5, -1.5)
+SIZE_FIELDS = {"trials", "count", "horizon", "sessions_per_sim", "budgets"}
+
+
+def _number_leaves(value, path=()):
+    """Paths of a config's number leaves that lie under no size field."""
+    if isinstance(value, dict):
+        for key, entry in value.items():
+            if key not in SIZE_FIELDS:
+                yield from _number_leaves(entry, path + (key,))
+    elif isinstance(value, list):
+        for index, entry in enumerate(value):
+            yield from _number_leaves(entry, path + (index,))
+    elif type(value) in (int, float):
+        yield path
+
+
+def _bundled(name) -> dict:
+    return json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _edited_config(name, path, value) -> dict:
+    """The bundled config with its data paths absolute and one leaf set."""
+    config = _bundled(name)
+    for field in ("catalog", "policy"):
+        if field in config:
+            config[field] = str((SCENARIOS / config[field]).resolve())
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return config
+
+
+def test_c12_edge_number_fuzz_validate_agrees_with_run(tmp_path, capsys):
+    started = time.perf_counter()
+    rng = random.Random(7)
+    cases = [(name, path, value) for name in ALL_SCENARIOS
+             for path in _number_leaves(_bundled(name)) for value in EDGE_NUMBERS]
+    cases = rng.sample(cases, min(150, len(cases)))
+    failed = 0
+    for index, case in enumerate(cases):
+        config_path, out = tmp_path / f"case{index}.json", tmp_path / f"out{index}"
+        config_path.write_text(json.dumps(_edited_config(*case)), encoding="utf-8")
+        valid = main(["validate", str(config_path)])  # an exception here is a traceback
+        capsys.readouterr()
+        ran = main(["run", str(config_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert (valid == 0) == (ran == 0), case
+        if ran:
+            failed += 1
+            assert set(json.loads(err.splitlines()[-1])) == {"error", "message"}, case
+        else:
+            for artifact in out.iterdir():
+                text = artifact.read_text(encoding="utf-8")
+                assert "NaN" not in text and "Infinity" not in text, (case, artifact.name)
+    assert 0 < failed < len(cases)
+    elapsed = time.perf_counter() - started
+    print(f"ACCEPTANCE 12 (edge-number fuzz, {len(cases)} configs, {failed} rejected, "
+          f"{elapsed:.2f}s): PASS")

@@ -185,9 +185,9 @@ def test_prompt_never_exceeds_budget_plus_input():
 
 
 def test_step_commits_retained_facts_with_agent_label():
-    agent = make_agent([(r".*", "noted")], retain_label=MemoryLabel.SEM)
+    agent = make_agent([(r".*", "noted")])
     step_agent(agent, "theme = mickey mouse", now=0)
-    item = agent.memory.items[("theme", MemoryLabel.SEM)]
+    item = agent.memory.items[("theme", MemoryLabel.EPI)]
     assert item.canonical_text() == "theme: mickey mouse"
 
 

@@ -131,8 +131,6 @@ FILE_CASES = [
      '[{"id": "rot_1", "tags": "home"}]', "ConfigInvalid", "record 0: tags"),
     ("text-banned-terms", "explain_revision", "brand_policy.json",
      '{"banned_terms": "guaranteed"}', "ConfigInvalid", "banned_terms"),
-    ("text-tone-allowlist", "explain_revision", "brand_policy.json",
-     '{"tone_allowlist": "warm"}', "ConfigInvalid", "tone_allowlist"),
 ]
 
 
@@ -228,12 +226,13 @@ def test_number_past_the_float_range_fails_validate_and_run(tmp_path, capsys, na
 ], ids=["price", "negative-price", "palette-entry", "palette-norm"])
 def test_delta_number_past_the_float_range_names_the_op(field, value, rule):
     env = Environment(catalog=load_catalog(SCENARIOS / "furniture_catalog.json"))
-    delta = [{"op": "set_profile", "user": "u", "key": "k", "value": 1},
+    delta = [{"op": "set_item_field", "id": "sofa_boho", "field": "title", "value": "renamed"},
              {"op": "set_item_field", "id": "chair_rattan", "field": field, "value": value}]
     with pytest.raises(InvalidArgument) as excinfo:
         apply_env_update(env, delta)
     assert str(excinfo.value) == f"delta op 1: {rule}"
     assert env.version == 0 and env.item_by_id("chair_rattan").price == 120.0
+    assert env.item_by_id("sofa_boho").title != "renamed"
 
 
 @pytest.mark.parametrize("name", BUNDLED)

@@ -14,10 +14,9 @@ from agentrec.memory import (
     EMBED_DIM,
     MemoryItem,
     MemoryLabel,
-    DEFAULT_RETENTION_RULES,
     MemoryStore,
     QueryVector,
-    RetentionRule,
+    RETENTION_RULES,
     SparseVector,
     _TEXT_MEMO_SIZE,
     _bucket_sign,
@@ -304,11 +303,9 @@ def test_retrieve_from_empty_store():
     assert retrieve_topk(MemoryStore(), "anything", 5) == []
 
 
-def exhaustive_topk(store, query, k, label=None):
+def exhaustive_topk(store, query, k):
     # independent oracle: score everything, sort with the pinned tie-break
-    pool = [m for m in store.items.values()
-            if label is None or m.meta.label == label]
-    scored = [(relevance_score(query, m), m) for m in pool]
+    scored = [(relevance_score(query, m), m) for m in store.items.values()]
     scored.sort(key=lambda pair: (-pair[0], pair[1].meta.timestamp,
                                   pair[1].canonical_text()))
     return [m for _, m in scored[:k]]
@@ -343,9 +340,8 @@ def test_retrieve_equals_full_sort_on_tied_stores():
             store.items[(slot + str(rng.randint(0, 3)), label)] = make_item(
                 slot, value, label, now=rng.randint(0, 2))
         query = " ".join(rng.choices(words + ("",), k=rng.randint(0, 3)))
-        label = rng.choice((None,) + tuple(MemoryLabel))
         for k in range(1, len(store.items) + 2):
-            assert retrieve_topk(store, query, k, label) == exhaustive_topk(store, query, k, label)
+            assert retrieve_topk(store, query, k) == exhaustive_topk(store, query, k)
 
 
 def test_retrieve_tiebreak_older_then_lexicographic():
@@ -359,14 +355,6 @@ def test_retrieve_tiebreak_older_then_lexicographic():
     same_time.items[("a", MemoryLabel.EPI)] = make_item("a", "v", MemoryLabel.EPI, 5)
     got = retrieve_topk(same_time, "", 2)
     assert [item.canonical_text() for item in got] == ["a: v", "b: v"]
-
-
-def test_retrieve_label_filter():
-    store = MemoryStore()
-    store.items[("a", MemoryLabel.EPI)] = make_item("a", "gluten", MemoryLabel.EPI, 0)
-    store.items[("b", MemoryLabel.SEM)] = make_item("b", "gluten", MemoryLabel.SEM, 1)
-    only_sem = retrieve_topk(store, "gluten", 5, label_filter=MemoryLabel.SEM)
-    assert [item.meta.label for item in only_sem] == [MemoryLabel.SEM]
 
 
 def test_retrieve_rejects_bad_k():
@@ -413,19 +401,6 @@ def test_retain_order_follows_turns():
                        ("user", "theme: space")))
     assert facts == [("budget", "50"), ("theme", "space")]
 
-
-def test_retention_rule_compiles_once_and_compares_by_fields():
-    fresh = [RetentionRule(rule.pattern, rule.slot) for rule in DEFAULT_RETENTION_RULES]
-    reprs = [repr(rule) for rule in fresh]
-    hashes = [hash(rule) for rule in fresh]
-    retain(ctx(("user", "theme = space")), tuple(fresh))
-    for rule, original in zip(fresh, DEFAULT_RETENTION_RULES):
-        assert rule.compiled is rule.compiled
-        assert rule.compiled.pattern == rule.pattern
-        assert rule.compiled.flags & re.IGNORECASE
-        assert rule == original
-    assert [repr(rule) for rule in fresh] == reprs
-    assert [hash(rule) for rule in fresh] == hashes
 
 
 # memory update -----------------------------------------------------------
@@ -548,7 +523,7 @@ def memo_texts(rng, count):
             for i in range(count)]
 
 
-def reference_retain(turns, rules=DEFAULT_RETENTION_RULES):
+def reference_retain(turns):
     """``retain`` with no memo: every segment of every user turn matched afresh."""
     facts = []
     for speaker, text in turns:
@@ -557,11 +532,11 @@ def reference_retain(turns, rules=DEFAULT_RETENTION_RULES):
         for segment in re.split(r";\s*|[.,](?:\s+|$)", text):
             if not segment.strip():
                 continue
-            for rule in rules:
-                match = re.search(rule.pattern, segment, re.IGNORECASE)
+            for pattern, fixed_slot in RETENTION_RULES:
+                match = re.search(pattern.pattern, segment, re.IGNORECASE)
                 if match is None:
                     continue
-                slot = rule.slot or "_".join(match.group("slot").strip().lower().split())
+                slot = fixed_slot or "_".join(match.group("slot").strip().lower().split())
                 value = match.group("value").strip()
                 if slot and value:
                     facts.append((slot, value))
@@ -574,7 +549,6 @@ def test_text_memos_fuzz_equal_fresh_computation_past_their_bound():
     for memo in (_query_of_text, _sparse_of_text, _facts_of_text):
         memo.cache_clear()
     texts = memo_texts(rng, _TEXT_MEMO_SIZE + 150)
-    tables = (DEFAULT_RETENTION_RULES, DEFAULT_RETENTION_RULES[::-1])
     for _ in range(4 * len(texts)):
         text = rng.choice(texts)
         fresh = embed_text(text)
@@ -586,11 +560,10 @@ def test_text_memos_fuzz_equal_fresh_computation_past_their_bound():
         assert (sparse.buckets, bits(sparse.values), bits([sparse.norm])) == (
             want.buckets, bits(want.values), bits([want.norm]))
         turns = [(rng.choice(["user", "User", "agent"]), text), ("user", rng.choice(texts))]
-        rules = rng.choice(tables)
-        got = retain(turns, rules)
-        assert got == reference_retain(turns, rules)
+        got = retain(turns)
+        assert got == reference_retain(turns)
         got.insert(0, ("mutated", "by caller"))
-        assert retain(turns, rules) == reference_retain(turns, rules)
+        assert retain(turns) == reference_retain(turns)
     for memo in (_query_of_text, _sparse_of_text, _facts_of_text):
         info = memo.cache_info()
         assert info.currsize == info.maxsize == _TEXT_MEMO_SIZE

@@ -858,14 +858,12 @@ def test_revision_exhausted_when_all_variants_banned():
 
 
 def test_revision_template_pool_shrinks_each_round():
-    calls = []
-    templates = ("bad one [item:$item] [fact:$slot]",
-                 "bad two [item:$item] [fact:$slot]",
-                 "clean [item:$item] [fact:$slot]")
-    policy = BrandPolicy(banned_terms=frozenset({"bad"}))
+    # the first template says "recommend", the second "because"; only the third passes
+    policy = BrandPolicy(banned_terms=frozenset({"recommend", "because"}))
     recs = RankedList(entries=[("x", 1.0)])
     items = ctx_items(theme="space")
-    explanation, rounds = explain_with_revision(recs, items, policy, max_rounds=5,
-                                                templates=templates)
+    explanation, rounds = explain_with_revision(recs, items, policy, max_rounds=5)
     assert rounds == 3
-    assert explanation.text.startswith("clean")
+    assert explanation.text == _render_explanation(
+        DEFAULT_EXPLANATION_TEMPLATES[2], recs, items, context_missing=False).text
+    assert explanation.text.startswith("[item:x] matches")

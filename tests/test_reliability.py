@@ -11,9 +11,7 @@ from agentrec.reliability import (
     AgentGraph,
     BrandPolicy,
     EMPTY_POLICY,
-    ValidityOracle,
     check_compliance,
-    default_oracle,
     propagation_probability,
     simulate_error_cascade,
 )
@@ -69,17 +67,17 @@ def chain_graph(rates):
 
 def test_all_zero_rates_give_exact_zero():
     graph = chain_graph([0.0, 0.0, 0.0])
-    assert simulate_error_cascade(graph, default_oracle(graph), 1000, seed=1) == 0.0
+    assert simulate_error_cascade(graph, 1000, seed=1) == 0.0
 
 
 def test_single_certain_failure_gives_exact_one():
     graph = chain_graph([1.0])
-    assert simulate_error_cascade(graph, default_oracle(graph), 1000, seed=1) == 1.0
+    assert simulate_error_cascade(graph, 1000, seed=1) == 1.0
 
 
 def test_chain_monte_carlo_matches_closed_form():
     graph = chain_graph([0.1, 0.1])
-    rate = simulate_error_cascade(graph, default_oracle(graph), 200_000, seed=42)
+    rate = simulate_error_cascade(graph, 200_000, seed=42)
     assert abs(rate - 0.19) <= 0.003
 
 
@@ -90,7 +88,7 @@ def test_random_chains_agree_within_three_sigma():
         graph = chain_graph(rates)
         trials = 1_000_000
         q = propagation_probability(rates)
-        rate = simulate_error_cascade(graph, default_oracle(graph), trials,
+        rate = simulate_error_cascade(graph, trials,
                                       seed=100 + trial)
         sigma = math.sqrt(q * (1.0 - q) / trials)
         assert abs(rate - q) <= 3 * sigma + 1e-12
@@ -102,7 +100,7 @@ def test_correlated_fanin_diverges_from_independent_form():
     graph = AgentGraph(nodes=["src", "left", "right"],
                        edges=[("src", "left"), ("src", "right")],
                        error_rates={"src": 0.5, "left": 0.0, "right": 0.0})
-    rate = simulate_error_cascade(graph, default_oracle(graph), 100_000, seed=9)
+    rate = simulate_error_cascade(graph, 100_000, seed=9)
     assert abs(rate - 0.5) <= 0.01  # any-sink-invalid == src failed
 
 
@@ -110,14 +108,13 @@ def test_cycle_detected():
     graph = AgentGraph(nodes=["a", "b"], edges=[("a", "b"), ("b", "a")],
                        error_rates={"a": 0.1, "b": 0.1})
     with pytest.raises(CyclicGraph):
-        simulate_error_cascade(graph, default_oracle(graph), 10, seed=1)
+        simulate_error_cascade(graph, 10, seed=1)
 
 
 def test_cascade_deterministic_given_seed():
     graph = chain_graph([0.2, 0.3, 0.1])
-    oracle = default_oracle(graph)
-    a = simulate_error_cascade(graph, oracle, 5000, seed=7)
-    b = simulate_error_cascade(graph, oracle, 5000, seed=7)
+    a = simulate_error_cascade(graph, 5000, seed=7)
+    b = simulate_error_cascade(graph, 5000, seed=7)
     assert a == b
 
 
@@ -126,7 +123,7 @@ def test_bad_rates_rejected_at_graph_construction():
         AgentGraph(nodes=["a"], edges=[], error_rates={"a": 1.2})
 
 
-def reference_simulate_error_cascade(graph, oracle, trials, seed):
+def reference_simulate_error_cascade(graph, trials, seed):
     """The one-trial-at-a-time loop simulate_error_cascade must equal exactly."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -135,8 +132,6 @@ def reference_simulate_error_cascade(graph, oracle, trials, seed):
     sinks = {index[node] for node in graph.sinks()}
     predecessors = [[index[p] for p in graph.predecessors(node)] for node in order]
     rates = [graph.error_rates.get(node, 0.0) for node in order]
-    clean_invalid = [not oracle.valid(f"{node}:ok") for node in order]
-    corrupt_invalid = [not oracle.valid(f"{node}:corrupt") for node in order]
     rng = random.Random(seed)
     rand = rng.random
     n = len(order)
@@ -145,8 +140,7 @@ def reference_simulate_error_cascade(graph, oracle, trials, seed):
         invalid = [False] * n
         trial_bad = False
         for i in range(n):
-            corrupted = rand() < rates[i] or any(invalid[j] for j in predecessors[i])
-            invalid[i] = corrupt_invalid[i] if corrupted else clean_invalid[i]
+            invalid[i] = rand() < rates[i] or any(invalid[j] for j in predecessors[i])
             if invalid[i] and i in sinks:
                 trial_bad = True
         if trial_bad:
@@ -171,31 +165,20 @@ def random_dag(rng):
     return AgentGraph(nodes=nodes, edges=edges, error_rates=rates)
 
 
-def random_oracle(rng, graph):
-    if rng.random() < 0.3:
-        return default_oracle(graph)
-    truth = {}
-    for node in graph.nodes:
-        truth[f"{node}:ok"] = rng.random() < 0.8       # clean may be invalid
-        truth[f"{node}:corrupt"] = rng.random() < 0.3  # corrupt may be valid
-    return ValidityOracle(ground_truth=truth)
-
-
 def test_block_cascade_equals_reference_loop_exactly():
     rng = random.Random(2024)
     counts = [1, CASCADE_BLOCK - 1, CASCADE_BLOCK, CASCADE_BLOCK + 1,
               "few", "blocks"]
     for case in range(96):
         graph = random_dag(rng)
-        oracle = random_oracle(rng, graph)
         trials = counts[case % len(counts)]
         if trials == "few":
             trials = rng.randint(1, 300)
         elif trials == "blocks":
             trials = rng.randint(1, 2 * CASCADE_BLOCK + 3)
         seed = rng.randrange(2**32)
-        assert (simulate_error_cascade(graph, oracle, trials, seed)
-                == reference_simulate_error_cascade(graph, oracle, trials, seed))
+        assert (simulate_error_cascade(graph, trials, seed)
+                == reference_simulate_error_cascade(graph, trials, seed))
 
 
 def test_random_is_two_getrandbits_words():
@@ -236,9 +219,8 @@ def test_block_cascade_equals_reference_loop_at_draw_valued_rates():
         edges = [(nodes[a], nodes[b]) for a in range(n) for b in range(a + 1, n)
                  if rng.random() < 0.3]
         graph = AgentGraph(nodes=nodes, edges=edges, error_rates=rates)
-        oracle = random_oracle(rng, graph)
-        assert (simulate_error_cascade(graph, oracle, trials, seed)
-                == reference_simulate_error_cascade(graph, oracle, trials, seed)), case
+        assert (simulate_error_cascade(graph, trials, seed)
+                == reference_simulate_error_cascade(graph, trials, seed)), case
 
 
 # compliance ----------------------------------------------------------------------------
@@ -271,13 +253,6 @@ def test_required_disclosure():
     assert check_compliance("big sale today", policy) is False
     assert check_compliance("big sale today, terms apply", policy) is True
     assert check_compliance("no trigger here", policy) is True
-
-
-def test_tone_allowlist():
-    policy = BrandPolicy(tone_allowlist=frozenset({"friendly", "formal"}))
-    assert check_compliance("hello", policy, tone_tags=("friendly",)) is True
-    assert check_compliance("hello", policy, tone_tags=("sassy",)) is False
-    assert check_compliance("hello", policy, tone_tags=()) is True
 
 
 def test_policy_banned_and_disclosures_disjoint():

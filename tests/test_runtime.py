@@ -165,7 +165,8 @@ def test_registration_outside_schemata_leaves_the_id_free():
     assert "late" not in runtime.agents and "late" not in runtime.inboxes
     with pytest.raises(UnknownAgent):
         runtime.toggle_channel("rec", "late", True)
-    runtime.register_agent(echo_agent("late"), allow_from=("rec",))
+    runtime.register_agent(echo_agent("late"))
+    runtime.toggle_channel("rec", "late", True)
     runtime.send_message(Message(sender="rec", recipient="late", kind="query",
                                  payload={"text": "x"}))
     assert len(runtime.inboxes["late"]) == 1
@@ -224,8 +225,15 @@ def test_toggle_open_then_closed():
     assert len(runtime.inboxes["rec"]) == 1
 
 
+def matrix_of(*ids):
+    matrix = CommMatrix()
+    for agent_id in ids:
+        matrix.register(agent_id)
+    return matrix
+
+
 def test_toggle_is_idempotent():
-    matrix = CommMatrix(["x", "y"])
+    matrix = matrix_of("x", "y")
     matrix.set_channel("x", "y", True)
     matrix.set_channel("x", "y", True)
     assert matrix.allows("x", "y") is True
@@ -235,21 +243,21 @@ def test_toggle_is_idempotent():
 
 
 def test_self_channel_rejected():
-    matrix = CommMatrix(["x", "y"])
+    matrix = matrix_of("x", "y")
     with pytest.raises(SelfChannel):
         matrix.set_channel("x", "x", True)
 
 
 def test_matrix_diagonal_starts_closed():
-    matrix = CommMatrix(["x", "y", "z"])
+    matrix = matrix_of("x", "y", "z")
     for agent_id in ("x", "y", "z"):
         assert matrix.allows(agent_id, agent_id) is False
 
 
 def test_matrix_rejects_duplicate_and_unregistered_ids():
     with pytest.raises(InvalidArgument):
-        CommMatrix(["x", "y", "x"])
-    matrix = CommMatrix(["x", "y"])
+        matrix_of("x", "y", "x")
+    matrix = matrix_of("x", "y")
     for sender, recipient in (("x", "ghost"), ("ghost", "y")):
         with pytest.raises(UnknownAgent):
             matrix.allows(sender, recipient)
@@ -291,9 +299,9 @@ def test_hundred_deltas_count_versions():
     env = sample_env()
     for i in range(100):
         env = apply_env_update(env, [
-            {"op": "set_profile", "user": "u1", "key": f"k{i}", "value": i}])
+            {"op": "set_item_field", "id": "i1", "field": "price", "value": i}])
     assert env.version == 100
-    assert len(env.user_profiles["u1"]) == 100
+    assert env.item_by_id("i1").price == 99.0
 
 
 def test_conflicting_delta_rejected_atomically():
@@ -391,19 +399,18 @@ def test_catalog_item_caches_only_its_sparse_vector():
     {"op": "add_item", "item": {"title": "no id"}},
     {"op": "add_item", "item": "b"},
     {"op": "add_item"},
-    {"op": "set_profile", "user": "u1", "key": ["k"], "value": 1},
     {"op": "rename_item", "id": "i1"},
     {"id": "i1"},
     ["remove_item", "i1"],
 ], ids=["add-tags-text", "set-tags-text", "add-title-int", "set-title-int", "add-price-text",
         "set-price-text", "set-unknown-field", "set-id", "set-no-value", "remove-no-id",
-        "remove-list-id", "add-no-id", "add-text-item", "add-no-item", "profile-list-key",
-        "unknown-op", "no-op", "op-not-object"])
+        "remove-list-id", "add-no-id", "add-text-item", "add-no-item", "unknown-op", "no-op", "op-not-object"])
 def test_malformed_delta_op_is_invalid_argument_naming_its_index(op):
     env = sample_env()
     with pytest.raises(InvalidArgument, match="^delta op 1: "):
-        apply_env_update(env, [{"op": "set_profile", "user": "u1", "key": "k", "value": 1}, op])
-    assert env.catalog == sample_env().catalog and env.user_profiles == {}
+        apply_env_update(env, [{"op": "set_item_field", "id": "i2", "field": "title",
+                                "value": "renamed"}, op])
+    assert env.catalog == sample_env().catalog
 
 
 def test_edited_fields_follow_the_record_rules():
@@ -455,25 +462,20 @@ def model_target(op):
         target = ("item", op.get("id"))
     elif name == "set_item_field" and op.get("field") in SETTABLE and "value" in op:
         target = ("field", op.get("id"), op["field"])
-    elif name == "set_profile" and "value" in op:
-        target = ("profile", op.get("user"), op.get("key"))
     else:
         return None
     return target if all(type(part) is str for part in target[1:]) else None
 
 
-def model_apply(rows, profiles, delta):
-    """(rows, profiles) after the delta, or None when it must be rejected; rows
-    maps each id to its row in catalog order."""
+def model_apply(rows, delta):
+    """The rows after the delta, or None when it must be rejected; rows maps
+    each id to its row in catalog order."""
     targets = [model_target(op) for op in delta]
     if None in targets or len(set(targets)) != len(targets):
         return None
-    rows, profiles = dict(rows), copy.deepcopy(profiles)
+    rows = dict(rows)
     for op in delta:
         name = op["op"]
-        if name == "set_profile":
-            profiles.setdefault(op["user"], {})[op["key"]] = op["value"]
-            continue
         if name == "add_item":
             row = model_row(op["item"])
             if row is None or row[0] in rows:
@@ -491,7 +493,7 @@ def model_apply(rows, profiles, delta):
             if row is None:
                 return None
         rows[row[0]] = row
-    return rows, profiles
+    return rows
 
 
 def random_delta_op(rng, ids):
@@ -505,7 +507,7 @@ def random_delta_op(rng, ids):
         return rng.choice([f"n{rng.randrange(1000)}", "", 5, None])
 
     name = rng.choice(["add_item"] * 3 + ["remove_item"] * 2 + ["set_item_field"] * 4
-                      + ["set_profile", "junk"])
+                      + ["junk"])
     if name == "add_item":
         item = {"id": f"n{rng.randrange(1000)}" if rng.random() < 0.85 else some_id()}
         item.update({field: pick(field) for field in SETTABLE if rng.random() < 0.5})
@@ -516,9 +518,6 @@ def random_delta_op(rng, ids):
         field = rng.choice(SETTABLE * 5 + ("id", "colour", 3))
         op = {"op": name, "id": some_id(), "field": field,
               "value": pick(field) if field in SETTABLE else "n0"}
-    elif name == "set_profile":
-        op = {"op": name, "user": rng.choice(["u1", "u2", 7]), "key": rng.choice(["k1", "k2"]),
-              "value": rng.randrange(10)}
     else:
         return rng.choice(["add_item", None, {}, {"op": "drop_item", "id": "i1"},
                            {"op": ["remove_item"], "id": "i1"}])
@@ -537,8 +536,8 @@ def test_seeded_delta_fuzz_matches_the_dict_model():
     for _ in range(1500):
         ids = [item.id for item in env.catalog]
         delta = [random_delta_op(rng, ids) for _ in range(rng.randrange(4))]
-        before = (list(env.catalog), copy.deepcopy(env.user_profiles), env.version)
-        want = model_apply(rows, env.user_profiles, delta)
+        before = (list(env.catalog), env.version)
+        want = model_apply(rows, delta)
         try:
             updated = apply_env_update(env, copy.deepcopy(delta))
         except AgentRecError:
@@ -546,18 +545,16 @@ def test_seeded_delta_fuzz_matches_the_dict_model():
             rejected += 1
         else:
             assert want is not None, delta
-            want_rows, want_profiles = want
             assert [(item.id, item.title, item.tags, item.price, item.palette)
-                    for item in updated.catalog] == list(want_rows.values()), delta
+                    for item in updated.catalog] == list(want.values()), delta
             assert all(type(item.price) is float for item in updated.catalog)
-            assert updated.user_profiles == want_profiles
             assert updated.version == env.version + 1
             accepted += 1
-        after = (env.catalog, env.user_profiles, env.version)
+        after = (env.catalog, env.version)
         assert all(a is b for a, b in zip(before[0], after[0])) and before == after, delta
         assert env._by_id == {item.id: item for item in before[0]}, delta
         if want is not None:
-            env, rows = updated, want[0]
+            env, rows = updated, want
     assert accepted > 300 and rejected > 300
 
 
@@ -659,7 +656,7 @@ def test_catalog_index_stays_with_a_parent_whose_delta_raises():
                   [{"op": "remove_item", "id": "i0"}, {"op": "add_item", "item": {"id": "i1"}}],
                   [add, {"op": "set_item_field", "id": "i2", "field": "tags", "value": [3]}],
                   [{"op": "remove_item", "id": "i3"}, {"op": "remove_item", "id": "i3"}],
-                  [add, {"op": "set_profile", "user": "u"}]):
+                  [add, {"op": "set_item_field", "id": "i4", "field": "title"}]):
         with pytest.raises(AgentRecError):
             apply_env_update(env, delta)
         assert env._index is index and index_state(index) == state

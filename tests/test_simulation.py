@@ -288,7 +288,7 @@ def test_summary_of_empty_action_trace_is_zeros():
     assert summary.total_reward == 0.0
     assert summary.selects == 0
     assert summary.distinct_items == 0
-    assert summary.first_action == "" and summary.last_action == ""
+    assert summary.cohort == "c"
 
 
 def test_summary_counts_selects():
@@ -298,7 +298,6 @@ def test_summary_counts_selects():
                          horizon=10, env=env)[0]
     summary = summarize_session(trace)
     assert summary.selects == 10
-    assert summary.first_action == "Select"
     assert summary.distinct_items == 1
 
 
@@ -315,8 +314,7 @@ def test_summary_matches_recount_oracle():
     assert summary.selects == len([a for a in actions if a == "Select"])
     assert summary.distinct_items == len(
         {i for s in trace.steps for i, _ in s.recs.entries})
-    assert summary.first_action == actions[0]
-    assert summary.last_action == actions[-1]
+    assert summary.cohort == trace.cohort
 
 
 def test_aggregate_requires_summaries():

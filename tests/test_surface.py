@@ -1,5 +1,6 @@
-"""The package's public surface: every name it defines is used, and `import
-agentrec` imports nothing but the package."""
+"""The package's public surface: every name it defines is used, every option
+it offers is set by some caller, and `import agentrec` imports nothing but the
+package."""
 
 import ast
 import os
@@ -13,6 +14,8 @@ PROGRAM = sorted((ROOT / "src" / "agentrec").glob("*.py")) + sorted(
     (ROOT / "perfbench").glob("*.py"))
 # README pins the memory snapshot format as what store_to_jsonl writes
 UNREFERENCED_ALLOWED = {"store_to_jsonl"}
+# README pins the remote core's wire contract, which only a config-less caller reaches
+UNSET_ALLOWED = {"agents.LanguageCore.endpoint"}
 
 
 def definitions(tree):
@@ -81,6 +84,119 @@ def test_the_scan_finds_a_name_only_its_own_definition_uses(tmp_path):
     (tmp_path / "caller.py").write_text("TOOL = 'named'\n")
     assert unreferenced_names([package / "mod.py", tmp_path / "caller.py"]) == [
         "mod.recursive", "mod.Box", "mod.Box.read"]
+
+
+def _is_dataclass(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _function_options(node, callee, qualified, first):
+    """(qualified parameter, callee, position or None) for each defaulted
+    parameter of one def; `first` is 1 for a method (self counted), else 0."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    for position, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                   start=len(positional) - len(args.defaults)):
+        yield f"{qualified}.{arg.arg}", callee, position - first
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield f"{qualified}.{arg.arg}", callee, None
+
+
+def _field_options(node, qualified):
+    """The same for each dataclass field with a plain default: its position is
+    its index among the fields __init__ takes."""
+    position = 0
+    for member in node.body:
+        if not (isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)):
+            continue
+        value = member.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            if "init" in keywords and getattr(keywords["init"], "value", True) is False:
+                continue
+            if "default" not in keywords:  # a default_factory, or no default at all
+                position += 1
+                continue
+        if value is not None:
+            yield f"{qualified}.{member.target.id}", node.name, position
+        position += 1
+
+
+def options(path, tree):
+    """(qualified parameter, callee name, call position or None) for each
+    defaulted parameter of a top-level function or a method (``__init__``'s
+    callee is its class), and each dataclass field with a plain default. The
+    call position is the index of the positional argument of a call that
+    passes it; None for a keyword-only parameter."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from _function_options(node, node.name, f"{path.stem}.{node.name}", 0)
+        elif isinstance(node, ast.ClassDef):
+            qualified = f"{path.stem}.{node.name}"
+            if _is_dataclass(node):
+                yield from _field_options(node, qualified)
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    callee = node.name if member.name == "__init__" else member.name
+                    name = qualified if member.name == "__init__" else f"{qualified}.{member.name}"
+                    yield from _function_options(member, callee, name, 1)
+
+
+def _passes(call, position, parameter) -> bool:
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):  # **mapping or name=
+        return True
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or position is not None and index == position:
+            return True
+    return False
+
+
+def unset_options(files) -> list:
+    """Each option of src/agentrec (see ``options``) that no call in `files`
+    to a callee of that name passes, by keyword, by ``**`` or by position."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [qualified for path, tree in trees.items() if path.parent.name == "agentrec"
+            for qualified, callee, position in options(path, tree)
+            if not any(_passes(call, position, qualified.rpartition(".")[2])
+                       for call in calls.get(callee, ()))]
+
+
+def test_every_option_is_set_by_the_program():
+    assert [name for name in unset_options(PROGRAM) if name not in UNSET_ALLOWED] == []
+
+
+def test_the_scan_finds_an_option_no_call_sets(tmp_path):
+    package = tmp_path / "agentrec"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, colour=None):\n        self.size = size\n"
+        "    def fill(self, amount=0, spill=False):\n        return amount\n"
+        "@dataclass\n"
+        "class Spec:\n"
+        "    name: str\n"
+        "    tags: list = field(default_factory=list)\n"
+        "    cache: dict = field(default=None, init=False)\n"
+        "    label: str = 'x'\n"
+        "    depth: int = 0\n")
+    (tmp_path / "caller.py").write_text(
+        "f(0, 1, d=2)\n"
+        "box = mod.Box(3)\n"
+        "box.fill(**{'amount': 1})\n"
+        "Spec('n', [], 'y')\n")
+    assert unset_options([package / "mod.py", tmp_path / "caller.py"]) == [
+        "mod.f.c", "mod.f.e", "mod.Box.colour", "mod.Spec.depth"]
 
 
 def test_importing_the_package_imports_no_submodule():
