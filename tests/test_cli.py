@@ -201,6 +201,28 @@ def test_rerun_on_reused_catalog_matches_golden_hashes(tmp_path, capsys, name):
         assert got == GOLDEN[name], sub
 
 
+def test_diversity_penalty_simulation_matches_golden_hashes(tmp_path, capsys):
+    # the bundled golden rewards only selects; a static top item repeats on
+    # 56 of the 64 steps, so the penalty term is in most of these bytes
+    config = json.loads((SCENARIOS / "simulate_colony.json").read_text())
+    config.update(catalog=str(SCENARIOS / config["catalog"]),
+                  recommender={"kind": "static_top"},
+                  reward={"kind": "diversity_penalty", "penalty": 0.25})
+    path = tmp_path / "penalty.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run_scenario(path, out=out) == 0
+    lines = [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+    rewards = [line["payload"]["reward"] for line in lines if line["kind"] == "user_action"]
+    assert len(rewards) == 64 and sum(r in (-0.25, 0.75) for r in rewards) == 56
+    got = {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+           for artifact in ("trace.jsonl", "report.jsonl")}
+    assert got == {
+        "trace.jsonl": "f8f176d902fccbd59f4120805827db1ef6d36f823dfdec126a58e8c073b899ea",
+        "report.jsonl": "f6cd12d9400ae93c4c5f84b5b0df92414a34db4edba2db184708fe8fcc9c6f9b",
+    }
+
+
 def test_party_planner_kind_sequence_and_gluten(tmp_path):
     status, out = run_into(tmp_path, "party_planner")
     assert status == 0
