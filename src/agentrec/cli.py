@@ -64,15 +64,11 @@ from .runtime import (
 from .simulation import (
     UserSimulator,
     aggregate_report,
-    aggregate_rows,
     evaluate,
-    make_diversity_penalty_reward,
     make_rotation_recommender,
     make_static_top_recommender,
     random_unit_vector,
-    reward_select,
     run_sessions,
-    summarize_session,
 )
 
 
@@ -568,13 +564,11 @@ def _run_simulate(config, env, policy, seed):
         horizon=config["horizon"], env=env,
         sessions_per_sim=config["sessions_per_sim"],
         top_l=config["budgets"]["L"],
-        reward=(reward_select if reward["kind"] == "select"
-                else make_diversity_penalty_reward(reward["penalty"])),
+        # keys a kind does not declare pass through: a select config's stray "penalty" stays unused
+        repeat_penalty=0.0 if reward["kind"] == "select" else reward["penalty"],
     )
 
     report = evaluate(traces)
-    summaries = [summarize_session(trace) for trace in traces]
-    rows = aggregate_rows(summaries)
     overall = {
         "cohort": "__overall__",
         "sessions": report.sessions,
@@ -583,11 +577,11 @@ def _run_simulate(config, env, policy, seed):
         "diversity_entropy": report.diversity_entropy,
         "halfwidths": report.halfwidths,
     }
-    text = (aggregate_report(rows)
+    text = (aggregate_report(report.cohorts)
             + f"\noverall psi_hat={report.psi_hat:.6f} ctr={report.ctr:.6f} "
             f"diversity_entropy={report.diversity_entropy:.6f} "
             f"sessions={report.sessions}\n")
-    return _simulate_trace_jsonl(traces), records_to_jsonl(rows + [overall]), text
+    return _simulate_trace_jsonl(traces), records_to_jsonl(report.cohorts + [overall]), text
 
 
 def _run_multimodal(config, env, policy, seed):

@@ -81,10 +81,6 @@ class NoTraces(AgentRecError):
     """Evaluation requested over an empty trace list."""
 
 
-class NoSummaries(AgentRecError):
-    """Aggregation requested over an empty summary list."""
-
-
 # reliability
 class OutOfRange(AgentRecError):
     """A probability fell outside [0, 1]."""

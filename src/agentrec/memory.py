@@ -123,7 +123,8 @@ def cosine(a: Sequence, b: Sequence) -> float:
 
     Returns 0.0 when either vector is all-zero and exactly 1.0 when the two
     vectors are identical and nonzero (no float drift on self-similarity).
-    Raises InvalidArgument when their lengths differ.
+    Raises InvalidArgument when their lengths differ or the product of their
+    norms overflows.
     """
     if len(a) != len(b):
         raise InvalidArgument(f"cosine of vectors of different lengths: {len(a)} and {len(b)}")
@@ -133,6 +134,8 @@ def cosine(a: Sequence, b: Sequence) -> float:
     nb = math.sqrt(left_sum(map(operator.mul, b, b)))
     if na == 0.0 or nb == 0.0:
         return 0.0
+    if not math.isfinite(na * nb):
+        raise InvalidArgument("cosine of vectors whose norms overflow")
     dot = left_sum(map(operator.mul, a, b))
     return max(-1.0, min(1.0, dot / (na * nb)))
 
@@ -253,13 +256,9 @@ class MemoryItem:
         """The fact slot; the text before the first ': ' of the value."""
         return self.fact()[0]
 
-    @cached_property
-    def _token_count(self) -> int:
-        return max(1, len(self.value.split()))
-
     def token_length(self) -> int:
-        """Whitespace tokens of the value (at least 1), counted once per item."""
-        return self._token_count
+        """Whitespace tokens of the value (at least 1)."""
+        return max(1, len(self.value.split()))
 
 
 def make_item(slot: str, value: str, label: MemoryLabel, now: int,

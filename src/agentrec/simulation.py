@@ -3,8 +3,8 @@
 The user policy is pinned for analyzability: the select probability is
 clamp(max(0, cos(theta, top-item embedding)) + gauss(0, noise), 0, 1) and
 only the top-ranked item drives the decision (position-1 attention). A
-simulator acts SELECT or NOT_SELECT, and the reward specs and the metrics
-count SELECT; degenerate cases (cos 1 / cos 0 at zero noise) are exact.
+simulator acts SELECT or NOT_SELECT, and the step reward (see ``run_sessions``)
+and the metrics count SELECT; degenerate cases (cos 1 / cos 0 at zero noise) are exact.
 
 Sessions are independent given disjoint simulators. A simulator keeps no
 state across sessions but its seeded RNG: it is a policy scored on what it
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .errors import AgentRecError, InvalidArgument, NoSummaries, NoTraces
+from .errors import AgentRecError, InvalidArgument, NoTraces
 from .memory import EMBED_DIM, QueryVector, left_sum, prepare_query, relevance
 # Re-exported, not called here: perfbench/spans.py wraps `simulation.cosine`,
 # `simulation.embed_text` and `simulation.update_memory`.
@@ -91,34 +91,18 @@ class SessionStep:
 @dataclass
 class SessionTrace:
     steps: list
-    seed: int
     simulator_id: str
     cohort: str
 
 
-# reward specs -------------------------------------------------------------
-
-def reward_select(sim, step_state, recs, action, shown_before) -> float:
-    return 1.0 if action == SELECT else 0.0
-
-
-def make_diversity_penalty_reward(penalty: float = 0.5):
-    """Select indicator minus a penalty whenever the top item repeats."""
-
-    def reward(sim, step_state, recs, action, shown_before) -> float:
-        base = 1.0 if action == SELECT else 0.0
-        repeat = recs.entries and recs.entries[0][0] in shown_before
-        return base - (penalty if repeat else 0.0)
-
-    return reward
-
-
 def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
                  env: Environment, sessions_per_sim: int = 1,
-                 top_l: int = 1, reward: Callable = reward_select) -> list:
+                 top_l: int = 1, repeat_penalty: float = 0.0) -> list:
     """Alternate recommend -> act -> log for each simulator session.
 
-    ``recommender(query, env, top_l)`` returns a RankedList.
+    ``recommender(query, env, top_l)`` returns a RankedList. A step's reward
+    is 1.0 for SELECT (else 0.0) minus ``repeat_penalty`` when its top item
+    was already shown in the session.
     Recommender errors are recorded in-trace and the step is skipped. Each
     simulator owns one seeded RNG reused across its sessions, so traces are
     fully determined by (sims, env, config).
@@ -148,14 +132,14 @@ def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
                         error="EmptyRecommendation"))
                     continue
                 action = simulate_action(sim, recs, env, rng)
-                step_reward = reward(sim, state, recs, action, shown_before)
+                top_id = recs.entries[0][0]
+                reward = ((1.0 if action == SELECT else 0.0)
+                          - (repeat_penalty if top_id in shown_before else 0.0))
                 steps.append(SessionStep(state=state, recs=recs, action=action,
-                                         reward=step_reward))
-                shown_before.add(recs.entries[0][0])
+                                         reward=reward))
+                shown_before.add(top_id)
                 last_action = action
-            traces.append(SessionTrace(steps=steps, seed=sim.seed,
-                                       simulator_id=sim.simulator_id,
-                                       cohort=sim.cohort))
+            traces.append(SessionTrace(steps, sim.simulator_id, sim.cohort))
     return traces
 
 
@@ -166,63 +150,13 @@ class EvalReport:
     diversity_entropy: float
     sessions: int
     halfwidths: dict
+    cohorts: list  # one row per cohort, sorted: the keys of _REPORT_COLUMNS
 
 
-def _halfwidth(values: list) -> float:
+def _halfwidth(values: Sequence) -> float:
     if len(values) < 2:
         return 0.0
     return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
-
-
-def evaluate(traces: Sequence) -> EvalReport:
-    """Mean total reward, select rate, and Shannon entropy of shown item ids."""
-    if not traces:
-        raise NoTraces("evaluation requires at least one trace")
-    totals = [left_sum(step.reward for step in trace.steps) for trace in traces]
-    ctrs = []
-    shown_counts = {}
-    for trace in traces:
-        acted = [step for step in trace.steps if step.action is not None]
-        if acted:
-            ctrs.append(sum(1 for step in acted
-                            if step.action == SELECT) / len(acted))
-        for step in trace.steps:
-            for item_id, _ in step.recs.entries:
-                shown_counts[item_id] = shown_counts.get(item_id, 0) + 1
-    total_shown = sum(shown_counts.values())
-    entropy = 0.0
-    if total_shown:
-        for count in shown_counts.values():
-            p = count / total_shown
-            entropy -= p * math.log(p)
-    return EvalReport(
-        psi_hat=statistics.fmean(totals),
-        ctr=statistics.fmean(ctrs) if ctrs else 0.0,
-        diversity_entropy=entropy,
-        sessions=len(traces),
-        halfwidths={"psi_hat": _halfwidth(totals), "ctr": _halfwidth(ctrs)},
-    )
-
-
-@dataclass
-class SessionSummary:
-    """What ``aggregate_rows`` reads of one session."""
-
-    cohort: str
-    total_reward: float
-    selects: int
-    distinct_items: int
-
-
-def summarize_session(trace: SessionTrace) -> SessionSummary:
-    """Fixed-shape digest of one session's salient outcomes."""
-    shown = {item_id for step in trace.steps for item_id, _ in step.recs.entries}
-    return SessionSummary(
-        cohort=trace.cohort,
-        total_reward=left_sum(step.reward for step in trace.steps),
-        selects=sum(1 for step in trace.steps if step.action == SELECT),
-        distinct_items=len(shown),
-    )
 
 
 _REPORT_COLUMNS = (
@@ -233,21 +167,44 @@ _REPORT_COLUMNS = (
 )
 
 
-def aggregate_rows(summaries: Sequence) -> list:
-    if not summaries:
-        raise NoSummaries("aggregation requires at least one summary")
+def evaluate(traces: Sequence) -> EvalReport:
+    """Mean total reward, select rate and Shannon entropy of shown item ids
+    over all sessions, and each cohort's per-session means and halfwidths of
+    total reward, selects and distinct items shown, counted once per session."""
+    if not traces:
+        raise NoTraces("evaluation requires at least one trace")
+    totals = []
+    ctrs = []
+    shown_counts = {}
     by_cohort = {}
-    for summary in summaries:
-        by_cohort.setdefault(summary.cohort, []).append(summary)
+    for trace in traces:
+        total = left_sum(step.reward for step in trace.steps)
+        acted = selects = 0
+        shown = set()
+        for step in trace.steps:
+            if step.action is not None:
+                acted += 1
+                selects += step.action == SELECT
+            for item_id, _ in step.recs.entries:
+                shown_counts[item_id] = shown_counts.get(item_id, 0) + 1
+                shown.add(item_id)
+        totals.append(total)
+        if acted:
+            ctrs.append(selects / acted)
+        by_cohort.setdefault(trace.cohort, []).append(
+            (total, float(selects), float(len(shown))))
+    total_shown = sum(shown_counts.values())
+    entropy = 0.0
+    if total_shown:
+        for count in shown_counts.values():
+            p = count / total_shown
+            entropy -= p * math.log(p)
     rows = []
     for cohort in sorted(by_cohort):
-        group = by_cohort[cohort]
-        rewards = [s.total_reward for s in group]
-        selects = [float(s.selects) for s in group]
-        distinct = [float(s.distinct_items) for s in group]
+        rewards, selects, distinct = zip(*by_cohort[cohort])
         rows.append({
             "cohort": cohort,
-            "sessions": len(group),
+            "sessions": len(rewards),
             "mean_total_reward": statistics.fmean(rewards),
             "hw_total_reward": _halfwidth(rewards),
             "mean_selects": statistics.fmean(selects),
@@ -255,11 +212,18 @@ def aggregate_rows(summaries: Sequence) -> list:
             "mean_distinct_items": statistics.fmean(distinct),
             "hw_distinct_items": _halfwidth(distinct),
         })
-    return rows
+    return EvalReport(
+        psi_hat=statistics.fmean(totals),
+        ctr=statistics.fmean(ctrs) if ctrs else 0.0,
+        diversity_entropy=entropy,
+        sessions=len(traces),
+        halfwidths={"psi_hat": _halfwidth(totals), "ctr": _halfwidth(ctrs)},
+        cohorts=rows,
+    )
 
 
 def aggregate_report(rows: Sequence) -> str:
-    """``aggregate_rows``' per-cohort means and halfwidths as a text table."""
+    """``EvalReport.cohorts``' per-cohort means and halfwidths as a text table."""
     header = "  ".join(f"{name:>20}" for name in _REPORT_COLUMNS)
     lines = [header]
     for row in rows:

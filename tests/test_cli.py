@@ -416,8 +416,8 @@ def posted_messages(traces):
 def test_simulate_trace_writer_matches_posted_messages(seed):
     rng = random.Random(seed)
     traces = [SessionTrace(steps=[odd_step(rng) for _ in range(rng.randrange(0, 12))],
-                           seed=index, simulator_id=odd_text(rng), cohort="c")
-              for index in range(60)]
+                           simulator_id=odd_text(rng), cohort="c")
+              for _ in range(60)]
     steps = [step for trace in traces for step in trace.steps]
     assert {step.error for step in steps} >= {None, "EmptyRecommendation"}
     assert {len(step.recs.entries) for step in steps if step.error is None} == {1, 2, 3, 4, 5}
@@ -427,7 +427,7 @@ def test_simulate_trace_writer_matches_posted_messages(seed):
     text = cli._simulate_trace_jsonl(traces)
     assert text == records_to_jsonl(map(message_record, messages))
     assert text == dumps_lines(map(message_record, messages))
-    assert cli._simulate_trace_jsonl([SessionTrace([], 0, "s", "c")]) == ""
+    assert cli._simulate_trace_jsonl([SessionTrace([], "s", "c")]) == ""
 
 
 def test_exit_code_contract(tmp_path, capsys):

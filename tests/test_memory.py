@@ -79,6 +79,15 @@ def test_cosine_of_vectors_of_different_lengths_raises_naming_both():
             cosine(a, b)
 
 
+def test_cosine_of_vectors_whose_norms_overflow_raises():
+    # the squared norm overflows to inf and inf/inf is NaN, which a clamp
+    # to [-1, 1] would turn into a perfect 1.0
+    for a, b in [((1e308,) * 3, (0.8, 0.6, 0.9)), ((1e200, 0.0), (1.0, 1.0))]:
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(InvalidArgument, match="overflow"):
+                cosine(*pair)
+
+
 def test_embed_unit_norm():
     for text in ("gluten allergy", "chocolate", "a b c d e f g", "MiXeD CaSe!"):
         vec = embed_text(text)
@@ -236,6 +245,7 @@ def test_memory_item_caches_only_its_sparse_vector():
     item = make_item("theme", "pirate ship", MemoryLabel.EPI, now=0)
     assert item.key == embed_text("theme: pirate ship")
     relevance_score("pirates", item)
+    assert item.token_length() == 3
     assert set(vars(item)) == {"value", "meta", "sparse"}
     assert bits(item.key) == bits(embed_text("theme: pirate ship"))
 

@@ -5,26 +5,24 @@ import hashlib
 import json
 import math
 import random
+import statistics
 
 import pytest
 
-from agentrec.errors import NoFeasibleItem, NoSummaries, NoTraces
-from agentrec.memory import EMBED_DIM, embed_text
+from agentrec.errors import NoFeasibleItem, NoTraces
+from agentrec.memory import EMBED_DIM, embed_text, left_sum
 from agentrec.pipelines import RankedList
 from agentrec.runtime import CatalogItem, Environment
 from agentrec.simulation import (
     SessionTrace,
     UserSimulator,
     aggregate_report,
-    aggregate_rows,
     evaluate,
-    make_diversity_penalty_reward,
     make_rotation_recommender,
     make_static_top_recommender,
     run_sessions,
     select_probability,
     simulate_action,
-    summarize_session,
 )
 
 
@@ -150,7 +148,7 @@ def test_never_select_total_reward_zero():
 
 def serialize_traces(traces):
     return json.dumps([
-        {"sim": t.simulator_id, "seed": t.seed,
+        {"sim": t.simulator_id,
          "steps": [{"state": s.state, "recs": s.recs.entries,
                     "action": s.action, "reward": s.reward, "error": s.error}
                    for s in t.steps]}
@@ -223,7 +221,7 @@ def test_run_sessions_leaves_simulators_unchanged():
         assert acted[-1].recs.entries == [(shown[f"sim={sim.simulator_id}"], 1.0)]
     # the traces, pinned byte for byte: no step, action or reward moved
     digest = hashlib.sha256(serialize_traces(traces).encode()).hexdigest()
-    assert digest == "cdc424e7b7b69c72fa864437ede5f0778092d6246d596280843c265d7f2041e3"
+    assert digest == "ba126b696b36409de6eaa1d804163b23b49cb7001a7f482727f857a19fd61512"
 
 
 # evaluate -----------------------------------------------------------------------
@@ -271,34 +269,34 @@ def test_entropy_bounds_hold():
 
 
 def test_diversity_penalty_reward():
-    reward = make_diversity_penalty_reward(0.5)
     env = single_env()
     sim = UserSimulator("s1", theta=matching_theta(env, "solo"))
     traces = run_sessions(make_static_top_recommender("solo"), [sim],
-                          horizon=3, env=env, reward=reward)
+                          horizon=3, env=env, repeat_penalty=0.5)
     rewards = [step.reward for step in traces[0].steps]
     assert rewards == [1.0, 0.5, 0.5]  # repeats penalized after first exposure
 
 
-# summaries and reports -------------------------------------------------------------
+# summaries and reports: evaluate's per-cohort rows ------------------------------------
 
 def test_summary_of_empty_action_trace_is_zeros():
-    trace = SessionTrace(steps=[], seed=1, simulator_id="s1", cohort="c")
-    summary = summarize_session(trace)
-    assert summary.total_reward == 0.0
-    assert summary.selects == 0
-    assert summary.distinct_items == 0
-    assert summary.cohort == "c"
+    report = evaluate([SessionTrace(steps=[], simulator_id="s1", cohort="c")])
+    row, = report.cohorts
+    assert row["cohort"] == "c"
+    assert row["sessions"] == 1
+    assert row["mean_total_reward"] == 0.0
+    assert row["mean_selects"] == 0.0
+    assert row["mean_distinct_items"] == 0.0
 
 
 def test_summary_counts_selects():
     env = single_env()
     sim = UserSimulator("s1", theta=matching_theta(env, "solo"))
-    trace = run_sessions(make_static_top_recommender("solo"), [sim],
-                         horizon=10, env=env)[0]
-    summary = summarize_session(trace)
-    assert summary.selects == 10
-    assert summary.distinct_items == 1
+    traces = run_sessions(make_static_top_recommender("solo"), [sim],
+                          horizon=10, env=env)
+    row, = evaluate(traces).cohorts
+    assert row["mean_selects"] == 10.0
+    assert row["mean_distinct_items"] == 1.0
 
 
 def test_summary_matches_recount_oracle():
@@ -307,19 +305,14 @@ def test_summary_matches_recount_oracle():
                         noise_scale=0.3, seed=17)
     trace = run_sessions(make_rotation_recommender(), [sim],
                          horizon=9, env=env)[0]
-    summary = summarize_session(trace)
+    row, = evaluate([trace]).cohorts
     # field-by-field independent recount
     actions = [s.action for s in trace.steps if s.action is not None]
-    assert summary.total_reward == sum(s.reward for s in trace.steps)
-    assert summary.selects == len([a for a in actions if a == "Select"])
-    assert summary.distinct_items == len(
+    assert row["mean_total_reward"] == sum(s.reward for s in trace.steps)
+    assert row["mean_selects"] == len([a for a in actions if a == "Select"])
+    assert row["mean_distinct_items"] == len(
         {i for s in trace.steps for i, _ in s.recs.entries})
-    assert summary.cohort == trace.cohort
-
-
-def test_aggregate_requires_summaries():
-    with pytest.raises(NoSummaries):
-        aggregate_rows([])
+    assert row["cohort"] == trace.cohort
 
 
 def test_aggregate_single_row_and_sorted_cohorts():
@@ -328,8 +321,7 @@ def test_aggregate_single_row_and_sorted_cohorts():
             UserSimulator("a-0", theta=matching_theta(env, "solo"), cohort="alpha")]
     traces = run_sessions(make_static_top_recommender("solo"), sims,
                           horizon=2, env=env)
-    summaries = [summarize_session(t) for t in traces]
-    rows = aggregate_rows(summaries)
+    rows = evaluate(traces).cohorts
     assert [row["cohort"] for row in rows] == ["alpha", "beta"]
     assert all(row["sessions"] == 1 for row in rows)
 
@@ -339,12 +331,9 @@ def test_aggregate_means_match_recomputation():
     sims = [UserSimulator(f"c-{i}", theta=theta_with_cosine(env, "rot_1", 0.5),
                           noise_scale=0.2, seed=i, cohort="c") for i in range(6)]
     traces = run_sessions(make_rotation_recommender(), sims, horizon=5, env=env)
-    summaries = [summarize_session(t) for t in traces]
-    row = aggregate_rows(summaries)[0]
-    totals = [s.total_reward for s in summaries]
+    row, = evaluate(traces).cohorts
+    totals = [sum(s.reward for s in t.steps) for t in traces]
     assert abs(row["mean_total_reward"] - sum(totals) / len(totals)) <= 1e-12
-
-
 
 
 def test_report_is_a_byte_stable_table_of_the_rows():
@@ -352,10 +341,100 @@ def test_report_is_a_byte_stable_table_of_the_rows():
     sims = [UserSimulator("a-0", theta=matching_theta(env, "solo"), cohort="a")]
     traces = run_sessions(make_static_top_recommender("solo"), sims,
                           horizon=3, env=env)
-    rows = aggregate_rows([summarize_session(t) for t in traces])
+    rows = evaluate(traces).cohorts
     table = aggregate_report(rows)
-    assert table == aggregate_report(aggregate_rows([summarize_session(t) for t in traces]))
+    assert table == aggregate_report(evaluate(traces).cohorts)
     header, line = table.splitlines()
     assert header.split() == list(rows[0])
     assert line.split() == ["a", "1", "3.000000", "0.000000", "3.000000", "0.000000",
                             "1.000000", "0.000000"]
+
+
+def recount_halfwidth(values):
+    if len(values) < 2:
+        return 0.0
+    return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
+
+
+def fuzz_recommender(rng, kind, env):
+    if kind == "rotation":
+        return make_rotation_recommender()
+    if kind == "static_top":
+        return make_static_top_recommender(rng.choice(env.catalog).id)
+
+    def recommend(query, env_, top_l):
+        roll = rng.random()
+        if roll < 0.15:
+            raise NoFeasibleItem("skipped step")
+        if roll < 0.25:
+            return RankedList(entries=[])
+        ids = rng.sample([item.id for item in env_.catalog], min(top_l, len(env_.catalog)))
+        return RankedList(entries=[(item_id, 1.0) for item_id in ids])
+
+    return recommend
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_equals_an_independent_recount(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        env = rotation_env(rng.randint(1, 6))
+        cohorts = [rng.choice("abcd") for _ in range(rng.randint(1, 6))]
+        sims = [UserSimulator(f"{cohort}-{i}",
+                              theta=theta_with_cosine(env, "rot_1", rng.uniform(0.0, 1.0)),
+                              noise_scale=rng.choice([0.0, 0.1, 0.5]),
+                              seed=rng.randrange(1000), cohort=cohort)
+                for i, cohort in enumerate(cohorts)]
+        penalty = rng.choice([0.0, 0.25, 0.5, 1.0, 1 / 3, 2.5])
+        sessions_per_sim = rng.randint(1, 3)
+        traces = run_sessions(
+            fuzz_recommender(rng, rng.choice(["rotation", "static_top", "random"]), env),
+            sims, horizon=rng.randint(1, 6), env=env,
+            sessions_per_sim=sessions_per_sim, top_l=rng.randint(1, 3),
+            repeat_penalty=penalty)
+        report = evaluate(traces)
+
+        totals, ctrs, shown_ids, by_cohort = [], [], [], {}
+        for trace in traces:
+            shown = set()
+            for step in trace.steps:
+                if step.action is None:
+                    assert step.reward == 0.0
+                    continue
+                top = step.recs.entries[0][0]
+                assert step.reward == ((1.0 if step.action == "Select" else 0.0)
+                                       - (penalty if top in shown else 0.0))
+                shown.add(top)
+            acted = [step.action for step in trace.steps if step.action is not None]
+            selects = acted.count("Select")
+            ids = [item_id for step in trace.steps for item_id, _ in step.recs.entries]
+            shown_ids += ids
+            total = left_sum(step.reward for step in trace.steps)
+            totals.append(total)
+            if acted:
+                ctrs.append(selects / len(acted))
+            rewards, select_counts, distinct = by_cohort.setdefault(trace.cohort, ([], [], []))
+            rewards.append(total)
+            select_counts.append(float(selects))
+            distinct.append(float(len(set(ids))))
+
+        assert report.sessions == len(traces) == len(sims) * sessions_per_sim
+        assert report.psi_hat == statistics.fmean(totals)
+        assert report.ctr == (statistics.fmean(ctrs) if ctrs else 0.0)
+        assert report.halfwidths == {"psi_hat": recount_halfwidth(totals),
+                                     "ctr": recount_halfwidth(ctrs)}
+        entropy = 0.0
+        for item_id in dict.fromkeys(shown_ids):  # first-shown order
+            p = shown_ids.count(item_id) / len(shown_ids)
+            entropy -= p * math.log(p)
+        assert report.diversity_entropy == entropy
+        assert report.cohorts == [{
+            "cohort": cohort,
+            "sessions": len(rewards),
+            "mean_total_reward": statistics.fmean(rewards),
+            "hw_total_reward": recount_halfwidth(rewards),
+            "mean_selects": statistics.fmean(select_counts),
+            "hw_selects": recount_halfwidth(select_counts),
+            "mean_distinct_items": statistics.fmean(distinct),
+            "hw_distinct_items": recount_halfwidth(distinct),
+        } for cohort, (rewards, select_counts, distinct) in sorted(by_cohort.items())]
