@@ -20,7 +20,9 @@ Pinned constants (changing any of these changes every persisted vector):
   nonzero buckets in ascending order, their values and its norm). Dropping
   a product with a zero factor drops a ``±0.0`` term, which leaves a
   left-to-right sum unchanged, so ``relevance`` equals the clamped dense
-  ``cosine`` bit for bit; dense ``cosine`` remains for palettes and scenes.
+  ``cosine`` bit for bit; dense ``cosine`` remains for palettes and scenes,
+  and ``cosine_with_norms`` is its core for a caller that keeps the norms
+  (a catalog item its palette's, a bundle request the scene's).
   Catalog ranking accumulates the same products term at a time over
   ``runtime.CatalogIndex``'s postings of the query's nonzero buckets, in
   ascending bucket order, into a list indexed by item position, so each
@@ -118,8 +120,27 @@ def embed_text(text: str) -> Vector:
     return tuple([v / norm if v else 0.0 for v in values])
 
 
+def vector_norm(values: Sequence) -> float:
+    """The L2 norm: the square root of the left-to-right sum of the squares.
+
+    ``inf`` when that sum is not a finite float, including an int square
+    past the float range, which ``left_sum`` cannot add.
+    """
+    try:
+        return math.sqrt(left_sum(map(operator.mul, values, values)))
+    except OverflowError:
+        return math.inf
+
+
 def cosine(a: Sequence, b: Sequence) -> float:
-    """Cosine similarity with exact shortcuts.
+    """Cosine similarity with exact shortcuts: ``cosine_with_norms`` of the
+    two vectors and their ``vector_norm``s."""
+    return cosine_with_norms(a, b, vector_norm(a), vector_norm(b))
+
+
+def cosine_with_norms(a: Sequence, b: Sequence, norm_a: float, norm_b: float) -> float:
+    """Cosine similarity of two vectors given their ``vector_norm``s, so a
+    caller that scores many vectors against one takes each norm once.
 
     Returns 0.0 when either vector is all-zero and exactly 1.0 when the two
     vectors are identical and nonzero (no float drift on self-similarity).
@@ -130,14 +151,12 @@ def cosine(a: Sequence, b: Sequence) -> float:
         raise InvalidArgument(f"cosine of vectors of different lengths: {len(a)} and {len(b)}")
     if tuple(a) == tuple(b):
         return 1.0 if any(a) else 0.0
-    na = math.sqrt(left_sum(map(operator.mul, a, a)))
-    nb = math.sqrt(left_sum(map(operator.mul, b, b)))
-    if na == 0.0 or nb == 0.0:
+    if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    if not math.isfinite(na * nb):
+    if not math.isfinite(norm_a * norm_b):
         raise InvalidArgument("cosine of vectors whose norms overflow")
     dot = left_sum(map(operator.mul, a, b))
-    return max(-1.0, min(1.0, dot / (na * nb)))
+    return max(-1.0, min(1.0, dot / (norm_a * norm_b)))
 
 
 class SparseVector:

@@ -9,15 +9,20 @@ hard-filters.
 
 Item relevance is the clamped-cosine score between the constraint-augmented
 query and the item's title+tags text. Catalog ranking reads the version's
-``runtime.CatalogIndex``: the admitted ids come from tag-set algebra plus
-the budget test, and each item's dot product with the query is accumulated
-term at a time over the postings of the query's nonzero buckets, in
-ascending bucket order, into a list indexed by item position, which is the
-per-item left-to-right sum of ``memory.relevance`` bit for bit. Every
-catalog cut keeps the best ``l`` by one rule: higher score first, ties
-broken by item id. ``top_l`` applies it to (score, item) pairs (a bundle's
-candidates per category); ``rank_admitted`` applies it inline, as a
-key-free ``heapq.nsmallest`` of ``(-score, id)`` pairs.
+``runtime.CatalogIndex``: the admitted ids come from tag-set algebra, less
+the tail of the index's price order past the budget, and each item's dot
+product with the query is accumulated term at a time over the postings of
+the query's nonzero buckets, in ascending bucket order, into a list indexed
+by item position, which is the per-item left-to-right sum of
+``memory.relevance`` bit for bit. Every catalog cut keeps the best ``l`` by
+one rule: higher score first, ties broken by item id. ``top_l`` applies it
+to (score, item) pairs (a bundle's candidates per category);
+``rank_admitted`` applies it inline, as a key-free ``heapq.nsmallest`` of
+``(-score, id)`` pairs.
+
+A bundle's palette fit is ``memory.cosine_with_norms`` of the item's palette
+and the scene, with the palette norm the item keeps and the scene norm
+taken once a request: the dense ``cosine`` bit for bit.
 
 Explanations are template-rendered with inline citation markers
 ``[item:ID]`` and ``[fact:SLOT]``; the consistency check re-parses the text
@@ -26,6 +31,7 @@ rather than trusting the recorded citation sets.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import re
@@ -45,10 +51,12 @@ from .memory import (
     MemoryStore,
     QueryVector,
     cosine,
+    cosine_with_norms,
     left_sum,
     prepare_query,
     relevance_score,
     retain,
+    vector_norm,
 )
 # Re-exported, not called here: perfbench/spans.py wraps `pipelines.embed_text`.
 from .memory import embed_text  # noqa: F401
@@ -199,7 +207,8 @@ def top_l(scored_pairs: Iterable, l: int) -> list:
 def admitted_ids(index: CatalogIndex, constraints: ConstraintSet,
                  category: Optional[str] = None) -> set:
     """Ids of the items ``violations_for`` finds nothing in (that also carry
-    ``category``, if one is given), from the index's tag sets."""
+    ``category``, if one is given), from the index's tag sets and, for a
+    budget, the tail of its price order past the budget."""
     required = [index.tags.get(tag, ()) for tag in constraints.required_tags]
     if category is not None:
         required.append(index.tags.get(category, ()))
@@ -208,9 +217,8 @@ def admitted_ids(index: CatalogIndex, constraints: ConstraintSet,
     for tag in constraints.forbidden_tags:
         ids.difference_update(index.tags.get(tag, ()))
     budget = constraints.budget_max
-    if budget is not None:
-        items = index.items
-        ids = {item_id for item_id in ids if not items[item_id].price > budget}
+    if budget is not None:  # a NaN budget cuts nothing, as ``price > nan`` is never true
+        ids.difference_update(index.by_price[bisect.bisect_right(index.prices, budget):])
     return ids
 
 
@@ -349,6 +357,7 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
         raise InvalidArgument("at least one target category required")
     constraints = constraints_from_facts(facts_from_memory(profile))
     scene = tuple(scene_features)
+    scene_norm = vector_norm(scene)
     text_vec = prepare_query(text_constraints)
 
     index = env.catalog_index()
@@ -365,7 +374,8 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
             truncated = True
         per_category.append(top_l(
             ((alpha * _relevance(text_vec, item, dots[index.pos[item.id]])
-              + (1.0 - alpha) * cosine(item.palette, scene), item)
+              + (1.0 - alpha) * cosine_with_norms(item.palette, scene,
+                                                  item.palette_norm, scene_norm), item)
              for item in feasible),
             TOP_CANDIDATES_PER_CATEGORY))
 

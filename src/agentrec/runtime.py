@@ -14,9 +14,9 @@ traced message.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -120,6 +120,12 @@ class CatalogItem:
         """The embedding of ``text()``, rebuilt from ``sparse`` on each read."""
         return self.sparse.to_dense()
 
+    @cached_property
+    def palette_norm(self) -> float:
+        """``memory.vector_norm`` of the palette (which must not be None),
+        computed on first use and kept by this item as ``sparse`` is."""
+        return memory.vector_norm(self.palette)
+
 
 _NUMBER = frozenset({int, float})  # JSON numbers; bool is neither
 
@@ -137,10 +143,7 @@ def finite_numbers(values) -> bool:
 def finite_norm(values) -> bool:
     """True iff the left-to-right sum of the squares of these numbers is a
     finite float, so that a cosine of them cannot overflow to NaN."""
-    try:
-        return math.isfinite(memory.left_sum(map(operator.mul, values, values)))
-    except OverflowError:  # the square of an int past the float range
-        return False
+    return math.isfinite(memory.vector_norm(values))
 
 
 def catalog_item(record) -> CatalogItem:
@@ -169,8 +172,8 @@ def catalog_item(record) -> CatalogItem:
 
 
 class CatalogIndex:
-    """One catalog version's inverted file: item positions, bucket postings
-    and tag sets.
+    """One catalog version's inverted file: item positions, bucket postings,
+    tag sets and a price order.
 
     ``items`` is the version's id -> item dict. Each live item has an integer
     position: ``ids[p]`` is the id at position ``p`` (None for a freed one),
@@ -179,19 +182,26 @@ class CatalogIndex:
     ``(positions, values)``: the position of every item whose embedding is
     nonzero in bucket ``b`` and that component (from the item's cached
     ``sparse``), in no set order. ``tags[t]`` is the set of ids of the items
-    carrying tag ``t``, and no set is empty. Only ``patch`` changes these,
-    when the index is handed on to the next version. ``last_dots`` is the
-    (prepared query, dot-product table) pair that ``pipelines`` ranked this
-    version by last, or None; ``patch`` resets it to None.
+    carrying tag ``t``, and no set is empty. ``prices`` and ``by_price`` are
+    parallel lists of every item's (finite) price and id, in ascending
+    ``(price, id)`` order, so the ids over a budget are a tail of
+    ``by_price``. Only ``patch`` changes these, when the index is handed on
+    to the next version. ``last_dots`` is the (prepared query, dot-product
+    table) pair that ``pipelines`` ranked this version by last, or None;
+    ``patch`` resets it to None.
     """
 
-    __slots__ = ("items", "ids", "norms", "pos", "postings", "tags", "last_dots")
+    __slots__ = ("items", "ids", "norms", "pos", "postings", "tags", "prices", "by_price",
+                 "last_dots")
 
     def __init__(self, items: dict):
         self.items, self.ids, self.norms, self.pos = items, [], [], {}
         self.postings = [([], []) for _ in range(memory.EMBED_DIM)]
         self.tags, self.last_dots = {}, None
         self._add(items.values())
+        order = sorted([(item.price, item.id) for item in items.values()])
+        self.prices = [price for price, _ in order]
+        self.by_price = [item_id for _, item_id in order]
 
     def patch(self, items: dict, dropped: Sequence, added: Sequence) -> None:
         """Make this the index of ``items``: without ``dropped`` and with ``added``.
@@ -199,12 +209,22 @@ class CatalogIndex:
         Edits in place and copies nothing. An item in both (an edit) keeps
         its position; a dropped item's position is freed, and an added item
         takes the lowest freed position before it appends one, so there are
-        never more positions than the most items a version has held.
+        never more positions than the most items a version has held. An
+        edit that keeps the title and tags only moves the item's price
+        entry and touches no posting list or tag set.
         """
         self.items, self.last_dots = items, None
         ids, pos, postings, tags = self.ids, self.pos, self.postings, self.tags
-        readded = {item.id for item in added}
+        prices, by_price = self.prices, self.by_price
+        edited = {item.id: item for item in added}
+        repriced = set()
         for item in dropped:
+            at = self._price_slot(item)
+            del prices[at], by_price[at]
+            new = edited.get(item.id)
+            if new is not None and (new.title, new.tags) == (item.title, item.tags):
+                repriced.add(item.id)
+                continue
             position = pos[item.id]
             for bucket in item.sparse.buckets:
                 positions, values = postings[bucket]
@@ -215,10 +235,21 @@ class CatalogIndex:
                 tagged.discard(item.id)
                 if not tagged:
                     del tags[tag]
-            if item.id not in readded:
+            if new is None:
                 ids[position] = None
                 del pos[item.id]
-        self._add(added)
+        for item in added:
+            at = self._price_slot(item)
+            prices.insert(at, item.price)
+            by_price.insert(at, item.id)
+        self._add([item for item in added if item.id not in repriced])
+
+    def _price_slot(self, item: CatalogItem) -> int:
+        """Where ``(item.price, item.id)`` is, or goes, in the price order."""
+        prices = self.prices
+        low = bisect.bisect_left(prices, item.price)
+        high = bisect.bisect_right(prices, item.price, low)
+        return bisect.bisect_left(self.by_price, item.id, low, high)
 
     def _add(self, items: Iterable) -> None:
         ids, norms, pos, postings, tags = self.ids, self.norms, self.pos, self.postings, self.tags
@@ -306,8 +337,10 @@ def _delta_target(index: int, op) -> tuple:
 
 
 def _indexed(item: Optional[CatalogItem]) -> Optional[tuple]:
-    """What a catalog index reads of an item: its embedded text and its tags."""
-    return None if item is None else (item.title, item.tags)
+    """What a catalog index reads of an item: its embedded text, its tags and
+    its price. A palette edit is sent nowhere; a price-only edit moves one
+    entry of the price order."""
+    return None if item is None else (item.title, item.tags, item.price)
 
 
 def apply_env_update(env: Environment, delta: Sequence) -> Environment:

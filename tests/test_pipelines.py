@@ -1,12 +1,16 @@
 """Pipelines: constraint filtering, ranking, bundles, explanations."""
 
+import copy
 import itertools
 import json
+import math
+import operator
 import random
 
 import pytest
 
 from agentrec.errors import (
+    InvalidArgument,
     MissingPalette,
     NoCompatibleBundle,
     NoFeasibleItem,
@@ -634,21 +638,30 @@ def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
 
 
 def churn_delta(rng, env):
-    """1-3 ops, each on its own item: an add, a removal, or a tag or title edit.
-    The catalog drifts between 4 and about 20 items."""
+    """1-3 ops, each on its own item: an add, a removal, or a tag, title, price
+    or palette edit. The catalog drifts between 4 and about 20 items; a new
+    price is often one the catalog already holds, so prices tie."""
     ids = [item.id for item in env.catalog]
     rng.shuffle(ids)
     delta = []
     for n in range(rng.randint(1, 3)):
-        kind = rng.choice(["add", "remove", "tags", "title"])
+        kind = rng.choice(["add", "remove", "tags", "title", "price", "palette"])
         if kind == "add" or len(ids) < 4:
             delta.append({"op": "add_item", "item": edge_record(rng, f"c{env.version}-{n}")})
         elif kind == "remove" or len(ids) > 20:
             delta.append({"op": "remove_item", "id": ids.pop()})
         else:
+            value = edge_record(rng, "unused")[kind]
+            if kind == "price" and rng.random() < 0.5:
+                value = int(rng.choice(env.catalog).price)
             delta.append({"op": "set_item_field", "id": ids.pop(), "field": kind,
-                          "value": edge_record(rng, "unused")[kind]})
+                          "value": value})
     return delta
+
+
+def index_snapshot(index):
+    """Copies of everything of an index but its price order and dot table."""
+    return copy.deepcopy((index.ids, index.norms, index.pos, index.postings, index.tags))
 
 
 def ranked(env, query, facts, l):
@@ -669,19 +682,27 @@ def scanned(env, query, facts, l):
 def test_catalog_index_churn_keeps_positions_bounded_and_rankings_exact():
     # each update takes the parent's index and patches it in place; the parent
     # builds a new one when it is ranked again, and ranks as before
-    from agentrec.runtime import apply_env_update, catalog_item
+    from agentrec.runtime import CatalogIndex, apply_env_update, catalog_item
     rng = random.Random(1717)
     env = Environment(catalog=[catalog_item(edge_record(rng, f"e{i:02d}")) for i in range(12)])
-    peak, reused, freed = len(env.catalog), 0, 0
+    peak, reused, freed, edits = len(env.catalog), 0, 0, 0
     for _ in range(2000):
         parent, parent_index = env, env.catalog_index()
         parent_ids, parent_positions = set(parent_index.items), len(parent_index.ids)
         asked = (edge_query(rng, parent), edge_facts(rng), rng.randint(1, 8))
         parent_ranked = ranked(parent, *asked)
-        env = apply_env_update(parent, churn_delta(rng, parent))
+        delta = churn_delta(rng, parent)
+        unindexed = {op.get("field") for op in delta} <= {"price", "palette"}
+        before = index_snapshot(parent_index) if unindexed else None
+        env = apply_env_update(parent, delta)
         index = env.catalog_index()
         assert index is parent_index and parent._index is None
         assert ranked(parent, *asked) == parent_ranked and parent._index is not index
+        fresh = CatalogIndex(index.items)
+        assert (index.prices, index.by_price) == (fresh.prices, fresh.by_price)
+        if unindexed:  # price and palette edits touch no position, posting or tag set
+            assert index_snapshot(index) == before
+            edits += 1
 
         peak = max(peak, len(env.catalog))
         assert len(index.ids) <= peak
@@ -706,7 +727,7 @@ def test_catalog_index_churn_keeps_positions_bounded_and_rankings_exact():
         scene = tuple(rng.random() for _ in range(3))
         assert outcome(recommend_multimodal, query, scene, memory, chosen, env, 0.5, 0.8) == (
             outcome(scan_bundle, query, scene, memory, chosen, env, 0.5, 0.8))
-    assert freed > 200 and reused > 200
+    assert freed > 200 and reused > 200 and edits > 100
 
 
 def test_catalog_index_two_updates_from_one_parent_rank_as_the_scan():
@@ -759,6 +780,113 @@ def test_catalog_index_scores_a_query_equal_to_an_item_exactly_one():
         dot = left_sum(v * v for v in item.sparse.values)
         below += dot / (query.norm * item.sparse.norm) < 1.0
     assert below > 0
+
+
+def test_catalog_index_price_order_budget_edges_equal_the_linear_scan():
+    # int and float prices that tie, both zeros, and an int a float budget cannot
+    # hold exactly: the ids past ``bisect_right(budget)`` are those over budget
+    from agentrec.pipelines import admitted_ids
+    from agentrec.runtime import apply_env_update
+    prices = [0, -0.0, 0.0, 5, 5.0, 7.5, 7.5, 10, 10.0, 2 ** 60, 2 ** 60 + 1, 1e300]
+    env = Environment(catalog=[
+        CatalogItem(f"p{i:02d}", "x", ("cake",) if i % 3 else ("cake", "decor"), price)
+        for i, price in enumerate(prices)])
+    env.catalog_index()  # so the update patches it
+    edited = apply_env_update(env, [
+        {"op": "set_item_field", "id": "p03", "field": "price", "value": 7.5},
+        {"op": "set_item_field", "id": "p11", "field": "price", "value": 0},
+        {"op": "remove_item", "id": "p06"},
+        {"op": "add_item", "item": {"id": "p99", "tags": ["decor"], "price": 10}}])
+    budgets = ["nan", "inf", "-inf", "1e400", "-1e400", "-0", "0", "5", "7.5", "9.999",
+               "10", str(2 ** 60), "1e300", "-5"]
+    sizes = set()
+    for version in (env, edited):
+        index = version.catalog_index()
+        for budget in budgets:
+            for tag_facts in ([], [("required", "cake")], [("guest_allergy", "decor")]):
+                constraints = constraints_from_facts([("budget", budget)] + tag_facts)
+                for category in (None, "cake", "decor", "sofa"):
+                    want = {item.id for item in version.catalog
+                            if not violations_for(item, constraints)
+                            and (category is None or category in item.tags)}
+                    assert admitted_ids(index, constraints, category) == want
+                    if not tag_facts and category is None:
+                        sizes.add((budget, len(want)))
+    assert {("nan", 12), ("inf", 12), ("1e400", 12), ("-inf", 0), ("-0", 3), ("-5", 0),
+            (str(2 ** 60), 10)} <= sizes
+
+
+def dense_cosine(a, b):
+    """The clamped dense cosine written out with its norms inline, the
+    ``left_sum`` order of the README's pinned conventions."""
+    if len(a) != len(b):
+        raise InvalidArgument(f"cosine of vectors of different lengths: {len(a)} and {len(b)}")
+    if tuple(a) == tuple(b):
+        return 1.0 if any(a) else 0.0
+    na = math.sqrt(left_sum(map(operator.mul, a, a)))
+    nb = math.sqrt(left_sum(map(operator.mul, b, b)))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    if not math.isfinite(na * nb):
+        raise InvalidArgument("cosine of vectors whose norms overflow")
+    return max(-1.0, min(1.0, left_sum(map(operator.mul, a, b)) / (na * nb)))
+
+
+def test_catalog_index_bundle_palette_fit_equals_cosine_bit_for_bit():
+    # the bundle search takes each palette's norm from its item and the scene's
+    # once a request; every fit is still the dense cosine, bit for bit
+    from agentrec.memory import cosine_with_norms, vector_norm
+    rng = random.Random(2424)
+
+    def component():
+        return rng.choice([rng.uniform(-2.0, 2.0), rng.random(), -0.0, 0.0,
+                           rng.randint(-3, 3)])
+
+    def palette(scene):
+        roll = rng.random()
+        if roll < 0.15:
+            return tuple(scene)
+        if roll < 0.25:
+            return tuple(rng.choice([0.0, -0.0, 0]) for _ in range(3))
+        if roll < 0.4:
+            return tuple(rng.randint(-5, 5) for _ in range(3))
+        return tuple(component() for _ in range(3))
+
+    seen = set()
+    for _ in range(400):
+        scene = tuple(component() for _ in range(3))
+        items = [CatalogItem(f"c{i}", "chair", ("chair",), 1.0, palette=palette(scene))
+                 for i in range(6)]
+        fits = {}
+        for item in items:
+            want = dense_cosine(item.palette, scene)
+            assert cosine(item.palette, scene).hex() == want.hex()
+            got = cosine_with_norms(item.palette, scene, item.palette_norm, vector_norm(scene))
+            assert got.hex() == want.hex()
+            fits[item.id] = want
+            seen.add("identical" if item.palette == scene else
+                     "zero" if not any(item.palette) or not any(scene) else
+                     "int" if set(map(type, item.palette)) == {int} else "mixed")
+        bundle = recommend_multimodal("chair", scene, MemoryStore(), ["chair"],
+                                      Environment(catalog=items), 0.0, 0.7)
+        assert bundle.items[0].id == min(fits, key=lambda item_id: (-fits[item_id], item_id))
+        assert all(vars(item)["palette_norm"] == vector_norm(item.palette) for item in items)
+    assert seen == {"identical", "zero", "int", "mixed"}
+
+    chairs = [CatalogItem("c0", "chair", ("chair",), 1.0, palette=(0.8, 0.6, 0.0))]
+    for scene, catalog, message in (
+            ((0.8, 0.6), chairs, "cosine of vectors of different lengths: 3 and 2"),
+            ((1e200, 1.0, 0.0), chairs, "cosine of vectors whose norms overflow"),
+            ((0.8, 0.6, 0.0), chairs + [CatalogItem("c1", "chair", ("chair",), 1.0,
+                                                    palette=(1e200, 0.0, 0.0))],
+             "cosine of vectors whose norms overflow"),
+            ((0.8, 0.6, 0.0), chairs + [CatalogItem("c1", "chair", ("chair",), 1.0,
+                                                    palette=(10 ** 200, 0, 0))],
+             "cosine of vectors whose norms overflow")):
+        with pytest.raises(InvalidArgument) as caught:
+            recommend_multimodal("chair", scene, MemoryStore(), ["chair"],
+                                 Environment(catalog=catalog), 0.5, 0.7)
+        assert str(caught.value) == message
 
 
 # explanations -------------------------------------------------------------------------

@@ -620,6 +620,7 @@ def assert_equals_fresh_build(index):
     positions agree with each other."""
     fresh = CatalogIndex(dict(index.items))
     assert (postings_by_id(index), index.tags) == (postings_by_id(fresh), fresh.tags)
+    assert (index.prices, index.by_price) == (fresh.prices, fresh.by_price)
     assert index.pos == {item_id: p for p, item_id in enumerate(index.ids) if item_id is not None}
     assert index.items.keys() == index.pos.keys()
     for item_id, p in index.pos.items():
