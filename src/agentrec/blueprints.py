@@ -34,7 +34,7 @@ from .pipelines import (  # noqa: F401  (score_item: benchmark tracers wrap this
     score_item,
     violations_for,
 )
-from .runtime import Environment, MasRuntime, MessageSchema, finite_numbers
+from .runtime import Environment, MasRuntime, finite_numbers
 
 SECTION_SEPARATOR = " | "
 FACT_SEPARATOR = "; "
@@ -196,19 +196,10 @@ def build_agent(agent_cfg: dict, env: Environment, budgets: dict) -> AgentSpec:
     )
 
 
-def derive_schemata(config: dict) -> list:
-    kinds = {kind for _, _, kind in config["routing"]} | {"query"}
-    for agent_cfg in config["agents"] + [
-            child for decl in config["children"].values() for child in decl["agents"]]:
-        kinds.update(agent_cfg["input_kinds"])
-        kinds.update(agent_cfg["output_kinds"])
-    return [MessageSchema(kind=kind, payload_shape=("text",)) for kind in sorted(kinds)]
-
-
 def build_interactive_runtime(config: dict, env: Environment):
     """Returns (runtime, routing edges) wired per a config from `cli.load_config`."""
     budgets = config["budgets"]
-    runtime = MasRuntime(env, derive_schemata(config))
+    runtime = MasRuntime(env)
     for agent_cfg in config["agents"]:
         runtime.register_agent(build_agent(agent_cfg, env, budgets))
     for sender, recipient in config["matrix"]["allow"]:

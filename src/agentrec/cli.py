@@ -319,6 +319,8 @@ def _cross_check(config, findings) -> None:
             if not set(edge) <= set(nodes):
                 _flag(findings, "edges", f"edge must be a [upstream, downstream] pair of "
                                          f"declared nodes: {edge!r}")
+        for name in sorted(set(config["error_rates"]) - set(nodes)):
+            _flag(findings, "error_rates", f"rate for an undeclared node: {name}")
         for node in nodes:  # a node without a rate never errs
             config["error_rates"].setdefault(node, 0.0)
 

@@ -39,12 +39,8 @@ class ChannelClosed(AgentRecError):
     """The communication matrix forbids this sender/recipient pair."""
 
 
-class UnknownSchema(AgentRecError):
-    """Message kind not in the runtime's schemata."""
-
-
 class PayloadInvalid(AgentRecError):
-    """Message payload does not match the declared payload shape."""
+    """A final ranked_list message's text is not the pinned ranked-list record."""
 
 
 class SelfChannel(AgentRecError):

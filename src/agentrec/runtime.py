@@ -1,5 +1,9 @@
 """Multi-agent runtime: registry, shared environment, matrix-gated message routing.
 
+The protocol is held once: the agents' declared input and output kinds are
+the only kinds, the matrix is a set of open pairs of registered ids, and an
+episode's initial input is text for its first hop, not a message.
+
 Episode execution is single-threaded and sequential in routing order, so a
 fixed (agents, routing, environment) tuple always produces the same trace.
 The runtime draws no randomness, so an episode's seed does not affect its
@@ -28,22 +32,11 @@ from .errors import (
     ChannelClosed,
     ConflictingDelta,
     InvalidArgument,
-    PayloadInvalid,
     SchemaViolation,
     SelfChannel,
     UnknownAgent,
     UnknownItem,
-    UnknownSchema,
 )
-
-
-@dataclass(frozen=True)
-class MessageSchema:
-    kind: str
-    payload_shape: tuple  # tuple[str, ...] of required field names
-
-    def validates(self, payload) -> bool:
-        return isinstance(payload, dict) and sorted(payload) == sorted(self.payload_shape)
 
 
 @dataclass
@@ -61,37 +54,6 @@ class Message:
         if isinstance(self.recipient, (tuple, list)):
             return tuple(self.recipient)
         return (self.recipient,)
-
-
-class CommMatrix:
-    """The paper's communication matrix over the registered ids, stored as its
-    open (sender, recipient) entries; the diagonal and all others are closed."""
-
-    def __init__(self):
-        self._ids = set()
-        self._open = set()
-
-    def register(self, agent_id: str) -> None:
-        if agent_id in self._ids:
-            raise InvalidArgument(f"duplicate agent id: {agent_id!r}")
-        self._ids.add(agent_id)
-
-    def _check(self, sender: str, recipient: str) -> None:
-        for agent_id in (sender, recipient):
-            if agent_id not in self._ids:
-                raise UnknownAgent(f"unregistered agent: {agent_id!r}")
-
-    def allows(self, sender: str, recipient: str) -> bool:
-        self._check(sender, recipient)
-        return (sender, recipient) in self._open
-
-    def set_channel(self, sender: str, recipient: str, open_: bool) -> None:
-        if sender == recipient:
-            raise SelfChannel(f"agents do not address themselves: {sender!r}")
-        self._check(sender, recipient)
-        self._open.discard((sender, recipient))
-        if open_:
-            self._open.add((sender, recipient))
 
 
 @dataclass(frozen=True)
@@ -409,60 +371,60 @@ class EpisodeResult:
         return self.exception is not None
 
 
-@dataclass
-class SpawnDecl:
-    children: list            # list[AgentSpec]
-    open_channels: list       # list[tuple[sender, recipient]]
-
-
 class MasRuntime:
-    """Owns the agents, the environment, the matrix, and all message flow."""
+    """Owns the agents, the environment, the matrix and all message flow.
+    ``channels`` is the paper's communication matrix over the ids in ``agents``,
+    stored as its open (sender, recipient) entries; all others are closed."""
 
-    def __init__(self, env: Environment, schemata: Iterable[MessageSchema]):
+    def __init__(self, env: Environment):
         self.env = env
-        self.schemata = {schema.kind: schema for schema in schemata}
         self.agents = {}
-        self.matrix = CommMatrix()
+        self.channels = set()
         self.inboxes = {}
-        self.spawns = {}
+        self.spawns = {}  # parent id -> (children, open_channels)
         self.message_count = 0  # messages delivered so far, and the next seq
 
     def register_agent(self, agent: AgentSpec) -> None:
-        for kind in set(agent.input_schema) | set(agent.output_schema):
-            if kind not in self.schemata:
-                raise UnknownSchema(
-                    f"agent {agent.id!r} declares kind {kind!r} outside the schemata")
-        self.matrix.register(agent.id)  # raises on a duplicate id
+        if agent.id in self.agents:
+            raise InvalidArgument(f"duplicate agent id: {agent.id!r}")
         self.agents[agent.id] = agent
         self.inboxes[agent.id] = []
 
     def declare_spawn(self, parent_id: str, children, open_channels) -> None:
-        self.spawns[parent_id] = SpawnDecl(children=list(children),
-                                           open_channels=list(open_channels))
+        self.spawns[parent_id] = (list(children), list(open_channels))
+
+    def _check(self, sender: str, recipient: str) -> None:
+        for agent_id in (sender, recipient):
+            if agent_id not in self.agents:
+                raise UnknownAgent(f"unregistered agent: {agent_id!r}")
+
+    def allows(self, sender: str, recipient: str) -> bool:
+        self._check(sender, recipient)
+        return (sender, recipient) in self.channels
 
     def toggle_channel(self, sender: str, recipient: str, open_: bool) -> None:
-        self.matrix.set_channel(sender, recipient, open_)
+        if sender == recipient:
+            raise SelfChannel(f"agents do not address themselves: {sender!r}")
+        self._check(sender, recipient)
+        self.channels.discard((sender, recipient))
+        if open_:
+            self.channels.add((sender, recipient))
 
     def send_message(self, message: Message) -> None:
         """Deliver iff there is a recipient, none is named twice, every channel is
-        open, the kind is known, and the payload fits; then stamp the message's
-        seq and env version."""
+        open and the payload's text is a string; then stamp the message's seq and
+        env version. The kind is checked where a consumer takes the message."""
         recipients = message.recipients()
         if not recipients:
             raise InvalidArgument(f"message from {message.sender!r} names no recipient")
         if len(set(recipients)) != len(recipients):
             raise InvalidArgument(f"message from {message.sender!r} names a recipient twice")
         for recipient in recipients:
-            if not self.matrix.allows(message.sender, recipient):
+            if not self.allows(message.sender, recipient):
                 raise ChannelClosed(
                     f"channel {message.sender!r} -> {recipient!r} is closed")
-        schema = self.schemata.get(message.kind)
-        if schema is None:
-            raise UnknownSchema(f"kind {message.kind!r} not in schemata")
-        if not schema.validates(message.payload):
-            raise PayloadInvalid(
-                f"payload for kind {message.kind!r} must have fields "
-                f"{sorted(schema.payload_shape)}")
+        if type(message.payload) is not dict or type(message.payload.get("text")) is not str:
+            raise InvalidArgument(f"message from {message.sender!r}: payload text must be a string")
         message.seq = self.message_count
         message.env_version = self.env.version
         self.message_count += 1
@@ -470,14 +432,12 @@ class MasRuntime:
             self.inboxes[recipient].append(message)
 
     def _apply_spawn(self, parent_id: str) -> None:
-        decl = self.spawns.get(parent_id)
-        if decl is None:
-            return
-        for child in decl.children:
+        children, open_channels = self.spawns.get(parent_id, ((), ()))
+        for child in children:
             if child.id not in self.agents:
                 self.register_agent(child)
-        for sender, recipient in decl.open_channels:
-            self.matrix.set_channel(sender, recipient, True)
+        for sender, recipient in open_channels:
+            self.toggle_channel(sender, recipient, True)
 
     def run_episode(self, routing: Sequence, seed: int,
                     initial_input: str = "") -> EpisodeResult:
@@ -485,10 +445,9 @@ class MasRuntime:
 
         An edge is (sender, recipient-or-recipient-list, kind). A gate failure
         or step error mid-episode aborts with the partial trace and the
-        exception that aborted it. The initial input enters the first sender's
-        inbox only after that sender is found registered. The runtime draws no
-        randomness, so `seed` does not affect the trace; it stays because
-        callers pass it.
+        exception that aborted it. The first hop's input is its sender's consumed
+        texts, then a nonempty `initial_input` (which is no message), joined by
+        newlines. No randomness is drawn: `seed` stays because callers pass it.
         """
         # step_agent is looked up per call, so a wrapper on runtime.step_agent sees every step
         return self._fire(routing, initial_input, step_agent)
@@ -496,10 +455,10 @@ class MasRuntime:
     def replay(self, routing: Sequence) -> EpisodeResult:
         """`run_episode` with no initial input and a step that returns "".
 
-        The gates read only the routing, the registrations, the spawn
-        declarations and the schemata, so on a fresh runtime a replay aborts at
-        the edge, and with the error, that an episode would, unless a step
-        error aborts the episode first. Like an episode it delivers and spawns.
+        The gates read only the routing and what was registered and declared,
+        so on a fresh runtime a replay aborts at the edge, and with the error,
+        that an episode would, unless a step error aborts it first. Like an
+        episode it delivers and spawns.
         """
         return self._fire(routing, "", lambda agent, input_text, now: "")
 
@@ -511,23 +470,18 @@ class MasRuntime:
                 agent = self.agents.get(sender_id)
                 if agent is None:
                     raise UnknownAgent(f"unregistered sender: {sender_id!r}")
-                if tick == 0 and initial_input:
-                    self.inboxes[sender_id].append(Message(
-                        sender="__input__", recipient=sender_id, kind="query",
-                        payload={"text": initial_input}, seq=-1,
-                        env_version=self.env.version))
                 if kind == "spawn":
                     self._apply_spawn(sender_id)
                 pending = self.inboxes[sender_id]
                 self.inboxes[sender_id] = []
-                # every consumed message must fit the input schema; the
-                # unsequenced initial query is exempt
-                for consumed in pending:
-                    if consumed.seq >= 0 and consumed.kind not in agent.input_schema:
+                for consumed in pending:  # every consumed message must fit the input schema
+                    if consumed.kind not in agent.input_schema:
                         raise SchemaViolation(f"agent {sender_id!r} does not accept "
                                               f"kind {consumed.kind!r}")
-                input_text = "\n".join(m.payload.get("text", "") for m in pending)
-                output = step(agent, input_text, now=tick)
+                texts = [m.payload["text"] for m in pending]
+                if tick == 0 and initial_input:
+                    texts.append(initial_input)
+                output = step(agent, "\n".join(texts), now=tick)
                 if kind not in agent.output_schema:
                     raise SchemaViolation(
                         f"agent {sender_id!r} cannot emit kind {kind!r}")

@@ -35,7 +35,7 @@ from agentrec.reliability import (
     simulate_error_cascade,
 )
 from agentrec.reliability import AgentGraph
-from agentrec.runtime import Environment, Message, MessageSchema, MasRuntime
+from agentrec.runtime import Environment, Message, MasRuntime
 from agentrec.simulation import (
     UserSimulator,
     evaluate,
@@ -131,13 +131,12 @@ def test_c03_memory_round_trip_exact():
 
 def test_c04_communication_soundness():
     rng = random.Random(31337)
-    schemata = [MessageSchema("query", ("text",))]
     closed_deliveries = 0
     missing_errors = 0
     total = 0
     for _ in range(20):
         ids = [f"agent{i}" for i in range(rng.randint(2, 6))]
-        runtime = MasRuntime(Environment(), schemata)
+        runtime = MasRuntime(Environment())
         for agent_id in ids:
             runtime.register_agent(AgentSpec(
                 id=agent_id, core=scripted_core((r".*", "$input")),
@@ -150,7 +149,7 @@ def test_c04_communication_soundness():
         for _ in range(500):
             total += 1
             sender, recipient = rng.choice(ids), rng.choice(ids)
-            allowed = runtime.matrix.allows(sender, recipient)
+            allowed = runtime.allows(sender, recipient)
             before = len(runtime.inboxes[recipient])
             try:
                 runtime.send_message(Message(sender=sender, recipient=recipient,
@@ -173,10 +172,9 @@ def test_c04_schema_gate_on_every_consumed_message():
     """A mixed-kind inbox aborts on its first kind outside the consumer's input schema."""
     rng = random.Random(4204)
     kinds = ["query", "item_set", "ranked_list"]
-    schemata = [MessageSchema(kind, ("text",)) for kind in kinds]
     hidden = 0  # inboxes whose first message is accepted but a later one is not
     for trial in range(300):
-        runtime = MasRuntime(Environment(), schemata)
+        runtime = MasRuntime(Environment())
         accepted = frozenset(rng.sample(kinds, rng.randint(1, 2)))
         runtime.register_agent(AgentSpec(
             id="consumer", core=scripted_core((r".*", "$input")),
@@ -190,7 +188,7 @@ def test_c04_schema_gate_on_every_consumed_message():
         for kind in sent:
             runtime.send_message(Message(sender="sender", recipient="consumer", kind=kind,
                                          payload={"text": kind}))
-        # the unsequenced initial query is exempt, whatever the schema
+        # the initial input is no message, so no schema applies to it
         initial = "start" if rng.random() < 0.5 else ""
         result = runtime.run_episode([("consumer", "sender", "query")], seed=trial,
                                      initial_input=initial)

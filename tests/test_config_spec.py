@@ -109,6 +109,8 @@ CONFIG_CASES = [
     ("repeated-node", "error_cascade", ("nodes",), ["retrieve", "rank", "present", "rank"],
      "nodes"),
     ("out-of-range-rate", "error_cascade", ("error_rates", "rank"), 2, "error_rates"),
+    ("rate-for-undeclared-node", "error_cascade", ("error_rates", "ghost"), 0.9,
+     "error_rates"),
 ]
 
 # name, scenario, data file, its new text, expected error, word in the message
@@ -270,6 +272,20 @@ def test_validate_lists_every_finding_with_its_path(tmp_path):
     assert main(["validate", str(path)]) == 1
 
 
+def test_validate_reports_each_rate_for_an_undeclared_node(tmp_path, capsys):
+    config = json.loads((SCENARIOS / "error_cascade.json").read_text())
+    config["error_rates"].update(ghost=0.9, alpha=0.0)
+    path = tmp_path / "cascade.json"
+    path.write_text(json.dumps(config))
+    assert validate_config(path) == [
+        {"field": "error_rates", "rule": "rate for an undeclared node: alpha"},
+        {"field": "error_rates", "rule": "rate for an undeclared node: ghost"},
+    ]
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == ("error_rates: rate for an undeclared node: alpha\n"
+                                       "error_rates: rate for an undeclared node: ghost\n")
+
+
 def test_spec_tool_kinds_match_the_tool_factories():
     config = json.loads((SCENARIOS / "party_planner.json").read_text())
     findings = []
@@ -353,7 +369,7 @@ def test_mutation_fuzz_ends_in_exit_0_or_error_record(tmp_path, capsys, name):
 PARTY_IDS = [agent["id"] for agent in PARTY["agents"] + PARTY_CHILDREN["sac"]["agents"]]
 PARTY_KINDS = sorted({kind for _, _, kind in PARTY["routing"]})
 WIRING_ERRORS = {"ChannelClosed", "UnknownAgent", "SchemaViolation", "SelfChannel",
-                 "UnknownSchema", "InvalidArgument", "ConfigInvalid", "UnknownTool"}
+                 "InvalidArgument", "ConfigInvalid", "UnknownTool"}
 
 
 def _wiring(path) -> bool:

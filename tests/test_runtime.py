@@ -17,22 +17,19 @@ from agentrec.errors import (
     ChannelClosed,
     ConflictingDelta,
     InvalidArgument,
-    PayloadInvalid,
+    SchemaViolation,
     SelfChannel,
     UnknownAgent,
     UnknownItem,
-    UnknownSchema,
 )
 from agentrec.memory import MemoryStore, cosine, embed_text
 from agentrec.pipelines import Transcript, recommend_interactive
 from agentrec.runtime import (
     CatalogIndex,
     CatalogItem,
-    CommMatrix,
     Environment,
     MasRuntime,
     Message,
-    MessageSchema,
     apply_env_update,
     catalog_item,
     trace_to_jsonl,
@@ -40,20 +37,13 @@ from agentrec.runtime import (
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
-SCHEMATA = [
-    MessageSchema("candidate_list", ("text",)),
-    MessageSchema("compliance_report", ("text",)),
-    MessageSchema("query", ("text",)),
-]
-
-
 def echo_agent(agent_id, kinds=("candidate_list", "compliance_report", "query")):
     return AgentSpec(id=agent_id, core=scripted_core((r".*", "$input")),
                      input_schema=frozenset(kinds), output_schema=frozenset(kinds))
 
 
 def two_agent_runtime():
-    runtime = MasRuntime(Environment(), SCHEMATA)
+    runtime = MasRuntime(Environment())
     runtime.register_agent(echo_agent("rec"))
     runtime.register_agent(echo_agent("eval"))
     runtime.toggle_channel("rec", "eval", True)
@@ -77,24 +67,6 @@ def test_self_message_hits_closed_diagonal():
     with pytest.raises(ChannelClosed):
         runtime.send_message(Message(
             sender="rec", recipient="rec", kind="query", payload={"text": "x"}))
-
-
-def test_unknown_kind_rejected():
-    runtime = two_agent_runtime()
-    with pytest.raises(UnknownSchema):
-        runtime.send_message(Message(
-            sender="rec", recipient="eval", kind="gossip", payload={"text": "x"}))
-
-
-def test_payload_shape_is_strict():
-    runtime = two_agent_runtime()
-    with pytest.raises(PayloadInvalid):
-        runtime.send_message(Message(
-            sender="rec", recipient="eval", kind="query", payload={"wrong": 1}))
-    with pytest.raises(PayloadInvalid):
-        runtime.send_message(Message(
-            sender="rec", recipient="eval", kind="query",
-            payload={"text": "x", "extra": 2}))
 
 
 def test_unregistered_agents_rejected():
@@ -129,6 +101,21 @@ def test_multicast_naming_a_recipient_twice_rejected_before_taking_a_seq():
     assert inbox_sizes(runtime) == {"rec": 0, "eval": 0}
 
 
+@pytest.mark.parametrize("payload", [5, None, {"wrong": "x"}, {"text": 5}, {"text": None}])
+def test_payload_without_string_text_rejected_before_taking_a_seq(payload):
+    runtime = two_agent_runtime()
+    with pytest.raises(InvalidArgument, match="payload text must be a string"):
+        runtime.send_message(Message(sender="rec", recipient="eval", kind="query",
+                                     payload=payload))
+    assert runtime.message_count == 0
+    assert inbox_sizes(runtime) == {"rec": 0, "eval": 0}
+    extra = Message(sender="rec", recipient="eval", kind="query",
+                    payload={"text": "x", "extra": 2})
+    runtime.send_message(extra)  # no shape beyond the text the consumer reads
+    assert extra.seq == 0
+    assert runtime.run_episode([("eval", "rec", "query")], seed=0).error is None
+
+
 @pytest.mark.parametrize("sender, recipient", [
     ("ghost", "eval"),
     ("rec", "ghost"),
@@ -158,10 +145,8 @@ def test_duplicate_registration_keeps_the_first_agent():
     assert list(runtime.agents) == list(runtime.inboxes) == ["rec", "eval"]
 
 
-def test_registration_outside_schemata_leaves_the_id_free():
+def test_an_id_is_unknown_to_the_matrix_until_registered():
     runtime = two_agent_runtime()
-    with pytest.raises(UnknownSchema):
-        runtime.register_agent(echo_agent("late", kinds=("query", "gossip")))
     assert "late" not in runtime.agents and "late" not in runtime.inboxes
     with pytest.raises(UnknownAgent):
         runtime.toggle_channel("rec", "late", True)
@@ -173,7 +158,7 @@ def test_registration_outside_schemata_leaves_the_id_free():
 
 
 def test_closed_channel_never_delivers():
-    runtime = MasRuntime(Environment(), SCHEMATA)
+    runtime = MasRuntime(Environment())
     runtime.register_agent(echo_agent("a"))
     runtime.register_agent(echo_agent("b"))
     with pytest.raises(ChannelClosed):
@@ -187,7 +172,7 @@ def test_permission_soundness_fuzz():
     rng = random.Random(99)
     n = 5
     ids = [f"a{i}" for i in range(n)]
-    runtime = MasRuntime(Environment(), SCHEMATA)
+    runtime = MasRuntime(Environment())
     for agent_id in ids:
         runtime.register_agent(echo_agent(agent_id))
     for sender in ids:
@@ -196,7 +181,7 @@ def test_permission_soundness_fuzz():
                 runtime.toggle_channel(sender, recipient, True)
     for _ in range(2000):
         sender, recipient = rng.choice(ids), rng.choice(ids)
-        allowed = runtime.matrix.allows(sender, recipient)
+        allowed = runtime.allows(sender, recipient)
         before = len(runtime.inboxes[recipient])
         try:
             runtime.send_message(Message(sender=sender, recipient=recipient,
@@ -207,6 +192,32 @@ def test_permission_soundness_fuzz():
         assert delivered == allowed
         after = len(runtime.inboxes[recipient])
         assert (after - before) == (1 if allowed else 0)
+
+
+def test_undeclared_kind_is_delivered_then_refused_by_its_consumer():
+    runtime = two_agent_runtime()
+    runtime.register_agent(echo_agent("narrow", kinds=("query",)))
+    runtime.toggle_channel("rec", "narrow", True)
+    runtime.toggle_channel("narrow", "rec", True)
+    gossip = Message(sender="rec", recipient="narrow", kind="gossip", payload={"text": "g"})
+    runtime.send_message(gossip)
+    assert gossip.seq == 0 and runtime.inboxes["narrow"] == [gossip]
+    result = runtime.run_episode([("narrow", "rec", "query")], seed=0, initial_input="hi")
+    assert isinstance(result.exception, SchemaViolation) and result.trace == []
+    assert result.error == "SchemaViolation: agent 'narrow' does not accept kind 'gossip'"
+    assert runtime.inboxes["narrow"] == []
+
+
+def test_first_input_is_the_consumed_texts_then_the_initial_input():
+    runtime = two_agent_runtime()
+    for text in ("a", "b"):
+        runtime.send_message(Message(sender="eval", recipient="rec", kind="query",
+                                     payload={"text": text}))
+    result = runtime.run_episode([("rec", "eval", "query"), ("eval", "rec", "query")],
+                                 seed=0, initial_input="start")
+    assert result.error is None
+    assert [m.payload["text"] for m in result.trace] == ["a\nb\nstart"] * 2
+    assert [m.seq for m in result.trace] == [2, 3]
 
 
 # toggling ----------------------------------------------------------------------
@@ -226,46 +237,47 @@ def test_toggle_open_then_closed():
 
 
 def matrix_of(*ids):
-    matrix = CommMatrix()
+    """A runtime with an echo agent for each id and every channel closed."""
+    runtime = MasRuntime(Environment())
     for agent_id in ids:
-        matrix.register(agent_id)
-    return matrix
+        runtime.register_agent(echo_agent(agent_id))
+    return runtime
 
 
 def test_toggle_is_idempotent():
-    matrix = matrix_of("x", "y")
-    matrix.set_channel("x", "y", True)
-    matrix.set_channel("x", "y", True)
-    assert matrix.allows("x", "y") is True
-    matrix.set_channel("x", "y", False)
-    matrix.set_channel("x", "y", False)
-    assert matrix.allows("x", "y") is False
+    runtime = matrix_of("x", "y")
+    runtime.toggle_channel("x", "y", True)
+    runtime.toggle_channel("x", "y", True)
+    assert runtime.allows("x", "y") is True
+    runtime.toggle_channel("x", "y", False)
+    runtime.toggle_channel("x", "y", False)
+    assert runtime.allows("x", "y") is False
 
 
 def test_self_channel_rejected():
-    matrix = matrix_of("x", "y")
+    runtime = matrix_of("x", "y")
     with pytest.raises(SelfChannel):
-        matrix.set_channel("x", "x", True)
+        runtime.toggle_channel("x", "x", True)
 
 
 def test_matrix_diagonal_starts_closed():
-    matrix = matrix_of("x", "y", "z")
+    runtime = matrix_of("x", "y", "z")
     for agent_id in ("x", "y", "z"):
-        assert matrix.allows(agent_id, agent_id) is False
+        assert runtime.allows(agent_id, agent_id) is False
 
 
 def test_matrix_rejects_duplicate_and_unregistered_ids():
     with pytest.raises(InvalidArgument):
         matrix_of("x", "y", "x")
-    matrix = matrix_of("x", "y")
+    runtime = matrix_of("x", "y")
     for sender, recipient in (("x", "ghost"), ("ghost", "y")):
         with pytest.raises(UnknownAgent):
-            matrix.allows(sender, recipient)
+            runtime.allows(sender, recipient)
         with pytest.raises(UnknownAgent):
-            matrix.set_channel(sender, recipient, True)
-    matrix.register("z")
-    matrix.set_channel("z", "x", True)
-    assert matrix.allows("z", "x") and not matrix.allows("x", "z")
+            runtime.toggle_channel(sender, recipient, True)
+    runtime.register_agent(echo_agent("z"))
+    runtime.toggle_channel("z", "x", True)
+    assert runtime.allows("z", "x") and not runtime.allows("x", "z")
 
 
 # environment updates --------------------------------------------------------------
@@ -695,7 +707,7 @@ def test_catalog_index_is_built_on_first_use_only():
 # episodes -------------------------------------------------------------------------
 
 def chain_runtime(hops=3):
-    runtime = MasRuntime(Environment(), SCHEMATA)
+    runtime = MasRuntime(Environment())
     ids = [f"n{i}" for i in range(hops + 1)]
     for agent_id in ids:
         runtime.register_agent(echo_agent(agent_id))
@@ -707,7 +719,7 @@ def chain_runtime(hops=3):
 
 
 def test_empty_routing_yields_empty_trace():
-    runtime = MasRuntime(Environment(), SCHEMATA)
+    runtime = MasRuntime(Environment())
     runtime.register_agent(echo_agent("solo"))
     result = runtime.run_episode([], seed=1)
     assert result.trace == [] and result.error is None
@@ -730,7 +742,7 @@ def test_episode_trace_deterministic_across_runs():
 
 
 def test_edge_kind_outside_output_schema_aborts():
-    runtime = MasRuntime(Environment(), SCHEMATA)
+    runtime = MasRuntime(Environment())
     runtime.register_agent(echo_agent("src", kinds=("query",)))
     runtime.register_agent(echo_agent("dst"))
     runtime.toggle_channel("src", "dst", True)
@@ -760,7 +772,7 @@ def test_aborted_episode_keeps_the_exception():
 
 
 def test_unregistered_first_sender_gets_no_inbox():
-    runtime = MasRuntime(Environment(), SCHEMATA)
+    runtime = MasRuntime(Environment())
     result = runtime.run_episode([("ghost", "x", "query")], seed=0, initial_input="hi")
     assert result.aborted and result.trace == []
     assert result.error == "UnknownAgent: unregistered sender: 'ghost'"
@@ -780,8 +792,7 @@ def test_metrics_message_count_additive_across_episodes():
 # spawn + multicast --------------------------------------------------------------------
 
 def test_spawn_registers_children_and_multicasts():
-    runtime = MasRuntime(Environment(), SCHEMATA + [
-        MessageSchema("spawn", ("text",)), MessageSchema("item_set", ("text",))])
+    runtime = MasRuntime(Environment())
     parent_kinds = ("query", "spawn")
     runtime.register_agent(AgentSpec(
         id="parent", core=scripted_core((r".*", "$input")),
@@ -853,7 +864,7 @@ def test_runtime_and_agent_state_do_not_grow_across_episodes():
         assert result.error is None
         if episode == 10:
             at_ten = runtime_sizes(runtime)
-    assert "inboxes['chat']" in at_ten and "matrix._open" in at_ten
+    assert "inboxes['chat']" in at_ten and "channels" in at_ten
     assert any(path.endswith(".tools._tools") for path in at_ten)
     assert runtime_sizes(runtime) == at_ten
     assert runtime.message_count == 30 * len(routing)
