@@ -51,6 +51,7 @@ from .reliability import (
     simulate_error_cascade,
 )
 from .runtime import (
+    TRACE_SEQ,
     Environment,
     Message,
     catalog_item,
@@ -58,7 +59,7 @@ from .runtime import (
     finite_numbers,
     json_scalar,
     records_to_jsonl,
-    trace_line,
+    trace_template,
     trace_to_jsonl,
 )
 from .simulation import (
@@ -311,6 +312,10 @@ def _cross_check(config, findings) -> None:
             result = runtime.replay(routing)
             if result.aborted:
                 _flag(findings, f"routing[{len(result.trace)}]", result.error)
+    elif config["kind"] == "simulate":  # a simulator's id and seed derive from its cohort's id
+        ids = [cohort["id"] for cohort in config["cohorts"]]
+        for dup in sorted({i for i in ids if ids.count(i) > 1}):
+            _flag(findings, "cohorts", f"duplicate cohort id: {dup}")
     elif config["kind"] == "cascade":
         nodes = config["nodes"]
         for dup in sorted({node for node in nodes if nodes.count(node) > 1}):
@@ -488,29 +493,31 @@ def _simulate_trace_jsonl(traces) -> str:
 
     A step gives a recommender -> simulator ``rec_list`` line and a simulator
     -> eval ``user_action`` line; an errored step gives one recommender ->
-    simulator ``eval_event`` line. Each is a ``runtime.trace_line`` with seq
-    the line index and a payload built leaf by leaf through ``json_scalar``,
-    so the bytes are those of ``trace_to_jsonl`` over the same messages
-    posted with ``_post``.
+    simulator ``eval_event`` line. Each trace takes its three
+    ``runtime.trace_template``s once; a line is its template around a payload
+    built leaf by leaf through ``json_scalar`` and the line index as seq, so
+    the bytes are those of ``trace_to_jsonl`` over the same messages posted
+    with ``_post``.
     """
     lines = []
+    append = lines.append
     for trace in traces:
         sim = trace.simulator_id
+        rec_head, rec_tail = trace_template("recommender", sim, "rec_list", 0)
+        act_head, act_tail = trace_template(sim, "eval", "user_action", 0)
+        err_head, err_tail = trace_template("recommender", sim, "eval_event", 0)
         for step in trace.steps:
             state = json_scalar(step.state)
             if step.error is not None:
-                lines.append(trace_line(
-                    len(lines), "recommender", sim, "eval_event",
-                    f'{{"error": {json_scalar(step.error)}, "state": {state}}}'))
+                append(f'{err_head}{{"error": {json_scalar(step.error)}, "state": {state}}}'
+                       f'{TRACE_SEQ}{len(lines)}{err_tail}')
                 continue
             items = ", ".join([f"[{json_scalar(item_id)}, {json_scalar(score)}]"
                                for item_id, score in step.recs.entries])
-            lines.append(trace_line(len(lines), "recommender", sim, "rec_list",
-                                    f'{{"items": [{items}], "state": {state}}}'))
-            lines.append(trace_line(
-                len(lines), sim, "eval", "user_action",
-                f'{{"action": {json_scalar(step.action)}, '
-                f'"reward": {json_scalar(step.reward)}}}'))
+            append(f'{rec_head}{{"items": [{items}], "state": {state}}}'
+                   f'{TRACE_SEQ}{len(lines)}{rec_tail}')
+            append(f'{act_head}{{"action": {json_scalar(step.action)}, '
+                   f'"reward": {json_scalar(step.reward)}}}{TRACE_SEQ}{len(lines)}{act_tail}')
     return "\n".join(lines) + ("\n" if lines else "")
 
 

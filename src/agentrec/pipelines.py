@@ -99,10 +99,15 @@ class RankedList:
     entries: list
 
     def __post_init__(self):
-        ids = [item_id for item_id, _ in self.entries]
+        entries = self.entries
+        if type(entries) is list and len(entries) < 2:  # no pair to compare
+            for item_id, _ in entries:  # an entry must still be a pair with a hashable id
+                hash(item_id)
+            return
+        ids = [item_id for item_id, _ in entries]
         if len(ids) != len(set(ids)):
             raise InvalidArgument("ranked list ids must be unique")
-        scores = [score for _, score in self.entries]
+        scores = [score for _, score in entries]
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise InvalidArgument("ranked list scores must be nonincreasing")
 

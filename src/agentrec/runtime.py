@@ -528,16 +528,29 @@ def json_scalar(value) -> str:
     return _encode(value)
 
 
-def trace_line(seq, sender, recipient, kind, payload_json: str, env_version=0) -> str:
-    """One trace.jsonl line: the one place that knows a message record's keys.
+TRACE_SEQ = ', "seq": '  # what joins a trace line's payload to its seq
 
-    The bytes are ``json.dumps(record, sort_keys=True)`` of the record with
-    keys env_version, from, kind, payload, seq and to, a tuple recipient as a
-    list; ``payload_json`` is the payload already encoded that way.
+
+def trace_template(sender, recipient, kind, env_version) -> tuple:
+    """The fixed parts of every trace.jsonl line from ``sender`` to
+    ``recipient`` of ``kind`` at ``env_version``, as a (head, tail) pair: the
+    one place that knows a message record's keys and their order.
+
+    A line is ``head + payload_json + TRACE_SEQ + seq + tail``, the bytes of
+    ``json.dumps(record, sort_keys=True)`` of the record with keys
+    env_version, from, kind, payload, seq and to, a tuple recipient as a
+    list, when ``payload_json`` is the payload and ``seq`` the seq encoded
+    that way.
     """
     return (f'{{"env_version": {json_scalar(env_version)}, "from": {json_scalar(sender)}, '
-            f'"kind": {json_scalar(kind)}, "payload": {payload_json}, '
-            f'"seq": {json_scalar(seq)}, "to": {json_scalar(recipient)}}}')
+            f'"kind": {json_scalar(kind)}, "payload": ',
+            f', "to": {json_scalar(recipient)}}}')
+
+
+def trace_line(seq, sender, recipient, kind, payload_json: str, env_version) -> str:
+    """One trace.jsonl line, through its ``trace_template``."""
+    head, tail = trace_template(sender, recipient, kind, env_version)
+    return f"{head}{payload_json}{TRACE_SEQ}{json_scalar(seq)}{tail}"
 
 
 def trace_to_jsonl(trace: Sequence) -> str:

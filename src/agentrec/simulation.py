@@ -114,20 +114,21 @@ def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
         rng = random.Random(sim.seed)
         for session_index in range(sessions_per_sim):
             steps = []
+            append = steps.append
             shown_before = set()
             last_action = "none"
+            prefix = f"sim={sim.simulator_id} session={session_index} t="
             for t in range(horizon):
-                state = (f"sim={sim.simulator_id} session={session_index} "
-                         f"t={t} last={last_action}")
+                state = f"{prefix}{t} last={last_action}"
                 try:
                     recs = recommender(state, env, top_l)
                 except AgentRecError as exc:
-                    steps.append(SessionStep(
+                    append(SessionStep(
                         state=state, recs=RankedList(entries=[]), action=None,
                         reward=0.0, error=f"{type(exc).__name__}: {exc}"))
                     continue
                 if not recs.entries:
-                    steps.append(SessionStep(
+                    append(SessionStep(
                         state=state, recs=recs, action=None, reward=0.0,
                         error="EmptyRecommendation"))
                     continue
@@ -135,8 +136,7 @@ def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
                 top_id = recs.entries[0][0]
                 reward = ((1.0 if action == SELECT else 0.0)
                           - (repeat_penalty if top_id in shown_before else 0.0))
-                steps.append(SessionStep(state=state, recs=recs, action=action,
-                                         reward=reward))
+                append(SessionStep(state=state, recs=recs, action=action, reward=reward))
                 shown_before.add(top_id)
                 last_action = action
             traces.append(SessionTrace(steps, sim.simulator_id, sim.cohort))

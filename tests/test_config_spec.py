@@ -100,6 +100,7 @@ CONFIG_CASES = [
     ("unknown-recommender-kind", "simulate_colony", ("recommender", "kind"), "oracle",
      "recommender"),
     ("text-cohort-count", "simulate_colony", ("cohorts", 0, "count"), "two", "cohorts"),
+    ("repeated-cohort-id", "simulate_colony", ("cohorts", 1, "id"), "engaged", "cohorts"),
     ("text-alpha", "multimodal_bundle", ("alpha",), "half", "alpha"),
     ("text-categories", "multimodal_bundle", ("categories",), "chair", "categories"),
     ("text-palette-entry", "multimodal_bundle", ("scene_palette",), ["red"], "scene_palette"),
@@ -284,6 +285,23 @@ def test_validate_reports_each_rate_for_an_undeclared_node(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().out == ("error_rates: rate for an undeclared node: alpha\n"
                                        "error_rates: rate for an undeclared node: ghost\n")
+
+
+def test_validate_reports_a_repeated_cohort_id(tmp_path, capsys):
+    # simulators are named and seeded from their cohort's id, so two cohorts
+    # of one id would run the same sessions and report as one row
+    config = json.loads((SCENARIOS / "simulate_colony.json").read_text())
+    config["cohorts"] += [dict(config["cohorts"][1], count=1), dict(config["cohorts"][0])]
+    path = tmp_path / "colony.json"
+    path.write_text(json.dumps(config))
+    shutil.copy(SCENARIOS / "rotation_catalog.json", tmp_path / "rotation_catalog.json")
+    assert validate_config(path) == [
+        {"field": "cohorts", "rule": "duplicate cohort id: drifting"},
+        {"field": "cohorts", "rule": "duplicate cohort id: engaged"},
+    ]
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == ("cohorts: duplicate cohort id: drifting\n"
+                                       "cohorts: duplicate cohort id: engaged\n")
 
 
 def test_spec_tool_kinds_match_the_tool_factories():

@@ -93,6 +93,58 @@ def test_ranked_list_invariants():
         RankedList(entries=[("a", 0.9), ("a", 0.8)])
 
 
+def reference_ranked_list_checks(entries):
+    """RankedList's checks as they ran on every list, before one-entry lists
+    returned early."""
+    ids = [item_id for item_id, _ in entries]
+    if len(ids) != len(set(ids)):
+        raise InvalidArgument("ranked list ids must be unique")
+    scores = [score for _, score in entries]
+    if any(a < b for a, b in zip(scores, scores[1:])):
+        raise InvalidArgument("ranked list scores must be nonincreasing")
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+RANKED_LIST_CASES = [
+    [], [("a", 0.9)], [("a", 0.9), ("b", 0.9)], [("a", 0.9), ("b", 0.1)],
+    [("a", 0.9), ("a", 0.8)], [("a", 0.1), ("b", 0.9)], [("a", 0.1), ("a", 0.9)],
+    [("a", float("nan"))], [("a", "high")], [("a", None)], ["ab"], [("a", 1.0), "bc"],
+    # malformed one-entry lists: not a pair, or an unhashable id
+    [5], [None], [("a",)], [("a", 0.9, 0.8)], [(["a"], 0.9)], [({"a": 1}, 0.9)],
+    [("a", 0.9), 5], [(["a"], 0.9), ("b", 0.1)], [("a", 0.9), ("b", "x")],
+    # containers other than a list take the pairwise checks as before
+    (("a", 0.9),), (("a", 0.1), ("b", 0.9)), (("a",),), None, 5, "ab",
+]
+
+
+@pytest.mark.parametrize("entries", RANKED_LIST_CASES, ids=repr)
+def test_ranked_list_raises_what_the_pairwise_checks_raise(entries):
+    expected = raised(lambda: reference_ranked_list_checks(copy.deepcopy(entries)))
+    assert raised(lambda: RankedList(entries=copy.deepcopy(entries))) == expected
+    generated = raised(lambda: RankedList(entries=iter(copy.deepcopy(entries))))
+    assert generated == raised(lambda: reference_ranked_list_checks(iter(copy.deepcopy(entries))))
+
+
+def test_ranked_list_case_outcomes():
+    outcomes = [raised(lambda: RankedList(entries=copy.deepcopy(e))) for e in RANKED_LIST_CASES]
+    assert outcomes[:3] == [None, None, None]
+    assert outcomes[4] == outcomes[6] == (InvalidArgument, "ranked list ids must be unique")
+    assert outcomes[5] == (InvalidArgument, "ranked list scores must be nonincreasing")
+    assert outcomes[RANKED_LIST_CASES.index([5])] == (
+        TypeError, "cannot unpack non-iterable int object")
+    assert outcomes[RANKED_LIST_CASES.index([("a",)])] == (
+        ValueError, "not enough values to unpack (expected 2, got 1)")
+    assert outcomes[RANKED_LIST_CASES.index([(["a"], 0.9)])] == (
+        TypeError, "unhashable type: 'list'")
+
+
 def test_constraint_set_disjointness():
     with pytest.raises(ValueError):
         ConstraintSet(required_tags=frozenset({"x"}), forbidden_tags=frozenset({"x"}))

@@ -30,8 +30,12 @@ from agentrec.runtime import (
     Environment,
     MasRuntime,
     Message,
+    TRACE_SEQ,
     apply_env_update,
     catalog_item,
+    json_scalar,
+    trace_line,
+    trace_template,
     trace_to_jsonl,
 )
 
@@ -881,3 +885,67 @@ def test_trace_round_trip():
                         "payload": m.payload, "env_version": m.env_version}
                        for m in result.trace]
     assert "".join(json.dumps(record, sort_keys=True) + "\n" for record in records) == text
+
+
+class OddText(str):
+    """A str subclass: the encoder writes it as the plain string."""
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII, a line separator,
+# an astral character, a lone surrogate and JSON's own punctuation
+TRACE_PIECES = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u00e9", "\u2028",
+                "\U0001f389", "\ud800", "a", "Z", "0", " ", "{", "}", "[", ",", ":",
+                ', "seq": ', '"to"']
+TRACE_NUMBERS = [0, 1, -3, 2**70, True, False, None, 0.0, -0.0, 0.1, 1e300, 5e-324,
+                 float("nan"), float("inf"), float("-inf")]
+
+
+def odd_trace_text(rng):
+    text = "".join(rng.choice(TRACE_PIECES) for _ in range(rng.randrange(0, 7)))
+    return OddText(text) if rng.random() < 0.1 else text
+
+
+def odd_payload(rng, depth=0):
+    roll = rng.random()
+    if depth < 2 and roll < 0.3:
+        return {odd_trace_text(rng): odd_payload(rng, depth + 1)
+                for _ in range(rng.randrange(0, 4))}
+    if depth < 2 and roll < 0.45:
+        return [odd_payload(rng, depth + 1) for _ in range(rng.randrange(0, 4))]
+    if roll < 0.75:
+        return odd_trace_text(rng)
+    return rng.choice(TRACE_NUMBERS)
+
+
+def odd_message(rng):
+    sender = odd_trace_text(rng)
+    if rng.random() < 0.3:  # a multicast
+        recipient = tuple(odd_trace_text(rng) for _ in range(rng.randrange(1, 4)))
+    else:
+        recipient = odd_trace_text(rng)
+    kind = odd_trace_text(rng)
+    seq = rng.choice([rng.randrange(0, 10**6), 2**70, 0])
+    env_version = rng.choice([0, rng.randrange(0, 10**4), 2**64])
+    return Message(sender, recipient, kind, odd_payload(rng), seq=seq, env_version=env_version)
+
+
+def trace_record(m):
+    recipient = list(m.recipient) if isinstance(m.recipient, tuple) else m.recipient
+    return {"env_version": m.env_version, "from": m.sender, "kind": m.kind,
+            "payload": m.payload, "seq": m.seq, "to": recipient}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_template_layout_fuzz(seed):
+    rng = random.Random(seed)
+    messages = [odd_message(rng) for _ in range(300)]
+    assert any(type(m.recipient) is tuple for m in messages)
+    assert any(type(m.sender) is OddText for m in messages)
+    expected = [json.dumps(trace_record(m), sort_keys=True) for m in messages]
+    for m, line in zip(messages, expected):
+        payload_json = json.dumps(m.payload, sort_keys=True)
+        assert trace_line(m.seq, m.sender, m.recipient, m.kind, payload_json,
+                          m.env_version) == line
+        head, tail = trace_template(m.sender, m.recipient, m.kind, m.env_version)
+        assert head + payload_json + TRACE_SEQ + json_scalar(m.seq) + tail == line
+    assert trace_to_jsonl(messages) == "".join(line + "\n" for line in expected)

@@ -9,7 +9,8 @@ import statistics
 
 import pytest
 
-from agentrec.errors import NoFeasibleItem, NoTraces
+from agentrec import cli
+from agentrec.errors import NoFeasibleItem, NoTraces, UnknownItem
 from agentrec.memory import EMBED_DIM, embed_text, left_sum
 from agentrec.pipelines import RankedList
 from agentrec.runtime import CatalogItem, Environment
@@ -184,6 +185,43 @@ def test_recommender_errors_recorded_in_trace():
     assert [s.error is not None for s in steps] == [True, False, True, False]
     assert all(s.action is None for s in steps if s.error)
     assert len(steps) == 4  # session continues past errors
+
+
+def test_static_top_item_outside_the_catalog_raises_out_of_run_sessions():
+    env = single_env()
+    sim = UserSimulator("s1", theta=matching_theta(env, "solo"), noise_scale=0.1, seed=3)
+    with pytest.raises(UnknownItem, match="unknown catalog item: 'nope'"):
+        run_sessions(make_static_top_recommender("nope"), [sim], horizon=3, env=env)
+
+
+def test_recommender_agentrec_error_is_an_eval_event_step():
+    env = single_env()
+    sim = UserSimulator("s1", theta=matching_theta(env, "solo"))
+
+    def failing(query, env_, top_l):
+        raise UnknownItem(f"unknown catalog item: {query!r}")
+
+    trace, = run_sessions(failing, [sim], horizon=2, env=env)
+    assert [(step.state, step.recs.entries, step.action, step.reward, step.error)
+            for step in trace.steps] == [
+        (f"sim=s1 session=0 t={t} last=none", [], None, 0.0,
+         f"UnknownItem: unknown catalog item: 'sim=s1 session=0 t={t} last=none'")
+        for t in range(2)]
+    lines = [json.loads(line) for line in cli._simulate_trace_jsonl([trace]).splitlines()]
+    assert [(line["seq"], line["from"], line["to"], line["kind"]) for line in lines] == [
+        (0, "recommender", "s1", "eval_event"), (1, "recommender", "s1", "eval_event")]
+    assert lines[1]["payload"] == {"state": trace.steps[1].state, "error": trace.steps[1].error}
+
+
+def test_recommender_error_outside_agentrec_propagates():
+    env = single_env()
+    sim = UserSimulator("s1", theta=matching_theta(env, "solo"))
+
+    def broken(query, env_, top_l):
+        raise KeyError("not a recommender error")
+
+    with pytest.raises(KeyError, match="not a recommender error"):
+        run_sessions(broken, [sim], horizon=2, env=env)
 
 
 def test_run_sessions_leaves_simulators_unchanged():
