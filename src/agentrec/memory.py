@@ -44,7 +44,9 @@ Pinned constants (changing any of these changes every persisted vector):
   so an upsert that keeps its value, or another agent's item with the same
   text, embeds nothing again.
   A query given as an embedding is prepared afresh. A catalog index keeps
-  the dot-product table of the last query it ranked (see ``runtime``)
+  the dot-product table of the last query it ranked, and the finished
+  interactive rankings and bundles of its 512 most recently used requests
+  (see ``runtime`` and ``pipelines``)
 * token hashing: ``_bucket_sign`` keeps the 4,096 most recently hashed
   tokens (a fixed bound, not an option)
 * top-K tie-break: higher score first, then older timestamp, then

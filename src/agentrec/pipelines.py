@@ -22,7 +22,21 @@ to (score, item) pairs (a bundle's candidates per category);
 
 A bundle's palette fit is ``memory.cosine_with_norms`` of the item's palette
 and the scene, with the palette norm the item keeps and the scene norm
-taken once a request: the dense ``cosine`` bit for bit.
+taken once a request: the dense ``cosine`` bit for bit. A bundle's
+candidates are a category's admitted ids that carry a palette; only when
+there are none does ``palette_ids`` tell a category without palettes
+(MissingPalette) from one whose palettes are all filtered out.
+
+Memos: an interactive ranking and a bundle are each computed once per
+request key and catalog version. The version's ``CatalogIndex.result``
+keeps the finished entries (a ranking) or items and truncation flag (a
+bundle), and every call builds new ``RankedList``/``Bundle`` objects from
+them; a call that raises keeps nothing. A ranking is keyed on the query
+text, the constraints and ``top_l``; a bundle on the text, the scene, the
+profile's constraints, the categories, ``alpha`` and ``tau``, each number
+with its type (an int and an equal float may round differently). The
+blueprint category search is not memoized: its query carries the agent's
+accumulated memory, so its keys do not repeat.
 
 Explanations are template-rendered with inline citation markers
 ``[item:ID]`` and ``[fact:SLOT]``; the consistency check re-parses the text
@@ -297,16 +311,24 @@ def extract_session_constraints(transcript: Transcript,
 
 def recommend_interactive(transcript: Transcript, env: Environment,
                           memory: MemoryStore, top_l: int) -> RankedList:
-    """Filter the catalog by the session constraints, then rank by relevance."""
+    """Filter the catalog by the session constraints, then rank by relevance.
+
+    The entries are kept in the version's result memo, keyed on the query
+    text, the constraints and ``top_l`` (with its type).
+    """
     if not env.catalog:
         raise InvalidArgument("catalog must be non-empty")
     constraints, query = extract_session_constraints(transcript, memory)
     index = env.catalog_index()
-    admitted = admitted_ids(index, constraints)
-    if not admitted:
-        raise NoFeasibleItem("all catalog items violate the session constraints")
-    ranked = rank_admitted(index, admitted, prepare_query(query), top_l)
-    return RankedList(entries=[(item.id, score) for score, item in ranked])
+
+    def rank() -> tuple:
+        admitted = admitted_ids(index, constraints)
+        if not admitted:
+            raise NoFeasibleItem("all catalog items violate the session constraints")
+        return tuple((item.id, score)
+                     for score, item in rank_admitted(index, admitted, prepare_query(query), top_l))
+
+    return RankedList(entries=list(index.result((query, constraints, top_l, type(top_l)), rank)))
 
 
 def check_collection_consistency(ranked: RankedList, constraints: ConstraintSet,
@@ -355,50 +377,57 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
     """One item per category maximizing text relevance blended with palette fit.
 
     Combinations of the top candidates per category are tried in descending
-    joint-score order until one passes the compatibility check.
+    joint-score order until one passes the compatibility check. The items
+    and the truncation flag are kept in the version's result memo, keyed on
+    the text, the scene, the profile's constraints, the categories, ``alpha``
+    and ``tau``, each number with its type.
     """
     categories = sorted(set(categories))
     if not categories:
         raise InvalidArgument("at least one target category required")
     constraints = constraints_from_facts(facts_from_memory(profile))
     scene = tuple(scene_features)
-    scene_norm = vector_norm(scene)
-    text_vec = prepare_query(text_constraints)
-
     index = env.catalog_index()
-    dots = _query_dots(index, text_vec)
-    per_category = []
-    truncated = False
-    for category in categories:
-        feasible = [index.items[item_id] for item_id in
-                    palette_ids(index, category) & admitted_ids(index, constraints, category)]
-        if not feasible:
-            raise NoCompatibleBundle(
-                f"category {category!r} has no feasible candidate")
-        if len(feasible) > TOP_CANDIDATES_PER_CATEGORY:
-            truncated = True
-        per_category.append(top_l(
-            ((alpha * _relevance(text_vec, item, dots[index.pos[item.id]])
-              + (1.0 - alpha) * cosine_with_norms(item.palette, scene,
-                                                  item.palette_norm, scene_norm), item)
-             for item in feasible),
-            TOP_CANDIDATES_PER_CATEGORY))
 
-    combos = sorted(
-        itertools.product(*per_category),
-        key=lambda combo: (-left_sum(score for score, _ in combo),
-                           tuple(item.id for _, item in combo)),
-    )
-    for combo in combos:
-        bundle = Bundle(
-            items=[BundleItem(id=item.id, category=category, palette=item.palette)
-                   for category, (_, item) in zip(categories, combo)],
-            truncated_search=truncated,
+    def search() -> tuple:
+        scene_norm = vector_norm(scene)
+        text_vec = prepare_query(text_constraints)
+        dots = _query_dots(index, text_vec)
+        per_category = []
+        truncated = False
+        for category in categories:
+            feasible = [item for item in map(index.items.get,
+                                             admitted_ids(index, constraints, category))
+                        if item.palette is not None]
+            if not feasible:
+                palette_ids(index, category)  # MissingPalette comes first
+                raise NoCompatibleBundle(f"category {category!r} has no feasible candidate")
+            if len(feasible) > TOP_CANDIDATES_PER_CATEGORY:
+                truncated = True
+            per_category.append(top_l(
+                ((alpha * _relevance(text_vec, item, dots[index.pos[item.id]])
+                  + (1.0 - alpha) * cosine_with_norms(item.palette, scene,
+                                                      item.palette_norm, scene_norm), item)
+                 for item in feasible),
+                TOP_CANDIDATES_PER_CATEGORY))
+
+        combos = sorted(
+            itertools.product(*per_category),
+            key=lambda combo: (-left_sum(score for score, _ in combo),
+                               tuple(item.id for _, item in combo)),
         )
-        if compat_check(bundle, tau):
-            return bundle
-    raise NoCompatibleBundle(
-        "no candidate combination passes the compatibility check")
+        for combo in combos:
+            items = [BundleItem(id=item.id, category=category, palette=item.palette)
+                     for category, (_, item) in zip(categories, combo)]
+            if compat_check(Bundle(items=items), tau):
+                return tuple(items), truncated
+        raise NoCompatibleBundle(
+            "no candidate combination passes the compatibility check")
+
+    key = (text_constraints, scene, tuple(map(type, scene)), constraints, tuple(categories),
+           alpha, type(alpha), tau, type(tau))
+    items, truncated = index.result(key, search)
+    return Bundle(items=list(items), truncated_search=truncated)
 
 
 # explanations -------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
@@ -133,6 +134,11 @@ def catalog_item(record) -> CatalogItem:
     return CatalogItem(ident, title, tuple(tags), float(price), tuple(palette) if palette else None)
 
 
+# A catalog index keeps the results of its _RESULT_MEMO_SIZE most recently
+# used requests (a fixed bound, not an option).
+_RESULT_MEMO_SIZE = 512
+
+
 class CatalogIndex:
     """One catalog version's inverted file: item positions, bucket postings,
     tag sets and a price order.
@@ -149,17 +155,19 @@ class CatalogIndex:
     ``(price, id)`` order, so the ids over a budget are a tail of
     ``by_price``. Only ``patch`` changes these, when the index is handed on
     to the next version. ``last_dots`` is the (prepared query, dot-product
-    table) pair that ``pipelines`` ranked this version by last, or None;
-    ``patch`` resets it to None.
+    table) pair that ``pipelines`` ranked this version by last, or None.
+    ``results`` is the version's memo of finished rankings and bundles
+    (``result``): its ``_RESULT_MEMO_SIZE`` most recently used, by request
+    key. ``patch`` resets ``last_dots`` to None and empties ``results``.
     """
 
     __slots__ = ("items", "ids", "norms", "pos", "postings", "tags", "prices", "by_price",
-                 "last_dots")
+                 "last_dots", "results")
 
     def __init__(self, items: dict):
         self.items, self.ids, self.norms, self.pos = items, [], [], {}
         self.postings = [([], []) for _ in range(memory.EMBED_DIM)]
-        self.tags, self.last_dots = {}, None
+        self.tags, self.last_dots, self.results = {}, None, OrderedDict()
         self._add(items.values())
         order = sorted([(item.price, item.id) for item in items.values()])
         self.prices = [price for price, _ in order]
@@ -176,6 +184,7 @@ class CatalogIndex:
         entry and touches no posting list or tag set.
         """
         self.items, self.last_dots = items, None
+        self.results.clear()
         ids, pos, postings, tags = self.ids, self.pos, self.postings, self.tags
         prices, by_price = self.prices, self.by_price
         edited = {item.id: item for item in added}
@@ -205,6 +214,28 @@ class CatalogIndex:
             prices.insert(at, item.price)
             by_price.insert(at, item.id)
         self._add([item for item in added if item.id not in repriced])
+
+    def result(self, key, compute):
+        """``compute()``'s value for the request ``key`` on this version: the
+        kept value when there is one, else computed and kept, the least
+        recently used one making room. A ``compute`` that raises keeps
+        nothing; an unhashable key is computed afresh and not kept.
+        """
+        results = self.results
+        try:
+            value = results[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable argument
+            return compute()
+        else:
+            results.move_to_end(key)
+            return value
+        value = compute()
+        if len(results) >= _RESULT_MEMO_SIZE:
+            results.popitem(last=False)
+        results[key] = value
+        return value
 
     def _price_slot(self, item: CatalogItem) -> int:
         """Where ``(item.price, item.id)`` is, or goes, in the price order."""

@@ -425,6 +425,62 @@ def test_multimodal_truncation_flag():
     assert bundle.truncated_search is True
 
 
+# the version's result memo: every repeat returns and raises what the first call did --
+
+def test_memo_keeps_an_empty_ranking_apart_from_nothing_admitted():
+    env = cake_env()
+    transcript = Transcript(turns=[("user", "a chocolate cake")])
+    for _ in range(2):
+        assert recommend_interactive(transcript, env, MemoryStore(), top_l=0) == RankedList([])
+    banned = Transcript(turns=[("user", "my guests require a cake-free diet")])
+    for _ in range(2):
+        with pytest.raises(NoFeasibleItem):
+            recommend_interactive(banned, env, MemoryStore(), top_l=0)
+    assert list(env.catalog_index().results.values()) == [()]
+
+
+def test_memo_checks_bundle_categories_before_the_profile():
+    clashing = fact_store(guest_allergy="chair", required_kind="chair")
+    for _ in range(2):
+        with pytest.raises(InvalidArgument, match="at least one target category required"):
+            recommend_multimodal("chair", (0.8, 0.6, 0.0), clashing, [], furniture_env())
+        with pytest.raises(InvalidArgument, match="required and forbidden tags must be disjoint"):
+            recommend_multimodal("chair", (0.8, 0.6, 0.0), clashing, ["chair"], furniture_env())
+
+
+def test_memo_keeps_no_bundle_search_that_raises():
+    env = furniture_env()
+    for scene, categories, error in (
+            ((0.8, 0.6), ["chair"], InvalidArgument),
+            ((0.8, 0.6, 0.0), ["chair", "sofa"], NoCompatibleBundle)):
+        for _ in range(3):
+            with pytest.raises(error):
+                recommend_multimodal("bohemian", scene, MemoryStore(), categories, env,
+                                     0.5, 0.999)
+    # one category reads no tau, so an unhashable one still gives the bundle, kept nowhere
+    for _ in range(2):
+        bundle = recommend_multimodal("bohemian", (0.8, 0.6, 0.0), MemoryStore(), ["chair"],
+                                      env, 0.5, [0.999])
+        assert [item.id for item in bundle.items] == ["chair_rattan"]
+    assert not env.catalog_index().results
+
+
+def test_memo_results_are_new_objects_each_call():
+    env, store = furniture_env(), MemoryStore()
+    transcript = Transcript(turns=[("user", "bohemian chair")])
+    first = recommend_interactive(transcript, env, store, top_l=3)
+    want = list(first.entries)
+    first.entries.append(("extra", 0.0))
+    first.entries[0] = ("edited", 1.0)
+    assert recommend_interactive(transcript, env, store, top_l=3).entries == want
+    bundle = recommend_multimodal("bohemian", (0.8, 0.6, 0.0), store, ["chair", "lamp"], env)
+    want = list(bundle.items)
+    bundle.items.reverse()
+    bundle.items.append(BundleItem("extra", "chair", None))
+    assert recommend_multimodal("bohemian", (0.8, 0.6, 0.0), store, ["chair", "lamp"],
+                                env).items == want
+
+
 # cached embeddings against a loop that re-embeds everything ---------------------------
 
 QUERY_WORDS = ["plan", "a", "mickey", "chocolate", "berry", "red", "party", "cake",
@@ -939,6 +995,98 @@ def test_catalog_index_bundle_palette_fit_equals_cosine_bit_for_bit():
             recommend_multimodal("chair", scene, MemoryStore(), ["chair"],
                                  Environment(catalog=catalog), 0.5, 0.7)
         assert str(caught.value) == message
+
+
+def memo_record(rng, ident):
+    """``edge_record`` with a price that may be zero of either sign."""
+    return dict(edge_record(rng, ident), price=rng.choice([0, -0.0, 0.0, 10, 30, 45.0]))
+
+
+def memo_delta(rng, env):
+    """One op: an add, a removal, a title or tag edit, a price-only edit or a
+    palette-only edit (which sends no item to the index's ``patch``)."""
+    ids = [item.id for item in env.catalog]
+    kind = rng.choice(["add", "remove", "title", "tags", "price", "palette"])
+    if kind == "add" or len(ids) < 8:
+        return kind, {"op": "add_item", "item": memo_record(rng, f"m{env.version}")}
+    if kind == "remove":
+        return kind, {"op": "remove_item", "id": rng.choice(ids)}
+    value = memo_record(rng, "unused")[kind]
+    if kind == "palette" and value is None:
+        value = [rng.choice([1, 0.5, -0.0]), 1.0, 0]
+    return kind, {"op": "set_item_field", "id": rng.choice(ids), "field": kind, "value": value}
+
+
+def memo_requests(rng):
+    """A pool of rankings and bundle searches, some of which differ only in
+    the sign of a zero, an int for an equal float, or a NaN budget."""
+    scenes = [(1, 0, 0), (1.0, 0.0, 0.0), (1.0, -0.0, 0.0), (0.6, 0.8, 0), (0.6, 0.8, 0.0)]
+    pool = []
+    for _ in range(8):
+        facts = {}
+        if rng.random() < 0.25:
+            facts["guest_allergy"] = rng.choice(EDGE_TAGS)
+        if rng.random() < 0.6:
+            facts["budget"] = rng.choice(["0", "-0.0", "0.0", "30", "30.0", "nan"])
+        query = " ".join(rng.choices(EDGE_WORDS, k=rng.randint(1, 3)))
+        pool.append(("rank", query, facts, rng.choice([0, 1, 3, 40])))
+        profile = {("material_ban" if slot == "guest_allergy" else slot): value
+                   for slot, value in facts.items()}
+        pool.append(("bundle", query, rng.choice(scenes), profile,
+                     rng.sample(["cake", "decor", "chair", "lamp"], k=rng.randint(1, 2)),
+                     rng.choice([0.5, 0, 0.0, -0.0, 1, 1.0]), rng.choice([0.5, 0.9, 1, 0.0])))
+    return pool
+
+
+def memo_outcome(env, request):
+    """The repr of the request's result on ``env``, or of the error it raises."""
+    try:
+        if request[0] == "rank":
+            _, query, facts, l = request
+            return repr(recommend_interactive(Transcript(turns=[("user", query)]), env,
+                                              fact_store(**facts), l))
+        _, text, scene, profile, categories, alpha, tau = request
+        return repr(recommend_multimodal(text, scene, fact_store(**profile), categories, env,
+                                         alpha, tau))
+    except (InvalidArgument, MissingPalette, NoCompatibleBundle, NoFeasibleItem) as exc:
+        return repr(exc)
+
+
+def test_catalog_index_result_memo_equals_fresh_computation(monkeypatch):
+    # a small bound, so the pool's keys evict each other
+    from agentrec import runtime
+    from agentrec.runtime import CatalogIndex, apply_env_update, catalog_item
+    monkeypatch.setattr(runtime, "_RESULT_MEMO_SIZE", 9)
+    hits = []
+    result = CatalogIndex.result
+
+    def counted(index, key, compute):
+        hits.append(key in index.results)
+        return result(index, key, compute)
+
+    monkeypatch.setattr(CatalogIndex, "result", counted)
+    rng = random.Random(2727)
+    pool = memo_requests(rng)
+    envs = [Environment(catalog=[catalog_item(memo_record(rng, f"e{i:02d}")) for i in range(24)])]
+    emptied, full, served = set(), 0, 0
+    for _ in range(1500):
+        if rng.random() < 0.03:
+            parent = envs[-1]
+            kind, op = memo_delta(rng, parent)
+            envs.append(apply_env_update(parent, [op]))
+            if parent._index is None and envs[-1]._index is not None:
+                assert not envs[-1]._index.results  # handed on and patched
+                emptied.add(kind)
+        env = envs[-1] if rng.random() < 0.9 else rng.choice(envs)
+        request = rng.choice(pool)
+        want = memo_outcome(Environment(catalog=list(env.catalog)), request)
+        hits.clear()
+        assert memo_outcome(env, request) == want
+        served += sum(hits)
+        full += len(env.catalog_index().results) == 9
+        assert len(env.catalog_index().results) <= 9
+    assert emptied == {"add", "remove", "title", "tags", "price", "palette"}
+    assert full and 300 < served < 1200
 
 
 # explanations -------------------------------------------------------------------------

@@ -612,7 +612,7 @@ def index_delta(rng, env):
 
 def index_state(index):
     return copy.deepcopy(tuple(getattr(index, slot) for slot in CatalogIndex.__slots__
-                               if slot != "last_dots"))
+                               if slot not in ("last_dots", "results")))
 
 
 def postings_by_id(index):
