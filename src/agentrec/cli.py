@@ -5,7 +5,9 @@ Usage:
     agentrec validate <config.json>
 
 Every run writes trace.jsonl, report.jsonl, report.txt, and manifest.json
-into the output directory. trace.jsonl and report.jsonl are byte-identical
+into the output directory. Each scenario kind has one runner, which returns
+its trace text and its report rows; report.jsonl and report.txt are both
+written from those rows. trace.jsonl and report.jsonl are byte-identical
 across re-runs with the same config and seed; wall-clock timings live only
 in manifest.json. On failure a machine-readable error record is written to
 error.json and echoed to stderr, and the exit status is nonzero.
@@ -43,13 +45,7 @@ from .pipelines import (
     recommend_interactive,
     recommend_multimodal,
 )
-from .reliability import (
-    AgentGraph,
-    BrandPolicy,
-    EMPTY_POLICY,
-    propagation_probability,
-    simulate_error_cascade,
-)
+from .reliability import AgentGraph, BrandPolicy, propagation_probability, simulate_error_cascade
 from .runtime import (
     TRACE_SEQ,
     Environment,
@@ -64,7 +60,6 @@ from .runtime import (
 )
 from .simulation import (
     UserSimulator,
-    aggregate_report,
     evaluate,
     make_rotation_recommender,
     make_static_top_recommender,
@@ -180,7 +175,9 @@ _PAIR = tuple_of(text(), text())
 _CHANNEL = _leaf(lambda v: isinstance(v, list) and len(v) == 2 and all(
     isinstance(name, str) for name in v) and v[0] != v[1],
     "must be a [from, to] pair of two different agent ids")
-_FACTS = map_of(_leaf(lambda v: isinstance(v, (str, int, float)), "must be a string or a number"))
+# a value is kept as given, so an int fact stays an int in its text
+_FACTS = map_of(_leaf(lambda v: type(v) is str or finite_numbers((v,)),
+                      "must be a string or a finite number"))
 _RECIPIENTS = _leaf(lambda v: isinstance(v, str) or isinstance(v, list) and bool(v) and all(
     isinstance(name, str) for name in v), "must be an agent id or a non-empty list of agent ids")
 
@@ -222,7 +219,6 @@ CONFIG_SPEC = obj({
     "seed": (integer(), REQUIRED),
     "out": (text(), "out"),
     "catalog": (text(), REQUIRED),
-    "policy": (text(), None),
 }, kinds={
     "interactive": {
         "query": (text(nonempty=True), REQUIRED),
@@ -279,7 +275,7 @@ def _describe(findings) -> str:
 
 def _cross_check(config, findings) -> None:
     """Checks between fields, run once every field passed its own check."""
-    for field in ("catalog", "policy"):
+    for field in ("catalog", "policy") if config["kind"] == "explain" else ("catalog",):
         if config[field] is not None and not _resolve(config, config[field]).exists():
             _flag(findings, field, "referenced path does not exist")
     if config["kind"] == "interactive":
@@ -367,17 +363,17 @@ def load_config(path) -> dict:
 def validate_config(path) -> list:
     """Findings as (field, rule) descriptions; empty iff the config can run.
 
-    Past the config's own checks, the catalog and policy files are loaded
-    through the run's loaders and what the config names in them is looked
-    up. Only validate does this: a run loads each file once itself, and
-    would otherwise hash the catalog twice per job.
+    Past the config's own checks, the catalog file (and an explain config's
+    policy file) is loaded through the run's loaders and what the config
+    names in it is looked up. Only validate does this: a run loads each file
+    once itself, and would otherwise hash the catalog twice per job.
     """
     try:
         config = load_config(path)
     except ConfigInvalid as exc:
         return exc.findings
     findings = []
-    if config["policy"] is not None:
+    if config["kind"] == "explain":
         _gate(findings, "policy", load_policy, _resolve(config, config["policy"]))
     env = _gate(findings, "catalog", _environment, config)
     if env is None:
@@ -521,27 +517,36 @@ def _simulate_trace_jsonl(traces) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-# scenario runners -------------------------------------------------------------
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value if isinstance(value, str) else json_scalar(value)
 
-def _run_interactive(config, env, policy, seed):
+
+def _render(rows) -> str:
+    """report.txt: one line per report row, its ``key=value`` pairs in key
+    order two spaces apart; a float to six decimals, a str bare, anything else
+    as its JSON."""
+    return "".join("  ".join(f"{key}={_cell(row[key])}" for key in sorted(row)) + "\n"
+                   for row in rows)
+
+
+# scenario runners -------------------------------------------------------------
+#
+# A runner is called as runner(config, env, seed) and returns (trace text, report rows).
+
+def _run_interactive(config, env, seed):
     runtime, routing = build_interactive_runtime(config, env)
     result = runtime.run_episode(routing, seed=seed,
                                  initial_input=config["query"])
     if result.exception is not None:
         raise result.exception
-    entries = ranked_entries_from_trace(result.trace)
-    report_rows = []
-    for rank, (item_id, score) in enumerate(entries, start=1):
+    rows = []
+    for rank, (item_id, score) in enumerate(ranked_entries_from_trace(result.trace), start=1):
         item = env.item_by_id(item_id)
-        report_rows.append({"rank": rank, "item_id": item_id, "score": score,
-                            "tags": sorted(item.tags), "price": item.price})
-    lines = [f"{'rank':>4}  {'item_id':<24} {'score':>10}  tags"]
-    for row in report_rows:
-        lines.append(f"{row['rank']:>4}  {row['item_id']:<24} "
-                     f"{row['score']:>10.6f}  {','.join(row['tags'])}")
-    return (trace_to_jsonl(result.trace),
-            records_to_jsonl(report_rows),
-            "\n".join(lines) + "\n")
+        rows.append({"rank": rank, "item_id": item_id, "score": score,
+                     "tags": sorted(item.tags), "price": item.price})
+    return trace_to_jsonl(result.trace), rows
 
 
 def _build_theta(theta, env, sim_seed):
@@ -552,7 +557,7 @@ def _build_theta(theta, env, sim_seed):
     return random_unit_vector(random.Random(sim_seed))
 
 
-def _run_simulate(config, env, policy, seed):
+def _run_simulate(config, env, seed):
     sims = []
     for cohort in config["cohorts"]:
         for index in range(cohort["count"]):
@@ -586,14 +591,10 @@ def _run_simulate(config, env, policy, seed):
         "diversity_entropy": report.diversity_entropy,
         "halfwidths": report.halfwidths,
     }
-    text = (aggregate_report(report.cohorts)
-            + f"\noverall psi_hat={report.psi_hat:.6f} ctr={report.ctr:.6f} "
-            f"diversity_entropy={report.diversity_entropy:.6f} "
-            f"sessions={report.sessions}\n")
-    return _simulate_trace_jsonl(traces), records_to_jsonl(report.cohorts + [overall]), text
+    return _simulate_trace_jsonl(traces), report.cohorts + [overall]
 
 
-def _run_multimodal(config, env, policy, seed):
+def _run_multimodal(config, env, seed):
     bundle = recommend_multimodal(
         text_constraints=config["text_constraints"],
         scene_features=tuple(config["scene_palette"]),
@@ -613,9 +614,7 @@ def _run_multimodal(config, env, policy, seed):
            "truncated_search": bundle.truncated_search})
     rows = [{"category": item.category, "item_id": item.id} for item in bundle.items]
     rows.append({"compat": compatible, "truncated_search": bundle.truncated_search})
-    lines = [f"{item.category:<12} {item.id}" for item in bundle.items]
-    lines.append(f"compat={compatible} truncated_search={bundle.truncated_search}")
-    return trace_to_jsonl(messages), records_to_jsonl(rows), "\n".join(lines) + "\n"
+    return trace_to_jsonl(messages), rows
 
 
 def _user_transcript(texts) -> Transcript:
@@ -627,7 +626,8 @@ def _user_transcript(texts) -> Transcript:
     return Transcript(turns=turns)
 
 
-def _run_explain(config, env, policy, seed):
+def _run_explain(config, env, seed):
+    policy = load_policy(_resolve(config, config["policy"]))
     memory = build_store(config["facts"])
     transcript = _user_transcript(config["transcript"])
     recs = recommend_interactive(transcript, env, memory, config["budgets"]["L"])
@@ -645,11 +645,10 @@ def _run_explain(config, env, policy, seed):
            "cited_facts": sorted(explanation.cited_facts)}
     _post(messages, "eval", "chat", "final_report",
           dict(row, context_missing=explanation.context_missing))
-    text = (f"rounds={rounds}\n{explanation.text}\n")
-    return trace_to_jsonl(messages), records_to_jsonl([row]), text
+    return trace_to_jsonl(messages), [row]
 
 
-def _run_cascade(config, env, policy, seed):
+def _run_cascade(config, env, seed):
     nodes, rates = config["nodes"], config["error_rates"]
     graph = AgentGraph(nodes=nodes, edges=[tuple(edge) for edge in config["edges"]],
                        error_rates=rates)
@@ -661,10 +660,7 @@ def _run_cascade(config, env, policy, seed):
     report = {"closed_form": closed_form, "empirical": empirical,
               "abs_diff": abs(closed_form - empirical)}
     _post(messages, "monitor", "chat", "final_report", report)
-    text = (f"closed_form={closed_form:.6f} empirical={empirical:.6f} "
-            f"abs_diff={report['abs_diff']:.6f}\n")
-    return (trace_to_jsonl(messages), records_to_jsonl([dict(report, trials=config["trials"])]),
-            text)
+    return trace_to_jsonl(messages), [dict(report, trials=config["trials"])]
 
 
 _RUNNERS = {
@@ -703,11 +699,9 @@ def run_scenario(config_path, out=None, seed=None,
             out_dir = _resolve(config, config["out"])
         effective_seed = seed if seed is not None else config["seed"]
         env = _environment(config)
-        policy = (load_policy(_resolve(config, config["policy"]))
-                  if config["policy"] is not None else EMPTY_POLICY)
         loaded = time.perf_counter()
-        trace_text, report_jsonl, report_text = _RUNNERS[config["kind"]](
-            config, env, policy, effective_seed)
+        trace_text, rows = _RUNNERS[config["kind"]](config, env, effective_seed)
+        report_jsonl, report_text = records_to_jsonl(rows), _render(rows)
         ran = time.perf_counter()
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "trace.jsonl").write_text(trace_text, encoding="utf-8")

@@ -172,9 +172,6 @@ class BrandPolicy:
             raise InvalidArgument("banned terms and required disclosures must be disjoint")
 
 
-EMPTY_POLICY = BrandPolicy()
-
-
 def _contains_phrase(tokens: list, phrase: str) -> bool:
     needle = tokenize(phrase)
     if not needle:

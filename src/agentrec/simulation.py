@@ -150,21 +150,13 @@ class EvalReport:
     diversity_entropy: float
     sessions: int
     halfwidths: dict
-    cohorts: list  # one row per cohort, sorted: the keys of _REPORT_COLUMNS
+    cohorts: list  # one report.jsonl row per cohort, sorted by cohort id
 
 
 def _halfwidth(values: Sequence) -> float:
     if len(values) < 2:
         return 0.0
     return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
-
-
-_REPORT_COLUMNS = (
-    "cohort", "sessions",
-    "mean_total_reward", "hw_total_reward",
-    "mean_selects", "hw_selects",
-    "mean_distinct_items", "hw_distinct_items",
-)
 
 
 def evaluate(traces: Sequence) -> EvalReport:
@@ -220,22 +212,6 @@ def evaluate(traces: Sequence) -> EvalReport:
         halfwidths={"psi_hat": _halfwidth(totals), "ctr": _halfwidth(ctrs)},
         cohorts=rows,
     )
-
-
-def aggregate_report(rows: Sequence) -> str:
-    """``EvalReport.cohorts``' per-cohort means and halfwidths as a text table."""
-    header = "  ".join(f"{name:>20}" for name in _REPORT_COLUMNS)
-    lines = [header]
-    for row in rows:
-        cells = []
-        for name in _REPORT_COLUMNS:
-            value = row[name]
-            if isinstance(value, float):
-                cells.append(f"{value:>20.6f}")
-            else:
-                cells.append(f"{str(value):>20}")
-        lines.append("  ".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 # built-in recommenders for simulation scenarios ---------------------------

@@ -65,7 +65,6 @@ def test_duplicate_agent_id_finding(tmp_path):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps(config))
     shutil.copy(SCENARIOS / "party_catalog.json", tmp_path / "party_catalog.json")
-    shutil.copy(SCENARIOS / "brand_policy.json", tmp_path / "brand_policy.json")
     findings = validate_config(path)
     assert any("duplicate agent id: chat" in f["rule"] for f in findings)
 
@@ -78,7 +77,6 @@ def test_matrix_dimension_mismatch_finding(tmp_path):
     path = tmp_path / "dim.json"
     path.write_text(json.dumps(config))
     shutil.copy(SCENARIOS / "party_catalog.json", tmp_path / "party_catalog.json")
-    shutil.copy(SCENARIOS / "brand_policy.json", tmp_path / "brand_policy.json")
     assert validate_config(path) == []
     assert load_config(path)["matrix"]["agents"] == ["chat", "epi"]
 
@@ -87,7 +85,6 @@ def test_missing_catalog_path_finding(tmp_path):
     config = json.loads((SCENARIOS / "party_planner.json").read_text())
     path = tmp_path / "nocat.json"
     path.write_text(json.dumps(config))  # catalog not copied next to it
-    shutil.copy(SCENARIOS / "brand_policy.json", tmp_path / "brand_policy.json")
     findings = validate_config(path)
     assert any(f["field"] == "catalog" for f in findings)
 
@@ -502,7 +499,6 @@ def test_aborted_episode_reports_module_error_name(tmp_path, capsys):
     path = tmp_path / "aborted.json"
     path.write_text(json.dumps(config))
     shutil.copy(SCENARIOS / "party_catalog.json", tmp_path / "party_catalog.json")
-    shutil.copy(SCENARIOS / "brand_policy.json", tmp_path / "brand_policy.json")
     out = tmp_path / "aborted_out"
     assert validate_config(path) == []
     status = run_scenario(path, out=out)
@@ -566,6 +562,70 @@ def test_jsonlines_format_writes_same_artifacts(tmp_path, capsys):
     assert status == 0
     assert (out / "report.jsonl").exists()
     assert (out / "report.txt").exists()
+
+
+def test_report_text_renders_each_value_kind():
+    rows = [{"s": "two words", "n": None, "l": [1, "x", 0.5], "i": 3, "f": 0.1 + 0.2,
+             "d": {"k": 1.5, "a": None}, "b": True}, {}, {"z": -2.0}]
+    assert cli._render(rows) == (
+        'b=true  d={"a": null, "k": 1.5}  f=0.300000  i=3  l=[1, "x", 0.5]  n=null  s=two words\n'
+        '\n'
+        'z=-2.000000\n')
+    assert cli._render([]) == ""
+
+
+def _text_cell(value) -> str:
+    """report.txt's rule for one value, restated: a float to six decimals, a
+    str bare, anything else as its JSON."""
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_report_text_is_one_line_per_report_row(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    assert main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(out)]) == 0
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == text
+    rows = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+    lines = text.splitlines()
+    assert rows and len(lines) == len(rows) and text.endswith("\n")
+    for line, row in zip(lines, rows):  # a report.jsonl row's keys are sorted
+        assert line == "  ".join(f"{key}={_text_cell(value)}" for key, value in row.items())
+
+
+def test_only_explain_loads_a_policy(tmp_path, capsys, monkeypatch):
+    loaded = []
+    load_policy = cli.load_policy
+    monkeypatch.setattr(cli, "load_policy", lambda path: loaded.append(path) or load_policy(path))
+    counts = {}
+    for name in ALL_SCENARIOS:
+        assert validate_config(SCENARIOS / f"{name}.json") == []
+        assert run_scenario(SCENARIOS / f"{name}.json", out=tmp_path / name) == 0
+        counts[name] = len(loaded)
+        loaded.clear()
+    assert counts == dict.fromkeys(ALL_SCENARIOS, 0) | {"explain_revision": 2}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, ok", [("party_planner", True), ("explain_revision", False)])
+def test_only_explain_needs_its_policy_file(tmp_path, capsys, name, ok):
+    config = json.loads((SCENARIOS / f"{name}.json").read_text())
+    config.update(catalog=str(SCENARIOS / config["catalog"]), policy="missing_policy.json")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    if ok:  # a policy key on another kind is ignored like any unknown key
+        assert validate_config(path) == []
+        assert run_scenario(path, out=out) == 0
+    else:
+        assert validate_config(path) == [
+            {"field": "policy", "rule": "referenced path does not exist"}]
+        assert run_scenario(path, out=out) == 1
+        assert json.loads((out / "error.json").read_text()) == {
+            "error": "ConfigInvalid", "message": "policy: referenced path does not exist"}
+    capsys.readouterr()
 
 
 def test_derive_seed_is_stable_and_distinct():

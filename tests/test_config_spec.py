@@ -304,6 +304,41 @@ def test_validate_reports_a_repeated_cohort_id(tmp_path, capsys):
                                        "cohorts: duplicate cohort id: engaged\n")
 
 
+# a fact value is a string or a finite number; each of these is a JSON literal
+# that parses to a bool, a non-finite float or an int too large for a float
+FACT_LITERALS = ["true", "NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400]
+FACT_FIELDS = [("party_planner", ("agents", 1, "memory_facts"), "agents[1].memory_facts"),
+               ("multimodal_bundle", ("profile_facts",), "profile_facts"),
+               ("explain_revision", ("facts",), "facts")]
+
+
+@pytest.mark.parametrize("literal", FACT_LITERALS)
+@pytest.mark.parametrize("scenario, path, field", FACT_FIELDS, ids=[f[0] for f in FACT_FIELDS])
+def test_fact_value_that_is_not_a_string_or_finite_number_fails_validate_and_run(
+        tmp_path, capsys, scenario, path, field, literal):
+    work = _scenario_dir(tmp_path)
+    config = json.loads((SCENARIOS / f"{scenario}.json").read_text())
+    _set(config, path + ("budget",), "<value>")
+    (work / "case.json").write_text(json.dumps(config).replace('"<value>"', literal))
+    rule = {"field": f"{field}.budget", "rule": "must be a string or a finite number"}
+    assert validate_config(work / "case.json") == [rule]
+    out = tmp_path / "case-out"
+    assert main(["run", str(work / "case.json"), "--out", str(out)]) == 1
+    assert json.loads((out / "error.json").read_text()) == {
+        "error": "ConfigInvalid", "message": f"{rule['field']}: {rule['rule']}"}
+    capsys.readouterr()
+
+
+def test_fact_values_are_kept_as_given(tmp_path):
+    config = json.loads((SCENARIOS / "multimodal_bundle.json").read_text())
+    config["profile_facts"].update(budget=200, ratio=0.5)
+    path = _scenario_dir(tmp_path) / "facts.json"
+    path.write_text(json.dumps(config))
+    facts = load_config(path)["profile_facts"]
+    assert facts == {"material_ban": "leather", "budget": 200, "ratio": 0.5}
+    assert type(facts["budget"]) is int
+
+
 def test_spec_tool_kinds_match_the_tool_factories():
     config = json.loads((SCENARIOS / "party_planner.json").read_text())
     findings = []

@@ -46,7 +46,7 @@ from agentrec.pipelines import (
     top_l,
     violations_for,
 )
-from agentrec.reliability import BrandPolicy, EMPTY_POLICY
+from agentrec.reliability import BrandPolicy
 from agentrec.runtime import CatalogItem, Environment
 
 # three unit palettes with hand-computed pairwise cosines (0.9, 0.72, 0.69)
@@ -1099,7 +1099,7 @@ def ctx_items(**facts):
 def test_explanation_cites_item_and_fact():
     recs = RankedList(entries=[("cake_7", 0.9)])
     explanation, _ = explain_with_revision(recs, ctx_items(guest_allergy="gluten"),
-                                           EMPTY_POLICY, 1)
+                                           BrandPolicy(), 1)
     assert explanation.cited_items == {"cake_7"}
     assert explanation.cited_facts == {"guest_allergy"}
     assert "gluten" in explanation.text
@@ -1108,7 +1108,7 @@ def test_explanation_cites_item_and_fact():
 
 def test_explanation_empty_context_flagged_item_only():
     recs = RankedList(entries=[("cake_7", 0.9)])
-    explanation, _ = explain_with_revision(recs, [], EMPTY_POLICY, 1)
+    explanation, _ = explain_with_revision(recs, [], BrandPolicy(), 1)
     assert explanation.context_missing is True
     assert explanation.cited_items == {"cake_7"}
     assert explanation.cited_facts == frozenset()
@@ -1117,7 +1117,7 @@ def test_explanation_empty_context_flagged_item_only():
 def test_cited_sets_match_independent_scanner():
     import re
     recs = RankedList(entries=[("itemx", 0.5)])
-    explanation, _ = explain_with_revision(recs, ctx_items(theme="space"), EMPTY_POLICY, 1)
+    explanation, _ = explain_with_revision(recs, ctx_items(theme="space"), BrandPolicy(), 1)
     # independent scanner with its own regexes
     items = set(re.findall(r"\[item:([^\]]+)\]", explanation.text))
     facts = set(re.findall(r"\[fact:([^\]]+)\]", explanation.text))
@@ -1129,14 +1129,14 @@ def test_consistency_rejects_out_of_list_citation():
     expl = Explanation(text="See [item:ghost].", cited_items=frozenset({"ghost"}),
                        cited_facts=frozenset())
     recs = RankedList(entries=[("real", 0.9)])
-    assert consistency_check(expl, recs, [], EMPTY_POLICY) is False
+    assert consistency_check(expl, recs, [], BrandPolicy()) is False
 
 
 def test_consistency_accepts_clean_explanation():
     recs = RankedList(entries=[("real", 0.9)])
     items = ctx_items(theme="space")
-    explanation, _ = explain_with_revision(recs, items, EMPTY_POLICY, 1)
-    assert consistency_check(explanation, recs, items, EMPTY_POLICY) is True
+    explanation, _ = explain_with_revision(recs, items, BrandPolicy(), 1)
+    assert consistency_check(explanation, recs, items, BrandPolicy()) is True
 
 
 def test_consistency_rejects_banned_phrase():
@@ -1155,7 +1155,7 @@ def test_consistency_reparses_text_not_fields():
                        cited_items=frozenset({"ghost"}),
                        cited_facts=frozenset({"bogus"}))
     recs = RankedList(entries=[("real", 0.9)])
-    assert consistency_check(expl, recs, [], EMPTY_POLICY) is True
+    assert consistency_check(expl, recs, [], BrandPolicy()) is True
 
 
 # revision loop -------------------------------------------------------------------------
@@ -1163,9 +1163,9 @@ def test_consistency_reparses_text_not_fields():
 def test_revision_first_pass_clean():
     recs = RankedList(entries=[("real", 0.9)])
     items = ctx_items(theme="space")
-    explanation, rounds = explain_with_revision(recs, items, EMPTY_POLICY, max_rounds=3)
+    explanation, rounds = explain_with_revision(recs, items, BrandPolicy(), max_rounds=3)
     assert rounds == 1
-    assert consistency_check(explanation, recs, items, EMPTY_POLICY)
+    assert consistency_check(explanation, recs, items, BrandPolicy())
 
 
 def test_revision_second_variant_passes():

@@ -10,7 +10,6 @@ from agentrec.reliability import (
     CASCADE_BLOCK,
     AgentGraph,
     BrandPolicy,
-    EMPTY_POLICY,
     check_compliance,
     propagation_probability,
     simulate_error_cascade,
@@ -232,8 +231,8 @@ def test_banned_term_fails():
 
 
 def test_empty_policy_accepts_anything():
-    assert check_compliance("whatever text at all", EMPTY_POLICY) is True
-    assert check_compliance("", EMPTY_POLICY) is True
+    assert check_compliance("whatever text at all", BrandPolicy()) is True
+    assert check_compliance("", BrandPolicy()) is True
 
 
 def test_whole_token_matching_no_substring_hits():

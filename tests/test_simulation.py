@@ -17,7 +17,6 @@ from agentrec.runtime import CatalogItem, Environment
 from agentrec.simulation import (
     SessionTrace,
     UserSimulator,
-    aggregate_report,
     evaluate,
     make_rotation_recommender,
     make_static_top_recommender,
@@ -380,12 +379,11 @@ def test_report_is_a_byte_stable_table_of_the_rows():
     traces = run_sessions(make_static_top_recommender("solo"), sims,
                           horizon=3, env=env)
     rows = evaluate(traces).cohorts
-    table = aggregate_report(rows)
-    assert table == aggregate_report(evaluate(traces).cohorts)
-    header, line = table.splitlines()
-    assert header.split() == list(rows[0])
-    assert line.split() == ["a", "1", "3.000000", "0.000000", "3.000000", "0.000000",
-                            "1.000000", "0.000000"]
+    table = cli._render(rows)
+    assert table == cli._render(evaluate(traces).cohorts)
+    assert table == ("cohort=a  hw_distinct_items=0.000000  hw_selects=0.000000  "
+                     "hw_total_reward=0.000000  mean_distinct_items=1.000000  "
+                     "mean_selects=3.000000  mean_total_reward=3.000000  sessions=1\n")
 
 
 def recount_halfwidth(values):
