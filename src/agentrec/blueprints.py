@@ -19,9 +19,7 @@ import json
 from .agents import AgentSpec, Tool, ToolRegistry, scripted_core
 from .errors import PayloadInvalid
 from .memory import (
-    MemoryLabel,
-    MemoryStore,
-    make_item,
+    build_store,
     prepare_query,
     relevance_score,
     retain,
@@ -170,15 +168,6 @@ TOOL_KINDS = {
 
 
 # construction from config ---------------------------------------------------
-
-def build_store(facts: dict) -> MemoryStore:
-    """One EPI item per (slot, value) fact, timestamped in declaration order."""
-    store = MemoryStore()
-    for index, (slot, value) in enumerate(facts.items()):
-        item = make_item(slot, str(value), MemoryLabel.EPI, now=index)
-        store.items[(slot, MemoryLabel.EPI)] = item
-    return store
-
 
 def build_agent(agent_cfg: dict, env: Environment, budgets: dict) -> AgentSpec:
     store = build_store(agent_cfg["memory_facts"])

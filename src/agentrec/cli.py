@@ -32,15 +32,18 @@ from pathlib import Path
 
 from . import __version__
 from .agents import DEFAULT_CONTEXT_BUDGET, DEFAULT_STM_TOKENS, DIRECTIVE_RE
-from .blueprints import build_interactive_runtime, build_store, ranked_entries_from_trace
+from .blueprints import build_interactive_runtime, ranked_entries_from_trace
 from .errors import AgentRecError, ConfigInvalid, InvalidArgument, Unreadable
-from .memory import embed_text, retrieve_topk
+from .memory import build_store, embed_text, retrieve_topk
 from .pipelines import (
     DEFAULT_COMPAT_TAU,
     DEFAULT_PALETTE_WEIGHT,
     Transcript,
     compat_check,
+    constraints_from_facts,
     explain_with_revision,
+    extract_session_constraints,
+    facts_from_memory,
     palette_ids,
     recommend_interactive,
     recommend_multimodal,
@@ -308,6 +311,12 @@ def _cross_check(config, findings) -> None:
             result = runtime.replay(routing)
             if result.aborted:
                 _flag(findings, f"routing[{len(result.trace)}]", result.error)
+    elif config["kind"] == "multimodal":  # the run's constraints, built as the run builds them
+        _gate(findings, "profile_facts", constraints_from_facts,
+              facts_from_memory(build_store(config["profile_facts"])))
+    elif config["kind"] == "explain":
+        _gate(findings, "facts", extract_session_constraints,
+              _user_transcript(config["transcript"]), build_store(config["facts"]))
     elif config["kind"] == "simulate":  # a simulator's id and seed derive from its cohort's id
         ids = [cohort["id"] for cohort in config["cohorts"]]
         for dup in sorted({i for i in ids if ids.count(i) > 1}):
@@ -324,6 +333,10 @@ def _cross_check(config, findings) -> None:
             _flag(findings, "error_rates", f"rate for an undeclared node: {name}")
         for node in nodes:  # a node without a rate never errs
             config["error_rates"].setdefault(node, 0.0)
+        if not findings:  # the graph's own cycle check
+            graph = AgentGraph(nodes, [tuple(edge) for edge in config["edges"]],
+                               config["error_rates"])
+            _gate(findings, "edges", graph.topological_order)
 
 
 # loading -------------------------------------------------------------------
@@ -520,13 +533,16 @@ def _simulate_trace_jsonl(traces) -> str:
 def _cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.6f}"
-    return value if isinstance(value, str) else json_scalar(value)
+    if isinstance(value, str) and "".join(value.splitlines()) == value:
+        return value
+    return json_scalar(value)
 
 
 def _render(rows) -> str:
     """report.txt: one line per report row, its ``key=value`` pairs in key
-    order two spaces apart; a float to six decimals, a str bare, anything else
-    as its JSON."""
+    order two spaces apart; a float to six decimals, a str bare unless it holds
+    a line boundary (a character ``str.splitlines`` breaks on), anything else
+    (and such a str) as its JSON."""
     return "".join("  ".join(f"{key}={_cell(row[key])}" for key in sorted(row)) + "\n"
                    for row in rows)
 
@@ -581,17 +597,7 @@ def _run_simulate(config, env, seed):
         # keys a kind does not declare pass through: a select config's stray "penalty" stays unused
         repeat_penalty=0.0 if reward["kind"] == "select" else reward["penalty"],
     )
-
-    report = evaluate(traces)
-    overall = {
-        "cohort": "__overall__",
-        "sessions": report.sessions,
-        "psi_hat": report.psi_hat,
-        "ctr": report.ctr,
-        "diversity_entropy": report.diversity_entropy,
-        "halfwidths": report.halfwidths,
-    }
-    return _simulate_trace_jsonl(traces), report.cohorts + [overall]
+    return _simulate_trace_jsonl(traces), evaluate(traces)
 
 
 def _run_multimodal(config, env, seed):

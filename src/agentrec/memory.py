@@ -116,7 +116,7 @@ def embed_text(text: str) -> Vector:
     for token in tokenize(text):
         bucket, sign = _bucket_sign(token)
         values[bucket] += sign
-    norm = math.sqrt(left_sum(map(operator.mul, values, values)))
+    norm = vector_norm(values)
     if norm == 0.0:
         return tuple(values)
     return tuple([v / norm if v else 0.0 for v in values])
@@ -170,7 +170,7 @@ class SparseVector:
         buckets = [i for i, v in enumerate(vector) if v]
         self.buckets = tuple(buckets)
         self.values = tuple([vector[i] for i in buckets])
-        self.norm = math.sqrt(left_sum(map(operator.mul, self.values, self.values)))
+        self.norm = vector_norm(self.values)
 
     def to_dense(self) -> Vector:
         """The EMBED_DIM-tuple this vector came from (every zero the shared ``0.0``)."""
@@ -407,6 +407,15 @@ def upsert_fact(store: MemoryStore, slot: str, value: str, label: MemoryLabel,
     else:
         store.items[(slot, label)] = make_item(
             slot, value, label, existing.meta.timestamp, existing.meta.update_count + 1)
+    return store
+
+
+def build_store(facts: dict) -> MemoryStore:
+    """One EPI item per (slot, value) fact, upserted in declaration order at
+    ``now`` = the fact's index (slots are unique, so each is an insert)."""
+    store = MemoryStore()
+    for index, (slot, value) in enumerate(facts.items()):
+        upsert_fact(store, slot, str(value), MemoryLabel.EPI, now=index)
     return store
 
 

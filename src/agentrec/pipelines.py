@@ -15,10 +15,9 @@ product with the query is accumulated term at a time over the postings of
 the query's nonzero buckets, in ascending bucket order, into a list indexed
 by item position, which is the per-item left-to-right sum of
 ``memory.relevance`` bit for bit. Every catalog cut keeps the best ``l`` by
-one rule: higher score first, ties broken by item id. ``top_l`` applies it
-to (score, item) pairs (a bundle's candidates per category);
-``rank_admitted`` applies it inline, as a key-free ``heapq.nsmallest`` of
-``(-score, id)`` pairs.
+one rule, higher score first, ties broken by item id: ``_cut``, a key-free
+``heapq.nsmallest`` of ``(-score, id)`` pairs, takes both a ranking's and a
+bundle's candidates per category.
 
 A bundle's palette fit is ``memory.cosine_with_norms`` of the item's palette
 and the scene, with the palette norm the item keeps and the scene norm
@@ -214,13 +213,14 @@ def violations_for(item: CatalogItem, constraints: ConstraintSet) -> list:
 score_item = relevance_score
 
 
-def top_l(scored_pairs: Iterable, l: int) -> list:
-    """The ``l`` best (score, catalog item) pairs, higher score first, then smaller id.
+def _cut(scored: list, l: int, items: dict) -> list:
+    """The ``l`` best of ``(-score, id)`` pairs as (score, item) pairs, higher
+    score first, then smaller id.
 
     Item ids are unique, so the order is total and equals a full sort cut
-    after ``l`` pairs.
+    after ``l`` pairs; ``-(-score)`` is ``score`` exactly.
     """
-    return heapq.nsmallest(l, scored_pairs, key=lambda pair: (-pair[0], pair[1].id))
+    return [(-score, items[item_id]) for score, item_id in heapq.nsmallest(l, scored)]
 
 
 def admitted_ids(index: CatalogIndex, constraints: ConstraintSet,
@@ -273,13 +273,12 @@ def _relevance(query: QueryVector, item: CatalogItem, dot: float) -> float:
 
 
 def rank_admitted(index: CatalogIndex, ids: set, query: QueryVector, l: int) -> list:
-    """``top_l`` of the admitted ``ids`` by relevance to the query.
+    """The ``_cut`` of the admitted ``ids`` by relevance to the query.
 
     Only ids with a positive dot product are scored, by ``_relevance``'s
-    expression, in one pass over the dot table; the cut is a key-free
-    ``heapq.nsmallest`` of ``(-score, id)`` pairs, ``top_l``'s order. When
-    fewer than ``l`` score above zero, the rest are zero-score ids in
-    ascending order, which is where a full sort puts them.
+    expression, in one pass over the dot table. When fewer than ``l`` score
+    above zero, the rest are zero-score ids in ascending order, which is
+    where a full sort puts them.
     """
     items, qnorm = index.items, query.norm
     scored = []
@@ -290,7 +289,7 @@ def rank_admitted(index: CatalogIndex, ids: set, query: QueryVector, l: int) -> 
                 score = _relevance(query, items[item_id], dot)
             if score > 0.0:
                 scored.append((-score, item_id))
-    ranked = [(-score, items[item_id]) for score, item_id in heapq.nsmallest(l, scored)]
+    ranked = _cut(scored, l, items)
     if len(ranked) < l:
         rest = ids.difference([item.id for _, item in ranked])
         ranked += [(0.0, items[item_id]) for item_id in heapq.nsmallest(l - len(ranked), rest)]
@@ -404,12 +403,12 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
                 raise NoCompatibleBundle(f"category {category!r} has no feasible candidate")
             if len(feasible) > TOP_CANDIDATES_PER_CATEGORY:
                 truncated = True
-            per_category.append(top_l(
-                ((alpha * _relevance(text_vec, item, dots[index.pos[item.id]])
-                  + (1.0 - alpha) * cosine_with_norms(item.palette, scene,
-                                                      item.palette_norm, scene_norm), item)
-                 for item in feasible),
-                TOP_CANDIDATES_PER_CATEGORY))
+            per_category.append(_cut(
+                [(-(alpha * _relevance(text_vec, item, dots[index.pos[item.id]])
+                    + (1.0 - alpha) * cosine_with_norms(item.palette, scene,
+                                                        item.palette_norm, scene_norm)), item.id)
+                 for item in feasible],
+                TOP_CANDIDATES_PER_CATEGORY, index.items))
 
         combos = sorted(
             itertools.product(*per_category),

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import AgentRecError, InvalidArgument, NoTraces
-from .memory import EMBED_DIM, QueryVector, left_sum, prepare_query, relevance
+from .memory import EMBED_DIM, QueryVector, left_sum, prepare_query, relevance, vector_norm
 # Re-exported, not called here: perfbench/spans.py wraps `simulation.cosine`,
 # `simulation.embed_text` and `simulation.update_memory`.
 from .memory import cosine, embed_text, update_memory  # noqa: F401
@@ -56,7 +56,7 @@ class UserSimulator:
 def random_unit_vector(rng: random.Random) -> tuple:
     while True:
         values = [rng.gauss(0.0, 1.0) for _ in range(EMBED_DIM)]
-        norm = math.sqrt(left_sum(v * v for v in values))
+        norm = vector_norm(values)
         if norm > 0:
             return tuple(v / norm for v in values)
 
@@ -143,26 +143,19 @@ def run_sessions(recommender: Callable, sims: Sequence, horizon: int,
     return traces
 
 
-@dataclass
-class EvalReport:
-    psi_hat: float
-    ctr: float
-    diversity_entropy: float
-    sessions: int
-    halfwidths: dict
-    cohorts: list  # one report.jsonl row per cohort, sorted by cohort id
-
-
 def _halfwidth(values: Sequence) -> float:
     if len(values) < 2:
         return 0.0
     return 1.96 * statistics.stdev(values) / math.sqrt(len(values))
 
 
-def evaluate(traces: Sequence) -> EvalReport:
-    """Mean total reward, select rate and Shannon entropy of shown item ids
-    over all sessions, and each cohort's per-session means and halfwidths of
-    total reward, selects and distinct items shown, counted once per session."""
+def evaluate(traces: Sequence) -> list:
+    """The simulate report rows: one per cohort, sorted by cohort id, with its
+    per-session means and halfwidths of total reward, selects and distinct
+    items shown (counted once per session); then the ``__overall__`` row with
+    the session count, the mean total reward ``psi_hat``, the mean select
+    rate ``ctr``, the Shannon entropy of shown item ids and the two means'
+    halfwidths."""
     if not traces:
         raise NoTraces("evaluation requires at least one trace")
     totals = []
@@ -204,14 +197,15 @@ def evaluate(traces: Sequence) -> EvalReport:
             "mean_distinct_items": statistics.fmean(distinct),
             "hw_distinct_items": _halfwidth(distinct),
         })
-    return EvalReport(
-        psi_hat=statistics.fmean(totals),
-        ctr=statistics.fmean(ctrs) if ctrs else 0.0,
-        diversity_entropy=entropy,
-        sessions=len(traces),
-        halfwidths={"psi_hat": _halfwidth(totals), "ctr": _halfwidth(ctrs)},
-        cohorts=rows,
-    )
+    rows.append({
+        "cohort": "__overall__",
+        "sessions": len(traces),
+        "psi_hat": statistics.fmean(totals),
+        "ctr": statistics.fmean(ctrs) if ctrs else 0.0,
+        "diversity_entropy": entropy,
+        "halfwidths": {"psi_hat": _halfwidth(totals), "ctr": _halfwidth(ctrs)},
+    })
+    return rows
 
 
 # built-in recommenders for simulation scenarios ---------------------------

@@ -284,12 +284,12 @@ def test_c07_simulator_calibration():
     always = UserSimulator("always", theta=e, noise_scale=0.0)
     traces = run_sessions(make_static_top_recommender("solo"), [always],
                           horizon=horizon, env=env)
-    assert evaluate(traces).psi_hat == float(horizon)
+    assert evaluate(traces)[-1]["psi_hat"] == float(horizon)
 
     never = UserSimulator("never", theta=u, noise_scale=0.0)
     traces = run_sessions(make_static_top_recommender("solo"), [never],
                           horizon=horizon, env=env)
-    assert evaluate(traces).psi_hat == 0.0
+    assert evaluate(traces)[-1]["psi_hat"] == 0.0
     print(f"ACCEPTANCE 7 (calibration freq={freq:.4f}, degenerate exact): PASS")
 
 
@@ -301,14 +301,14 @@ def test_c08_entropy_bounds():
     sim = UserSimulator("s", theta=embed_text(env.catalog[0].text()))
     traces = run_sessions(make_rotation_recommender(), [sim],
                           horizon=8, env=env)
-    entropy = evaluate(traces).diversity_entropy
+    entropy = evaluate(traces)[-1]["diversity_entropy"]
     assert abs(entropy - math.log(8)) <= 1e-9
 
     single = _env_single()
     sim = UserSimulator("s2", theta=embed_text(single.catalog[0].text()))
     traces = run_sessions(make_static_top_recommender("solo"), [sim],
                           horizon=10, env=single)
-    assert evaluate(traces).diversity_entropy == 0.0
+    assert evaluate(traces)[-1]["diversity_entropy"] == 0.0
     print("ACCEPTANCE 8 (entropy ln8 within 1e-9; degenerate 0): PASS")
 
 
@@ -458,3 +458,86 @@ def test_c12_edge_number_fuzz_validate_agrees_with_run(tmp_path, capsys):
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE 12 (edge-number fuzz, {len(cases)} configs, {failed} rejected, "
           f"{elapsed:.2f}s): PASS")
+
+
+def _cascade_config(rng) -> tuple:
+    """(config, cyclic) for a random graph over n0..n{k-1}: a chain in a
+    shuffled order plus forward edges (a DAG), then maybe a back edge along
+    the chain or a self-edge."""
+    nodes = [f"n{i}" for i in range(rng.randint(1, 6))]
+    order = rng.sample(nodes, len(nodes))
+    edges = [[a, b] for a, b in zip(order, order[1:])]
+    edges += [[order[i], order[j]] for i in range(len(order)) for j in range(i + 2, len(order))
+              if rng.random() < 0.3]
+    shape = rng.choice(["dag", "back", "self"] if len(nodes) > 1 else ["dag", "self"])
+    if shape == "back":
+        i, j = sorted(rng.sample(range(len(order)), 2))
+        edges.append([order[j], order[i]])
+    elif shape == "self":
+        node = rng.choice(nodes)
+        edges.append([node, node])
+    rng.shuffle(edges)
+    config = {"kind": "cascade", "seed": rng.randrange(100), "nodes": nodes, "edges": edges,
+              "error_rates": {node: rng.choice([0.0, 0.1, 0.5, 1.0]) for node in nodes},
+              "trials": rng.randint(1, 50)}
+    return config, shape != "dag"
+
+
+def _fact_map(rng, tags, all_tags) -> tuple:
+    """(facts, conflicting): required_* slots name tags of one catalog item
+    (`tags`), _ban and _allergy slots tags it lacks, so that item stays
+    admissible; a conflicting map also requires and forbids one tag, in
+    either case."""
+    facts = {}
+    for index, tag in enumerate(rng.sample(sorted(tags), rng.randint(0, len(tags)))):
+        facts[f"required_{index}"] = tag
+    others = sorted(all_tags - tags)
+    for index, tag in enumerate(rng.sample(others, rng.randint(0, min(3, len(others))))):
+        facts[f"{WORDS[index]}_{rng.choice(['ban', 'allergy'])}"] = tag
+    conflicting = rng.random() < 0.5
+    if conflicting:
+        tag = rng.choice(sorted(all_tags))
+        facts[f"required_{rng.choice(['x', 'y'])}"] = rng.choice([tag, tag.upper()])
+        facts[f"clash_{rng.choice(['ban', 'allergy'])}"] = rng.choice([tag, f" {tag.title()}"])
+    items = list(facts.items())
+    rng.shuffle(items)
+    return dict(items), conflicting
+
+
+def _facts_config(rng, name) -> tuple:
+    config = _edited_config(name, ("seed",), rng.randrange(100))
+    catalog = json.loads(Path(config["catalog"]).read_text(encoding="utf-8"))
+    all_tags = {tag for record in catalog for tag in record["tags"]}
+    item = rng.choice(catalog)
+    facts, conflicting = _fact_map(rng, set(item["tags"]), all_tags)
+    if name == "multimodal_bundle":  # one category, so the item alone is a bundle
+        config.update(categories=[item["tags"][0]], profile_facts=facts)
+    else:
+        config["facts"] = facts
+    return config, conflicting
+
+
+def test_c13_cross_field_fuzz_validate_agrees_with_run(tmp_path, capsys):
+    started = time.perf_counter()
+    rng = random.Random(13)
+    cases = ([_cascade_config(rng) for _ in range(40)]
+             + [_facts_config(rng, name) for name in ("multimodal_bundle", "explain_revision")
+                for _ in range(30)])
+    fields = {"cascade": "edges", "multimodal": "profile_facts", "explain": "facts"}
+    for index, (config, faulty) in enumerate(cases):
+        config_path, out = tmp_path / f"case{index}.json", tmp_path / f"out{index}"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        valid = main(["validate", str(config_path)])
+        findings = capsys.readouterr().out
+        ran = main(["run", str(config_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert (valid == 0) == (ran == 0) == (not faulty), config
+        if faulty:
+            error = ("CyclicGraph: " if config["kind"] == "cascade"
+                     else "InvalidArgument: required and forbidden tags must be disjoint")
+            assert findings.startswith(f"{fields[config['kind']]}: {error}"), config
+            assert json.loads(err.splitlines()[-1])["error"] == "ConfigInvalid", config
+    assert {faulty for _, faulty in cases} == {True, False}
+    elapsed = time.perf_counter() - started
+    print(f"ACCEPTANCE 13 (cycle and conflicting-facts fuzz, {len(cases)} configs, "
+          f"{sum(faulty for _, faulty in cases)} rejected, {elapsed:.2f}s): PASS")

@@ -122,6 +122,36 @@ def test_file_content_faults_are_validate_findings(tmp_path, capsys, name, edit,
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name, edit, field, rule", [
+    ("error_cascade", {"edges": [["retrieve", "rank"], ["rank", "present"], ["present", "retrieve"]]},
+     "edges", "CyclicGraph: agent dependency graph contains a cycle"),
+    ("error_cascade", {"edges": [["retrieve", "rank"], ["rank", "rank"]]},
+     "edges", "CyclicGraph: agent dependency graph contains a cycle"),
+    ("multimodal_bundle", {"profile_facts": {"required_x": "wood", "wood_ban": "wood"}},
+     "profile_facts", "InvalidArgument: required and forbidden tags must be disjoint"),
+    ("explain_revision", {"facts": {"required_x": "Wood", "guest_allergy": " wood"}},
+     "facts", "InvalidArgument: required and forbidden tags must be disjoint"),
+    ("explain_revision", {"transcript": ["required_x: wood; wood_ban: wood"]},
+     "facts", "InvalidArgument: required and forbidden tags must be disjoint"),
+], ids=["back-edge", "self-edge", "profile-facts", "explain-facts", "explain-transcript"])
+def test_cross_field_faults_the_run_would_hit_are_validate_findings(
+        tmp_path, capsys, name, edit, field, rule):
+    # a cycle, or a tag both required and forbidden, fails validate as it fails run
+    config = json.loads((SCENARIOS / f"{name}.json").read_text())
+    for key in ("catalog", "policy"):
+        if key in config:
+            config[key] = str(SCENARIOS / config[key])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(dict(config, **edit)))
+    assert validate_config(path) == [{"field": field, "rule": rule}]
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"{field}: {rule}\n"
+    assert run_scenario(path, out=tmp_path / "out") == 1
+    assert json.loads((tmp_path / "out" / "error.json").read_text()) == {
+        "error": "ConfigInvalid", "message": f"{field}: {rule}"}
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("scene", [[0.8, 0.6], [0.8, 0.6, 0.0, 5.0]])
 def test_scene_palette_of_another_length_fails_validate_and_run(tmp_path, capsys, scene):
     # the catalog's palettes have 3 numbers; a cosine over fewer would read a cut pair
@@ -574,12 +604,39 @@ def test_report_text_renders_each_value_kind():
     assert cli._render([]) == ""
 
 
+def test_report_text_writes_a_str_holding_a_line_boundary_as_its_json():
+    bare = ["", "plain words", "tab\there", "caf\u00e9"]
+    broken = ["a\nb", "trailing\n", "\r", "cr\r\nlf", "\u2028", "\u2029", "\x0b", "\x0c",
+              "\x1c", "\x1d", "\x1e", "\x85"]
+    rows = [{"s": value} for value in bare + broken]
+    text = cli._render(rows)
+    assert len(text.splitlines()) == len(rows)
+    assert text.splitlines() == ([f"s={value}" for value in bare]
+                                 + [f"s={json.dumps(value)}" for value in broken])
+
+
+def test_a_fact_holding_a_line_break_keeps_one_report_line_per_row(tmp_path, capsys):
+    config = json.loads((SCENARIOS / "explain_revision.json").read_text())
+    config.update(catalog=str(SCENARIOS / config["catalog"]),
+                  policy=str(SCENARIOS / config["policy"]),
+                  facts={"guest_allergy": "gluten\nfree", "child_pref": "chocolate"})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert "gluten\\nfree" in text and capsys.readouterr().out == text
+    assert len(text.splitlines()) == len((out / "report.jsonl").read_text().splitlines()) == 1
+
+
 def _text_cell(value) -> str:
     """report.txt's rule for one value, restated: a float to six decimals, a
-    str bare, anything else as its JSON."""
+    str bare unless it holds a line boundary, anything else as its JSON."""
     if isinstance(value, float):
         return f"{value:.6f}"
-    return value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+    if isinstance(value, str) and value.splitlines() in ([], [value]):
+        return value
+    return json.dumps(value, sort_keys=True)
 
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)

@@ -43,7 +43,6 @@ from agentrec.pipelines import (
     recommend_interactive,
     recommend_multimodal,
     score_item,
-    top_l,
     violations_for,
 )
 from agentrec.reliability import BrandPolicy
@@ -246,17 +245,6 @@ def test_interactive_matches_filter_sort_oracle():
             continue
         ranked = recommend_interactive(transcript, env, memory, top_l=7)
         assert ranked.entries == want
-
-
-def test_top_l_equals_full_sort_cut_on_tied_scores():
-    rng = random.Random(33)
-    for n in (0, 1, 2, 7, 30):
-        items = [CatalogItem(f"t{i:02d}", "x", ("cake",), 1.0) for i in range(n)]
-        rng.shuffle(items)
-        pairs = [(rng.choice((0.0, 0.25, 0.5, 1.0)), item) for item in items]
-        full = sorted(pairs, key=lambda pair: (-pair[0], pair[1].id))
-        for l in range(n + 2):
-            assert top_l(iter(pairs), l) == full[:l]
 
 
 # collection consistency ------------------------------------------------------------
@@ -619,8 +607,9 @@ def edge_facts(rng):
 
 
 def scan_bundle(text, scene, profile, categories, env, alpha, tau):
-    """Each category's candidates by filter, per-item score and top_l: the
-    bundle search as it was before the index, errors in the same order."""
+    """Each category's candidates by filter, per-item score and a full sort
+    cut after three: the bundle search as it was before the index, errors in
+    the same order."""
     categories = sorted(set(categories))
     constraints = constraints_from_facts(facts_from_memory(profile))
     per_category, truncated = [], False
@@ -634,9 +623,9 @@ def scan_bundle(text, scene, profile, categories, env, alpha, tau):
         if not feasible:
             raise NoCompatibleBundle(f"category {category!r} has no feasible candidate")
         truncated = truncated or len(feasible) > 3
-        per_category.append(top_l(
+        per_category.append(sorted(
             ((alpha * score_item(text, item) + (1.0 - alpha) * cosine(item.palette, scene),
-              item) for item in feasible), 3))
+              item) for item in feasible), key=lambda pair: (-pair[0], pair[1].id))[:3])
     combos = sorted(itertools.product(*per_category),
                     key=lambda combo: (-left_sum(score for score, _ in combo),
                                        tuple(item.id for _, item in combo)))

@@ -274,10 +274,10 @@ def test_all_select_ctr_is_one():
             for i in range(3)]
     traces = run_sessions(make_static_top_recommender("solo"), sims,
                           horizon=5, env=env)
-    report = evaluate(traces)
-    assert report.ctr == 1.0
-    assert report.psi_hat == 5.0
-    assert report.halfwidths["psi_hat"] == 0.0
+    overall = evaluate(traces)[-1]
+    assert overall["ctr"] == 1.0
+    assert overall["psi_hat"] == 5.0
+    assert overall["halfwidths"]["psi_hat"] == 0.0
 
 
 def test_single_item_recommender_entropy_zero():
@@ -285,7 +285,7 @@ def test_single_item_recommender_entropy_zero():
     sim = UserSimulator("s1", theta=matching_theta(env, "solo"))
     traces = run_sessions(make_static_top_recommender("solo"), [sim],
                           horizon=10, env=env)
-    assert evaluate(traces).diversity_entropy == 0.0
+    assert evaluate(traces)[-1]["diversity_entropy"] == 0.0
 
 
 def test_uniform_rotation_entropy_equals_ln8():
@@ -293,7 +293,7 @@ def test_uniform_rotation_entropy_equals_ln8():
     sim = UserSimulator("s1", theta=matching_theta(env, "rot_1"))
     traces = run_sessions(make_rotation_recommender(), [sim],
                           horizon=8, env=env)
-    assert abs(evaluate(traces).diversity_entropy - math.log(8)) <= 1e-9
+    assert abs(evaluate(traces)[-1]["diversity_entropy"] - math.log(8)) <= 1e-9
 
 
 def test_entropy_bounds_hold():
@@ -301,8 +301,8 @@ def test_entropy_bounds_hold():
     sims = [UserSimulator(f"s{i}", theta=theta_with_cosine(env, "rot_1", 0.4),
                           noise_scale=0.3, seed=i) for i in range(4)]
     traces = run_sessions(make_rotation_recommender(), sims, horizon=5, env=env)
-    report = evaluate(traces)
-    assert 0.0 <= report.diversity_entropy <= math.log(len(env.catalog)) + 1e-12
+    entropy = evaluate(traces)[-1]["diversity_entropy"]
+    assert 0.0 <= entropy <= math.log(len(env.catalog)) + 1e-12
 
 
 def test_diversity_penalty_reward():
@@ -314,11 +314,10 @@ def test_diversity_penalty_reward():
     assert rewards == [1.0, 0.5, 0.5]  # repeats penalized after first exposure
 
 
-# summaries and reports: evaluate's per-cohort rows ------------------------------------
+# summaries and reports: evaluate's rows ---------------------------------------------
 
 def test_summary_of_empty_action_trace_is_zeros():
-    report = evaluate([SessionTrace(steps=[], simulator_id="s1", cohort="c")])
-    row, = report.cohorts
+    row, _ = evaluate([SessionTrace(steps=[], simulator_id="s1", cohort="c")])
     assert row["cohort"] == "c"
     assert row["sessions"] == 1
     assert row["mean_total_reward"] == 0.0
@@ -331,7 +330,7 @@ def test_summary_counts_selects():
     sim = UserSimulator("s1", theta=matching_theta(env, "solo"))
     traces = run_sessions(make_static_top_recommender("solo"), [sim],
                           horizon=10, env=env)
-    row, = evaluate(traces).cohorts
+    row, _ = evaluate(traces)
     assert row["mean_selects"] == 10.0
     assert row["mean_distinct_items"] == 1.0
 
@@ -342,7 +341,7 @@ def test_summary_matches_recount_oracle():
                         noise_scale=0.3, seed=17)
     trace = run_sessions(make_rotation_recommender(), [sim],
                          horizon=9, env=env)[0]
-    row, = evaluate([trace]).cohorts
+    row, _ = evaluate([trace])
     # field-by-field independent recount
     actions = [s.action for s in trace.steps if s.action is not None]
     assert row["mean_total_reward"] == sum(s.reward for s in trace.steps)
@@ -358,9 +357,10 @@ def test_aggregate_single_row_and_sorted_cohorts():
             UserSimulator("a-0", theta=matching_theta(env, "solo"), cohort="alpha")]
     traces = run_sessions(make_static_top_recommender("solo"), sims,
                           horizon=2, env=env)
-    rows = evaluate(traces).cohorts
+    *rows, overall = evaluate(traces)
     assert [row["cohort"] for row in rows] == ["alpha", "beta"]
     assert all(row["sessions"] == 1 for row in rows)
+    assert overall["cohort"] == "__overall__" and overall["sessions"] == 2
 
 
 def test_aggregate_means_match_recomputation():
@@ -368,7 +368,7 @@ def test_aggregate_means_match_recomputation():
     sims = [UserSimulator(f"c-{i}", theta=theta_with_cosine(env, "rot_1", 0.5),
                           noise_scale=0.2, seed=i, cohort="c") for i in range(6)]
     traces = run_sessions(make_rotation_recommender(), sims, horizon=5, env=env)
-    row, = evaluate(traces).cohorts
+    row, _ = evaluate(traces)
     totals = [sum(s.reward for s in t.steps) for t in traces]
     assert abs(row["mean_total_reward"] - sum(totals) / len(totals)) <= 1e-12
 
@@ -378,12 +378,13 @@ def test_report_is_a_byte_stable_table_of_the_rows():
     sims = [UserSimulator("a-0", theta=matching_theta(env, "solo"), cohort="a")]
     traces = run_sessions(make_static_top_recommender("solo"), sims,
                           horizon=3, env=env)
-    rows = evaluate(traces).cohorts
-    table = cli._render(rows)
-    assert table == cli._render(evaluate(traces).cohorts)
+    table = cli._render(evaluate(traces))
+    assert table == cli._render(evaluate(traces))
     assert table == ("cohort=a  hw_distinct_items=0.000000  hw_selects=0.000000  "
                      "hw_total_reward=0.000000  mean_distinct_items=1.000000  "
-                     "mean_selects=3.000000  mean_total_reward=3.000000  sessions=1\n")
+                     "mean_selects=3.000000  mean_total_reward=3.000000  sessions=1\n"
+                     "cohort=__overall__  ctr=1.000000  diversity_entropy=0.000000  "
+                     'halfwidths={"ctr": 0.0, "psi_hat": 0.0}  psi_hat=3.000000  sessions=1\n')
 
 
 def recount_halfwidth(values):
@@ -428,7 +429,7 @@ def test_evaluate_equals_an_independent_recount(seed):
             sims, horizon=rng.randint(1, 6), env=env,
             sessions_per_sim=sessions_per_sim, top_l=rng.randint(1, 3),
             repeat_penalty=penalty)
-        report = evaluate(traces)
+        *cohort_rows, overall = evaluate(traces)
 
         totals, ctrs, shown_ids, by_cohort = [], [], [], {}
         for trace in traces:
@@ -454,17 +455,17 @@ def test_evaluate_equals_an_independent_recount(seed):
             select_counts.append(float(selects))
             distinct.append(float(len(set(ids))))
 
-        assert report.sessions == len(traces) == len(sims) * sessions_per_sim
-        assert report.psi_hat == statistics.fmean(totals)
-        assert report.ctr == (statistics.fmean(ctrs) if ctrs else 0.0)
-        assert report.halfwidths == {"psi_hat": recount_halfwidth(totals),
-                                     "ctr": recount_halfwidth(ctrs)}
+        assert overall["sessions"] == len(traces) == len(sims) * sessions_per_sim
+        assert overall["psi_hat"] == statistics.fmean(totals)
+        assert overall["ctr"] == (statistics.fmean(ctrs) if ctrs else 0.0)
+        assert overall["halfwidths"] == {"psi_hat": recount_halfwidth(totals),
+                                         "ctr": recount_halfwidth(ctrs)}
         entropy = 0.0
         for item_id in dict.fromkeys(shown_ids):  # first-shown order
             p = shown_ids.count(item_id) / len(shown_ids)
             entropy -= p * math.log(p)
-        assert report.diversity_entropy == entropy
-        assert report.cohorts == [{
+        assert overall["diversity_entropy"] == entropy
+        assert cohort_rows == [{
             "cohort": cohort,
             "sessions": len(rewards),
             "mean_total_reward": statistics.fmean(rewards),
