@@ -323,8 +323,6 @@ def _cross_check(config, findings) -> None:
             _flag(findings, "cohorts", f"duplicate cohort id: {dup}")
     elif config["kind"] == "cascade":
         nodes = config["nodes"]
-        for dup in sorted({node for node in nodes if nodes.count(node) > 1}):
-            _flag(findings, "nodes", f"duplicate node: {dup}")
         for edge in config["edges"]:
             if not set(edge) <= set(nodes):
                 _flag(findings, "edges", f"edge must be a [upstream, downstream] pair of "
@@ -333,10 +331,11 @@ def _cross_check(config, findings) -> None:
             _flag(findings, "error_rates", f"rate for an undeclared node: {name}")
         for node in nodes:  # a node without a rate never errs
             config["error_rates"].setdefault(node, 0.0)
-        if not findings:  # the graph's own cycle check
-            graph = AgentGraph(nodes, [tuple(edge) for edge in config["edges"]],
-                               config["error_rates"])
-            _gate(findings, "edges", graph.topological_order)
+        if not findings:  # the graph's own node and cycle checks
+            graph = _gate(findings, "nodes", AgentGraph, nodes,
+                          [tuple(edge) for edge in config["edges"]], config["error_rates"])
+            if graph is not None:
+                _gate(findings, "edges", graph.topological_order)
 
 
 # loading -------------------------------------------------------------------
@@ -374,12 +373,14 @@ def load_config(path) -> dict:
 
 
 def validate_config(path) -> list:
-    """Findings as (field, rule) descriptions; empty iff the config can run.
+    """The config's faults as (field, rule) findings.
 
     Past the config's own checks, the catalog file (and an explain config's
     policy file) is loaded through the run's loaders and what the config
     names in it is looked up. Only validate does this: a run loads each file
-    once itself, and would otherwise hash the catalog twice per job.
+    once itself. No search runs: one that finds nothing (NoFeasibleItem,
+    NoCompatibleBundle, RevisionExhausted) is a run's outcome, not a fault,
+    so a config without findings may still fail so.
     """
     try:
         config = load_config(path)
@@ -417,12 +418,29 @@ def _resolve(config: dict, relative) -> Path:
     return (Path(config["__path__"]).parent / relative).resolve()
 
 
-# The last catalog load_catalog built: (sha256 of the file's bytes, its items,
-# their id dict). Every Environment run_scenario builds on it shares the dict;
-# nothing mutates it, as apply_env_update copies it.
-_last_catalog = (None, (), {})
+# The last catalog file read: (sha256 of its bytes, its items as a version-0
+# Environment). Every run on equal bytes shares that Environment, and with it
+# its lazily built catalog index and result memo; no runner mutates it.
+_last_catalog = (None, None)
 
-def _build_catalog(data: bytes, path) -> list:
+
+def _catalog_environment(path) -> Environment:
+    """The catalog file's items, in file order, as version 0.
+
+    Every call reads the file and takes the sha256 of its bytes. When it
+    equals that of the last catalog built, the call returns that catalog's
+    Environment without parsing. Otherwise it checks and builds the items
+    and their Environment (a repeated id raises InvalidArgument) and keeps
+    it in place of the last one, so at most one catalog is kept.
+    """
+    global _last_catalog
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
+    digest = hashlib.sha256(data).digest()
+    if digest == _last_catalog[0]:
+        return _last_catalog[1]
     try:
         records = json.loads(data.decode("utf-8"))
     except ValueError as exc:
@@ -435,38 +453,21 @@ def _build_catalog(data: bytes, path) -> list:
             catalog.append(catalog_item(record))
         except InvalidArgument as exc:
             raise ConfigInvalid(f"catalog {path} record {index}: {exc}") from None
-    return catalog
+    _last_catalog = (digest, Environment(catalog=catalog))
+    return _last_catalog[1]
 
 
 def load_catalog(path) -> list:
-    """The catalog file's items, in file order, as a new list.
-
-    Every call reads the file and takes the sha256 of its bytes. When it
-    equals that of the last catalog built, the call returns that catalog's
-    items without parsing: the same frozen items, with the embeddings they
-    already cached. Otherwise it checks and builds the items and their id
-    dict (a repeated id raises InvalidArgument) and keeps them in place of
-    the last ones, so at most one catalog is kept.
-    """
-    global _last_catalog
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
-    digest = hashlib.sha256(data).digest()
-    if digest != _last_catalog[0]:
-        catalog = _build_catalog(data, path)
-        _last_catalog = (digest, tuple(catalog), Environment(catalog=catalog)._by_id)
-    return list(_last_catalog[1])
+    """A new list of ``_catalog_environment``'s items: on equal bytes, the
+    same frozen items, with the embeddings they already cached."""
+    return list(_catalog_environment(path).catalog)
 
 
 def _environment(config) -> Environment:
-    """The config's catalog as version 0, over the cached catalog's id dict."""
+    """The config's catalog as version 0: the cached, shared Environment."""
     if config["catalog"] is None:
         return Environment()
-    catalog = load_catalog(_resolve(config, config["catalog"]))
-    # load_catalog has just built or matched _last_catalog: its dict indexes catalog
-    return Environment(catalog=catalog, _by_id=_last_catalog[2])
+    return _catalog_environment(_resolve(config, config["catalog"]))
 
 
 _POLICY = obj({

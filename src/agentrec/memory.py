@@ -15,7 +15,8 @@ Pinned constants (changing any of these changes every persisted vector):
 * relevance = cosine clamped to [0, 1]; identical keys score exactly 1.0;
   dot product and norms are left-to-right float sums of the componentwise
   products (``left_sum``, not ``sum()``, which compensates float sums from
-  Python 3.12 on)
+  Python 3.12 on); ``relevance_of_dot`` turns every such dot into a score,
+  ``relevance``'s own and those catalog ranking accumulates over the index
 * sparse scoring: an embedding is scored through its ``SparseVector`` (its
   nonzero buckets in ascending order, their values and its norm). Dropping
   a product with a zero factor drops a ``±0.0`` term, which leaves a
@@ -220,14 +221,22 @@ def prepare_query(query: Union[str, Vector, QueryVector]) -> QueryVector:
     return QueryVector(query)
 
 
+def relevance_of_dot(query: QueryVector, sparse: SparseVector, dot: float) -> float:
+    """The one clamped-cosine rule, from the pair's dot product: 0.0 unless
+    the dot is positive, exactly 1.0 for identical buckets and values, else
+    the cosine capped at 1.0 (0.0 if the norms' product underflows to 0.0)."""
+    if dot <= 0.0:
+        return 0.0
+    if sparse.buckets == query.buckets and sparse.values == query.values:
+        return 1.0
+    norms = query.norm * sparse.norm
+    return min(1.0, dot / norms) if norms else 0.0
+
+
 def relevance(query: QueryVector, item: SparseVector) -> float:
     """``max(0, cosine(query.dense, item.to_dense()))`` bit for bit, over the item's buckets only."""
-    if query.buckets == item.buckets and query.values == item.values:
-        return 1.0 if item.buckets else 0.0
-    if query.norm == 0.0 or item.norm == 0.0:
-        return 0.0
-    dot = left_sum(map(operator.mul, item.values, map(query.dense.__getitem__, item.buckets)))
-    return max(0.0, min(1.0, dot / (query.norm * item.norm)))
+    return relevance_of_dot(query, item, left_sum(
+        map(operator.mul, item.values, map(query.dense.__getitem__, item.buckets))))
 
 
 class MemoryLabel(str, Enum):

@@ -14,10 +14,10 @@ the tail of the index's price order past the budget, and each item's dot
 product with the query is accumulated term at a time over the postings of
 the query's nonzero buckets, in ascending bucket order, into a list indexed
 by item position, which is the per-item left-to-right sum of
-``memory.relevance`` bit for bit. Every catalog cut keeps the best ``l`` by
-one rule, higher score first, ties broken by item id: ``_cut``, a key-free
-``heapq.nsmallest`` of ``(-score, id)`` pairs, takes both a ranking's and a
-bundle's candidates per category.
+``memory.relevance`` bit for bit, which ``memory.relevance_of_dot`` scores.
+Every catalog cut keeps the best ``l`` by one rule, higher score first, ties
+broken by item id: ``_cut``, a key-free ``heapq.nsmallest`` of
+``(-score, id)`` pairs, takes both a ranking's and a bundle's candidates.
 
 A bundle's palette fit is ``memory.cosine_with_norms`` of the item's palette
 and the scene, with the palette norm the item keeps and the scene norm
@@ -67,6 +67,7 @@ from .memory import (
     cosine_with_norms,
     left_sum,
     prepare_query,
+    relevance_of_dot,
     relevance_score,
     retain,
     vector_norm,
@@ -80,7 +81,7 @@ DEFAULT_COMPAT_TAU = 0.7
 DEFAULT_PALETTE_WEIGHT = 0.5
 TOP_CANDIDATES_PER_CATEGORY = 3
 # A score above this may be an identical vector's self-cosine rounded off
-# 1.0 by a few ulps, so it takes ``_relevance``'s exact path.
+# 1.0 by a few ulps, so it takes ``relevance_of_dot``'s exact path.
 _NEAR_ONE = 1.0 - 1e-9
 
 
@@ -262,23 +263,13 @@ def _query_dots(index: CatalogIndex, query: QueryVector) -> list:
     return dots
 
 
-def _relevance(query: QueryVector, item: CatalogItem, dot: float) -> float:
-    """``relevance(query, item.sparse)`` from the item's accumulated dot product."""
-    if dot <= 0.0:
-        return 0.0
-    sparse = item.sparse
-    if sparse.buckets == query.buckets and sparse.values == query.values:
-        return 1.0
-    return min(1.0, dot / (query.norm * sparse.norm))
-
-
 def rank_admitted(index: CatalogIndex, ids: set, query: QueryVector, l: int) -> list:
     """The ``_cut`` of the admitted ``ids`` by relevance to the query.
 
-    Only ids with a positive dot product are scored, by ``_relevance``'s
-    expression, in one pass over the dot table. When fewer than ``l`` score
-    above zero, the rest are zero-score ids in ascending order, which is
-    where a full sort puts them.
+    Only ids with a positive dot product are scored, by
+    ``memory.relevance_of_dot``'s expression, in one pass over the dot
+    table. When fewer than ``l`` score above zero, the rest are zero-score
+    ids in ascending order, which is where a full sort puts them.
     """
     items, qnorm = index.items, query.norm
     scored = []
@@ -286,7 +277,7 @@ def rank_admitted(index: CatalogIndex, ids: set, query: QueryVector, l: int) -> 
         if dot > 0.0 and item_id in ids:
             score = dot / (qnorm * norm)
             if score > _NEAR_ONE:  # the identical-vector shortcut, then the clamp
-                score = _relevance(query, items[item_id], dot)
+                score = relevance_of_dot(query, items[item_id].sparse, dot)
             if score > 0.0:
                 scored.append((-score, item_id))
     ranked = _cut(scored, l, items)
@@ -404,7 +395,7 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
             if len(feasible) > TOP_CANDIDATES_PER_CATEGORY:
                 truncated = True
             per_category.append(_cut(
-                [(-(alpha * _relevance(text_vec, item, dots[index.pos[item.id]])
+                [(-(alpha * relevance_of_dot(text_vec, item.sparse, dots[index.pos[item.id]])
                     + (1.0 - alpha) * cosine_with_norms(item.palette, scene,
                                                         item.palette_norm, scene_norm)), item.id)
                  for item in feasible],

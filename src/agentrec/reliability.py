@@ -34,6 +34,9 @@ class AgentGraph:
     error_rates: dict         # node -> p in [0, 1]
 
     def __post_init__(self):
+        if len(set(self.nodes)) != len(self.nodes):
+            repeated = next(node for i, node in enumerate(self.nodes) if node in self.nodes[:i])
+            raise InvalidArgument(f"repeated node: {repeated!r}")
         for node in self.nodes:
             p = self.error_rates.get(node, 0.0)
             if not (0.0 <= p <= 1.0):

@@ -173,47 +173,53 @@ class CatalogIndex:
         self.prices = [price for price, _ in order]
         self.by_price = [item_id for _, item_id in order]
 
-    def patch(self, items: dict, dropped: Sequence, added: Sequence) -> None:
-        """Make this the index of ``items``: without ``dropped`` and with ``added``.
+    def patch(self, items: dict, before: dict, touched: Iterable) -> None:
+        """Make this index of the id -> item dict ``before`` that of ``items``,
+        which differs from it only at the ``touched`` ids, in place.
 
-        Edits in place and copies nothing. An item in both (an edit) keeps
-        its position; a dropped item's position is freed, and an added item
-        takes the lowest freed position before it appends one, so there are
-        never more positions than the most items a version has held. An
-        edit that keeps the title and tags only moves the item's price
-        entry and touches no posting list or tag set.
-        """
+        The one place that decides what the index reads of an item: its
+        title, tags and price. A touched id whose three are unchanged (a
+        palette edit) is skipped, and one whose price alone changed only
+        moves its price entry; otherwise the old item, if any, leaves, and
+        the new one, if any, is added. An edit keeps its position. Every old
+        item leaves, freeing its position, before any is added, and an added
+        item takes the lowest freed one before it appends one, so there are
+        never more positions than the most items a version has held."""
         self.items, self.last_dots = items, None
         self.results.clear()
         ids, pos, postings, tags = self.ids, self.pos, self.postings, self.tags
-        prices, by_price = self.prices, self.by_price
-        edited = {item.id: item for item in added}
-        repriced = set()
-        for item in dropped:
-            at = self._price_slot(item)
-            del prices[at], by_price[at]
-            new = edited.get(item.id)
-            if new is not None and (new.title, new.tags) == (item.title, item.tags):
-                repriced.add(item.id)
-                continue
-            position = pos[item.id]
-            for bucket in item.sparse.buckets:
-                positions, values = postings[bucket]
-                at = positions.index(position)
-                del positions[at], values[at]
-            for tag in set(item.tags):  # an item may repeat a tag
-                tagged = tags[tag]
-                tagged.discard(item.id)
-                if not tagged:
-                    del tags[tag]
-            if new is None:
-                ids[position] = None
-                del pos[item.id]
-        for item in added:
-            at = self._price_slot(item)
-            prices.insert(at, item.price)
-            by_price.insert(at, item.id)
-        self._add([item for item in added if item.id not in repriced])
+        added = []
+        for item_id in touched:
+            old, new = before.get(item_id), items.get(item_id)
+            same_text = (old is not None and new is not None
+                         and old.title == new.title and old.tags == new.tags)
+            if same_text and old.price == new.price:
+                continue  # a palette edit
+            if old is not None:
+                at = self._price_slot(old)
+                del self.prices[at], self.by_price[at]
+            if new is not None:
+                at = self._price_slot(new)
+                self.prices.insert(at, new.price)
+                self.by_price.insert(at, item_id)
+            if same_text:
+                continue  # a price edit
+            if old is not None:
+                position = pos[item_id]
+                for bucket in old.sparse.buckets:
+                    positions, values = postings[bucket]
+                    at = positions.index(position)
+                    del positions[at], values[at]
+                for tag in set(old.tags):  # an item may repeat a tag
+                    tagged = tags[tag]
+                    tagged.discard(item_id)
+                    if not tagged:
+                        del tags[tag]
+                if new is None:
+                    ids[pos.pop(item_id)] = None
+            if new is not None:
+                added.append(new)
+        self._add(added)
 
     def result(self, key, compute):
         """``compute()``'s value for the request ``key`` on this version: the
@@ -329,13 +335,6 @@ def _delta_target(index: int, op) -> tuple:
     return target
 
 
-def _indexed(item: Optional[CatalogItem]) -> Optional[tuple]:
-    """What a catalog index reads of an item: its embedded text, its tags and
-    its price. A palette edit is sent nowhere; a price-only edit moves one
-    entry of the price order."""
-    return None if item is None else (item.title, item.tags, item.price)
-
-
 def apply_env_update(env: Environment, delta: Sequence) -> Environment:
     """Apply a change set atomically, incrementing the version by exactly one.
 
@@ -374,11 +373,7 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
             raise InvalidArgument(f"delta op {index}: {exc}") from None
     index, env._index = env._index, None
     if index is not None:  # hand it on: patch it into the new version's
-        touched = dict.fromkeys(target[1] for target in targets)
-        changed = [item_id for item_id in touched
-                   if _indexed(env._by_id.get(item_id)) != _indexed(items.get(item_id))]
-        index.patch(items, [env._by_id[i] for i in changed if i in env._by_id],
-                    [items[i] for i in changed if i in items])
+        index.patch(items, env._by_id, dict.fromkeys(target[1] for target in targets))
     updated = Environment(catalog=list(items.values()), version=env.version + 1, _by_id=items)
     updated._index = index
     return updated
@@ -464,8 +459,8 @@ class MasRuntime:
 
     def _apply_spawn(self, parent_id: str) -> None:
         children, open_channels = self.spawns.get(parent_id, ((), ()))
-        for child in children:
-            if child.id not in self.agents:
+        for child in children:  # a re-spawn registers nothing; an id clash raises
+            if self.agents.get(child.id) is not child:
                 self.register_agent(child)
         for sender, recipient in open_channels:
             self.toggle_channel(sender, recipient, True)

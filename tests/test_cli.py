@@ -23,12 +23,11 @@ from agentrec.cli import (
     run_scenario,
     validate_config,
 )
-from agentrec.errors import ConfigInvalid, Unreadable, UnknownItem
+from agentrec.errors import ConfigInvalid, Unreadable
 from agentrec.pipelines import RankedList
 from agentrec.runtime import (
     CatalogIndex,
     Message,
-    apply_env_update,
     records_to_jsonl,
     trace_to_jsonl,
 )
@@ -776,35 +775,35 @@ def test_catalog_record_defaults_and_accepted_forms(tmp_path):
         ("d", "d", (), 2.5, (1, 0.5, 0))]
 
 
-def test_runs_on_one_catalog_share_its_id_dict(tmp_path, capsys, monkeypatch):
-    for name in ("simulate_colony.json", "rotation_catalog.json"):
-        shutil.copy(SCENARIOS / name, tmp_path / name)
+def test_runs_on_equal_catalog_bytes_share_one_environment(tmp_path, capsys, monkeypatch):
+    # two copies of the explain scenario in two directories: equal catalog bytes
+    # at different paths give one version-0 Environment, and its index and memo
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        for name in ("explain_revision.json", "party_catalog.json", "brand_policy.json"):
+            shutil.copy(SCENARIOS / name, tmp_path / sub / name)
     envs = []
-    simulate = cli._RUNNERS["simulate"]
-    monkeypatch.setitem(cli._RUNNERS, "simulate",
-                        lambda config, env, *rest: envs.append(env) or simulate(config, env, *rest))
-    config = tmp_path / "simulate_colony.json"
-    assert run_scenario(config, out=tmp_path / "first") == 0
-    assert run_scenario(config, out=tmp_path / "second") == 0
+    explain = cli._RUNNERS["explain"]
+    monkeypatch.setitem(cli._RUNNERS, "explain",
+                        lambda config, env, *rest: envs.append(env) or explain(config, env, *rest))
+    for sub in ("a", "b"):
+        assert run_scenario(tmp_path / sub / "explain_revision.json", out=tmp_path / sub / "out") == 0
     first, second = envs
-    assert first is not second and first.catalog is not second.catalog
-    assert first._by_id is second._by_id
-    assert list(first._by_id) == [item.id for item in first.catalog]
+    assert first is second and first.version == 0
+    assert first._index is not None and len(first._index.results) == 1  # ranked once
+    assert (tmp_path / "a" / "out" / "trace.jsonl").read_bytes() == (
+        tmp_path / "b" / "out" / "trace.jsonl").read_bytes()
+    listed = load_catalog(tmp_path / "a" / "party_catalog.json")
+    assert listed == first.catalog and listed is not first.catalog
+    assert all(a is b for a, b in zip(listed, first.catalog))
+    assert validate_config(tmp_path / "b" / "explain_revision.json") == []
+    assert cli._environment(load_config(tmp_path / "b" / "explain_revision.json")) is first
 
-    shared = dict(first._by_id)
-    updated = apply_env_update(first, [
-        {"op": "remove_item", "id": "rot_1"},
-        {"op": "set_item_field", "id": "rot_2", "field": "price", "value": 99},
-        {"op": "add_item", "item": {"id": "rot_new"}}])
-    assert first._by_id == shared and all(first._by_id[i] is shared[i] for i in shared)
-    assert updated._by_id is not first._by_id and "rot_1" not in updated._by_id
-
-    records = json.loads((tmp_path / "rotation_catalog.json").read_text())
-    (tmp_path / "rotation_catalog.json").write_text(json.dumps(records[1:]))
-    assert run_scenario(config, out=tmp_path / "third") == 0
+    records = json.loads((tmp_path / "b" / "party_catalog.json").read_text())
+    (tmp_path / "b" / "party_catalog.json").write_text(json.dumps(records))  # new bytes
+    assert run_scenario(tmp_path / "b" / "explain_revision.json", out=tmp_path / "b" / "new") == 0
     third = envs[-1]
-    assert third._by_id is not first._by_id
-    assert first._by_id == shared  # the old catalog's dict is left as it was
-    with pytest.raises(UnknownItem):
-        third.item_by_id("rot_1")
+    assert third is not first and third.catalog == first.catalog
+    assert (tmp_path / "b" / "new" / "trace.jsonl").read_bytes() == (
+        tmp_path / "a" / "out" / "trace.jsonl").read_bytes()
     capsys.readouterr()

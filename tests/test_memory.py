@@ -239,6 +239,10 @@ def test_sparse_relevance_bit_identical_to_dense_cosine():
     assert relevance(prepare_query(cancelled), mango) == 1.0
     assert relevance(prepare_query(zero), SparseVector(zero)) == 0.0
     assert relevance(prepare_query(""), mango) == 0.0
+    # a query whose squares all underflow has norm 0.0 but positive dots: 0.0, as cosine gives
+    tiny = (1e-200,) * EMBED_DIM
+    assert prepare_query(tiny).norm == 0.0 and max(0.0, cosine(tiny, mango.to_dense())) == 0.0
+    assert relevance(prepare_query(tiny), mango) == 0.0
 
 
 def test_memory_item_caches_only_its_sparse_vector():

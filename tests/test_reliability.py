@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from agentrec.errors import CyclicGraph, OutOfRange
+from agentrec.errors import CyclicGraph, InvalidArgument, OutOfRange
 from agentrec.reliability import (
     CASCADE_BLOCK,
     AgentGraph,
@@ -120,6 +120,12 @@ def test_cascade_deterministic_given_seed():
 def test_bad_rates_rejected_at_graph_construction():
     with pytest.raises(OutOfRange):
         AgentGraph(nodes=["a"], edges=[], error_rates={"a": 1.2})
+
+
+def test_repeated_node_rejected_at_graph_construction():
+    # a repeated node would be ordered, and drawn, twice per trial
+    with pytest.raises(InvalidArgument, match="repeated node: 'a'"):
+        AgentGraph(nodes=["a", "b", "a"], edges=[("a", "b")], error_rates={"a": 0.5})
 
 
 def reference_simulate_error_cascade(graph, trials, seed):

@@ -588,20 +588,22 @@ def index_record(rng, ident):
 
 
 def index_delta(rng, env):
-    """1-3 valid ops; several may touch one item (two field edits, or an edit then
-    a removal)."""
-    ids = [item.id for item in env.catalog]
+    """1-3 valid ops; several may touch one item (two field edits, an edit then
+    a removal, or an add then an edit: the one touched id the parent lacks)."""
+    ids, added = [item.id for item in env.catalog], []
     delta, fields = [], {}
     for n in range(rng.randint(1, 3)):
         kind = rng.choice(["add", "remove", "edit", "edit", "edit"])
-        if kind == "add" or not ids:
-            delta.append({"op": "add_item", "item": index_record(rng, f"v{env.version}-{n}")})
+        if kind == "add" or not ids + added:
+            added.append(f"v{env.version}-{n}")
+            delta.append({"op": "add_item", "item": index_record(rng, added[-1])})
             continue
-        item_id = rng.choice(ids)
-        if kind == "remove":
+        if kind == "remove" and ids:
+            item_id = rng.choice(ids)
             delta.append({"op": "remove_item", "id": item_id})
             ids.remove(item_id)
             continue
+        item_id = rng.choice(ids + added * 6)  # an added id often enough to matter
         field = rng.choice([f for f in ("title", "tags", "price", "palette")
                             if f not in fields.get(item_id, ())])
         fields.setdefault(item_id, set()).add(field)
@@ -651,16 +653,34 @@ def test_catalog_index_patched_per_delta_equals_fresh_build():
     # builds a new one when it is ranked again, and ranks as before
     rng = random.Random(1301)
     env = Environment(catalog=[catalog_item(index_record(rng, f"i{i}")) for i in range(12)])
+    edited_adds = 0
     for _ in range(250):
         parent, parent_index = env, env.catalog_index()
         ranked_before = rankings(parent, QUERIES)
-        env = apply_env_update(parent, index_delta(rng, parent))
+        delta = index_delta(rng, parent)
+        edited_adds += any(op["op"] == "set_item_field" and op["id"] not in parent._by_id
+                           for op in delta)
+        env = apply_env_update(parent, delta)
         assert env._index is parent_index and parent._index is None
         assert env._index.items == {item.id: item for item in env.catalog}
         assert_equals_fresh_build(env._index)
         assert rankings(parent, QUERIES) == ranked_before
         assert parent._index is not parent_index
         assert rankings(env, QUERIES) == rankings(Environment(catalog=list(env.catalog)), QUERIES)
+    assert edited_adds >= 10, edited_adds  # deltas that edit an item they added
+
+
+def test_catalog_index_add_before_a_remove_takes_the_freed_position():
+    # every old item leaves before any is added, whatever the op order
+    env = Environment(catalog=[catalog_item({"id": i, "title": f"red {i}"}) for i in "abc"])
+    index = env.catalog_index()
+    env = apply_env_update(env, [
+        {"op": "add_item", "item": {"id": "d", "title": "oak lamp", "tags": ["eco"]}},
+        {"op": "set_item_field", "id": "d", "field": "price", "value": 5},
+        {"op": "remove_item", "id": "b"}])
+    assert env._index is index and index.ids == ["a", "d", "c"]
+    assert index.items["d"].price == 5.0 and index.by_price == ["a", "c", "d"]
+    assert_equals_fresh_build(index)
 
 
 def test_catalog_index_stays_with_a_parent_whose_delta_raises():
@@ -823,6 +843,29 @@ def test_spawn_registers_children_and_multicasts():
     assert runtime.message_count == 4
     texts = [m.payload["text"] for m in result.trace[1:]]
     assert texts == [f"child{i} says go" for i in range(3)]
+
+
+def test_spawn_of_a_child_whose_id_is_taken_aborts_and_a_respawn_registers_nothing():
+    runtime = MasRuntime(Environment())
+    runtime.register_agent(echo_agent("a", kinds=("query", "spawn")))
+    old_b = AgentSpec(id="b", core=scripted_core((r".*", "B-top")),
+                      input_schema=frozenset({"spawn"}), output_schema=frozenset({"query"}))
+    runtime.register_agent(old_b)
+    child_b = AgentSpec(id="b", core=scripted_core((r".*", "child")),
+                        input_schema=frozenset({"spawn"}), output_schema=frozenset({"query"}))
+    runtime.declare_spawn("a", [child_b], [("a", "b"), ("b", "a")])
+    result = runtime.run_episode([("a", "b", "spawn"), ("b", "a", "query")], seed=0)
+    assert isinstance(result.exception, InvalidArgument), result.error
+    assert result.error == "InvalidArgument: duplicate agent id: 'b'"
+    assert result.trace == [] and runtime.agents["b"] is old_b
+
+    runtime = MasRuntime(Environment())
+    runtime.register_agent(echo_agent("a", kinds=("query", "spawn")))
+    runtime.declare_spawn("a", [child_b], [("a", "b"), ("b", "a")])
+    for _ in range(3):  # each episode spawns again
+        result = runtime.run_episode([("a", "b", "spawn"), ("b", "a", "query")], seed=0)
+        assert result.error is None and result.trace[-1].payload["text"] == "child"
+    assert runtime.agents == {"a": runtime.agents["a"], "b": child_b}
 
 
 # growth ---------------------------------------------------------------------------
