@@ -46,7 +46,7 @@ Pinned constants (changing any of these changes every persisted vector):
   text, embeds nothing again.
   A query given as an embedding is prepared afresh. A catalog index keeps
   the dot-product table of the last query it ranked, and the finished
-  interactive rankings and bundles of its 512 most recently used requests
+  interactive rankings and bundles of its 2048 most recently used requests
   (see ``runtime`` and ``pipelines``)
 * token hashing: ``_bucket_sign`` keeps the 4,096 most recently hashed
   tokens (a fixed bound, not an option)

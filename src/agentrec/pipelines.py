@@ -17,14 +17,20 @@ by item position, which is the per-item left-to-right sum of
 ``memory.relevance`` bit for bit, which ``memory.relevance_of_dot`` scores.
 Every catalog cut keeps the best ``l`` by one rule, higher score first, ties
 broken by item id: ``_cut``, a key-free ``heapq.nsmallest`` of
-``(-score, id)`` pairs, takes both a ranking's and a bundle's candidates.
+``(-score, id)`` pairs, takes a ranking's candidates, and ``_fit_cut``
+keeps exactly those of a bundle's.
 
 A bundle's palette fit is ``memory.cosine_with_norms`` of the item's palette
 and the scene, with the palette norm the item keeps and the scene norm
 taken once a request: the dense ``cosine`` bit for bit. A bundle's
 candidates are a category's admitted ids that carry a palette; only when
 there are none does ``palette_ids`` tell a category without palettes
-(MissingPalette) from one whose palettes are all filtered out.
+(MissingPalette) from one whose palettes are all filtered out. An item
+scores ``text + (1.0 - alpha) * fit`` with ``text`` its relevance times
+``alpha``; every candidate's ``text`` is computed, but fits only until the
+kept three beat what any unfitted item could score (a threshold stop, as in
+Fagin, Lotem and Naor's Threshold Algorithm), so most feasible items are
+never fitted.
 
 Memos: an interactive ranking and a bundle are each computed once per
 request key and catalog version. The version's ``CatalogIndex.result``
@@ -47,6 +53,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from string import Template
@@ -224,6 +231,34 @@ def _cut(scored: list, l: int, items: dict) -> list:
     return [(-score, items[item_id]) for score, item_id in heapq.nsmallest(l, scored)]
 
 
+def _fit_cut(texts: list, l: int, alpha: float, scene: tuple, scene_norm: float) -> list:
+    """The ``_cut`` of ``(text, item)`` pairs scored ``text + (1.0 - alpha) *
+    fit``, ``fit`` being the item's palette fit and ``alpha`` finite; it
+    raises what fitting every item in turn raises.
+
+    A threshold walk: items are fitted in ascending ``(-bound, id)`` order,
+    ``bound`` being ``text + abs(1.0 - alpha)``, until ``l`` are kept and
+    the worst kept score is above the next bound. A fit lies in [-1, 1] and
+    rounding is monotone, so ``(1.0 - alpha) * fit`` rounds to at most
+    ``abs(1.0 - alpha)`` and no score exceeds its bound. The stop is strict,
+    as an equal score with a smaller id would still enter.
+    """
+    slack, width = abs(1.0 - alpha), len(scene)
+    heap = []
+    for text, item in texts:
+        if len(item.palette) != width or not math.isfinite(item.palette_norm * scene_norm):
+            cosine_with_norms(item.palette, scene, item.palette_norm, scene_norm)  # may raise
+        heap.append((-(text + slack), item.id, text, item))
+    heapq.heapify(heap)
+    kept = []  # the best (-score, id, item) triples so far, ascending
+    while heap and not (len(kept) == l and kept[-1][0] < heap[0][0]):
+        _, item_id, text, item = heapq.heappop(heap)
+        bisect.insort(kept, (-(text + (1.0 - alpha) * cosine_with_norms(
+            item.palette, scene, item.palette_norm, scene_norm)), item_id, item))
+        del kept[l:]
+    return [(-score, item) for score, _, item in kept]
+
+
 def admitted_ids(index: CatalogIndex, constraints: ConstraintSet,
                  category: Optional[str] = None) -> set:
     """Ids of the items ``violations_for`` finds nothing in (that also carry
@@ -370,11 +405,14 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
     joint-score order until one passes the compatibility check. The items
     and the truncation flag are kept in the version's result memo, keyed on
     the text, the scene, the profile's constraints, the categories, ``alpha``
-    and ``tau``, each number with its type.
+    and ``tau``, each number with its type. A non-finite ``alpha`` raises
+    InvalidArgument.
     """
     categories = sorted(set(categories))
     if not categories:
         raise InvalidArgument("at least one target category required")
+    if not math.isfinite(alpha):  # a NaN score would leave the order to set iteration
+        raise InvalidArgument(f"alpha must be a finite number, not {alpha!r}")
     constraints = constraints_from_facts(facts_from_memory(profile))
     scene = tuple(scene_features)
     index = env.catalog_index()
@@ -394,12 +432,10 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
                 raise NoCompatibleBundle(f"category {category!r} has no feasible candidate")
             if len(feasible) > TOP_CANDIDATES_PER_CATEGORY:
                 truncated = True
-            per_category.append(_cut(
-                [(-(alpha * relevance_of_dot(text_vec, item.sparse, dots[index.pos[item.id]])
-                    + (1.0 - alpha) * cosine_with_norms(item.palette, scene,
-                                                        item.palette_norm, scene_norm)), item.id)
+            per_category.append(_fit_cut(
+                [(alpha * relevance_of_dot(text_vec, item.sparse, dots[index.pos[item.id]]), item)
                  for item in feasible],
-                TOP_CANDIDATES_PER_CATEGORY, index.items))
+                TOP_CANDIDATES_PER_CATEGORY, alpha, scene, scene_norm))
 
         combos = sorted(
             itertools.product(*per_category),

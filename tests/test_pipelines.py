@@ -606,14 +606,13 @@ def edge_facts(rng):
     return facts
 
 
-def scan_bundle(text, scene, profile, categories, env, alpha, tau):
+def scan_candidates(text, scene, profile, categories, env, alpha):
     """Each category's candidates by filter, per-item score and a full sort
-    cut after three: the bundle search as it was before the index, errors in
-    the same order."""
-    categories = sorted(set(categories))
+    cut after three, and the truncation flag: the bundle search as it was
+    before the index and the threshold walk, errors in the same order."""
     constraints = constraints_from_facts(facts_from_memory(profile))
     per_category, truncated = [], False
-    for category in categories:
+    for category in sorted(set(categories)):
         with_palette = [item for item in env.catalog
                         if category in item.tags and item.palette is not None]
         if not with_palette:
@@ -626,6 +625,14 @@ def scan_bundle(text, scene, profile, categories, env, alpha, tau):
         per_category.append(sorted(
             ((alpha * score_item(text, item) + (1.0 - alpha) * cosine(item.palette, scene),
               item) for item in feasible), key=lambda pair: (-pair[0], pair[1].id))[:3])
+    return per_category, truncated
+
+
+def scan_bundle(text, scene, profile, categories, env, alpha, tau):
+    """``scan_candidates``'s bundle: the first combination in descending
+    joint-score order that passes the compatibility check."""
+    categories = sorted(set(categories))
+    per_category, truncated = scan_candidates(text, scene, profile, categories, env, alpha)
     combos = sorted(itertools.product(*per_category),
                     key=lambda combo: (-left_sum(score for score, _ in combo),
                                        tuple(item.id for _, item in combo)))
@@ -984,6 +991,144 @@ def test_catalog_index_bundle_palette_fit_equals_cosine_bit_for_bit():
             recommend_multimodal("chair", scene, MemoryStore(), ["chair"],
                                  Environment(catalog=catalog), 0.5, 0.7)
         assert str(caught.value) == message
+
+
+# every alpha the walk's bound must hold for: ints, a slack of 0, a negative
+# slack's abs, and a slack of one ulp
+WALK_ALPHAS = [0, 0.0, 1, 1.0, 0.5, 0.25, -0.5, 1.5, 0.9999999999999999]
+WALK_TITLES = ["oak", "oak", "red", "oak red", "lamp", ""]
+# the fits of these palettes against (1.0, 0.0, 0.0): 1, -1, 0, 0.6, 0.8, -0.6 and
+# 2/3 rounded, which ties 0.25 + 0.75 * fit with 0.75 and -0.0 + 1.5 * fit with 1.0
+WALK_PALETTES = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (3, 4, 0), (4, 3, 0),
+                 (-3, 4, 0), (2, 2, 1)]
+
+
+def walk_catalog(rng, scene, exact):
+    """A small catalog whose titles and palettes repeat, with palettes equal,
+    opposite or parallel to the scene (fits of exactly 1 or -1) and negative
+    components, and some items the profile's ban or budget filters out.
+
+    An ``exact`` catalog is of the "!!" category, whose tag has no token, so
+    against the query "oak" an "oak" item's relevance is exactly 1 and a
+    "red" one's exactly 0; with the scene (1.0, 0.0, 0.0) and exact fits, a
+    left-out item may tie the third's score from a higher bound, which only
+    the strict stop keeps out."""
+    if exact:
+        titles, categories, pool = ["oak", "red"], ["!!"], WALK_PALETTES
+    else:
+        titles, categories = WALK_TITLES, ["chair", "!!"]
+        pool = WALK_PALETTES + [scene, tuple(-v for v in scene), tuple(2 * v for v in scene),
+                                tuple(rng.uniform(-1.0, 1.0) for _ in range(3))]
+    ids = rng.sample(range(100), k=rng.randint(1, 14))
+    return [CatalogItem(f"w{i:02d}", rng.choice(titles),
+                        (rng.choice(categories),) + rng.choice([(), (), ("leather",)]),
+                        rng.choice([10.0, 50.0]),
+                        rng.choice(pool) if rng.random() < 0.9 else None)
+            for i in ids]
+
+
+def test_bundle_fit_walk_fuzz_keeps_what_fitting_every_item_keeps(monkeypatch):
+    # the threshold walk keeps each category's three (score, item) pairs of a
+    # full sort of every feasible item, bit for bit, so the bundle and its
+    # truncation flag are the scan's too
+    from agentrec import pipelines
+    fit_cut, kept = pipelines._fit_cut, []
+    monkeypatch.setattr(pipelines, "_fit_cut", lambda *args: kept.append(fit_cut(*args)) or kept[-1])
+    rng = random.Random(3131)
+    seen = set()
+    for _ in range(2000):
+        exact = rng.random() < 0.5
+        scene = (1.0, 0.0, 0.0) if exact else tuple(
+            rng.choice([rng.uniform(-1.0, 1.0), 0.5, -1.0, 0.0]) for _ in range(3))
+        categories = ["!!"] if exact else rng.sample(["chair", "!!"], k=rng.randint(1, 2))
+        env = Environment(catalog=walk_catalog(rng, scene, exact))
+        facts = {}
+        if rng.random() < 0.4:
+            facts["material_ban"] = "leather"
+        if rng.random() < 0.3:
+            facts["budget"] = "20"
+        profile = fact_store(**facts)
+        text = "oak" if exact else rng.choice(["oak", "oak chair", "red", "sofa", "chair lamp"])
+        # the alphas at which the exact fits tie a score with a lower bound
+        alpha = rng.choice([0.5, 0.25, -0.5] if exact else WALK_ALPHAS)
+        tau = rng.choice([-1.0, 0.5, 0.95])
+        kept.clear()
+        got = outcome(recommend_multimodal, text, scene, profile, categories, env, alpha, tau)
+        assert got == outcome(scan_bundle, text, scene, profile, categories, env, alpha, tau)
+        try:
+            want, _ = scan_candidates(text, scene, profile, categories, env, alpha)
+        except (MissingPalette, NoCompatibleBundle):
+            continue
+        assert [[(score.hex(), item.id) for score, item in cut] for cut in kept] == \
+            [[(score.hex(), item.id) for score, item in cut] for cut in want]
+        seen.add(alpha)
+        constraints = constraints_from_facts(facts_from_memory(profile))
+        for category, cut in zip(sorted(categories), want):
+            feasible = [item for item in env.catalog if category in item.tags
+                        and item.palette is not None and not violations_for(item, constraints)]
+            seen.add(f"{min(len(feasible), 4)} feasible")
+            if any(cosine(item.palette, scene) < 0.0 for _, item in cut):
+                seen.add("negative fit kept")
+            third, rest = cut[-1], [item for item in feasible if item not in [i for _, i in cut]]
+            if len(cut) == 3 and rest:
+                text_of = {item.id: alpha * score_item(text, item) for item in feasible}
+                if any(text_of[item.id] + (1.0 - alpha) * cosine(item.palette, scene) == third[0]
+                       for item in rest):
+                    seen.add("tie at third place")
+                if third[0] in [text_of[item.id] + abs(1.0 - alpha) for item in rest]:
+                    seen.add("third score equals a bound left out")
+                if third[0] == text_of[third[1].id] + abs(1.0 - alpha) and any(
+                        text_of[item.id] > text_of[third[1].id] and text_of[item.id]
+                        + (1.0 - alpha) * cosine(item.palette, scene) == third[0]
+                        for item in rest):
+                    seen.add("third at its bound, tied by a higher bound left out")
+    assert seen >= set(WALK_ALPHAS) | {"1 feasible", "2 feasible", "3 feasible", "4 feasible",
+                                       "negative fit kept", "tie at third place",
+                                       "third score equals a bound left out",
+                                       "third at its bound, tied by a higher bound left out"}
+
+
+def test_bundle_fit_walk_raises_for_an_item_it_never_fits():
+    # the walk stops before the odd item, but its fit would raise, so the bundle does
+    chairs = [CatalogItem(f"c{i}", "oak chair", ("chair",), 1.0, palette=(0.8, 0.6, 0.0))
+              for i in range(4)]
+    for odd, scene, message in (
+            ((0.8, 0.6), (0.8, 0.6, 0.0), "cosine of vectors of different lengths: 2 and 3"),
+            ((1e200, 0.0, 0.0), (1e200, 1.0, 0.0), "cosine of vectors whose norms overflow")):
+        catalog = chairs + [CatalogItem("c9", "lamp", ("chair",), 1.0, palette=odd)]
+        with pytest.raises(InvalidArgument) as caught:
+            recommend_multimodal("oak chair", scene, MemoryStore(), ["chair"],
+                                 Environment(catalog=catalog), 0.5, 0.7)
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_bundle_refuses_a_non_finite_alpha(alpha):
+    env = furniture_env()
+    with pytest.raises(InvalidArgument, match="at least one target category"):
+        recommend_multimodal("oak chair", PALETTE_A, MemoryStore(), [], env, alpha)
+    with pytest.raises(InvalidArgument) as caught:
+        recommend_multimodal("oak chair", PALETTE_A, MemoryStore(), ["chair"], env, alpha)
+    assert str(caught.value) == f"alpha must be a finite number, not {alpha!r}"
+    assert not env.catalog_index().results  # refused before the memo is read
+
+
+def test_bundle_fits_fewer_palettes_than_it_has_feasible_items(monkeypatch):
+    from agentrec import pipelines
+    rng = random.Random(4242)
+    words = ["oak", "walnut", "red", "blue", "linen", "velvet", "round", "low", "tall", "soft"]
+    catalog = [CatalogItem(f"i{i:04d}", " ".join(rng.sample(words, k=3)),
+                           (rng.choice(["sofa", "rug", "lamp", "table"]),), 10.0,
+                           tuple(rng.uniform(-1.0, 1.0) for _ in range(3)))
+               for i in range(2000)]
+    fits = []
+    cosine_with_norms = pipelines.cosine_with_norms
+    monkeypatch.setattr(pipelines, "cosine_with_norms",
+                        lambda *args: fits.append(args) or cosine_with_norms(*args))
+    bundle = recommend_multimodal("red oak round", (0.2, 0.5, 0.3), MemoryStore(),
+                                  ["sofa", "rug", "lamp"], Environment(catalog=catalog))
+    feasible = sum(1 for item in catalog if item.tags[0] != "table")
+    assert bundle.truncated_search and 0 < len(fits) < feasible // 2
 
 
 def memo_record(rng, ident):

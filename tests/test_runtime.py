@@ -728,6 +728,19 @@ def test_catalog_index_is_built_on_first_use_only():
     assert index.tags == {"decor": {"a"}}
 
 
+def test_catalog_index_result_memo_keeps_its_most_recently_used_results():
+    from agentrec.runtime import _RESULT_MEMO_SIZE
+    assert _RESULT_MEMO_SIZE == 2048
+    index = Environment(catalog=[CatalogItem("a", "red rug", ("decor",), 1.0)]).catalog_index()
+    for key in range(_RESULT_MEMO_SIZE):
+        assert index.result(key, lambda key=key: -key) == -key
+    assert index.result(0, lambda: "computed again") == 0  # key 1 is now the least recent
+    assert index.result(_RESULT_MEMO_SIZE, lambda: "new") == "new"
+    assert len(index.results) == _RESULT_MEMO_SIZE
+    assert 1 not in index.results and 0 in index.results and 2 in index.results
+    assert index.result(1, lambda: "computed again") == "computed again"
+
+
 # episodes -------------------------------------------------------------------------
 
 def chain_runtime(hops=3):
