@@ -26,9 +26,7 @@ from .memory import (
     retrieve_topk,
 )
 from .pipelines import (  # noqa: F401  (score_item: benchmark tracers wrap this name)
-    admitted_ids,
     constraints_from_facts,
-    rank_admitted,
     score_item,
     violations_for,
 )
@@ -112,8 +110,9 @@ def _category_search_tool(env, budgets, store, tool_cfg) -> Tool:
         query = " ".join(
             part for part in (sections.get("query", ""), render_facts(facts)) if part)
         index = env.catalog_index()
-        ranked = rank_admitted(index, admitted_ids(index, constraints, category),
-                               prepare_query(query), limit)
+        ranked = index.rank(index.admitted(constraints.required_tags, constraints.forbidden_tags,
+                                           constraints.budget_max, category),
+                            prepare_query(query), limit)
         return json.dumps({
             "category": category,
             "items": [[item.id, score] for score, item in ranked],

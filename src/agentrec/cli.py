@@ -44,7 +44,6 @@ from .pipelines import (
     explain_with_revision,
     extract_session_constraints,
     facts_from_memory,
-    palette_ids,
     recommend_interactive,
     recommend_multimodal,
 )
@@ -397,12 +396,12 @@ def validate_config(path) -> list:
     elif config["kind"] == "multimodal":
         index, scene = env.catalog_index(), config["scene_palette"]
         for category in sorted(set(config["categories"])):
-            ids = _gate(findings, "categories", palette_ids, index, category) or ()
-            odd = sorted(i for i in ids if len(index.items[i].palette) != len(scene))
+            ids = _gate(findings, "categories", index.palette_ids, category) or ()
+            odd = sorted(i for i in ids if len(env.item_by_id(i).palette) != len(scene))
             if odd:  # the bundle search would take the cosine of the two
                 _flag(findings, "scene_palette",
                       f"has {len(scene)} numbers, but the palette of item {odd[0]} "
-                      f"(category {category}) has {len(index.items[odd[0]].palette)}")
+                      f"(category {category}) has {len(env.item_by_id(odd[0]).palette)}")
     return findings
 
 

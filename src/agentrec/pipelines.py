@@ -8,29 +8,26 @@ Everything else (theme, preferences) only augments the scoring query, never
 hard-filters.
 
 Item relevance is the clamped-cosine score between the constraint-augmented
-query and the item's title+tags text. Catalog ranking reads the version's
-``runtime.CatalogIndex``: the admitted ids come from tag-set algebra, less
-the tail of the index's price order past the budget, and each item's dot
-product with the query is accumulated term at a time over the postings of
-the query's nonzero buckets, in ascending bucket order, into a list indexed
-by item position, which is the per-item left-to-right sum of
-``memory.relevance`` bit for bit, which ``memory.relevance_of_dot`` scores.
-Every catalog cut keeps the best ``l`` by one rule, higher score first, ties
-broken by item id: ``_cut``, a key-free ``heapq.nsmallest`` of
-``(-score, id)`` pairs, takes a ranking's candidates, and ``_fit_cut``
-keeps exactly those of a bundle's.
+query and the item's title+tags text. A catalog request asks the version's
+``runtime.CatalogIndex``, through its methods only, which ids its tags,
+category and budget admit (``admitted``), which of them rank best
+(``rank``) and how relevant a bundle's candidates are
+(``palette_relevance``), each bit for bit what scoring item by item with
+``memory.relevance`` gives. Every catalog cut keeps the best ``l`` by one
+rule, higher score first, ties broken by item id: ``rank`` takes a
+ranking's, and ``_fit_cut`` keeps exactly those of a bundle's candidates.
 
 A bundle's palette fit is ``memory.cosine_with_norms`` of the item's palette
 and the scene, with the palette norm the item keeps and the scene norm
 taken once a request: the dense ``cosine`` bit for bit. A bundle's
 candidates are a category's admitted ids that carry a palette; only when
-there are none does ``palette_ids`` tell a category without palettes
-(MissingPalette) from one whose palettes are all filtered out. An item
-scores ``text + (1.0 - alpha) * fit`` with ``text`` its relevance times
-``alpha``; every candidate's ``text`` is computed, but fits only until the
-kept three beat what any unfitted item could score (a threshold stop, as in
-Fagin, Lotem and Naor's Threshold Algorithm), so most feasible items are
-never fitted.
+there are none does ``CatalogIndex.palette_ids`` tell a category without
+palettes (MissingPalette) from one whose palettes are all filtered out. An
+item scores ``text + (1.0 - alpha) * fit`` with ``text`` its relevance
+times ``alpha``; every candidate's ``text`` is computed, but fits only
+until the kept three beat what any unfitted item could score (a threshold
+stop, as in Fagin, Lotem and Naor's Threshold Algorithm), so most feasible
+items are never fitted.
 
 Memos: an interactive ranking and a bundle are each computed once per
 request key and catalog version. The version's ``CatalogIndex.result``
@@ -69,12 +66,10 @@ from .errors import (
 from .memory import (
     MemoryLabel,
     MemoryStore,
-    QueryVector,
     cosine,
     cosine_with_norms,
     left_sum,
     prepare_query,
-    relevance_of_dot,
     relevance_score,
     retain,
     vector_norm,
@@ -82,14 +77,11 @@ from .memory import (
 # Re-exported, not called here: perfbench/spans.py wraps `pipelines.embed_text`.
 from .memory import embed_text  # noqa: F401
 from .reliability import BrandPolicy, check_compliance
-from .runtime import CatalogIndex, CatalogItem, Environment
+from .runtime import CatalogItem, Environment
 
 DEFAULT_COMPAT_TAU = 0.7
 DEFAULT_PALETTE_WEIGHT = 0.5
 TOP_CANDIDATES_PER_CATEGORY = 3
-# A score above this may be an identical vector's self-cosine rounded off
-# 1.0 by a few ulps, so it takes ``relevance_of_dot``'s exact path.
-_NEAR_ONE = 1.0 - 1e-9
 
 
 @dataclass
@@ -221,20 +213,11 @@ def violations_for(item: CatalogItem, constraints: ConstraintSet) -> list:
 score_item = relevance_score
 
 
-def _cut(scored: list, l: int, items: dict) -> list:
-    """The ``l`` best of ``(-score, id)`` pairs as (score, item) pairs, higher
-    score first, then smaller id.
-
-    Item ids are unique, so the order is total and equals a full sort cut
-    after ``l`` pairs; ``-(-score)`` is ``score`` exactly.
-    """
-    return [(-score, items[item_id]) for score, item_id in heapq.nsmallest(l, scored)]
-
-
-def _fit_cut(texts: list, l: int, alpha: float, scene: tuple, scene_norm: float) -> list:
-    """The ``_cut`` of ``(text, item)`` pairs scored ``text + (1.0 - alpha) *
-    fit``, ``fit`` being the item's palette fit and ``alpha`` finite; it
-    raises what fitting every item in turn raises.
+def _fit_cut(scored: list, l: int, alpha: float, scene: tuple, scene_norm: float) -> list:
+    """The best ``l`` of ``(relevance, item)`` pairs by ``CatalogIndex.rank``'s
+    cut rule, scored ``text + (1.0 - alpha) * fit`` with ``text`` being
+    ``alpha * relevance`` and ``fit`` the palette fit (``alpha`` finite). Of
+    the items whose fit raises, the smallest id's raises, whatever their order.
 
     A threshold walk: items are fitted in ascending ``(-bound, id)`` order,
     ``bound`` being ``text + abs(1.0 - alpha)``, until ``l`` are kept and
@@ -244,11 +227,14 @@ def _fit_cut(texts: list, l: int, alpha: float, scene: tuple, scene_norm: float)
     as an equal score with a smaller id would still enter.
     """
     slack, width = abs(1.0 - alpha), len(scene)
-    heap = []
-    for text, item in texts:
+    heap, odd = [], []
+    for relevance, item in scored:
         if len(item.palette) != width or not math.isfinite(item.palette_norm * scene_norm):
-            cosine_with_norms(item.palette, scene, item.palette_norm, scene_norm)  # may raise
+            odd.append((item.id, item))
+        text = alpha * relevance
         heap.append((-(text + slack), item.id, text, item))
+    for _, item in sorted(odd):
+        cosine_with_norms(item.palette, scene, item.palette_norm, scene_norm)  # may raise
     heapq.heapify(heap)
     kept = []  # the best (-score, id, item) triples so far, ascending
     while heap and not (len(kept) == l and kept[-1][0] < heap[0][0]):
@@ -257,69 +243,6 @@ def _fit_cut(texts: list, l: int, alpha: float, scene: tuple, scene_norm: float)
             item.palette, scene, item.palette_norm, scene_norm)), item_id, item))
         del kept[l:]
     return [(-score, item) for score, _, item in kept]
-
-
-def admitted_ids(index: CatalogIndex, constraints: ConstraintSet,
-                 category: Optional[str] = None) -> set:
-    """Ids of the items ``violations_for`` finds nothing in (that also carry
-    ``category``, if one is given), from the index's tag sets and, for a
-    budget, the tail of its price order past the budget."""
-    required = [index.tags.get(tag, ()) for tag in constraints.required_tags]
-    if category is not None:
-        required.append(index.tags.get(category, ()))
-    required.sort(key=len)
-    ids = set(required[0]).intersection(*required[1:]) if required else set(index.items)
-    for tag in constraints.forbidden_tags:
-        ids.difference_update(index.tags.get(tag, ()))
-    budget = constraints.budget_max
-    if budget is not None:  # a NaN budget cuts nothing, as ``price > nan`` is never true
-        ids.difference_update(index.by_price[bisect.bisect_right(index.prices, budget):])
-    return ids
-
-
-def _query_dots(index: CatalogIndex, query: QueryVector) -> list:
-    """Position -> the item's dot product with the query (0.0 for an item
-    sharing no nonzero bucket with it, and for a freed position): term at a
-    time over the query's buckets in ascending order.
-
-    The index keeps the last table built, and a query with the same buckets
-    and values gets that table again; callers only read it.
-    """
-    last = index.last_dots
-    if last is not None and last[0].buckets == query.buckets and last[0].values == query.values:
-        return last[1]
-    dots = [0.0] * len(index.ids)
-    postings = index.postings
-    for bucket, weight in zip(query.buckets, query.values):
-        positions, values = postings[bucket]
-        for position, value in zip(positions, values):
-            dots[position] += value * weight
-    index.last_dots = (query, dots)
-    return dots
-
-
-def rank_admitted(index: CatalogIndex, ids: set, query: QueryVector, l: int) -> list:
-    """The ``_cut`` of the admitted ``ids`` by relevance to the query.
-
-    Only ids with a positive dot product are scored, by
-    ``memory.relevance_of_dot``'s expression, in one pass over the dot
-    table. When fewer than ``l`` score above zero, the rest are zero-score
-    ids in ascending order, which is where a full sort puts them.
-    """
-    items, qnorm = index.items, query.norm
-    scored = []
-    for dot, item_id, norm in zip(_query_dots(index, query), index.ids, index.norms):
-        if dot > 0.0 and item_id in ids:
-            score = dot / (qnorm * norm)
-            if score > _NEAR_ONE:  # the identical-vector shortcut, then the clamp
-                score = relevance_of_dot(query, items[item_id].sparse, dot)
-            if score > 0.0:
-                scored.append((-score, item_id))
-    ranked = _cut(scored, l, items)
-    if len(ranked) < l:
-        rest = ids.difference([item.id for _, item in ranked])
-        ranked += [(0.0, items[item_id]) for item_id in heapq.nsmallest(l - len(ranked), rest)]
-    return ranked
 
 
 # interactive recommendation ----------------------------------------------
@@ -347,11 +270,12 @@ def recommend_interactive(transcript: Transcript, env: Environment,
     index = env.catalog_index()
 
     def rank() -> tuple:
-        admitted = admitted_ids(index, constraints)
+        admitted = index.admitted(constraints.required_tags, constraints.forbidden_tags,
+                                  constraints.budget_max)
         if not admitted:
             raise NoFeasibleItem("all catalog items violate the session constraints")
         return tuple((item.id, score)
-                     for score, item in rank_admitted(index, admitted, prepare_query(query), top_l))
+                     for score, item in index.rank(admitted, prepare_query(query), top_l))
 
     return RankedList(entries=list(index.result((query, constraints, top_l, type(top_l)), rank)))
 
@@ -382,18 +306,6 @@ def compat_check(bundle: Bundle, tau: float = DEFAULT_COMPAT_TAU) -> bool:
     return worst >= tau
 
 
-def palette_ids(index, category: str) -> set:
-    """Ids of the category's catalog items that carry a palette vector.
-
-    Raises MissingPalette when there are none.
-    """
-    with_palette = {item_id for item_id in index.tags.get(category, ())
-                    if index.items[item_id].palette is not None}
-    if not with_palette:
-        raise MissingPalette(f"category {category!r} has no catalog item with a palette vector")
-    return with_palette
-
-
 def recommend_multimodal(text_constraints: str, scene_features: Sequence,
                          profile: MemoryStore, categories: Iterable,
                          env: Environment,
@@ -420,22 +332,19 @@ def recommend_multimodal(text_constraints: str, scene_features: Sequence,
     def search() -> tuple:
         scene_norm = vector_norm(scene)
         text_vec = prepare_query(text_constraints)
-        dots = _query_dots(index, text_vec)
         per_category = []
         truncated = False
         for category in categories:
-            feasible = [item for item in map(index.items.get,
-                                             admitted_ids(index, constraints, category))
-                        if item.palette is not None]
+            feasible = index.palette_relevance(text_vec, index.admitted(
+                constraints.required_tags, constraints.forbidden_tags, constraints.budget_max,
+                category))
             if not feasible:
-                palette_ids(index, category)  # MissingPalette comes first
+                index.palette_ids(category)  # MissingPalette comes first
                 raise NoCompatibleBundle(f"category {category!r} has no feasible candidate")
             if len(feasible) > TOP_CANDIDATES_PER_CATEGORY:
                 truncated = True
-            per_category.append(_fit_cut(
-                [(alpha * relevance_of_dot(text_vec, item.sparse, dots[index.pos[item.id]]), item)
-                 for item in feasible],
-                TOP_CANDIDATES_PER_CATEGORY, alpha, scene, scene_norm))
+            per_category.append(_fit_cut(feasible, TOP_CANDIDATES_PER_CATEGORY, alpha, scene,
+                                         scene_norm))
 
         combos = sorted(
             itertools.product(*per_category),

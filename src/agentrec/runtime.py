@@ -19,6 +19,7 @@ traced message.
 from __future__ import annotations
 
 import bisect
+import heapq
 import json
 import math
 from collections import OrderedDict
@@ -33,6 +34,7 @@ from .errors import (
     ChannelClosed,
     ConflictingDelta,
     InvalidArgument,
+    MissingPalette,
     SchemaViolation,
     SelfChannel,
     UnknownAgent,
@@ -141,41 +143,110 @@ def catalog_item(record) -> CatalogItem:
 # and 220/240/234 bundles, this one 997/1011/989 and 169/175/174. An entry
 # costs ~1.2 KB.
 _RESULT_MEMO_SIZE = 2048
+# A score above this may be an identical vector's self-cosine rounded off
+# 1.0 by a few ulps, so it takes ``memory.relevance_of_dot``'s exact path.
+_NEAR_ONE = 1.0 - 1e-9
 
 
 class CatalogIndex:
-    """One catalog version's inverted file: item positions, bucket postings,
-    tag sets and a price order.
+    """One catalog version's inverted file, and the one reader of it: it
+    answers which items a request admits (``admitted``), how they rank
+    (``rank``), how relevant a bundle's candidates are
+    (``palette_relevance``) and which items of a category carry a palette
+    (``palette_ids``), and keeps the version's result memo (``result``).
 
-    ``items`` is the version's id -> item dict. Each live item has an integer
-    position: ``ids[p]`` is the id at position ``p`` (None for a freed one),
-    ``pos`` maps an id to its position and ``norms[p]`` is that item's
-    ``sparse.norm``. ``postings[b]`` is a pair of parallel lists
-    ``(positions, values)``: the position of every item whose embedding is
-    nonzero in bucket ``b`` and that component (from the item's cached
-    ``sparse``), in no set order. ``tags[t]`` is the set of ids of the items
-    carrying tag ``t``, and no set is empty. ``prices`` and ``by_price`` are
-    parallel lists of every item's (finite) price and id, in ascending
-    ``(price, id)`` order, so the ids over a budget are a tail of
-    ``by_price``. Only ``patch`` changes these, when the index is handed on
-    to the next version. ``last_dots`` is the (prepared query, dot-product
-    table) pair that ``pipelines`` ranked this version by last, or None.
-    ``results`` is the version's memo of finished rankings and bundles
-    (``result``): its ``_RESULT_MEMO_SIZE`` most recently used, by request
-    key. ``patch`` resets ``last_dots`` to None and empties ``results``.
+    The layout is private. ``_items`` is the version's id -> item dict. Each
+    live item has an integer position: ``_ids[p]`` is the id at position
+    ``p`` (None for a freed one), ``_pos`` maps an id to its position and
+    ``_norms[p]`` is that item's ``sparse.norm``. ``_postings[b]`` is a pair
+    of parallel lists ``(positions, values)``: the position of every item
+    whose embedding is nonzero in bucket ``b`` and that component (from the
+    item's cached ``sparse``), in no set order. ``_tags[t]`` is the set of
+    ids of the items carrying tag ``t``, and no set is empty. ``_prices``
+    and ``_by_price`` are parallel lists of every item's (finite) price and
+    id, in ascending ``(price, id)`` order, so the ids over a budget are a
+    tail of ``_by_price``. Only ``patch`` changes these, when the index is
+    handed on to the next version. ``_last_dots`` is the (prepared query,
+    dot-product table) pair this version was scored by last, or None.
+    ``_results`` is the version's memo of finished rankings and bundles: its
+    ``_RESULT_MEMO_SIZE`` most recently used, by request key. ``patch``
+    resets ``_last_dots`` to None and empties ``_results``.
     """
 
-    __slots__ = ("items", "ids", "norms", "pos", "postings", "tags", "prices", "by_price",
-                 "last_dots", "results")
+    __slots__ = ("_items", "_ids", "_norms", "_pos", "_postings", "_tags", "_prices",
+                 "_by_price", "_last_dots", "_results")
 
     def __init__(self, items: dict):
-        self.items, self.ids, self.norms, self.pos = items, [], [], {}
-        self.postings = [([], []) for _ in range(memory.EMBED_DIM)]
-        self.tags, self.last_dots, self.results = {}, None, OrderedDict()
+        self._items, self._ids, self._norms, self._pos = items, [], [], {}
+        self._postings = [([], []) for _ in range(memory.EMBED_DIM)]
+        self._tags, self._last_dots, self._results = {}, None, OrderedDict()
         self._add(items.values())
         order = sorted([(item.price, item.id) for item in items.values()])
-        self.prices = [price for price, _ in order]
-        self.by_price = [item_id for _, item_id in order]
+        self._prices = [price for price, _ in order]
+        self._by_price = [item_id for _, item_id in order]
+
+    def admitted(self, required: Iterable, forbidden: Iterable, budget: Optional[float],
+                 category: Optional[str] = None) -> set:
+        """Ids of the items that carry every ``required`` tag (and ``category``,
+        if one is given), no ``forbidden`` tag and no price above ``budget``
+        (None caps nothing): the tag sets, less the tail of the price order
+        past the budget."""
+        tags = self._tags
+        required = [tags.get(tag, ()) for tag in required]
+        if category is not None:
+            required.append(tags.get(category, ()))
+        required.sort(key=len)
+        ids = set(required[0]).intersection(*required[1:]) if required else set(self._items)
+        for tag in forbidden:
+            ids.difference_update(tags.get(tag, ()))
+        if budget is not None:  # a NaN budget cuts nothing, as ``price > nan`` is never true
+            ids.difference_update(self._by_price[bisect.bisect_right(self._prices, budget):])
+        return ids
+
+    def rank(self, ids: set, query: memory.QueryVector, l: int) -> list:
+        """The best ``l`` of the admitted ``ids`` by relevance to the query, as
+        (score, item) pairs, higher score first, then smaller id.
+
+        Only ids with a positive dot product are scored, by
+        ``memory.relevance_of_dot``'s expression, in one pass over the dot
+        table, and cut by a key-free ``heapq.nsmallest`` of ``(-score, id)``
+        pairs: ids are unique, so the order is total and equals a full sort
+        cut after ``l`` pairs, and ``-(-score)`` is ``score`` exactly. When
+        fewer than ``l`` score above zero, the rest are zero-score ids in
+        ascending order, which is where a full sort puts them.
+        """
+        items, qnorm = self._items, query.norm
+        scored = []
+        for dot, item_id, norm in zip(self._dots(query), self._ids, self._norms):
+            if dot > 0.0 and item_id in ids:
+                score = dot / (qnorm * norm)
+                if score > _NEAR_ONE:  # the identical-vector shortcut, then the clamp
+                    score = memory.relevance_of_dot(query, items[item_id].sparse, dot)
+                if score > 0.0:
+                    scored.append((-score, item_id))
+        ranked = [(-score, items[item_id]) for score, item_id in heapq.nsmallest(l, scored)]
+        if len(ranked) < l:
+            rest = ids.difference([item.id for _, item in ranked])
+            ranked += [(0.0, items[item_id]) for item_id in heapq.nsmallest(l - len(ranked), rest)]
+        return ranked
+
+    def palette_relevance(self, query: memory.QueryVector, ids: Iterable) -> list:
+        """(relevance to the query, item) for each of the ``ids`` whose item
+        carries a palette: ``memory.relevance_of_dot`` of its entry in the
+        dot table ``rank`` reads."""
+        items, pos, dots, score = self._items, self._pos, self._dots(query), memory.relevance_of_dot
+        return [(score(query, item.sparse, dots[pos[item.id]]), item)
+                for item in map(items.__getitem__, ids) if item.palette is not None]
+
+    def palette_ids(self, category: str) -> set:
+        """Ids of the category's items that carry a palette vector; raises
+        MissingPalette when there are none."""
+        items = self._items
+        with_palette = {item_id for item_id in self._tags.get(category, ())
+                        if items[item_id].palette is not None}
+        if not with_palette:
+            raise MissingPalette(f"category {category!r} has no catalog item with a palette vector")
+        return with_palette
 
     def patch(self, items: dict, before: dict, touched: Iterable) -> None:
         """Make this index of the id -> item dict ``before`` that of ``items``,
@@ -189,9 +260,9 @@ class CatalogIndex:
         item leaves, freeing its position, before any is added, and an added
         item takes the lowest freed one before it appends one, so there are
         never more positions than the most items a version has held."""
-        self.items, self.last_dots = items, None
-        self.results.clear()
-        ids, pos, postings, tags = self.ids, self.pos, self.postings, self.tags
+        self._items, self._last_dots = items, None
+        self._results.clear()
+        ids, pos, postings, tags = self._ids, self._pos, self._postings, self._tags
         added = []
         for item_id in touched:
             old, new = before.get(item_id), items.get(item_id)
@@ -201,11 +272,11 @@ class CatalogIndex:
                 continue  # a palette edit
             if old is not None:
                 at = self._price_slot(old)
-                del self.prices[at], self.by_price[at]
+                del self._prices[at], self._by_price[at]
             if new is not None:
                 at = self._price_slot(new)
-                self.prices.insert(at, new.price)
-                self.by_price.insert(at, item_id)
+                self._prices.insert(at, new.price)
+                self._by_price.insert(at, item_id)
             if same_text:
                 continue  # a price edit
             if old is not None:
@@ -231,7 +302,7 @@ class CatalogIndex:
         recently used one making room. A ``compute`` that raises keeps
         nothing; an unhashable key is computed afresh and not kept.
         """
-        results = self.results
+        results = self._results
         try:
             value = results[key]
         except KeyError:
@@ -247,15 +318,36 @@ class CatalogIndex:
         results[key] = value
         return value
 
+    def _dots(self, query: memory.QueryVector) -> list:
+        """Position -> the item's dot product with the query (0.0 for an item
+        sharing no nonzero bucket with it, and for a freed position): term at a
+        time over the query's buckets in ascending order.
+
+        The index keeps the last table built, and a query with the same buckets
+        and values gets that table again; callers only read it.
+        """
+        last = self._last_dots
+        if last is not None and last[0].buckets == query.buckets and last[0].values == query.values:
+            return last[1]
+        dots = [0.0] * len(self._ids)
+        postings = self._postings
+        for bucket, weight in zip(query.buckets, query.values):
+            positions, values = postings[bucket]
+            for position, value in zip(positions, values):
+                dots[position] += value * weight
+        self._last_dots = (query, dots)
+        return dots
+
     def _price_slot(self, item: CatalogItem) -> int:
         """Where ``(item.price, item.id)`` is, or goes, in the price order."""
-        prices = self.prices
+        prices = self._prices
         low = bisect.bisect_left(prices, item.price)
         high = bisect.bisect_right(prices, item.price, low)
-        return bisect.bisect_left(self.by_price, item.id, low, high)
+        return bisect.bisect_left(self._by_price, item.id, low, high)
 
     def _add(self, items: Iterable) -> None:
-        ids, norms, pos, postings, tags = self.ids, self.norms, self.pos, self.postings, self.tags
+        ids, norms, pos, postings, tags = (self._ids, self._norms, self._pos, self._postings,
+                                           self._tags)
         free = len(ids) - len(pos)  # freed positions
         for item in items:
             position = pos.get(item.id)

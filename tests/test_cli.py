@@ -790,7 +790,7 @@ def test_runs_on_equal_catalog_bytes_share_one_environment(tmp_path, capsys, mon
         assert run_scenario(tmp_path / sub / "explain_revision.json", out=tmp_path / sub / "out") == 0
     first, second = envs
     assert first is second and first.version == 0
-    assert first._index is not None and len(first._index.results) == 1  # ranked once
+    assert first._index is not None and len(first._index._results) == 1  # ranked once
     assert (tmp_path / "a" / "out" / "trace.jsonl").read_bytes() == (
         tmp_path / "b" / "out" / "trace.jsonl").read_bytes()
     listed = load_catalog(tmp_path / "a" / "party_catalog.json")

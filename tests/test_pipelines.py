@@ -5,7 +5,11 @@ import itertools
 import json
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -404,6 +408,27 @@ def test_multimodal_missing_palette_category():
                              categories={"chair"}, env=env)
 
 
+def test_palette_error_names_the_smallest_odd_id_under_every_hash_seed():
+    # palettes of 2 and 4 numbers against a 3-number scene: the error is the
+    # smallest id's (the item validate names), whatever the set order
+    code = ("from agentrec.errors import InvalidArgument\n"
+            "from agentrec.memory import MemoryStore\n"
+            "from agentrec.pipelines import recommend_multimodal\n"
+            "from agentrec.runtime import CatalogItem, Environment\n"
+            "env = Environment(catalog=[CatalogItem(f'chair{i}', 'oak chair', ('chair',), 1.0,\n"
+            "                                       (0.5,) * (2 + 2 * (i % 2))) for i in range(8)])\n"
+            "try:\n"
+            "    recommend_multimodal('oak', (0.8, 0.6, 0.0), MemoryStore(), ['chair'], env)\n"
+            "except InvalidArgument as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    messages = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                    PYTHONHASHSEED=str(seed))).stdout
+                for seed in range(6)}
+    assert messages == {"cosine of vectors of different lengths: 2 and 3\n"}
+
+
 def test_multimodal_truncation_flag():
     items = [CatalogItem(f"c{i}", f"chair {i}", ("chair",), 1.0,
                          palette=(1.0, 0.0, 0.0)) for i in range(5)]
@@ -424,7 +449,7 @@ def test_memo_keeps_an_empty_ranking_apart_from_nothing_admitted():
     for _ in range(2):
         with pytest.raises(NoFeasibleItem):
             recommend_interactive(banned, env, MemoryStore(), top_l=0)
-    assert list(env.catalog_index().results.values()) == [()]
+    assert list(env.catalog_index()._results.values()) == [()]
 
 
 def test_memo_checks_bundle_categories_before_the_profile():
@@ -450,7 +475,7 @@ def test_memo_keeps_no_bundle_search_that_raises():
         bundle = recommend_multimodal("bohemian", (0.8, 0.6, 0.0), MemoryStore(), ["chair"],
                                       env, 0.5, [0.999])
         assert [item.id for item in bundle.items] == ["chair_rattan"]
-    assert not env.catalog_index().results
+    assert not env.catalog_index()._results
 
 
 def test_memo_results_are_new_objects_each_call():
@@ -709,12 +734,11 @@ def test_catalog_index_ranking_fuzz_equals_per_item_scan():
 
 def dots_by_id(index, dots):
     """Item id -> dot product, for the nonzero entries of a dot table."""
-    return {index.ids[p]: dot for p, dot in enumerate(dots) if dot}
+    return {index._ids[p]: dot for p, dot in enumerate(dots) if dot}
 
 
 def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
     from agentrec.memory import QueryVector, prepare_query
-    from agentrec.pipelines import _query_dots, admitted_ids, rank_admitted
     from agentrec.runtime import CatalogIndex, apply_env_update, catalog_item
     rng = random.Random(1616)
     envs = [Environment(catalog=[catalog_item(edge_record(rng, f"e{i:02d}"))
@@ -722,7 +746,7 @@ def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
     for _ in range(6):
         envs[-1].catalog_index()  # so it is handed to the next version and patched
         envs.append(apply_env_update(envs[-1], [edge_delta(rng, envs[-1])]))
-        assert envs[-1].catalog_index().last_dots is None
+        assert envs[-1].catalog_index()._last_dots is None
     # "red rug" and "rug red" embed alike; "red red rug" has their buckets, not their values
     texts = ["red rug", "rug red", "red red rug", "cake mickey", "gluten cake", "-- !!"]
     reused = 0
@@ -730,14 +754,14 @@ def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
         env, text = rng.choice(envs), rng.choice(texts)
         query = rng.choice([prepare_query(text), QueryVector(embed_text(text))])
         index = env.catalog_index()
-        last = index.last_dots
-        got = _query_dots(index, query)
-        fresh = CatalogIndex(index.items)  # its positions may differ from a patched one's
-        assert dots_by_id(index, got) == dots_by_id(fresh, _query_dots(fresh, query))
+        last = index._last_dots
+        got = index._dots(query)
+        fresh = CatalogIndex(index._items)  # its positions may differ from a patched one's
+        assert dots_by_id(index, got) == dots_by_id(fresh, fresh._dots(query))
         reused += last is not None and got is last[1]
-        ids = admitted_ids(index, ConstraintSet())
+        ids = index.admitted((), (), None)
         l = rng.randint(1, len(ids) + 1)
-        assert rank_admitted(index, ids, query, l) == rank_admitted(fresh, ids, query, l)
+        assert index.rank(ids, query, l) == fresh.rank(ids, query, l)
     assert 0 < reused < 600
 
 
@@ -765,7 +789,7 @@ def churn_delta(rng, env):
 
 def index_snapshot(index):
     """Copies of everything of an index but its price order and dot table."""
-    return copy.deepcopy((index.ids, index.norms, index.pos, index.postings, index.tags))
+    return copy.deepcopy((index._ids, index._norms, index._pos, index._postings, index._tags))
 
 
 def ranked(env, query, facts, l):
@@ -792,7 +816,7 @@ def test_catalog_index_churn_keeps_positions_bounded_and_rankings_exact():
     peak, reused, freed, edits = len(env.catalog), 0, 0, 0
     for _ in range(2000):
         parent, parent_index = env, env.catalog_index()
-        parent_ids, parent_positions = set(parent_index.items), len(parent_index.ids)
+        parent_ids, parent_positions = set(parent_index._items), len(parent_index._ids)
         asked = (edge_query(rng, parent), edge_facts(rng), rng.randint(1, 8))
         parent_ranked = ranked(parent, *asked)
         delta = churn_delta(rng, parent)
@@ -802,25 +826,25 @@ def test_catalog_index_churn_keeps_positions_bounded_and_rankings_exact():
         index = env.catalog_index()
         assert index is parent_index and parent._index is None
         assert ranked(parent, *asked) == parent_ranked and parent._index is not index
-        fresh = CatalogIndex(index.items)
-        assert (index.prices, index.by_price) == (fresh.prices, fresh.by_price)
+        fresh = CatalogIndex(index._items)
+        assert (index._prices, index._by_price) == (fresh._prices, fresh._by_price)
         if unindexed:  # price and palette edits touch no position, posting or tag set
             assert index_snapshot(index) == before
             edits += 1
 
         peak = max(peak, len(env.catalog))
-        assert len(index.ids) <= peak
-        assert index.items.keys() == index.pos.keys()
-        assert [p for p, item_id in enumerate(index.ids) if item_id is not None] == sorted(
-            index.pos.values())
-        for item_id, p in index.pos.items():
-            assert index.ids[p] == item_id and index.norms[p] == index.items[item_id].sparse.norm
-        for positions, values in index.postings:
+        assert len(index._ids) <= peak
+        assert index._items.keys() == index._pos.keys()
+        assert [p for p, item_id in enumerate(index._ids) if item_id is not None] == sorted(
+            index._pos.values())
+        for item_id, p in index._pos.items():
+            assert index._ids[p] == item_id and index._norms[p] == index._items[item_id].sparse.norm
+        for positions, values in index._postings:
             assert len(positions) == len(set(positions)) == len(values)
-            assert None not in map(index.ids.__getitem__, positions)
-        freed += None in index.ids
-        reused += any(index.pos[item_id] < parent_positions
-                      for item_id in index.items.keys() - parent_ids)
+            assert None not in map(index._ids.__getitem__, positions)
+        freed += None in index._ids
+        reused += any(index._pos[item_id] < parent_positions
+                      for item_id in index._items.keys() - parent_ids)
 
         facts = edge_facts(rng)
         query = edge_query(rng, env)
@@ -863,7 +887,6 @@ def test_catalog_index_scores_a_query_equal_to_an_item_exactly_one():
     # unnormalized cached vectors, whose self-cosine by division can round below
     # 1.0: only the identical-vector shortcut makes it exactly 1.0
     from agentrec.memory import QueryVector, SparseVector
-    from agentrec.pipelines import admitted_ids, rank_admitted
     rng = random.Random(1303)
     items, below = [], 0
     for i in range(60):
@@ -877,7 +900,7 @@ def test_catalog_index_scores_a_query_equal_to_an_item_exactly_one():
     index = env.catalog_index()
     for item, values in items:
         query = QueryVector(values)
-        ranked = rank_admitted(index, admitted_ids(index, ConstraintSet()), query, 3)
+        ranked = index.rank(index.admitted((), (), None), query, 3)
         assert [(i.id, score) for score, i in ranked] == filter_sort_oracle(
             env, ConstraintSet(), query, 3)
         assert ranked[0] == (1.0, item)
@@ -889,7 +912,6 @@ def test_catalog_index_scores_a_query_equal_to_an_item_exactly_one():
 def test_catalog_index_price_order_budget_edges_equal_the_linear_scan():
     # int and float prices that tie, both zeros, and an int a float budget cannot
     # hold exactly: the ids past ``bisect_right(budget)`` are those over budget
-    from agentrec.pipelines import admitted_ids
     from agentrec.runtime import apply_env_update
     prices = [0, -0.0, 0.0, 5, 5.0, 7.5, 7.5, 10, 10.0, 2 ** 60, 2 ** 60 + 1, 1e300]
     env = Environment(catalog=[
@@ -913,7 +935,8 @@ def test_catalog_index_price_order_budget_edges_equal_the_linear_scan():
                     want = {item.id for item in version.catalog
                             if not violations_for(item, constraints)
                             and (category is None or category in item.tags)}
-                    assert admitted_ids(index, constraints, category) == want
+                    assert index.admitted(constraints.required_tags, constraints.forbidden_tags,
+                                          constraints.budget_max, category) == want
                     if not tag_facts and category is None:
                         sizes.add((budget, len(want)))
     assert {("nan", 12), ("inf", 12), ("1e400", 12), ("-inf", 0), ("-0", 3), ("-5", 0),
@@ -1110,7 +1133,7 @@ def test_bundle_refuses_a_non_finite_alpha(alpha):
     with pytest.raises(InvalidArgument) as caught:
         recommend_multimodal("oak chair", PALETTE_A, MemoryStore(), ["chair"], env, alpha)
     assert str(caught.value) == f"alpha must be a finite number, not {alpha!r}"
-    assert not env.catalog_index().results  # refused before the memo is read
+    assert not env.catalog_index()._results  # refused before the memo is read
 
 
 def test_bundle_fits_fewer_palettes_than_it_has_feasible_items(monkeypatch):
@@ -1195,7 +1218,7 @@ def test_catalog_index_result_memo_equals_fresh_computation(monkeypatch):
     result = CatalogIndex.result
 
     def counted(index, key, compute):
-        hits.append(key in index.results)
+        hits.append(key in index._results)
         return result(index, key, compute)
 
     monkeypatch.setattr(CatalogIndex, "result", counted)
@@ -1209,7 +1232,7 @@ def test_catalog_index_result_memo_equals_fresh_computation(monkeypatch):
             kind, op = memo_delta(rng, parent)
             envs.append(apply_env_update(parent, [op]))
             if parent._index is None and envs[-1]._index is not None:
-                assert not envs[-1]._index.results  # handed on and patched
+                assert not envs[-1]._index._results  # handed on and patched
                 emptied.add(kind)
         env = envs[-1] if rng.random() < 0.9 else rng.choice(envs)
         request = rng.choice(pool)
@@ -1217,8 +1240,8 @@ def test_catalog_index_result_memo_equals_fresh_computation(monkeypatch):
         hits.clear()
         assert memo_outcome(env, request) == want
         served += sum(hits)
-        full += len(env.catalog_index().results) == 9
-        assert len(env.catalog_index().results) <= 9
+        full += len(env.catalog_index()._results) == 9
+        assert len(env.catalog_index()._results) <= 9
     assert emptied == {"add", "remove", "title", "tags", "price", "palette"}
     assert full and 300 < served < 1200
 

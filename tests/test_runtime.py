@@ -614,12 +614,12 @@ def index_delta(rng, env):
 
 def index_state(index):
     return copy.deepcopy(tuple(getattr(index, slot) for slot in CatalogIndex.__slots__
-                               if slot not in ("last_dots", "results")))
+                               if slot not in ("_last_dots", "_results")))
 
 
 def postings_by_id(index):
     """Per bucket, item id -> component: the postings with positions read as ids."""
-    return [{index.ids[p]: value for p, value in zip(*posting)} for posting in index.postings]
+    return [{index._ids[p]: value for p, value in zip(*posting)} for posting in index._postings]
 
 
 def rankings(env, queries):
@@ -636,13 +636,13 @@ def rankings(env, queries):
 def assert_equals_fresh_build(index):
     """``index`` says what a fresh build of its items says, by id, and its
     positions agree with each other."""
-    fresh = CatalogIndex(dict(index.items))
-    assert (postings_by_id(index), index.tags) == (postings_by_id(fresh), fresh.tags)
-    assert (index.prices, index.by_price) == (fresh.prices, fresh.by_price)
-    assert index.pos == {item_id: p for p, item_id in enumerate(index.ids) if item_id is not None}
-    assert index.items.keys() == index.pos.keys()
-    for item_id, p in index.pos.items():
-        assert index.norms[p] == index.items[item_id].sparse.norm
+    fresh = CatalogIndex(dict(index._items))
+    assert (postings_by_id(index), index._tags) == (postings_by_id(fresh), fresh._tags)
+    assert (index._prices, index._by_price) == (fresh._prices, fresh._by_price)
+    assert index._pos == {item_id: p for p, item_id in enumerate(index._ids) if item_id is not None}
+    assert index._items.keys() == index._pos.keys()
+    for item_id, p in index._pos.items():
+        assert index._norms[p] == index._items[item_id].sparse.norm
 
 
 QUERIES = ["red rug", "oak lamp cake", "require = eco; red", "guests ban decor; mickey"]
@@ -662,7 +662,7 @@ def test_catalog_index_patched_per_delta_equals_fresh_build():
                            for op in delta)
         env = apply_env_update(parent, delta)
         assert env._index is parent_index and parent._index is None
-        assert env._index.items == {item.id: item for item in env.catalog}
+        assert env._index._items == {item.id: item for item in env.catalog}
         assert_equals_fresh_build(env._index)
         assert rankings(parent, QUERIES) == ranked_before
         assert parent._index is not parent_index
@@ -678,8 +678,8 @@ def test_catalog_index_add_before_a_remove_takes_the_freed_position():
         {"op": "add_item", "item": {"id": "d", "title": "oak lamp", "tags": ["eco"]}},
         {"op": "set_item_field", "id": "d", "field": "price", "value": 5},
         {"op": "remove_item", "id": "b"}])
-    assert env._index is index and index.ids == ["a", "d", "c"]
-    assert index.items["d"].price == 5.0 and index.by_price == ["a", "c", "d"]
+    assert env._index is index and index._ids == ["a", "d", "c"]
+    assert index._items["d"].price == 5.0 and index._by_price == ["a", "c", "d"]
     assert_equals_fresh_build(index)
 
 
@@ -714,7 +714,7 @@ def test_catalog_index_edits_and_removes_an_item_that_repeats_a_tag():
              {"decor": {"b"}, "eco": {"a"}}),
             ({"op": "remove_item", "id": "a"}, {"decor": {"b"}})):
         env = apply_env_update(env, [op])
-        assert env._index is index and index.tags == tags
+        assert env._index is index and index._tags == tags
         assert_equals_fresh_build(index)
 
 
@@ -725,7 +725,7 @@ def test_catalog_index_is_built_on_first_use_only():
     assert env._index is None and updated._index is None
     index = updated.catalog_index()
     assert updated.catalog_index() is index and env._index is None
-    assert index.tags == {"decor": {"a"}}
+    assert index._tags == {"decor": {"a"}}
 
 
 def test_catalog_index_result_memo_keeps_its_most_recently_used_results():
@@ -736,8 +736,8 @@ def test_catalog_index_result_memo_keeps_its_most_recently_used_results():
         assert index.result(key, lambda key=key: -key) == -key
     assert index.result(0, lambda: "computed again") == 0  # key 1 is now the least recent
     assert index.result(_RESULT_MEMO_SIZE, lambda: "new") == "new"
-    assert len(index.results) == _RESULT_MEMO_SIZE
-    assert 1 not in index.results and 0 in index.results and 2 in index.results
+    assert len(index._results) == _RESULT_MEMO_SIZE
+    assert 1 not in index._results and 0 in index._results and 2 in index._results
     assert index.result(1, lambda: "computed again") == "computed again"
 
 

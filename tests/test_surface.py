@@ -1,5 +1,6 @@
 """The package's public surface: every name it defines is used, every option
-it offers is set by some caller, and `import agentrec` imports nothing but the
+it offers is set by some caller, every dataclass field is read, no module
+reads another's private names, and `import agentrec` imports nothing but the
 package."""
 
 import ast
@@ -16,6 +17,8 @@ PROGRAM = sorted((ROOT / "src" / "agentrec").glob("*.py")) + sorted(
 UNREFERENCED_ALLOWED = {"store_to_jsonl"}
 # README pins the remote core's wire contract, which only a config-less caller reaches
 UNSET_ALLOWED = {"agents.LanguageCore.endpoint"}
+# README's context window flags it; ROADMAP item 8's events.jsonl is to be its reader
+UNREAD_ALLOWED = {"memory.ContextSelection.approximate"}
 
 
 def definitions(tree):
@@ -197,6 +200,107 @@ def test_the_scan_finds_an_option_no_call_sets(tmp_path):
         "Spec('n', [], 'y')\n")
     assert unset_options([package / "mod.py", tmp_path / "caller.py"]) == [
         "mod.f.c", "mod.f.e", "mod.Box.colour", "mod.Spec.depth"]
+
+
+def unread_fields(files) -> list:
+    """Each "module.Class.field" of a src/agentrec dataclass that no attribute
+    read in `files` names."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    return [f"{path.stem}.{node.name}.{member.target.id}"
+            for path, tree in trees.items() if path.parent.name == "agentrec"
+            for node in tree.body if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            for member in node.body
+            if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+            and member.target.id not in read]
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    assert [name for name in unread_fields(PROGRAM) if name not in UNREAD_ALLOWED] == []
+
+
+def test_the_scan_finds_a_field_nothing_reads(tmp_path):
+    package = tmp_path / "agentrec"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Spec:\n"
+        "    name: str\n"
+        "    seed: int\n"
+        "    label: str = 'x'\n"
+        "    def show(self):\n        return self.name\n"
+        "class Plain:\n"
+        "    size: int\n")
+    (tmp_path / "caller.py").write_text(
+        "spec = mod.Spec('n', 1)\n"
+        "spec.seed = 2\n"
+        "print(getattr(spec, 'label'), spec.label)\n")
+    assert unread_fields([package / "mod.py", tmp_path / "caller.py"]) == ["mod.Spec.seed"]
+
+
+def _private(name) -> bool:
+    return name.startswith("_") and not name.startswith("__") and name != "_"
+
+
+def private_reads(files) -> list:
+    """"file:line: name" for each single-underscore name a module of `files`
+    reads (as a name, an attribute or an import) that it does not bind itself
+    and that another src/agentrec module binds (as a def, a class, an
+    argument, a name or an attribute store). Dunders are public."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    bound = {}
+    for path, tree in trees.items():
+        names = bound[path] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                names.add(getattr(node, "id", None) or node.attr)
+    found = []
+    for path, tree in trees.items():
+        others = set().union(*(names for where, names in bound.items()
+                               if where != path and where.parent.name == "agentrec"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                read = [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Store):
+                read = [getattr(node, "id", None) or node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in read
+                      if _private(name) and name in others and name not in bound[path]]
+    return found
+
+
+def test_no_module_reads_another_modules_private_names():
+    # the catalog index's layout, among others, is read only by runtime.py
+    assert private_reads(PROGRAM) == []
+
+
+def test_the_scan_finds_a_private_name_another_module_defines(tmp_path):
+    package = tmp_path / "agentrec"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "_LIMIT = 3\n"
+        "def _helper():\n    return _LIMIT\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self._slot = []\n"
+        "    def size(self):\n        return len(self._slot)\n")
+    (package / "user.py").write_text(
+        "from .mod import Box, _helper\n"
+        "def _own(box):\n    return box._slot, box.__class__, box.size()\n"
+        "_own(Box())\n")
+    (tmp_path / "bench.py").write_text(
+        "import mod\n"
+        "class Probe:\n"
+        "    def _helper(self):\n        return mod._LIMIT\n"
+        "    def run(self):\n        return self._helper()\n")
+    assert private_reads([package / "mod.py", package / "user.py", tmp_path / "bench.py"]) == [
+        "user.py:1: _helper", "user.py:3: _slot", "bench.py:4: _LIMIT"]
 
 
 def test_importing_the_package_imports_no_submodule():
