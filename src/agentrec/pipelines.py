@@ -16,6 +16,11 @@ category and budget admit (``admitted``), which of them rank best
 ``memory.relevance`` gives. Every catalog cut keeps the best ``l`` by one
 rule, higher score first, ties broken by item id: ``rank`` takes a
 ranking's, and ``_fit_cut`` keeps exactly those of a bundle's candidates.
+``rank`` scores only the admitted items whose dot product reaches a cut
+set by the ``l``-th largest admitted dot and the index's norm range, below
+which no item can outscore or tie any of the ``l`` at or above that dot,
+so its order is the full sort's; a bundle's text scores read the same dot
+table and are all computed.
 
 A bundle's palette fit is ``memory.cosine_with_norms`` of the item's palette
 and the scene, with the palette norm the item keeps and the scene norm

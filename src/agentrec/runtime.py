@@ -146,6 +146,22 @@ _RESULT_MEMO_SIZE = 2048
 # A score above this may be an identical vector's self-cosine rounded off
 # 1.0 by a few ulps, so it takes ``memory.relevance_of_dot``'s exact path.
 _NEAR_ONE = 1.0 - 1e-9
+# ``CatalogIndex.rank`` scores only the admitted items whose dot reaches its
+# cut, ``D * (lo / hi) * (1 - _CUT_SLACK)``: D the l-th largest admitted dot,
+# lo and hi the smallest and largest nonzero item norms the index has held.
+# In exact arithmetic an item below the cut scores below each of the l items
+# at or above D, whatever the norms: its dot / (query norm * its norm) is
+# below D / (query norm * hi) times (1 - _CUT_SLACK). The slack covers the
+# rounding: the cut's three operations, each item's product of norms and its
+# score division round by at most 2**-53 relative each, under 1e-15
+# together; and as no computed cosine exceeds 1 by 1e-14, no item below the
+# cut reaches the clamp at 1.0, where scores tie. Those bounds hold for
+# normal floats and accurate norms only, so a query whose norm lies outside
+# (_CUT_SCALE_LO, _CUT_SCALE_HI), or whose D is at most _CUT_SCALE_LO times
+# that norm, takes no cut and scores every positive dot; a text query's norm
+# is 1, and its positive dots are far above that.
+_CUT_SLACK = 1e-12
+_CUT_SCALE_LO, _CUT_SCALE_HI = 2.0 ** -300, 2.0 ** 300
 
 
 class CatalogIndex:
@@ -158,27 +174,32 @@ class CatalogIndex:
     The layout is private. ``_items`` is the version's id -> item dict. Each
     live item has an integer position: ``_ids[p]`` is the id at position
     ``p`` (None for a freed one), ``_pos`` maps an id to its position and
-    ``_norms[p]`` is that item's ``sparse.norm``. ``_postings[b]`` is a pair
-    of parallel lists ``(positions, values)``: the position of every item
-    whose embedding is nonzero in bucket ``b`` and that component (from the
-    item's cached ``sparse``), in no set order. ``_tags[t]`` is the set of
-    ids of the items carrying tag ``t``, and no set is empty. ``_prices``
-    and ``_by_price`` are parallel lists of every item's (finite) price and
-    id, in ascending ``(price, id)`` order, so the ids over a budget are a
-    tail of ``_by_price``. Only ``patch`` changes these, when the index is
-    handed on to the next version. ``_last_dots`` is the (prepared query,
-    dot-product table) pair this version was scored by last, or None.
-    ``_results`` is the version's memo of finished rankings and bundles: its
-    ``_RESULT_MEMO_SIZE`` most recently used, by request key. ``patch``
-    resets ``_last_dots`` to None and empties ``_results``.
+    ``_norms[p]`` is that item's ``sparse.norm``. ``_norm_lo`` and
+    ``_norm_hi`` are the smallest and largest nonzero norm the index has
+    held (``inf`` and ``0.0`` before any): removals never shrink them, so
+    ``rank``'s cut stays a lower bound. ``_postings[b]`` groups the items
+    whose embedding is nonzero in bucket ``b`` by that component (from the
+    item's cached ``sparse``): a dict of value -> positions, in no set
+    order, with no empty group, so a query bucket multiplies once per
+    distinct value. ``_tags[t]`` is the set of ids of the items carrying tag
+    ``t``, and no set is empty. ``_prices`` and ``_by_price`` are parallel
+    lists of every item's (finite) price and id, in ascending ``(price,
+    id)`` order, so the ids over a budget are a tail of ``_by_price``. Only
+    ``patch`` changes these, when the index is handed on to the next
+    version. ``_last_dots`` is the (prepared query, dot-product table) pair
+    this version was scored by last, or None. ``_results`` is the version's
+    memo of finished rankings and bundles: its ``_RESULT_MEMO_SIZE`` most
+    recently used, by request key. ``patch`` resets ``_last_dots`` to None
+    and empties ``_results``.
     """
 
-    __slots__ = ("_items", "_ids", "_norms", "_pos", "_postings", "_tags", "_prices",
-                 "_by_price", "_last_dots", "_results")
+    __slots__ = ("_items", "_ids", "_norms", "_norm_lo", "_norm_hi", "_pos", "_postings",
+                 "_tags", "_prices", "_by_price", "_last_dots", "_results")
 
     def __init__(self, items: dict):
         self._items, self._ids, self._norms, self._pos = items, [], [], {}
-        self._postings = [([], []) for _ in range(memory.EMBED_DIM)]
+        self._postings = [{} for _ in range(memory.EMBED_DIM)]
+        self._norm_lo, self._norm_hi = math.inf, 0.0
         self._tags, self._last_dots, self._results = {}, None, OrderedDict()
         self._add(items.values())
         order = sorted([(item.price, item.id) for item in items.values()])
@@ -207,23 +228,35 @@ class CatalogIndex:
         """The best ``l`` of the admitted ``ids`` by relevance to the query, as
         (score, item) pairs, higher score first, then smaller id.
 
-        Only ids with a positive dot product are scored, by
-        ``memory.relevance_of_dot``'s expression, in one pass over the dot
-        table, and cut by a key-free ``heapq.nsmallest`` of ``(-score, id)``
-        pairs: ids are unique, so the order is total and equals a full sort
-        cut after ``l`` pairs, and ``-(-score)`` is ``score`` exactly. When
-        fewer than ``l`` score above zero, the rest are zero-score ids in
-        ascending order, which is where a full sort puts them.
+        Only ids whose dot product reaches the cut (see ``_CUT_SLACK``) and is
+        positive are scored, by ``memory.relevance_of_dot``'s expression (0.0
+        when the product of the norms underflows to 0.0), and cut by a
+        key-free ``heapq.nsmallest`` of ``(-score, id)`` pairs: ids are
+        unique, so the order is total and equals a full sort cut after ``l``
+        pairs, whatever order the ids come in, and ``-(-score)`` is ``score``
+        exactly. When fewer than ``l`` score above zero, the rest are
+        zero-score ids in ascending order, which is where a full sort puts
+        them.
         """
-        items, qnorm = self._items, query.norm
-        scored = []
-        for dot, item_id, norm in zip(self._dots(query), self._ids, self._norms):
-            if dot > 0.0 and item_id in ids:
-                score = dot / (qnorm * norm)
-                if score > _NEAR_ONE:  # the identical-vector shortcut, then the clamp
-                    score = memory.relevance_of_dot(query, items[item_id].sparse, dot)
-                if score > 0.0:
-                    scored.append((-score, item_id))
+        items, pos, dots, qnorm = self._items, self._pos, self._dots(query), query.norm
+        # the admitted ids' dots, in the set's order, which the zip below
+        # walks again (a set iterates alike while unchanged)
+        admitted = list(map(dots.__getitem__, map(pos.__getitem__, ids)))
+        cut = 0.0
+        if 0 < l <= len(admitted):
+            best = heapq.nlargest(l, admitted)[-1]
+            if _CUT_SCALE_LO < qnorm < _CUT_SCALE_HI and best > qnorm * _CUT_SCALE_LO:
+                cut = best * (self._norm_lo / self._norm_hi) * (1.0 - _CUT_SLACK)
+        norms, scored = self._norms, []
+        for item_id, dot in zip(ids, admitted):
+            if dot <= 0.0 or dot < cut:
+                continue
+            norm = qnorm * norms[pos[item_id]]
+            score = dot / norm if norm else 0.0
+            if score > _NEAR_ONE:  # the identical-vector shortcut, then the clamp
+                score = memory.relevance_of_dot(query, items[item_id].sparse, dot)
+            if score > 0.0:
+                scored.append((-score, item_id))
         ranked = [(-score, items[item_id]) for score, item_id in heapq.nsmallest(l, scored)]
         if len(ranked) < l:
             rest = ids.difference([item.id for _, item in ranked])
@@ -281,10 +314,13 @@ class CatalogIndex:
                 continue  # a price edit
             if old is not None:
                 position = pos[item_id]
-                for bucket in old.sparse.buckets:
-                    positions, values = postings[bucket]
-                    at = positions.index(position)
-                    del positions[at], values[at]
+                sparse = old.sparse
+                for bucket, value in zip(sparse.buckets, sparse.values):
+                    groups = postings[bucket]
+                    group = groups[value]
+                    group.remove(position)
+                    if not group:
+                        del groups[value]
                 for tag in set(old.tags):  # an item may repeat a tag
                     tagged = tags[tag]
                     tagged.discard(item_id)
@@ -321,7 +357,8 @@ class CatalogIndex:
     def _dots(self, query: memory.QueryVector) -> list:
         """Position -> the item's dot product with the query (0.0 for an item
         sharing no nonzero bucket with it, and for a freed position): term at a
-        time over the query's buckets in ascending order.
+        time over the query's buckets in ascending order, each value group's
+        one product added to each of its positions.
 
         The index keeps the last table built, and a query with the same buckets
         and values gets that table again; callers only read it.
@@ -332,9 +369,10 @@ class CatalogIndex:
         dots = [0.0] * len(self._ids)
         postings = self._postings
         for bucket, weight in zip(query.buckets, query.values):
-            positions, values = postings[bucket]
-            for position, value in zip(positions, values):
-                dots[position] += value * weight
+            for value, positions in postings[bucket].items():
+                product = value * weight
+                for position in positions:
+                    dots[position] += product
         self._last_dots = (query, dots)
         return dots
 
@@ -362,11 +400,11 @@ class CatalogIndex:
                     norms.append(0.0)
                 pos[item.id] = position
             sparse = item.sparse
-            norms[position] = sparse.norm
+            norm = norms[position] = sparse.norm
+            if norm:
+                self._norm_lo, self._norm_hi = min(self._norm_lo, norm), max(self._norm_hi, norm)
             for bucket, value in zip(sparse.buckets, sparse.values):
-                positions, values = postings[bucket]
-                positions.append(position)
-                values.append(value)
+                postings[bucket].setdefault(value, []).append(position)
             for tag in item.tags:
                 tags.setdefault(tag, set()).add(item.id)
 

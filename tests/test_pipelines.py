@@ -788,8 +788,12 @@ def churn_delta(rng, env):
 
 
 def index_snapshot(index):
-    """Copies of everything of an index but its price order and dot table."""
-    return copy.deepcopy((index._ids, index._norms, index._pos, index._postings, index._tags))
+    """Copies of everything of an index but its price order and dot table,
+    each value group of its postings as a set of positions."""
+    postings = [{value: set(group) for value, group in groups.items()}
+                for groups in index._postings]
+    return copy.deepcopy((index._ids, index._norms, index._norm_lo, index._norm_hi, index._pos,
+                          postings, index._tags))
 
 
 def ranked(env, query, facts, l):
@@ -839,9 +843,13 @@ def test_catalog_index_churn_keeps_positions_bounded_and_rankings_exact():
             index._pos.values())
         for item_id, p in index._pos.items():
             assert index._ids[p] == item_id and index._norms[p] == index._items[item_id].sparse.norm
-        for positions, values in index._postings:
-            assert len(positions) == len(set(positions)) == len(values)
-            assert None not in map(index._ids.__getitem__, positions)
+        for bucket, groups in enumerate(index._postings):
+            positions = [p for group in groups.values() for p in group]
+            assert len(positions) == len(set(positions)) and all(groups.values())
+            for value, group in groups.items():  # each position under its item's component
+                for p in group:
+                    sparse = index._items[index._ids[p]].sparse
+                    assert sparse.values[sparse.buckets.index(bucket)] == value
         freed += None in index._ids
         reused += any(index._pos[item_id] < parent_positions
                       for item_id in index._items.keys() - parent_ids)

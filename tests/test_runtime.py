@@ -22,7 +22,16 @@ from agentrec.errors import (
     UnknownAgent,
     UnknownItem,
 )
-from agentrec.memory import MemoryStore, cosine, embed_text
+from agentrec.memory import (
+    EMBED_DIM,
+    MemoryStore,
+    QueryVector,
+    SparseVector,
+    cosine,
+    embed_text,
+    prepare_query,
+    relevance,
+)
 from agentrec.pipelines import Transcript, recommend_interactive
 from agentrec.runtime import (
     CatalogIndex,
@@ -618,8 +627,13 @@ def index_state(index):
 
 
 def postings_by_id(index):
-    """Per bucket, item id -> component: the postings with positions read as ids."""
-    return [{index._ids[p]: value for p, value in zip(*posting)} for posting in index._postings]
+    """Per bucket, component -> the set of ids whose item has it there: the value
+    groups with positions read as ids. A group holds no position twice."""
+    for groups in index._postings:
+        for group in groups.values():
+            assert len(group) == len(set(group))
+    return [{value: {index._ids[p] for p in group} for value, group in groups.items()}
+            for groups in index._postings]
 
 
 def rankings(env, queries):
@@ -643,6 +657,8 @@ def assert_equals_fresh_build(index):
     assert index._items.keys() == index._pos.keys()
     for item_id, p in index._pos.items():
         assert index._norms[p] == index._items[item_id].sparse.norm
+    # the norm range only widens: it spans every nonzero norm the index has held
+    assert index._norm_lo <= fresh._norm_lo and index._norm_hi >= fresh._norm_hi
 
 
 QUERIES = ["red rug", "oak lamp cake", "require = eco; red", "guests ban decor; mickey"]
@@ -739,6 +755,129 @@ def test_catalog_index_result_memo_keeps_its_most_recently_used_results():
     assert len(index._results) == _RESULT_MEMO_SIZE
     assert 1 not in index._results and 0 in index._results and 2 in index._results
     assert index.result(1, lambda: "computed again") == "computed again"
+
+
+def relevance_sorted(items, ids, query, l):
+    """The best ``l`` of ``ids`` by a full sort on ``memory.relevance``, higher
+    score first, then smaller id, as (hex score, id) pairs."""
+    scored = sorted((-relevance(query, items[item_id].sparse), item_id) for item_id in ids)
+    return [(float.hex(-score), item_id) for score, item_id in scored[:l]]
+
+
+def hex_ranked(ranked):
+    return [(float.hex(score), item.id) for score, item in ranked]
+
+
+def rescaled(item, scale):
+    """``item`` with its cached sparse vector scaled by ``scale``: the same
+    direction, a norm ``scale`` times as large, and rounded values."""
+    item.__dict__["sparse"] = SparseVector([value * scale for value in item.sparse.to_dense()])
+    return item
+
+
+FUZZ_WORDS = ["red", "rug", "lamp", "oak", "cake", "--"]
+
+
+def fuzz_item(rng, ident, title=None):
+    """An item titled ``title``, or one to three words (often another's text,
+    sometimes no token), whose sparse vector is often rescaled, by a power of
+    two or not."""
+    title = title or " ".join(rng.choices(FUZZ_WORDS, k=rng.randint(1, 3)))
+    item = CatalogItem(ident, title, (), 1.0)
+    scale = rng.choice([1.0, 1.0, 2.0 ** rng.randint(-6, 6), 10.0 ** rng.uniform(-3.0, 3.0)])
+    return item if scale == 1.0 else rescaled(item, scale)
+
+
+def fuzz_query(rng, items, title):
+    kind = rng.choice(["title", "title", "title"] * bool(title)
+                      + ["text", "item", "item", "dense", "scaled"])
+    if kind == "title":
+        return prepare_query(title)
+    if kind == "text":
+        return prepare_query(" ".join(rng.choices(FUZZ_WORDS, k=rng.randint(1, 4))))
+    if kind == "item":  # an item's own vector: its relevance is exactly 1.0
+        return QueryVector(rng.choice(list(items.values())).sparse.to_dense())
+    dense = [0.0] * EMBED_DIM
+    for bucket in rng.sample(range(EMBED_DIM), k=rng.randint(1, 12)):
+        dense[bucket] = rng.uniform(-1.0, 1.0)
+    if kind == "scaled":
+        dense = [value * 10.0 ** rng.uniform(-30.0, 30.0) for value in dense]
+    return QueryVector(dense)
+
+
+def test_catalog_index_rank_fuzz_equals_a_full_sort_by_relevance():
+    # the cut scores only the items whose dot can reach the l-th best; rescaled
+    # items (norms from 1e-3 to 1e3, same directions) make the norm ratio
+    # matter, and a catalog of one text at many scales puts the dots of the
+    # items that tie the l-th best score within rounding of the cut, where the
+    # slack decides; patched versions keep a norm range wider than their
+    # own items'
+    rng = random.Random(3434)
+    seen = set()
+    for trial in range(90):
+        title = None if trial % 3 else " ".join(rng.choices(FUZZ_WORDS[:-1], k=rng.randint(1, 2)))
+        items = {f"i{n:02d}": fuzz_item(rng, f"i{n:02d}", title)
+                 for n in range(rng.randint(2, 4) if title else rng.randint(2, 24))}
+        index = CatalogIndex(dict(items))
+        for version in range(8):
+            if version:  # patch: remove, add and retitle a few items
+                before, items = items, dict(items)
+                touched = set(rng.sample(sorted(items), k=min(len(items) - 1, rng.randint(0, 3))))
+                for item_id in touched:
+                    if rng.random() < 0.5:
+                        del items[item_id]
+                    else:
+                        items[item_id] = fuzz_item(rng, item_id, title)
+                        if items[item_id].title == before[item_id].title:  # the index keeps it
+                            items[item_id].__dict__["sparse"] = before[item_id].sparse
+                for n in range(rng.randint(0, 3)):
+                    touched.add(f"v{version}-{n}")
+                    items[f"v{version}-{n}"] = fuzz_item(rng, f"v{version}-{n}", title)
+                index.patch(items, before, touched)
+                seen.add("patched")
+            for _ in range(6):
+                query = fuzz_query(rng, items, title)
+                ids = set(rng.sample(sorted(items), k=rng.randint(1, len(items))))
+                l = rng.randint(1, len(ids) + 1)
+                want = relevance_sorted(items, ids, query, l)
+                assert hex_ranked(index.rank(ids, query, l)) == want
+                scores = [score for score, _ in want]
+                seen.update(
+                    kind for kind, hit in (
+                        ("tie", any(a == b != "0x0.0p+0" for a, b in zip(scores, scores[1:]))),
+                        ("exact", "0x1.0000000000000p+0" in scores),
+                        ("zero-fill past l", sum(relevance(query, items[item_id].sparse) == 0.0
+                                                 for item_id in ids) > l),
+                        ("norm ratio", index._norm_lo < 0.01 * index._norm_hi)) if hit)
+    assert seen == {"patched", "tie", "exact", "zero-fill past l", "norm ratio"}
+
+
+def test_catalog_index_rank_scores_an_underflowed_query_norm_zero():
+    # the query's squares underflow, so its norm is 0.0 while its dots with the
+    # items are positive: relevance scores every item 0.0, and so does rank
+    words = ["red", "rug", "blue", "oak", "lamp", "cake", "mickey", "sofa", "chair", "vase",
+             "mug", "wood"]
+    index = CatalogIndex({f"i{n:02d}": CatalogItem(f"i{n:02d}", word, (), 1.0)
+                          for n, word in enumerate(words)})
+    query = QueryVector((1e-170,) * EMBED_DIM)
+    assert query.norm == 0.0 and max(index._dots(query)) > 0.0
+    assert hex_ranked(index.rank(set(index._items), query, 2)) == [("0x0.0p+0", "i00"),
+                                                                    ("0x0.0p+0", "i01")]
+
+
+def test_catalog_index_rank_takes_no_cut_when_the_query_norm_is_inexact():
+    # the query is "cake blue blue" scaled to where its squares are a few
+    # subnormal ulps: its norm comes out a quarter low, both cosines pass 1.0 and
+    # clamp to it, and the smaller id wins the tie, though its dot is the
+    # smaller one
+    index = CatalogIndex({"i00": CatalogItem("i00", "blue", (), 1.0),
+                          "i01": CatalogItem("i01", "cake blue blue", (), 1.0)})
+    query = QueryVector([value * 3e-162 for value in embed_text("cake blue blue")])
+    dots = index._dots(query)
+    assert dots[index._pos["i00"]] < dots[index._pos["i01"]]
+    want = relevance_sorted(index._items, {"i00", "i01"}, query, 1)
+    assert want == [("0x1.0000000000000p+0", "i00")]
+    assert hex_ranked(index.rank({"i00", "i01"}, query, 1)) == want
 
 
 # episodes -------------------------------------------------------------------------
