@@ -29,19 +29,20 @@ Pinned constants (changing any of these changes every persisted vector):
   ascending bucket order, into a list indexed by item position, so each
   item's sum is the same left-to-right sum: a bucket's postings are grouped
   by value, and a group's one product is added to each of its positions.
-  A ranking then scores only the items whose dot reaches a cut below which
-  no item can reach the l-th best score (see ``runtime.CatalogIndex.rank``);
-  the index lives for one catalog version, is built lazily on first use, is
-  derived for the next version by patching (freed positions are reused, so
-  positions never outnumber the most items a version has held), and has no
-  option. Dense ``cosine`` refuses vectors of different lengths
+  The index keys items by position throughout: only its id -> position map
+  holds ids. A ranking scores, by ``relevance_of_dot``, only the items whose
+  dot reaches a cut below which no item can reach the l-th best score (see
+  ``runtime.CatalogIndex.rank``); the index lives for one catalog version,
+  is built lazily on first use, is derived for the next version by patching
+  (freed positions are reused, so positions never outnumber the most items
+  a version has held), and has no option. Dense ``cosine`` refuses vectors
+  of different lengths
 * embed once: a scoring call prepares its query once (``prepare_query``:
   the dense tuple and its sparse form) and scores every item against it; a
   ``MemoryItem``'s sparse vector is that of its value text and a
   ``runtime.CatalogItem``'s that of its title+tags text, each computed
   lazily on first use and kept for the object's lifetime (an upserted or
-  edited item is a new object with no vector yet, except that an upsert
-  keeping a scored item's value keeps its vector); the dense ``key`` and
+  edited item is a new object with no vector yet); the dense ``key`` and
   ``embedding`` are rebuilt from it on demand
 * text memos: a query text's prepared query, a memory item's sparse vector
   (keyed on its value text) and a user text's retained facts each come from
@@ -228,17 +229,21 @@ def prepare_query(query: Union[str, Vector, QueryVector]) -> QueryVector:
 def relevance_of_dot(query: QueryVector, sparse: SparseVector, dot: float) -> float:
     """The one clamped-cosine rule, from the pair's dot product: 0.0 unless
     the dot is positive, exactly 1.0 for identical buckets and values, else
-    the cosine capped at 1.0 (0.0 if the norms' product underflows to 0.0)."""
+    the cosine capped at 1.0; 0.0 if the norms' product underflows to 0.0 or
+    the cosine is NaN (an infinite dot over infinite norms)."""
     if dot <= 0.0:
         return 0.0
     if sparse.buckets == query.buckets and sparse.values == query.values:
         return 1.0
     norms = query.norm * sparse.norm
-    return min(1.0, dot / norms) if norms else 0.0
+    cosine = dot / norms if norms else 0.0
+    return 0.0 if math.isnan(cosine) else min(1.0, cosine)
 
 
 def relevance(query: QueryVector, item: SparseVector) -> float:
-    """``max(0, cosine(query.dense, item.to_dense()))`` bit for bit, over the item's buckets only."""
+    """``max(0, cosine(query.dense, item.to_dense()))`` bit for bit, over the
+    item's buckets only, wherever ``cosine`` returns; where the norms' product
+    overflows, it raises and this scores 0.0 (1.0 for identical vectors)."""
     return relevance_of_dot(query, item, left_sum(
         map(operator.mul, item.values, map(query.dense.__getitem__, item.buckets))))
 
@@ -411,17 +416,14 @@ def upsert_fact(store: MemoryStore, slot: str, value: str, label: MemoryLabel,
     An existing (slot, label) item keeps its creation timestamp, gets the new
     value, and its update counter is incremented; otherwise a fresh item with
     update_count=1 is inserted. Nothing is embedded: each upsert is a new
-    item whose key is read from the value-text memo when first scored, or,
-    when it keeps the value of an item that was scored, is that item's key.
+    item whose key is read from the value-text memo when first scored.
     """
     existing = store.items.get((slot, label))
     if existing is None:
         store.items[(slot, label)] = make_item(slot, value, label, now)
     else:
-        item = store.items[(slot, label)] = make_item(
+        store.items[(slot, label)] = make_item(
             slot, value, label, existing.meta.timestamp, existing.meta.update_count + 1)
-        if item.value == existing.value and "sparse" in existing.__dict__:
-            item.__dict__["sparse"] = existing.sparse  # a function of the value
     return store
 
 

@@ -9,13 +9,14 @@ hard-filters.
 
 Item relevance is the clamped-cosine score between the constraint-augmented
 query and the item's title+tags text. A catalog request asks the version's
-``runtime.CatalogIndex``, through its methods only, which ids its tags,
-category and budget admit (``admitted``), which of them rank best
-(``rank``) and how relevant a bundle's candidates are
-(``palette_relevance``), each bit for bit what scoring item by item with
-``memory.relevance`` gives. Every catalog cut keeps the best ``l`` by one
-rule, higher score first, ties broken by item id: ``rank`` takes a
-ranking's, and ``_fit_cut`` keeps exactly those of a bundle's candidates.
+``runtime.CatalogIndex``, through its methods only, which items its tags,
+category and budget admit (``admitted``: positions only that index reads),
+which of them rank best (``rank``) and how relevant a bundle's candidates
+are (``palette_relevance``), each by ``memory.relevance``'s own rule and
+so bit for bit what scoring item by item with it gives. Every catalog cut
+keeps the best ``l`` by one rule, higher score first, ties broken by item
+id: ``rank`` takes a ranking's, and ``_fit_cut`` keeps exactly those of a
+bundle's candidates.
 ``rank`` scores only the admitted items whose dot product reaches a cut
 set by the ``l``-th largest admitted dot and the index's norm range, below
 which no item can outscore or tie any of the ``l`` at or above that dot,
@@ -25,7 +26,7 @@ table and are all computed.
 A bundle's palette fit is ``memory.cosine_with_norms`` of the item's palette
 and the scene, with the palette norm the item keeps and the scene norm
 taken once a request: the dense ``cosine`` bit for bit. A bundle's
-candidates are a category's admitted ids that carry a palette; only when
+candidates are a category's admitted items that carry a palette; only when
 there are none does ``CatalogIndex.palette_ids`` tell a category without
 palettes (MissingPalette) from one whose palettes are all filtered out. An
 item scores ``text + (1.0 - alpha) * fit`` with ``text`` its relevance

@@ -22,6 +22,7 @@ import bisect
 import heapq
 import json
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -143,9 +144,6 @@ def catalog_item(record) -> CatalogItem:
 # and 220/240/234 bundles, this one 997/1011/989 and 169/175/174. An entry
 # costs ~1.2 KB.
 _RESULT_MEMO_SIZE = 2048
-# A score above this may be an identical vector's self-cosine rounded off
-# 1.0 by a few ulps, so it takes ``memory.relevance_of_dot``'s exact path.
-_NEAR_ONE = 1.0 - 1e-9
 # ``CatalogIndex.rank`` scores only the admitted items whose dot reaches its
 # cut, ``D * (lo / hi) * (1 - _CUT_SLACK)``: D the l-th largest admitted dot,
 # lo and hi the smallest and largest nonzero item norms the index has held.
@@ -162,6 +160,7 @@ _NEAR_ONE = 1.0 - 1e-9
 # is 1, and its positive dots are far above that.
 _CUT_SLACK = 1e-12
 _CUT_SCALE_LO, _CUT_SCALE_HI = 2.0 ** -300, 2.0 ** 300
+_ITEM_ID = operator.attrgetter("id")
 
 
 class CatalogIndex:
@@ -171,112 +170,112 @@ class CatalogIndex:
     (``palette_relevance``) and which items of a category carry a palette
     (``palette_ids``), and keeps the version's result memo (``result``).
 
-    The layout is private. ``_items`` is the version's id -> item dict. Each
-    live item has an integer position: ``_ids[p]`` is the id at position
-    ``p`` (None for a freed one), ``_pos`` maps an id to its position and
-    ``_norms[p]`` is that item's ``sparse.norm``. ``_norm_lo`` and
-    ``_norm_hi`` are the smallest and largest nonzero norm the index has
-    held (``inf`` and ``0.0`` before any): removals never shrink them, so
-    ``rank``'s cut stays a lower bound. ``_postings[b]`` groups the items
-    whose embedding is nonzero in bucket ``b`` by that component (from the
-    item's cached ``sparse``): a dict of value -> positions, in no set
-    order, with no empty group, so a query bucket multiplies once per
-    distinct value. ``_tags[t]`` is the set of ids of the items carrying tag
-    ``t``, and no set is empty. ``_prices`` and ``_by_price`` are parallel
-    lists of every item's (finite) price and id, in ascending ``(price,
-    id)`` order, so the ids over a budget are a tail of ``_by_price``. Only
-    ``patch`` changes these, when the index is handed on to the next
-    version. ``_last_dots`` is the (prepared query, dot-product table) pair
-    this version was scored by last, or None. ``_results`` is the version's
-    memo of finished rankings and bundles: its ``_RESULT_MEMO_SIZE`` most
-    recently used, by request key. ``patch`` resets ``_last_dots`` to None
-    and empties ``_results``.
+    The layout is private and keyed by integer position. ``_slots[p]`` is
+    the item at position ``p`` (None for a freed one). ``_pos`` maps an id
+    to its position and is the one id-keyed structure: ids enter through
+    ``patch`` and leave in ``rank``'s tie-break and output and in
+    ``palette_ids``. ``_norm_lo`` and ``_norm_hi`` are the smallest and
+    largest nonzero item norm the index has held (``inf`` and ``0.0``
+    before any): removals never shrink them, so ``rank``'s cut stays a
+    lower bound. ``_postings[b]`` groups the positions whose item's
+    embedding is nonzero in bucket ``b`` by that component (from the item's
+    cached ``sparse``): a dict of value -> positions, in no set order, with
+    no empty group, so a query bucket multiplies once per distinct value.
+    ``_tags[t]`` is the set of positions whose item carries tag ``t``, and
+    no set is empty. ``_prices`` and ``_by_price`` are parallel lists of
+    every item's (finite) price and position, in ascending ``(price,
+    position)`` order, so the positions over a budget are a tail of
+    ``_by_price``. Only ``patch`` changes these, when the index is handed
+    on to the next version. ``_last_dots`` is the (prepared query,
+    dot-product table) pair this version was scored by last, or None.
+    ``_results`` is the version's memo of finished rankings and bundles:
+    its ``_RESULT_MEMO_SIZE`` most recently used, by request key. ``patch``
+    resets ``_last_dots`` to None and empties ``_results``.
     """
 
-    __slots__ = ("_items", "_ids", "_norms", "_norm_lo", "_norm_hi", "_pos", "_postings",
-                 "_tags", "_prices", "_by_price", "_last_dots", "_results")
+    __slots__ = ("_slots", "_pos", "_norm_lo", "_norm_hi", "_postings", "_tags", "_prices",
+                 "_by_price", "_last_dots", "_results")
 
     def __init__(self, items: dict):
-        self._items, self._ids, self._norms, self._pos = items, [], [], {}
+        self._slots, self._pos, self._tags, self._prices, self._by_price = [], {}, {}, [], []
         self._postings = [{} for _ in range(memory.EMBED_DIM)]
         self._norm_lo, self._norm_hi = math.inf, 0.0
-        self._tags, self._last_dots, self._results = {}, None, OrderedDict()
-        self._add(items.values())
-        order = sorted([(item.price, item.id) for item in items.values()])
-        self._prices = [price for price, _ in order]
-        self._by_price = [item_id for _, item_id in order]
+        self._last_dots, self._results = None, OrderedDict()
+        # in price order, so that each item's price entry is appended
+        self._add(sorted(items.values(), key=lambda item: item.price))
 
     def admitted(self, required: Iterable, forbidden: Iterable, budget: Optional[float],
                  category: Optional[str] = None) -> set:
-        """Ids of the items that carry every ``required`` tag (and ``category``,
-        if one is given), no ``forbidden`` tag and no price above ``budget``
-        (None caps nothing): the tag sets, less the tail of the price order
-        past the budget."""
+        """Positions of the items that carry every ``required`` tag (and
+        ``category``, if one is given), no ``forbidden`` tag and no price
+        above ``budget`` (None caps nothing): the tag sets, less the tail of
+        the price order past the budget. Only this index's ``rank`` and
+        ``palette_relevance`` read them."""
         tags = self._tags
         required = [tags.get(tag, ()) for tag in required]
         if category is not None:
             required.append(tags.get(category, ()))
         required.sort(key=len)
-        ids = set(required[0]).intersection(*required[1:]) if required else set(self._items)
+        admitted = (set(required[0]).intersection(*required[1:]) if required
+                    else set(self._pos.values()))
         for tag in forbidden:
-            ids.difference_update(tags.get(tag, ()))
+            admitted.difference_update(tags.get(tag, ()))
         if budget is not None:  # a NaN budget cuts nothing, as ``price > nan`` is never true
-            ids.difference_update(self._by_price[bisect.bisect_right(self._prices, budget):])
-        return ids
+            admitted.difference_update(self._by_price[bisect.bisect_right(self._prices, budget):])
+        return admitted
 
-    def rank(self, ids: set, query: memory.QueryVector, l: int) -> list:
-        """The best ``l`` of the admitted ``ids`` by relevance to the query, as
-        (score, item) pairs, higher score first, then smaller id.
+    def rank(self, admitted: set, query: memory.QueryVector, l: int) -> list:
+        """The best ``l`` of the ``admitted`` positions' items by relevance to
+        the query, as (score, item) pairs, higher score first, then smaller id.
 
-        Only ids whose dot product reaches the cut (see ``_CUT_SLACK``) and is
-        positive are scored, by ``memory.relevance_of_dot``'s expression (0.0
-        when the product of the norms underflows to 0.0), and cut by a
-        key-free ``heapq.nsmallest`` of ``(-score, id)`` pairs: ids are
-        unique, so the order is total and equals a full sort cut after ``l``
-        pairs, whatever order the ids come in, and ``-(-score)`` is ``score``
-        exactly. When fewer than ``l`` score above zero, the rest are
-        zero-score ids in ascending order, which is where a full sort puts
-        them.
+        Only items whose dot product reaches the cut (see ``_CUT_SLACK``) and
+        is positive are scored, by ``memory.relevance_of_dot``, and cut by a
+        key-free ``heapq.nsmallest`` of ``(-score, id, position)`` triples:
+        ids are unique, so the order is total and equals a full sort cut
+        after ``l``, whatever order the positions come in, and ``-(-score)``
+        is ``score`` exactly. When fewer than ``l`` score above zero, the
+        rest are zero-score items in ascending id order, which is where a
+        full sort puts them.
         """
-        items, pos, dots, qnorm = self._items, self._pos, self._dots(query), query.norm
-        # the admitted ids' dots, in the set's order, which the zip below
+        slots, dots, score = self._slots, self._dots(query), memory.relevance_of_dot
+        # the admitted items' dots, in the set's order, which the zip below
         # walks again (a set iterates alike while unchanged)
-        admitted = list(map(dots.__getitem__, map(pos.__getitem__, ids)))
+        candidates = list(map(dots.__getitem__, admitted))
         cut = 0.0
-        if 0 < l <= len(admitted):
-            best = heapq.nlargest(l, admitted)[-1]
+        if 0 < l <= len(candidates):
+            best, qnorm = heapq.nlargest(l, candidates)[-1], query.norm
             if _CUT_SCALE_LO < qnorm < _CUT_SCALE_HI and best > qnorm * _CUT_SCALE_LO:
                 cut = best * (self._norm_lo / self._norm_hi) * (1.0 - _CUT_SLACK)
-        norms, scored = self._norms, []
-        for item_id, dot in zip(ids, admitted):
+        scored = []
+        for position, dot in zip(admitted, candidates):
             if dot <= 0.0 or dot < cut:
                 continue
-            norm = qnorm * norms[pos[item_id]]
-            score = dot / norm if norm else 0.0
-            if score > _NEAR_ONE:  # the identical-vector shortcut, then the clamp
-                score = memory.relevance_of_dot(query, items[item_id].sparse, dot)
-            if score > 0.0:
-                scored.append((-score, item_id))
-        ranked = [(-score, items[item_id]) for score, item_id in heapq.nsmallest(l, scored)]
+            item = slots[position]
+            relevance = score(query, item.sparse, dot)
+            if relevance > 0.0:
+                scored.append((-relevance, item.id, position))
+        best = heapq.nsmallest(l, scored)
+        ranked = [(-relevance, slots[position]) for relevance, _, position in best]
         if len(ranked) < l:
-            rest = ids.difference([item.id for _, item in ranked])
-            ranked += [(0.0, items[item_id]) for item_id in heapq.nsmallest(l - len(ranked), rest)]
+            rest = map(slots.__getitem__, admitted.difference([p for _, _, p in best]))
+            ranked += [(0.0, item) for item in heapq.nsmallest(l - len(ranked), rest, _ITEM_ID)]
         return ranked
 
-    def palette_relevance(self, query: memory.QueryVector, ids: Iterable) -> list:
-        """(relevance to the query, item) for each of the ``ids`` whose item
-        carries a palette: ``memory.relevance_of_dot`` of its entry in the
-        dot table ``rank`` reads."""
-        items, pos, dots, score = self._items, self._pos, self._dots(query), memory.relevance_of_dot
-        return [(score(query, item.sparse, dots[pos[item.id]]), item)
-                for item in map(items.__getitem__, ids) if item.palette is not None]
+    def palette_relevance(self, query: memory.QueryVector, admitted: Iterable) -> list:
+        """(relevance to the query, item) for each of the ``admitted``
+        positions whose item carries a palette: ``memory.relevance_of_dot``
+        of its entry in the dot table ``rank`` reads."""
+        slots, dots, score = self._slots, self._dots(query), memory.relevance_of_dot
+        return [(score(query, item.sparse, dots[position]), item)
+                for position, item in zip(admitted, map(slots.__getitem__, admitted))
+                if item.palette is not None]
 
     def palette_ids(self, category: str) -> set:
         """Ids of the category's items that carry a palette vector; raises
         MissingPalette when there are none."""
-        items = self._items
-        with_palette = {item_id for item_id in self._tags.get(category, ())
-                        if items[item_id].palette is not None}
+        slots = self._slots
+        with_palette = {slots[position].id for position in self._tags.get(category, ())
+                        if slots[position].palette is not None}
         if not with_palette:
             raise MissingPalette(f"category {category!r} has no catalog item with a palette vector")
         return with_palette
@@ -287,33 +286,26 @@ class CatalogIndex:
 
         The one place that decides what the index reads of an item: its
         title, tags and price. A touched id whose three are unchanged (a
-        palette edit) is skipped, and one whose price alone changed only
-        moves its price entry; otherwise the old item, if any, leaves, and
-        the new one, if any, is added. An edit keeps its position. Every old
-        item leaves, freeing its position, before any is added, and an added
-        item takes the lowest freed one before it appends one, so there are
-        never more positions than the most items a version has held."""
-        self._items, self._last_dots = items, None
+        palette edit) only has its slot take the new item; otherwise the old
+        item, if any, leaves, and the new one, if any, is added, an edit at
+        the old item's position. Every removed item frees its position before
+        any item is added, and an added item takes the lowest freed one
+        before it appends one, so there are never more positions than the
+        most items a version has held."""
+        self._last_dots = None
         self._results.clear()
-        ids, pos, postings, tags = self._ids, self._pos, self._postings, self._tags
+        slots, pos, postings, tags = self._slots, self._pos, self._postings, self._tags
         added = []
         for item_id in touched:
             old, new = before.get(item_id), items.get(item_id)
-            same_text = (old is not None and new is not None
-                         and old.title == new.title and old.tags == new.tags)
-            if same_text and old.price == new.price:
-                continue  # a palette edit
-            if old is not None:
-                at = self._price_slot(old)
-                del self._prices[at], self._by_price[at]
-            if new is not None:
-                at = self._price_slot(new)
-                self._prices.insert(at, new.price)
-                self._by_price.insert(at, item_id)
-            if same_text:
-                continue  # a price edit
             if old is not None:
                 position = pos[item_id]
+                if new is not None and (new.title, new.tags, new.price) == (
+                        old.title, old.tags, old.price):
+                    slots[position] = new  # a palette edit
+                    continue
+                at = self._price_slot(old.price, position)
+                del self._prices[at], self._by_price[at]
                 sparse = old.sparse
                 for bucket, value in zip(sparse.buckets, sparse.values):
                     groups = postings[bucket]
@@ -323,11 +315,11 @@ class CatalogIndex:
                         del groups[value]
                 for tag in set(old.tags):  # an item may repeat a tag
                     tagged = tags[tag]
-                    tagged.discard(item_id)
+                    tagged.discard(position)
                     if not tagged:
                         del tags[tag]
                 if new is None:
-                    ids[pos.pop(item_id)] = None
+                    slots[pos.pop(item_id)] = None
             if new is not None:
                 added.append(new)
         self._add(added)
@@ -366,7 +358,7 @@ class CatalogIndex:
         last = self._last_dots
         if last is not None and last[0].buckets == query.buckets and last[0].values == query.values:
             return last[1]
-        dots = [0.0] * len(self._ids)
+        dots = [0.0] * len(self._slots)
         postings = self._postings
         for bucket, weight in zip(query.buckets, query.values):
             for value, positions in postings[bucket].items():
@@ -376,37 +368,41 @@ class CatalogIndex:
         self._last_dots = (query, dots)
         return dots
 
-    def _price_slot(self, item: CatalogItem) -> int:
-        """Where ``(item.price, item.id)`` is, or goes, in the price order."""
+    def _price_slot(self, price: float, position: int) -> int:
+        """Where ``(price, position)`` is, or goes, in the price order."""
         prices = self._prices
-        low = bisect.bisect_left(prices, item.price)
-        high = bisect.bisect_right(prices, item.price, low)
-        return bisect.bisect_left(self._by_price, item.id, low, high)
+        low = bisect.bisect_left(prices, price)
+        high = bisect.bisect_right(prices, price, low)
+        return bisect.bisect_left(self._by_price, position, low, high)
 
     def _add(self, items: Iterable) -> None:
-        ids, norms, pos, postings, tags = (self._ids, self._norms, self._pos, self._postings,
-                                           self._tags)
-        free = len(ids) - len(pos)  # freed positions
+        """Put each item in its id's slot, else the lowest freed one, else a
+        new one, and into the norm range, the postings, the tag sets and the
+        price order."""
+        slots, pos, postings, tags = self._slots, self._pos, self._postings, self._tags
+        free = len(slots) - len(pos)  # freed positions
         for item in items:
             position = pos.get(item.id)
             if position is None:
                 if free:
-                    position = ids.index(None)
+                    position = slots.index(None)
                     free -= 1
-                    ids[position] = item.id
                 else:
-                    position = len(ids)
-                    ids.append(item.id)
-                    norms.append(0.0)
+                    position = len(slots)
+                    slots.append(None)
                 pos[item.id] = position
+            slots[position] = item
             sparse = item.sparse
-            norm = norms[position] = sparse.norm
+            norm = sparse.norm
             if norm:
                 self._norm_lo, self._norm_hi = min(self._norm_lo, norm), max(self._norm_hi, norm)
             for bucket, value in zip(sparse.buckets, sparse.values):
                 postings[bucket].setdefault(value, []).append(position)
             for tag in item.tags:
-                tags.setdefault(tag, set()).add(item.id)
+                tags.setdefault(tag, set()).add(position)
+            at = self._price_slot(item.price, position)
+            self._prices.insert(at, item.price)
+            self._by_price.insert(at, position)
 
 
 @dataclass

@@ -525,19 +525,6 @@ def test_upsert_keeping_the_value_embeds_nothing_again(monkeypatch):
     assert calls == []
 
 
-
-def test_upsert_keeping_a_scored_value_carries_its_vector():
-    store = fact_store(("theme", "pirates ahoy"), ("budget", "200"))
-    theme, budget = ("theme", MemoryLabel.EPI), ("budget", MemoryLabel.EPI)
-    scored = store.items[theme].sparse
-    upsert_fact(store, "theme", "pirates ahoy", MemoryLabel.EPI, now=5)
-    assert store.items[theme].__dict__["sparse"] is scored
-    upsert_fact(store, "budget", "200", MemoryLabel.EPI, now=5)  # never scored: nothing to carry
-    assert "sparse" not in store.items[budget].__dict__
-    upsert_fact(store, "theme", "space", MemoryLabel.EPI, now=6)  # a new value is scored afresh
-    assert "sparse" not in store.items[theme].__dict__
-    assert store.items[theme].key == embed_text("theme: space")
-
 # text memos ------------------------------------------------------------------
 
 MEMO_WORDS = ("theme budget colour cake pirates space mickey blue 200 the sofa is are my "

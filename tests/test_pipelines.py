@@ -734,7 +734,7 @@ def test_catalog_index_ranking_fuzz_equals_per_item_scan():
 
 def dots_by_id(index, dots):
     """Item id -> dot product, for the nonzero entries of a dot table."""
-    return {index._ids[p]: dot for p, dot in enumerate(dots) if dot}
+    return {index._slots[p].id: dot for p, dot in enumerate(dots) if dot}
 
 
 def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
@@ -756,12 +756,12 @@ def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
         index = env.catalog_index()
         last = index._last_dots
         got = index._dots(query)
-        fresh = CatalogIndex(index._items)  # its positions may differ from a patched one's
+        fresh = CatalogIndex(env._by_id)  # its positions may differ from a patched one's
         assert dots_by_id(index, got) == dots_by_id(fresh, fresh._dots(query))
         reused += last is not None and got is last[1]
-        ids = index.admitted((), (), None)
-        l = rng.randint(1, len(ids) + 1)
-        assert index.rank(ids, query, l) == fresh.rank(ids, query, l)
+        admitted = index.admitted((), (), None)
+        l = rng.randint(1, len(admitted) + 1)
+        assert index.rank(admitted, query, l) == fresh.rank(fresh.admitted((), (), None), query, l)
     assert 0 < reused < 600
 
 
@@ -788,12 +788,11 @@ def churn_delta(rng, env):
 
 
 def index_snapshot(index):
-    """Copies of everything of an index but its price order and dot table,
-    each value group of its postings as a set of positions."""
+    """Copies of everything of an index but its slots' items, price order and
+    dot table, each value group of its postings as a set of positions."""
     postings = [{value: set(group) for value, group in groups.items()}
                 for groups in index._postings]
-    return copy.deepcopy((index._ids, index._norms, index._norm_lo, index._norm_hi, index._pos,
-                          postings, index._tags))
+    return copy.deepcopy((index._pos, index._norm_lo, index._norm_hi, postings, index._tags))
 
 
 def ranked(env, query, facts, l):
@@ -820,7 +819,7 @@ def test_catalog_index_churn_keeps_positions_bounded_and_rankings_exact():
     peak, reused, freed, edits = len(env.catalog), 0, 0, 0
     for _ in range(2000):
         parent, parent_index = env, env.catalog_index()
-        parent_ids, parent_positions = set(parent_index._items), len(parent_index._ids)
+        parent_ids, parent_positions = set(parent_index._pos), len(parent_index._slots)
         asked = (edge_query(rng, parent), edge_facts(rng), rng.randint(1, 8))
         parent_ranked = ranked(parent, *asked)
         delta = churn_delta(rng, parent)
@@ -830,29 +829,28 @@ def test_catalog_index_churn_keeps_positions_bounded_and_rankings_exact():
         index = env.catalog_index()
         assert index is parent_index and parent._index is None
         assert ranked(parent, *asked) == parent_ranked and parent._index is not index
-        fresh = CatalogIndex(index._items)
-        assert (index._prices, index._by_price) == (fresh._prices, fresh._by_price)
-        if unindexed:  # price and palette edits touch no position, posting or tag set
+        # the price order holds each item's price and position once, in order
+        assert list(zip(index._prices, index._by_price)) == sorted(
+            (item.price, p) for p, item in enumerate(index._slots) if item is not None)
+        if unindexed:  # price and palette edits move no position, posting or tag set
             assert index_snapshot(index) == before
             edits += 1
 
         peak = max(peak, len(env.catalog))
-        assert len(index._ids) <= peak
-        assert index._items.keys() == index._pos.keys()
-        assert [p for p, item_id in enumerate(index._ids) if item_id is not None] == sorted(
-            index._pos.values())
-        for item_id, p in index._pos.items():
-            assert index._ids[p] == item_id and index._norms[p] == index._items[item_id].sparse.norm
+        assert len(index._slots) <= peak
+        assert index._pos == {item.id: p for p, item in enumerate(index._slots) if item is not None}
+        assert len(index._pos) == len(env.catalog)
+        assert all(index._slots[index._pos[item.id]] is item for item in env.catalog)
         for bucket, groups in enumerate(index._postings):
             positions = [p for group in groups.values() for p in group]
             assert len(positions) == len(set(positions)) and all(groups.values())
             for value, group in groups.items():  # each position under its item's component
                 for p in group:
-                    sparse = index._items[index._ids[p]].sparse
+                    sparse = index._slots[p].sparse
                     assert sparse.values[sparse.buckets.index(bucket)] == value
-        freed += None in index._ids
+        freed += None in index._slots
         reused += any(index._pos[item_id] < parent_positions
-                      for item_id in index._items.keys() - parent_ids)
+                      for item_id in index._pos.keys() - parent_ids)
 
         facts = edge_facts(rng)
         query = edge_query(rng, env)
@@ -917,6 +915,25 @@ def test_catalog_index_scores_a_query_equal_to_an_item_exactly_one():
     assert below > 0
 
 
+def test_catalog_index_palette_edit_then_bundle_reads_the_new_palette():
+    # a palette edit moves no posting, tag set or price entry, but the edited
+    # item's slot takes the new item, whose palette the bundle fits and returns
+    from agentrec.runtime import apply_env_update
+    env = Environment(catalog=[CatalogItem("a", "oak lamp", ("decor",), 1.0, (1.0, 0.0)),
+                               CatalogItem("b", "oak lamp", ("decor",), 1.0, (0.0, 1.0))])
+    scene = (1.0, 0.0)
+    bundle = recommend_multimodal("oak lamp", scene, MemoryStore(), ["decor"], env)
+    assert bundle.items == [BundleItem(id="a", category="decor", palette=(1.0, 0.0))]
+    edited = apply_env_update(env, [
+        {"op": "set_item_field", "id": "a", "field": "palette", "value": [0.0, 1.0]},
+        {"op": "set_item_field", "id": "b", "field": "palette", "value": [1.0, 0.0]}])
+    assert edited._index is not None  # patched, not built afresh
+    bundle = recommend_multimodal("oak lamp", scene, MemoryStore(), ["decor"], edited)
+    assert bundle.items == [BundleItem(id="b", category="decor", palette=(1.0, 0.0))]
+    assert bundle == recommend_multimodal("oak lamp", scene, MemoryStore(), ["decor"],
+                                          Environment(catalog=list(edited.catalog)))
+
+
 def test_catalog_index_price_order_budget_edges_equal_the_linear_scan():
     # int and float prices that tie, both zeros, and an int a float budget cannot
     # hold exactly: the ids past ``bisect_right(budget)`` are those over budget
@@ -943,8 +960,10 @@ def test_catalog_index_price_order_budget_edges_equal_the_linear_scan():
                     want = {item.id for item in version.catalog
                             if not violations_for(item, constraints)
                             and (category is None or category in item.tags)}
-                    assert index.admitted(constraints.required_tags, constraints.forbidden_tags,
-                                          constraints.budget_max, category) == want
+                    admitted = index.admitted(constraints.required_tags,
+                                              constraints.forbidden_tags, constraints.budget_max,
+                                              category)
+                    assert {index._slots[p].id for p in admitted} == want
                     if not tag_facts and category is None:
                         sizes.add((budget, len(want)))
     assert {("nan", 12), ("inf", 12), ("1e400", 12), ("-inf", 0), ("-0", 3), ("-5", 0),

@@ -632,8 +632,18 @@ def postings_by_id(index):
     for groups in index._postings:
         for group in groups.values():
             assert len(group) == len(set(group))
-    return [{value: {index._ids[p] for p in group} for value, group in groups.items()}
+    return [{value: {index._slots[p].id for p in group} for value, group in groups.items()}
             for groups in index._postings]
+
+
+def tags_by_id(index):
+    """Tag -> the set of ids whose item carries it: the tag sets read as ids."""
+    return {tag: {index._slots[p].id for p in tagged} for tag, tagged in index._tags.items()}
+
+
+def indexed_items(index):
+    """Id -> item, as the index's slots hold them."""
+    return {item.id: item for item in index._slots if item is not None}
 
 
 def rankings(env, queries):
@@ -650,13 +660,12 @@ def rankings(env, queries):
 def assert_equals_fresh_build(index):
     """``index`` says what a fresh build of its items says, by id, and its
     positions agree with each other."""
-    fresh = CatalogIndex(dict(index._items))
-    assert (postings_by_id(index), index._tags) == (postings_by_id(fresh), fresh._tags)
-    assert (index._prices, index._by_price) == (fresh._prices, fresh._by_price)
-    assert index._pos == {item_id: p for p, item_id in enumerate(index._ids) if item_id is not None}
-    assert index._items.keys() == index._pos.keys()
-    for item_id, p in index._pos.items():
-        assert index._norms[p] == index._items[item_id].sparse.norm
+    fresh = CatalogIndex(indexed_items(index))
+    assert (postings_by_id(index), tags_by_id(index)) == (postings_by_id(fresh), tags_by_id(fresh))
+    # the price order holds each item's price and position once, in order
+    assert list(zip(index._prices, index._by_price)) == sorted(
+        (item.price, p) for p, item in enumerate(index._slots) if item is not None)
+    assert index._pos == {item.id: p for p, item in enumerate(index._slots) if item is not None}
     # the norm range only widens: it spans every nonzero norm the index has held
     assert index._norm_lo <= fresh._norm_lo and index._norm_hi >= fresh._norm_hi
 
@@ -678,7 +687,7 @@ def test_catalog_index_patched_per_delta_equals_fresh_build():
                            for op in delta)
         env = apply_env_update(parent, delta)
         assert env._index is parent_index and parent._index is None
-        assert env._index._items == {item.id: item for item in env.catalog}
+        assert indexed_items(env._index) == {item.id: item for item in env.catalog}
         assert_equals_fresh_build(env._index)
         assert rankings(parent, QUERIES) == ranked_before
         assert parent._index is not parent_index
@@ -694,8 +703,9 @@ def test_catalog_index_add_before_a_remove_takes_the_freed_position():
         {"op": "add_item", "item": {"id": "d", "title": "oak lamp", "tags": ["eco"]}},
         {"op": "set_item_field", "id": "d", "field": "price", "value": 5},
         {"op": "remove_item", "id": "b"}])
-    assert env._index is index and index._ids == ["a", "d", "c"]
-    assert index._items["d"].price == 5.0 and index._by_price == ["a", "c", "d"]
+    assert env._index is index and [item.id for item in index._slots] == ["a", "d", "c"]
+    assert index._slots[1].price == 5.0
+    assert [index._slots[p].id for p in index._by_price] == ["a", "c", "d"]
     assert_equals_fresh_build(index)
 
 
@@ -730,7 +740,7 @@ def test_catalog_index_edits_and_removes_an_item_that_repeats_a_tag():
              {"decor": {"b"}, "eco": {"a"}}),
             ({"op": "remove_item", "id": "a"}, {"decor": {"b"}})):
         env = apply_env_update(env, [op])
-        assert env._index is index and index._tags == tags
+        assert env._index is index and tags_by_id(index) == tags
         assert_equals_fresh_build(index)
 
 
@@ -741,7 +751,7 @@ def test_catalog_index_is_built_on_first_use_only():
     assert env._index is None and updated._index is None
     index = updated.catalog_index()
     assert updated.catalog_index() is index and env._index is None
-    assert index._tags == {"decor": {"a"}}
+    assert tags_by_id(index) == {"decor": {"a"}}
 
 
 def test_catalog_index_result_memo_keeps_its_most_recently_used_results():
@@ -768,24 +778,20 @@ def hex_ranked(ranked):
     return [(float.hex(score), item.id) for score, item in ranked]
 
 
-def rescaled(item, scale):
-    """``item`` with its cached sparse vector scaled by ``scale``: the same
-    direction, a norm ``scale`` times as large, and rounded values."""
-    item.__dict__["sparse"] = SparseVector([value * scale for value in item.sparse.to_dense()])
-    return item
-
-
 FUZZ_WORDS = ["red", "rug", "lamp", "oak", "cake", "--"]
 
 
 def fuzz_item(rng, ident, title=None):
     """An item titled ``title``, or one to three words (often another's text,
-    sometimes no token), whose sparse vector is often rescaled, by a power of
-    two or not."""
+    sometimes no token), tagged with its id so that ``admitted`` can forbid
+    it. Its cached sparse vector is its title's alone, often rescaled, by a
+    power of two or not: the same direction, a norm ``scale`` times as
+    large, and rounded values."""
     title = title or " ".join(rng.choices(FUZZ_WORDS, k=rng.randint(1, 3)))
-    item = CatalogItem(ident, title, (), 1.0)
+    item = CatalogItem(ident, title, (ident,), 1.0)
     scale = rng.choice([1.0, 1.0, 2.0 ** rng.randint(-6, 6), 10.0 ** rng.uniform(-3.0, 3.0)])
-    return item if scale == 1.0 else rescaled(item, scale)
+    item.__dict__["sparse"] = SparseVector([value * scale for value in embed_text(title)])
+    return item
 
 
 def fuzz_query(rng, items, title):
@@ -838,9 +844,11 @@ def test_catalog_index_rank_fuzz_equals_a_full_sort_by_relevance():
             for _ in range(6):
                 query = fuzz_query(rng, items, title)
                 ids = set(rng.sample(sorted(items), k=rng.randint(1, len(items))))
+                admitted = index.admitted((), sorted(items.keys() - ids), None)
+                assert {index._slots[p].id for p in admitted} == ids
                 l = rng.randint(1, len(ids) + 1)
                 want = relevance_sorted(items, ids, query, l)
-                assert hex_ranked(index.rank(ids, query, l)) == want
+                assert hex_ranked(index.rank(admitted, query, l)) == want
                 scores = [score for score, _ in want]
                 seen.update(
                     kind for kind, hit in (
@@ -861,8 +869,8 @@ def test_catalog_index_rank_scores_an_underflowed_query_norm_zero():
                           for n, word in enumerate(words)})
     query = QueryVector((1e-170,) * EMBED_DIM)
     assert query.norm == 0.0 and max(index._dots(query)) > 0.0
-    assert hex_ranked(index.rank(set(index._items), query, 2)) == [("0x0.0p+0", "i00"),
-                                                                    ("0x0.0p+0", "i01")]
+    assert hex_ranked(index.rank(index.admitted((), (), None), query, 2)) == [
+        ("0x0.0p+0", "i00"), ("0x0.0p+0", "i01")]
 
 
 def test_catalog_index_rank_takes_no_cut_when_the_query_norm_is_inexact():
@@ -870,14 +878,32 @@ def test_catalog_index_rank_takes_no_cut_when_the_query_norm_is_inexact():
     # subnormal ulps: its norm comes out a quarter low, both cosines pass 1.0 and
     # clamp to it, and the smaller id wins the tie, though its dot is the
     # smaller one
-    index = CatalogIndex({"i00": CatalogItem("i00", "blue", (), 1.0),
-                          "i01": CatalogItem("i01", "cake blue blue", (), 1.0)})
+    items = {"i00": CatalogItem("i00", "blue", (), 1.0),
+             "i01": CatalogItem("i01", "cake blue blue", (), 1.0)}
+    index = CatalogIndex(items)
     query = QueryVector([value * 3e-162 for value in embed_text("cake blue blue")])
     dots = index._dots(query)
     assert dots[index._pos["i00"]] < dots[index._pos["i01"]]
-    want = relevance_sorted(index._items, {"i00", "i01"}, query, 1)
+    want = relevance_sorted(items, {"i00", "i01"}, query, 1)
     assert want == [("0x1.0000000000000p+0", "i00")]
-    assert hex_ranked(index.rank({"i00", "i01"}, query, 1)) == want
+    assert hex_ranked(index.rank(index.admitted((), (), None), query, 1)) == want
+
+
+def test_catalog_index_rank_scores_a_nan_cosine_zero():
+    # the query's squares overflow, so its norm is inf, and three items' dots
+    # with it overflow to +inf: inf / inf is a NaN cosine, which scores 0.0 as
+    # an underflowed norm product does, so rank's zero fill is the full sort
+    items = {f"x{n:02d}": CatalogItem(f"x{n:02d}", title, (), 1.0) for n, title in
+             enumerate(["red rug mug", "red rug sofa", "rug blue chair", "rug oak vase"])}
+    index = CatalogIndex(items)
+    query = QueryVector([(-1.0) ** bucket * 1.7e308 for bucket in range(EMBED_DIM)])
+    dots = index._dots(query)
+    assert query.norm == math.inf
+    assert [dots[index._pos[item_id]] for item_id in ("x00", "x02", "x03")] == [math.inf] * 3
+    assert [relevance(query, item.sparse) for item in items.values()] == [0.0] * 4
+    want = relevance_sorted(items, set(items), query, 3)
+    assert want == [("0x0.0p+0", "x00"), ("0x0.0p+0", "x01"), ("0x0.0p+0", "x02")]
+    assert hex_ranked(index.rank(index.admitted((), (), None), query, 3)) == want
 
 
 # episodes -------------------------------------------------------------------------
