@@ -14,7 +14,6 @@ templates use ``string.Template`` placeholders: ``$input``, ``$context``,
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -60,22 +59,15 @@ class ScriptedRule:
 
 @dataclass
 class LanguageCore:
-    """Pluggable text engine: deterministic scripted rules or a remote endpoint."""
+    """Pluggable text engine: deterministic scripted rules, tried in order."""
 
-    kind: str = "scripted"  # "scripted" | "remote"
-    rules: tuple = ()       # tuple[ScriptedRule, ...]
-    endpoint: str = ""
+    rules: tuple  # tuple[ScriptedRule, ...]
 
     def __post_init__(self):
-        if self.kind == "scripted" and not self.rules:
+        if not self.rules:
             raise InvalidArgument("scripted cores require a non-empty rule list")
-        if self.kind not in ("scripted", "remote"):
-            raise InvalidArgument(f"unknown core kind: {self.kind!r}")
 
-    def generate(self, prompt: str, variables: Optional[dict] = None,
-                 max_tokens: int = DEFAULT_CONTEXT_BUDGET) -> str:
-        if self.kind == "remote":
-            return self._generate_remote(prompt, max_tokens)
+    def generate(self, prompt: str, variables: Optional[dict] = None) -> str:
         mapping = dict(variables or {})
         mapping.setdefault("prompt", prompt)
         for rule in self.rules:
@@ -86,33 +78,10 @@ class LanguageCore:
             return rule.compiled_template.safe_substitute(mapping)
         return ""
 
-    def _generate_remote(self, prompt: str, max_tokens: int) -> str:
-        # Imported here: urllib.request costs every scripted run tens of ms of
-        # import time and a few MB of memory.
-        import urllib.error
-        import urllib.request
-
-        body = json.dumps({"prompt": prompt, "max_tokens": max_tokens}).encode("utf-8")
-        request = urllib.request.Request(
-            self.endpoint.rstrip("/") + "/generate",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=10.0) as response:
-                payload = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, ValueError, OSError) as exc:
-            raise ToolFailure(f"remote_core: {exc}")
-        if not isinstance(payload, dict) or not isinstance(payload.get("text"), str):
-            raise ToolFailure("remote_core: response missing 'text' field")
-        return payload["text"]
-
 
 def scripted_core(*rules) -> LanguageCore:
     """Convenience constructor from (pattern, template) pairs."""
-    return LanguageCore(kind="scripted",
-                        rules=tuple(ScriptedRule(p, t) for p, t in rules))
+    return LanguageCore(rules=tuple(ScriptedRule(p, t) for p, t in rules))
 
 
 @dataclass
@@ -198,7 +167,6 @@ def step_agent(agent: AgentSpec, input_text: str, now: int) -> str:
     raw = agent.core.generate(
         prompt,
         variables={"input": input_text, "context": context, "prompt": prompt},
-        max_tokens=agent.context_budget,
     )
     output = resolve_directives(agent, raw)
     update_memory(

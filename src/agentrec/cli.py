@@ -417,48 +417,70 @@ def _resolve(config: dict, relative) -> Path:
     return (Path(config["__path__"]).parent / relative).resolve()
 
 
-# The last catalog file read: (sha256 of its bytes, its items as a version-0
+# The last catalog file built: (its bytes, its items as a version-0
 # Environment). Every run on equal bytes shares that Environment, and with it
 # its lazily built catalog index and result memo; no runner mutates it.
 _last_catalog = (None, None)
+# A catalog file is compared with the kept bytes _COMPARE_CHUNK bytes at a
+# time (a fixed buffer, not an option), so no second copy is ever held.
+_COMPARE_CHUNK = 256 * 1024
+
+
+def _holds(path, kept: bytes) -> bool:
+    """Whether the file at ``path`` holds exactly ``kept``: read chunk by
+    chunk into one buffer, stopping at the first difference."""
+    buffer = bytearray(_COMPARE_CHUNK)
+    chunk, offset = memoryview(buffer), 0
+    with open(path, "rb", buffering=0) as file:
+        while count := file.readinto(buffer):
+            if not kept.startswith(chunk[:count], offset):
+                return False
+            offset += count
+    return offset == len(kept)
 
 
 def _catalog_environment(path) -> Environment:
     """The catalog file's items, in file order, as version 0.
 
-    Every call reads the file and takes the sha256 of its bytes. When it
-    equals that of the last catalog built, the call returns that catalog's
-    Environment without parsing. Otherwise it checks and builds the items
-    and their Environment (a repeated id raises InvalidArgument) and keeps
-    it in place of the last one, so at most one catalog is kept.
+    Every call compares the file with the bytes of the last catalog built.
+    When they are equal, the call returns that catalog's Environment without
+    parsing. Otherwise it reads, checks and builds the items, their id dict
+    (a repeated id raises ConfigInvalid naming both records) and their
+    Environment, and keeps them with the bytes in place of the last ones, so
+    at most one catalog and its file's bytes are kept. A file that fails
+    leaves the kept entry as it was.
     """
     global _last_catalog
+    kept, env = _last_catalog
     try:
+        if kept is not None and _holds(path, kept):
+            return env
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
-    digest = hashlib.sha256(data).digest()
-    if digest == _last_catalog[0]:
-        return _last_catalog[1]
     try:
         records = json.loads(data.decode("utf-8"))
     except ValueError as exc:
         raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
     if type(records) is not list or not records:
         raise ConfigInvalid(f"catalog {path} must be a non-empty list of records")
-    catalog = []
+    by_id = {}
     for index, record in enumerate(records):
         try:
-            catalog.append(catalog_item(record))
+            item = catalog_item(record)
         except InvalidArgument as exc:
             raise ConfigInvalid(f"catalog {path} record {index}: {exc}") from None
-    _last_catalog = (digest, Environment(catalog=catalog))
+        if by_id.setdefault(item.id, item) is not item:
+            raise ConfigInvalid(f"catalog {path} record {index}: id: must be unique, but "
+                                f"{item.id!r} is record {list(by_id).index(item.id)}'s id too")
+    _last_catalog = (data, Environment(catalog=list(by_id.values()), _by_id=by_id))
     return _last_catalog[1]
 
 
 def load_catalog(path) -> list:
-    """A new list of ``_catalog_environment``'s items: on equal bytes, the
-    same frozen items, with the embeddings they already cached."""
+    """A new list of ``_catalog_environment``'s items: on bytes equal to the
+    kept catalog's, the same frozen items, with the embeddings they already
+    cached."""
     return list(_catalog_environment(path).catalog)
 
 

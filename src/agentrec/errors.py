@@ -26,8 +26,7 @@ class UnknownTool(AgentRecError):
 
 
 class ToolFailure(AgentRecError):
-    """A tool handler (or remote language core) signalled failure; the message
-    is "<tool>: <reason>"."""
+    """A tool handler signalled failure; the message is "<tool>: <reason>"."""
 
 
 # runtime

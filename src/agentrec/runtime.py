@@ -409,8 +409,9 @@ class CatalogIndex:
 class Environment:
     """Shared world state; readers only ever observe whole versions.
 
-    ``_by_id`` may be given by ``apply_env_update``, which has already built
-    it with unique ids; otherwise it is built here, and a repeated id raises.
+    ``_by_id`` may be given by ``apply_env_update`` or the CLI's catalog
+    loader, which have already built it with unique ids; otherwise it is
+    built here, and a repeated id raises.
     """
 
     catalog: list = field(default_factory=list)

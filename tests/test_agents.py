@@ -1,9 +1,6 @@
-"""Agent core: scripted/remote cores, tool invocation, the step pipeline."""
+"""Agent core: scripted cores, tool invocation, the step pipeline."""
 
-import json
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -63,7 +60,7 @@ def test_scripted_rule_compiles_once_and_compares_by_fields():
     pairs = [(r"theme (?P<theme>\w+)", "theme is $theme; $input"), (r"cake", "$missing cake")]
     rules = [ScriptedRule(p, t) for p, t in pairs]
     reprs, hashes = [repr(rule) for rule in rules], [hash(rule) for rule in rules]
-    core = LanguageCore(kind="scripted", rules=tuple(rules))
+    core = LanguageCore(rules=tuple(rules))
     assert core.generate("theme pirates", {"input": "hi"}) == "theme is pirates; hi"
     assert core.generate("a cake") == "$missing cake"
     for rule, (pattern, template) in zip(rules, pairs):
@@ -78,7 +75,7 @@ def test_scripted_rule_compiles_once_and_compares_by_fields():
 
 def test_scripted_core_requires_rules():
     with pytest.raises(ValueError):
-        LanguageCore(kind="scripted", rules=())
+        LanguageCore(rules=())
 
 
 # tool directives -------------------------------------------------------------
@@ -203,48 +200,3 @@ def test_scripted_agents_are_deterministic():
         return outputs, list(agent.memory.raw_log)
 
     assert run() == run()
-
-
-# remote core ----------------------------------------------------------------------
-
-class _GenerateHandler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length).decode("utf-8"))
-        if self.path != "/generate":
-            self.send_response(404)
-            self.end_headers()
-            return
-        reply = json.dumps({"text": f"echo:{body['prompt']}|max:{body['max_tokens']}"})
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(reply.encode("utf-8"))
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def generate_server():
-    server = HTTPServer(("127.0.0.1", 0), _GenerateHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
-    thread.join()
-
-
-def test_remote_core_wire_contract(generate_server):
-    core = LanguageCore(kind="remote", endpoint=generate_server)
-    agent = AgentSpec(id="r1", core=core, context_budget=16)
-    out = step_agent(agent, "hello there", now=0)
-    assert out == "echo:hello there|max:16"
-
-
-def test_remote_core_failure_maps_to_tool_failure():
-    core = LanguageCore(kind="remote", endpoint="http://127.0.0.1:1")
-    agent = AgentSpec(id="r2", core=core)
-    with pytest.raises(ToolFailure):
-        step_agent(agent, "hello", now=0)

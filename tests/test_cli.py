@@ -23,11 +23,12 @@ from agentrec.cli import (
     run_scenario,
     validate_config,
 )
-from agentrec.errors import ConfigInvalid, Unreadable
+from agentrec.errors import ConfigInvalid, InvalidArgument, Unreadable
 from agentrec.pipelines import RankedList
 from agentrec.runtime import (
     CatalogIndex,
     Message,
+    catalog_item,
     records_to_jsonl,
     trace_to_jsonl,
 )
@@ -739,6 +740,98 @@ def test_malformed_catalog_after_a_good_one_raises_and_keeps_the_good_one(tmp_pa
     assert len(again) == len(items) and all(a is b for a, b in zip(items, again))
 
 
+def long_catalog_bytes(rng, size):
+    """A valid catalog of at least ``size`` bytes: long titles of lowercase
+    words, so most single-byte edits keep it valid and change one title."""
+    words = ["".join(rng.choices("abcdefghij", k=rng.randint(3, 9))) for _ in range(200)]
+    records, total = [], 0
+    while total < size:
+        records.append({"id": f"item{len(records):05d}",
+                        "title": " ".join(rng.choices(words, k=rng.randint(100, 300))),
+                        "tags": rng.sample(["home", "oak", "red"], rng.randint(0, 2)),
+                        "price": rng.randint(1, 400) / 4})
+        total += len(json.dumps(records[-1])) + 2
+    return json.dumps(records).encode()
+
+
+def reference_items(data):
+    """The items a fresh build of these bytes gives, or None where it fails."""
+    try:
+        items = [catalog_item(record) for record in json.loads(data)]
+    except (ValueError, TypeError, InvalidArgument):
+        return None
+    if not items or len({item.id for item in items}) != len(items):
+        return None
+    return items
+
+
+def catalog_edits(rng, chunk, length):
+    """(name, edit) pairs: an edit maps the kept bytes to a near miss of them,
+    or to None, a path that cannot be read."""
+    def flip(at):  # at -1: the last byte
+        def edit(kept):
+            where = at % len(kept)
+            letter = rng.choice([c for c in b"abcdefghij" if c != kept[where]])
+            return kept[:where] + bytes([letter]) + kept[where + 1:]
+        return edit
+
+    def cut(kept):
+        where = rng.randrange(len(kept))
+        return kept[:where] + kept[where + 1:]
+
+    def newline(kept):  # a separator's space, outside every string
+        where = rng.choice([m.start() + 1 for m in re.finditer(rb"[,:] ", kept)])
+        return kept[:where] + b"\n" + kept[where + 1:]
+
+    offsets = [0, -1] + [boundary + d for boundary in range(chunk, length - 1, chunk)
+                         for d in (-1, 0, 1)]
+    return [("same bytes", lambda kept: kept)] + [
+        (f"flip {at}", flip(at)) for at in offsets] + [
+        ("cut", cut), ("cut last", lambda kept: kept[:-1]),
+        ("append newline", lambda kept: kept + b"\n"), ("append letter", lambda kept: kept + b"a"),
+        ("newline for a space", newline), ("missing path", lambda kept: None),
+        ("malformed", lambda kept: b"[{not json")]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_catalog_byte_check_fuzz(tmp_path, monkeypatch, seed):
+    # a call returns the kept Environment exactly when the file's bytes equal
+    # the kept bytes; other bytes give a fresh build's items or its error, and
+    # an error, between two loads of the kept bytes, leaves that entry reusable
+    monkeypatch.setattr(cli, "_last_catalog", (None, None))
+    rng, chunk = random.Random(seed), cli._COMPARE_CHUNK
+    kept = long_catalog_bytes(rng, 3 * chunk + rng.randrange(chunk))
+    assert len(kept) > 3 * chunk
+
+    def load(name, data):
+        path = tmp_path / name
+        if data is not None:
+            path.write_bytes(data)
+        return cli._catalog_environment(path)
+
+    env = load("base.json", kept)
+    assert env.catalog == reference_items(kept)
+    edits = catalog_edits(rng, chunk, len(kept)) * 2
+    rng.shuffle(edits)
+    rebuilt = failed = 0
+    for number, (name, edit) in enumerate(edits):
+        data = edit(kept)
+        expected = None if data is None else reference_items(data)
+        if expected is None:
+            assert load("before.json", kept) is env, name
+            with pytest.raises(ConfigInvalid, match=f"call{number}.json"):
+                load(f"call{number}.json", data)
+            assert load("after.json", kept) is env, name
+            failed += 1
+            continue
+        got = load(f"call{number}.json", data)
+        assert (got is env) == (data == kept), name
+        assert got.catalog == expected, name
+        rebuilt += got is not env
+        kept, env = data, got
+    assert rebuilt >= 10 and failed >= 10  # both outcomes are exercised
+
+
 @pytest.mark.parametrize("record, field", [
     ("5", "record 1: must be an object"),
     ('{"title": "cake"}', "id"),
@@ -755,6 +848,7 @@ def test_malformed_catalog_after_a_good_one_raises_and_keeps_the_good_one(tmp_pa
     ('{"id": "x", "palette": [0.5, "red"]}', "palette"),
     ('{"id": "x", "palette": [0.5, true]}', "palette"),
     ('{"id": "x", "palette": [0.5, Infinity]}', "palette"),
+    ('{"id": "ok", "title": "again"}', "id: must be unique, but 'ok' is record 0's id too"),
 ])
 def test_catalog_record_rules_name_file_record_and_field(tmp_path, record, field):
     path = tmp_path / "catalog.json"

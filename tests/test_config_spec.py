@@ -127,7 +127,7 @@ FILE_CASES = [
     ("malformed-policy", "explain_revision", "brand_policy.json", '["guaranteed"]',
      "ConfigInvalid", "policy"),
     ("duplicate-catalog-ids", "simulate_colony", "rotation_catalog.json",
-     '[{"id": "rot_1"}, {"id": "rot_1"}]', "InvalidArgument", "unique"),
+     '[{"id": "rot_1"}, {"id": "rot_1"}]', "ConfigInvalid", "unique"),
     ("numeric-catalog-title", "simulate_colony", "rotation_catalog.json",
      '[{"id": "rot_1"}, {"id": "rot_2", "title": 5}]', "ConfigInvalid", "record 1: title"),
     ("text-catalog-tags", "simulate_colony", "rotation_catalog.json",

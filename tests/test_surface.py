@@ -15,8 +15,6 @@ PROGRAM = sorted((ROOT / "src" / "agentrec").glob("*.py")) + sorted(
     (ROOT / "perfbench").glob("*.py"))
 # README pins the memory snapshot format as what store_to_jsonl writes
 UNREFERENCED_ALLOWED = {"store_to_jsonl"}
-# README pins the remote core's wire contract, which only a config-less caller reaches
-UNSET_ALLOWED = {"agents.LanguageCore.endpoint"}
 # README's context window flags it; ROADMAP item 8's events.jsonl is to be its reader
 UNREAD_ALLOWED = {"memory.ContextSelection.approximate"}
 
@@ -174,7 +172,7 @@ def unset_options(files) -> list:
 
 
 def test_every_option_is_set_by_the_program():
-    assert [name for name in unset_options(PROGRAM) if name not in UNSET_ALLOWED] == []
+    assert unset_options(PROGRAM) == []
 
 
 def test_the_scan_finds_an_option_no_call_sets(tmp_path):
