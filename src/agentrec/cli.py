@@ -444,10 +444,10 @@ def _catalog_environment(path) -> Environment:
 
     Every call compares the file with the bytes of the last catalog built.
     When they are equal, the call returns that catalog's Environment without
-    parsing. Otherwise it reads, checks and builds the items, their id dict
-    (a repeated id raises ConfigInvalid naming both records) and their
-    Environment, and keeps them with the bytes in place of the last ones, so
-    at most one catalog and its file's bytes are kept. A file that fails
+    parsing. Otherwise it checks the records and builds their Environment
+    (its id table, once: a repeated id raises ConfigInvalid naming both
+    records), and keeps it with the bytes in place of the last ones, so at
+    most one catalog and its file's bytes are kept. A file that fails
     leaves the kept entry as it was.
     """
     global _last_catalog
@@ -464,16 +464,16 @@ def _catalog_environment(path) -> Environment:
         raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
     if type(records) is not list or not records:
         raise ConfigInvalid(f"catalog {path} must be a non-empty list of records")
-    by_id = {}
+    items = []
     for index, record in enumerate(records):
         try:
-            item = catalog_item(record)
+            items.append(catalog_item(record))
         except InvalidArgument as exc:
             raise ConfigInvalid(f"catalog {path} record {index}: {exc}") from None
-        if by_id.setdefault(item.id, item) is not item:
-            raise ConfigInvalid(f"catalog {path} record {index}: id: must be unique, but "
-                                f"{item.id!r} is record {list(by_id).index(item.id)}'s id too")
-    _last_catalog = (data, Environment(catalog=list(by_id.values()), _by_id=by_id))
+    try:
+        _last_catalog = (data, Environment(items))
+    except InvalidArgument as exc:  # a repeated id
+        raise ConfigInvalid(f"catalog {path} {exc}") from None
     return _last_catalog[1]
 
 

@@ -270,7 +270,7 @@ def recommend_interactive(transcript: Transcript, env: Environment,
     The entries are kept in the version's result memo, keyed on the query
     text, the constraints and ``top_l`` (with its type).
     """
-    if not env.catalog:
+    if not len(env):
         raise InvalidArgument("catalog must be non-empty")
     constraints, query = extract_session_constraints(transcript, memory)
     index = env.catalog_index()

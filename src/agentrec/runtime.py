@@ -24,7 +24,7 @@ import json
 import math
 import operator
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence, Union
 
@@ -170,35 +170,35 @@ class CatalogIndex:
     (``palette_relevance``) and which items of a category carry a palette
     (``palette_ids``), and keeps the version's result memo (``result``).
 
-    The layout is private and keyed by integer position. ``_slots[p]`` is
-    the item at position ``p`` (None for a freed one). ``_pos`` maps an id
-    to its position and is the one id-keyed structure: ids enter through
-    ``patch`` and leave in ``rank``'s tie-break and output and in
-    ``palette_ids``. ``_norm_lo`` and ``_norm_hi`` are the smallest and
-    largest nonzero item norm the index has held (``inf`` and ``0.0``
-    before any): removals never shrink them, so ``rank``'s cut stays a
-    lower bound. ``_postings[b]`` groups the positions whose item's
+    The layout is private and keyed by integer position. ``_slots[p]`` is the
+    item at position ``p`` (None for a freed one, and ``_free`` is a min-heap
+    of those). ``_pos`` maps an id to its position and is the one id-keyed
+    structure: ids enter through ``patch`` and leave in ``rank``'s tie-break
+    and output and in ``palette_ids``. ``_norm_lo`` and ``_norm_hi`` are the
+    smallest and largest nonzero item norm the index has held (``inf`` and
+    ``0.0`` before any): removals never shrink them, so ``rank``'s cut stays
+    a lower bound. ``_postings[b]`` groups the positions whose item's
     embedding is nonzero in bucket ``b`` by that component (from the item's
     cached ``sparse``): a dict of value -> positions, in no set order, with
     no empty group, so a query bucket multiplies once per distinct value.
-    ``_tags[t]`` is the set of positions whose item carries tag ``t``, and
-    no set is empty. ``_prices`` and ``_by_price`` are parallel lists of
-    every item's (finite) price and position, in ascending ``(price,
-    position)`` order, so the positions over a budget are a tail of
-    ``_by_price``. Only ``patch`` changes these, when the index is handed
-    on to the next version. ``_last_dots`` is the (prepared query,
-    dot-product table) pair this version was scored by last, or None.
-    ``_results`` is the version's memo of finished rankings and bundles:
-    its ``_RESULT_MEMO_SIZE`` most recently used, by request key. ``patch``
-    resets ``_last_dots`` to None and empties ``_results``.
+    ``_tags[t]`` is the set of positions whose item carries tag ``t``, and no
+    set is empty. ``_prices`` and ``_by_price`` are parallel lists of every
+    item's (finite) price and position, in ascending ``(price, position)``
+    order, so the positions over a budget are a tail of ``_by_price``. Only
+    ``patch`` changes these, when the index is handed on to the next version.
+    ``_last_dots`` is the (prepared query, dot-product table) pair this
+    version was scored by last, or None. ``_results`` is the version's memo
+    of finished rankings and bundles: its ``_RESULT_MEMO_SIZE`` most recently
+    used, by request key. ``patch`` resets ``_last_dots`` to None and empties
+    ``_results``.
     """
 
-    __slots__ = ("_slots", "_pos", "_norm_lo", "_norm_hi", "_postings", "_tags", "_prices",
-                 "_by_price", "_last_dots", "_results")
+    __slots__ = ("_slots", "_free", "_pos", "_norm_lo", "_norm_hi", "_postings", "_tags",
+                 "_prices", "_by_price", "_last_dots", "_results")
 
     def __init__(self, items: dict):
         self._slots, self._pos, self._tags, self._prices, self._by_price = [], {}, {}, [], []
-        self._postings = [{} for _ in range(memory.EMBED_DIM)]
+        self._postings, self._free = [{} for _ in range(memory.EMBED_DIM)], []
         self._norm_lo, self._norm_hi = math.inf, 0.0
         self._last_dots, self._results = None, OrderedDict()
         # in price order, so that each item's price entry is appended
@@ -284,14 +284,11 @@ class CatalogIndex:
         """Make this index of the id -> item dict ``before`` that of ``items``,
         which differs from it only at the ``touched`` ids, in place.
 
-        The one place that decides what the index reads of an item: its
-        title, tags and price. A touched id whose three are unchanged (a
-        palette edit) only has its slot take the new item; otherwise the old
-        item, if any, leaves, and the new one, if any, is added, an edit at
-        the old item's position. Every removed item frees its position before
-        any item is added, and an added item takes the lowest freed one
-        before it appends one, so there are never more positions than the
-        most items a version has held."""
+        One path for every touched id: its old item, if any, leaves, and its
+        new one, if any, is added, an edit at the old item's position. Every
+        removed item frees its position before any item is added, and an
+        added item takes the lowest freed one before it appends one, so there
+        are never more positions than the most items a version has held."""
         self._last_dots = None
         self._results.clear()
         slots, pos, postings, tags = self._slots, self._pos, self._postings, self._tags
@@ -300,10 +297,6 @@ class CatalogIndex:
             old, new = before.get(item_id), items.get(item_id)
             if old is not None:
                 position = pos[item_id]
-                if new is not None and (new.title, new.tags, new.price) == (
-                        old.title, old.tags, old.price):
-                    slots[position] = new  # a palette edit
-                    continue
                 at = self._price_slot(old.price, position)
                 del self._prices[at], self._by_price[at]
                 sparse = old.sparse
@@ -320,6 +313,7 @@ class CatalogIndex:
                         del tags[tag]
                 if new is None:
                     slots[pos.pop(item_id)] = None
+                    heapq.heappush(self._free, position)
             if new is not None:
                 added.append(new)
         self._add(added)
@@ -376,17 +370,15 @@ class CatalogIndex:
         return bisect.bisect_left(self._by_price, position, low, high)
 
     def _add(self, items: Iterable) -> None:
-        """Put each item in its id's slot, else the lowest freed one, else a
-        new one, and into the norm range, the postings, the tag sets and the
-        price order."""
+        """Put each item in its id's slot, else the lowest freed one (popped
+        from ``_free``), else a new one, and into the norm range, the
+        postings, the tag sets and the price order."""
         slots, pos, postings, tags = self._slots, self._pos, self._postings, self._tags
-        free = len(slots) - len(pos)  # freed positions
         for item in items:
             position = pos.get(item.id)
             if position is None:
-                if free:
-                    position = slots.index(None)
-                    free -= 1
+                if self._free:
+                    position = heapq.heappop(self._free)
                 else:
                     position = len(slots)
                     slots.append(None)
@@ -405,29 +397,37 @@ class CatalogIndex:
             self._by_price.insert(at, position)
 
 
-@dataclass
 class Environment:
-    """Shared world state; readers only ever observe whole versions.
+    """Shared world state, one catalog version; readers only ever observe
+    whole versions. Its one table, ``_items``, maps id -> item in catalog
+    order: the constructor copies the items given into it and is the one id
+    check (a repeat raises InvalidArgument naming both records, counted from
+    0), and ``apply_env_update`` hands a new version the table it built."""
 
-    ``_by_id`` may be given by ``apply_env_update`` or the CLI's catalog
-    loader, which have already built it with unique ids; otherwise it is
-    built here, and a repeated id raises.
-    """
+    __slots__ = ("version", "_items", "_catalog", "_index")
 
-    catalog: list = field(default_factory=list)
-    version: int = 0
-    _by_id: Optional[dict] = field(default=None, repr=False, compare=False)
-    _index: Optional[CatalogIndex] = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, catalog: Iterable = (), version: int = 0):
+        items = {}
+        for index, item in enumerate(catalog):
+            if item.id in items:
+                raise InvalidArgument(f"record {index}: id: must be unique, but {item.id!r} "
+                                      f"is record {list(items).index(item.id)}'s id too")
+            items[item.id] = item
+        self.version, self._items, self._catalog, self._index = version, items, None, None
 
-    def __post_init__(self):
-        if self._by_id is None:
-            self._by_id = {item.id: item for item in self.catalog}
-            if len(self._by_id) != len(self.catalog):
-                raise InvalidArgument("catalog ids must be unique")
+    @property
+    def catalog(self) -> tuple:
+        """The table's items, built on this version's first read and kept."""
+        if self._catalog is None:
+            self._catalog = tuple(self._items.values())
+        return self._catalog
+
+    def __len__(self) -> int:
+        return len(self._items)
 
     def item_by_id(self, item_id: str) -> CatalogItem:
         try:
-            return self._by_id[item_id]
+            return self._items[item_id]
         except KeyError:
             raise UnknownItem(f"unknown catalog item: {item_id!r}") from None
 
@@ -436,7 +436,7 @@ class Environment:
         the catalog never builds it) and kept until ``apply_env_update``
         hands it on to a next version; a later call builds it again."""
         if self._index is None:
-            self._index = CatalogIndex(self._by_id)
+            self._index = CatalogIndex(self._items)
         return self._index
 
 
@@ -471,17 +471,17 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
 
     Every op's shape is checked before any is applied. Items are added, and
     edited in one of _SETTABLE_FIELDS, by `catalog_item`'s record rules; an
-    added item goes last and the others keep their order. `env`'s catalog,
-    items and version never change. Once every op has applied, a
-    built catalog index of `env`'s is handed to the new version and patched
-    there in place, and `env` builds its own again if it is ranked again; a
-    delta that raises leaves `env`'s index with it.
+    added item goes last and the others keep their order. `env` never
+    changes: the ops apply to one copy of its table, which the new version
+    takes. Once every op has applied, a built catalog index of `env`'s is
+    handed on too and patched in place, and `env` builds its own again if
+    it is ranked again; a delta that raises leaves `env`'s index with it.
     """
     targets = [_delta_target(index, op) for index, op in enumerate(delta)]
     if len(targets) != len(set(targets)):
         raise ConflictingDelta("delta touches the same field twice")
 
-    items = dict(env._by_id)
+    items = dict(env._items)
     for index, op in enumerate(delta):
         name = op["op"]
         try:
@@ -502,11 +502,10 @@ def apply_env_update(env: Environment, delta: Sequence) -> Environment:
                     op["field"]: op["value"]})
         except InvalidArgument as exc:  # a record rule: name the op
             raise InvalidArgument(f"delta op {index}: {exc}") from None
-    index, env._index = env._index, None
-    if index is not None:  # hand it on: patch it into the new version's
-        index.patch(items, env._by_id, dict.fromkeys(target[1] for target in targets))
-    updated = Environment(catalog=list(items.values()), version=env.version + 1, _by_id=items)
-    updated._index = index
+    updated = Environment(version=env.version + 1)
+    updated._items, updated._index, env._index = items, env._index, None
+    if updated._index is not None:  # handed on: patch it into the new version's
+        updated._index.patch(items, env._items, dict.fromkeys(target[1] for target in targets))
     return updated
 
 

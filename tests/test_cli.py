@@ -810,7 +810,7 @@ def test_catalog_byte_check_fuzz(tmp_path, monkeypatch, seed):
         return cli._catalog_environment(path)
 
     env = load("base.json", kept)
-    assert env.catalog == reference_items(kept)
+    assert list(env.catalog) == reference_items(kept)
     edits = catalog_edits(rng, chunk, len(kept)) * 2
     rng.shuffle(edits)
     rebuilt = failed = 0
@@ -826,7 +826,7 @@ def test_catalog_byte_check_fuzz(tmp_path, monkeypatch, seed):
             continue
         got = load(f"call{number}.json", data)
         assert (got is env) == (data == kept), name
-        assert got.catalog == expected, name
+        assert list(got.catalog) == expected, name
         rebuilt += got is not env
         kept, env = data, got
     assert rebuilt >= 10 and failed >= 10  # both outcomes are exercised
@@ -888,7 +888,7 @@ def test_runs_on_equal_catalog_bytes_share_one_environment(tmp_path, capsys, mon
     assert (tmp_path / "a" / "out" / "trace.jsonl").read_bytes() == (
         tmp_path / "b" / "out" / "trace.jsonl").read_bytes()
     listed = load_catalog(tmp_path / "a" / "party_catalog.json")
-    assert listed == first.catalog and listed is not first.catalog
+    assert listed == list(first.catalog) and listed is not first.catalog
     assert all(a is b for a, b in zip(listed, first.catalog))
     assert validate_config(tmp_path / "b" / "explain_revision.json") == []
     assert cli._environment(load_config(tmp_path / "b" / "explain_revision.json")) is first

@@ -756,7 +756,8 @@ def test_dot_tables_reused_across_queries_and_versions_equal_fresh_tables():
         index = env.catalog_index()
         last = index._last_dots
         got = index._dots(query)
-        fresh = CatalogIndex(env._by_id)  # its positions may differ from a patched one's
+        # its positions may differ from a patched one's
+        fresh = CatalogIndex({item.id: item for item in env.catalog})
         assert dots_by_id(index, got) == dots_by_id(fresh, fresh._dots(query))
         reused += last is not None and got is last[1]
         admitted = index.admitted((), (), None)
@@ -916,8 +917,8 @@ def test_catalog_index_scores_a_query_equal_to_an_item_exactly_one():
 
 
 def test_catalog_index_palette_edit_then_bundle_reads_the_new_palette():
-    # a palette edit moves no posting, tag set or price entry, but the edited
-    # item's slot takes the new item, whose palette the bundle fits and returns
+    # a palette edit takes patch's one edit path: the old item leaves and the new
+    # one is added at its position, whose palette the bundle fits and returns
     from agentrec.runtime import apply_env_update
     env = Environment(catalog=[CatalogItem("a", "oak lamp", ("decor",), 1.0, (1.0, 0.0)),
                                CatalogItem("b", "oak lamp", ("decor",), 1.0, (0.0, 1.0))])

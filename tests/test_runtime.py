@@ -302,6 +302,10 @@ def sample_env():
     ])
 
 
+def ids(env):
+    return [item.id for item in env.catalog]
+
+
 def test_empty_delta_bumps_version_only():
     env = sample_env()
     updated = apply_env_update(env, [])
@@ -316,8 +320,8 @@ def test_add_item_visible_after_update():
         {"op": "add_item", "item": {"id": "i3", "title": "three", "tags": ["c"],
                                     "price": 3.0}}])
     assert updated.version == 1
-    assert "i3" in updated._by_id
-    assert "i3" not in env._by_id
+    assert "i3" in ids(updated)
+    assert "i3" not in ids(env)
 
 
 def test_hundred_deltas_count_versions():
@@ -346,7 +350,7 @@ def test_remove_and_set_field():
         {"op": "remove_item", "id": "i2"},
         {"op": "set_item_field", "id": "i1", "field": "tags", "value": ["a", "x"]},
     ])
-    assert "i2" not in updated._by_id
+    assert "i2" not in ids(updated)
     assert updated.item_by_id("i1").tags == ("a", "x")
 
 
@@ -356,9 +360,42 @@ def test_catalog_ids_must_be_unique_and_lookup_misses_raise():
                              CatalogItem(id="i1", title="uno", tags=(), price=2.0)])
     env = sample_env()
     assert env.item_by_id("i2").title == "two"
-    assert "i9" not in env._by_id
+    assert "i9" not in ids(env)
     with pytest.raises(UnknownItem):
         env.item_by_id("i9")
+
+
+def test_a_repeated_id_names_the_id_and_both_records():
+    one, two, again = (CatalogItem(id=item_id, title=title, tags=(), price=1.0)
+                       for item_id, title in (("i1", "one"), ("i2", "two"), ("i2", "deux")))
+    with pytest.raises(InvalidArgument) as caught:
+        Environment(catalog=[one, two, again])
+    assert str(caught.value) == "record 2: id: must be unique, but 'i2' is record 1's id too"
+    with pytest.raises(InvalidArgument) as caught:  # the same item twice repeats its id
+        Environment(catalog=[one, one])
+    assert str(caught.value) == "record 1: id: must be unique, but 'i1' is record 0's id too"
+
+
+def test_environment_keeps_its_own_table_of_the_items_given():
+    items = list(sample_env().catalog)
+    first, second = items
+    env = Environment(catalog=items)
+    items.append(CatalogItem(id="i3", title="three", tags=(), price=3.0))
+    items[0] = CatalogItem(id="i1", title="renamed", tags=(), price=1.0)
+    del items[1]
+    assert list(env.catalog) == [first, second] and len(env) == 2
+    assert env.item_by_id("i1") is first and env.item_by_id("i2") is second
+    with pytest.raises(UnknownItem):
+        env.item_by_id("i3")
+
+
+def test_environment_catalog_is_read_only():
+    env = sample_env()
+    with pytest.raises(AttributeError):
+        env.catalog.append(CatalogItem(id="i3", title="three", tags=(), price=3.0))
+    with pytest.raises(AttributeError):
+        env.catalog = []
+    assert ids(env) == ["i1", "i2"] and env.catalog is env.catalog  # built once, then kept
 
 
 def test_item_embedding_lives_with_the_item_across_versions():
@@ -575,9 +612,10 @@ def test_seeded_delta_fuzz_matches_the_dict_model():
             assert all(type(item.price) is float for item in updated.catalog)
             assert updated.version == env.version + 1
             accepted += 1
-        after = (env.catalog, env.version)
+        after = (list(env.catalog), env.version)
         assert all(a is b for a, b in zip(before[0], after[0])) and before == after, delta
-        assert env._by_id == {item.id: item for item in before[0]}, delta
+        assert len(env) == len(before[0]), delta
+        assert all(env.item_by_id(item.id) is item for item in before[0]), delta
         if want is not None:
             env, rows = updated, want
     assert accepted > 300 and rejected > 300
@@ -666,6 +704,7 @@ def assert_equals_fresh_build(index):
     assert list(zip(index._prices, index._by_price)) == sorted(
         (item.price, p) for p, item in enumerate(index._slots) if item is not None)
     assert index._pos == {item.id: p for p, item in enumerate(index._slots) if item is not None}
+    assert sorted(index._free) == [p for p, item in enumerate(index._slots) if item is None]
     # the norm range only widens: it spans every nonzero norm the index has held
     assert index._norm_lo <= fresh._norm_lo and index._norm_hi >= fresh._norm_hi
 
@@ -683,7 +722,7 @@ def test_catalog_index_patched_per_delta_equals_fresh_build():
         parent, parent_index = env, env.catalog_index()
         ranked_before = rankings(parent, QUERIES)
         delta = index_delta(rng, parent)
-        edited_adds += any(op["op"] == "set_item_field" and op["id"] not in parent._by_id
+        edited_adds += any(op["op"] == "set_item_field" and op["id"] not in ids(parent)
                            for op in delta)
         env = apply_env_update(parent, delta)
         assert env._index is parent_index and parent._index is None
@@ -706,6 +745,25 @@ def test_catalog_index_add_before_a_remove_takes_the_freed_position():
     assert env._index is index and [item.id for item in index._slots] == ["a", "d", "c"]
     assert index._slots[1].price == 5.0
     assert [index._slots[p].id for p in index._by_price] == ["a", "c", "d"]
+    assert_equals_fresh_build(index)
+
+
+def test_catalog_index_takes_a_freed_position_without_comparing_items(monkeypatch):
+    # freed positions come from a min-heap, so finding the lowest one compares
+    # no slot (a scan for None would call CatalogItem.__eq__ on each slot before it)
+    env = Environment(catalog=[catalog_item({"id": i, "title": f"red {i}"}) for i in "abcd"])
+    index = env.catalog_index()
+
+    def no_compare(self, other):
+        raise AssertionError("a catalog item was compared")
+
+    monkeypatch.setattr(CatalogItem, "__eq__", no_compare)
+    env = apply_env_update(env, [{"op": "remove_item", "id": "c"},
+                                 {"op": "remove_item", "id": "b"}])
+    env = apply_env_update(env, [{"op": "add_item", "item": {"id": "e", "title": "oak"}}])
+    monkeypatch.undo()
+    assert env._index is index
+    assert [item and item.id for item in index._slots] == ["a", "e", None, "d"]
     assert_equals_fresh_build(index)
 
 
