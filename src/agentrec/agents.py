@@ -1,4 +1,5 @@
-"""The agent tuple: language core, tool registry, memory partitions, per-step policy.
+"""The agent tuple: a language core of compiled (pattern, template) rules, a
+dict of tools by name, memory partitions, and the per-step policy.
 
 The per-step pipeline is pinned: assemble the working context (recent-log
 tail plus budget-regulated memory items), concatenate with the input, run
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from string import Template
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import InvalidArgument, ToolFailure, UnknownTool
 from .memory import (
@@ -35,53 +35,40 @@ DEFAULT_STM_TOKENS = 256
 DIRECTIVE_RE = re.compile(r'CALL\(([A-Za-z_]\w*), "(.*)"\)', re.DOTALL)
 
 
-@dataclass(frozen=True)
-class ScriptedRule:
-    """Ordered (regex pattern, response template) pair for a scripted core."""
-
-    pattern: str
-    template: str
-
-    @cached_property
-    def compiled(self):
-        """The pattern, compiled on first use and kept by this rule.
-
-        Not a dataclass field, so equality, hash and repr ignore it; nor is
-        ``compiled_template``.
-        """
-        return re.compile(self.pattern)
-
-    @cached_property
-    def compiled_template(self) -> Template:
-        """The response template, built on first use and kept by this rule."""
-        return Template(self.template)
-
-
-@dataclass
 class LanguageCore:
-    """Pluggable text engine: deterministic scripted rules, tried in order."""
+    """Deterministic text engine: (pattern, template) rules, tried in order.
 
-    rules: tuple  # tuple[ScriptedRule, ...]
+    Each rule is compiled once, here, into a (re.Pattern, string.Template)
+    pair kept in `rules`. A rule whose pattern or template is not a string,
+    or whose pattern does not compile, raises InvalidArgument naming its index.
+    """
 
-    def __post_init__(self):
-        if not self.rules:
+    __slots__ = ("rules",)
+
+    def __init__(self, rules):
+        compiled = []
+        for index, (pattern, template) in enumerate(rules):
+            if not (isinstance(pattern, str) and isinstance(template, str)):
+                raise InvalidArgument(f"rule {index}: pattern and template must be strings")
+            try:
+                compiled.append((re.compile(pattern), Template(template)))
+            except re.error as exc:
+                raise InvalidArgument(f"rule {index}: pattern {pattern!r} does not compile: "
+                                      f"{exc}") from None
+        if not compiled:
             raise InvalidArgument("scripted cores require a non-empty rule list")
+        self.rules = tuple(compiled)
 
-    def generate(self, prompt: str, variables: Optional[dict] = None) -> str:
-        mapping = dict(variables or {})
-        mapping.setdefault("prompt", prompt)
-        for rule in self.rules:
-            match = rule.compiled.search(prompt)
-            if match is None:
-                continue
-            mapping.update({k: v for k, v in match.groupdict().items() if v is not None})
-            return rule.compiled_template.safe_substitute(mapping)
+    def generate(self, input_text: str, context: str, prompt: str) -> str:
+        """The first rule whose pattern matches `prompt`, its template filled
+        from the three texts and the match's named groups; "" if none matches."""
+        for pattern, template in self.rules:
+            match = pattern.search(prompt)
+            if match is not None:
+                mapping = {"input": input_text, "context": context, "prompt": prompt}
+                mapping.update({k: v for k, v in match.groupdict().items() if v is not None})
+                return template.safe_substitute(mapping)
         return ""
-
-
-def scripted_core(*rules) -> LanguageCore:
-    """Convenience constructor from (pattern, template) pairs."""
-    return LanguageCore(rules=tuple(ScriptedRule(p, t) for p, t in rules))
 
 
 @dataclass
@@ -92,27 +79,9 @@ class Tool:
     handler: Callable[[str], str]
 
 
-class ToolRegistry:
-    def __init__(self, tools=()):
-        self._tools = {}
-        for tool in tools:
-            self.register(tool)
-
-    def register(self, tool: Tool) -> None:
-        if tool.name in self._tools:
-            raise InvalidArgument(f"duplicate tool name: {tool.name!r}")
-        self._tools[tool.name] = tool
-
-    def get(self, name: str) -> Tool:
-        try:
-            return self._tools[name]
-        except KeyError:
-            raise UnknownTool(f"unknown tool: {name!r}") from None
-
-
 @dataclass
 class AgentSpec:
-    """One agent: id, core, message schemas, tools, and its memory store.
+    """One agent: id, core, message schemas, tools by name, and its memory store.
 
     The memory partitions are views over the single store: the short-term
     window is the raw-log tail, while EPI/SEM/PROC are label filters over
@@ -123,22 +92,32 @@ class AgentSpec:
     core: LanguageCore
     input_schema: frozenset = frozenset()
     output_schema: frozenset = frozenset()
-    tools: ToolRegistry = field(default_factory=ToolRegistry)
+    tools: dict = field(default_factory=dict)  # name -> Tool
     memory: MemoryStore = field(default_factory=MemoryStore)
     context_budget: int = DEFAULT_CONTEXT_BUDGET
     stm_tokens: int = DEFAULT_STM_TOKENS
 
 
 def invoke_tool(agent: AgentSpec, name: str, args: str) -> str:
-    """Run a registered tool and return its result; any other exception the
-    handler raises becomes a ToolFailure naming the tool."""
-    tool = agent.tools.get(name)
+    """Run the agent's tool `name` and return its result text.
+
+    A name the agent has no tool for raises UnknownTool. A result that is not
+    a string, or any other exception the handler raises, becomes a
+    ToolFailure naming the tool.
+    """
     try:
-        return tool.handler(args)
+        tool = agent.tools[name]
+    except KeyError:
+        raise UnknownTool(f"unknown tool: {name!r}") from None
+    try:
+        result = tool.handler(args)
     except ToolFailure:
         raise
     except Exception as exc:
         raise ToolFailure(f"{name}: {exc}") from exc
+    if not isinstance(result, str):
+        raise ToolFailure(f"{name}: result must be a string, not {type(result).__name__}")
+    return result
 
 
 def resolve_directives(agent: AgentSpec, text: str) -> str:
@@ -164,10 +143,7 @@ def step_agent(agent: AgentSpec, input_text: str, now: int) -> str:
     """One policy step: context, core, tool resolution, memory commit."""
     context = assemble_context(agent, input_text)
     prompt = " ".join(part for part in (context, input_text) if part)
-    raw = agent.core.generate(
-        prompt,
-        variables={"input": input_text, "context": context, "prompt": prompt},
-    )
+    raw = agent.core.generate(input_text, context, prompt)
     output = resolve_directives(agent, raw)
     update_memory(
         agent.memory,

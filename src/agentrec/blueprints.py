@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 
-from .agents import AgentSpec, Tool, ToolRegistry, scripted_core
-from .errors import PayloadInvalid
+from .agents import AgentSpec, LanguageCore, Tool
+from .errors import InvalidArgument, PayloadInvalid
 from .memory import (
     build_store,
     prepare_query,
@@ -170,14 +170,18 @@ TOOL_KINDS = {
 
 def build_agent(agent_cfg: dict, env: Environment, budgets: dict) -> AgentSpec:
     store = build_store(agent_cfg["memory_facts"])
-    tools = [TOOL_KINDS[tool_cfg["kind"]](env, budgets, store, tool_cfg)
-             for tool_cfg in agent_cfg["tools"]]
+    tools = {}
+    for tool_cfg in agent_cfg["tools"]:
+        tool = TOOL_KINDS[tool_cfg["kind"]](env, budgets, store, tool_cfg)
+        if tool.name in tools:
+            raise InvalidArgument(f"duplicate tool name: {tool.name!r}")
+        tools[tool.name] = tool
     return AgentSpec(
         id=agent_cfg["id"],
-        core=scripted_core(*agent_cfg["rules"]),
+        core=LanguageCore(agent_cfg["rules"]),
         input_schema=frozenset(agent_cfg["input_kinds"]),
         output_schema=frozenset(agent_cfg["output_kinds"]),
-        tools=ToolRegistry(tools),
+        tools=tools,
         memory=store,
         context_budget=budgets["B"],
         stm_tokens=budgets["L_stm"],

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from agentrec.agents import AgentSpec, scripted_core
+from agentrec.agents import AgentSpec, LanguageCore
 from agentrec.blueprints import build_interactive_runtime, ranked_entries_from_trace
 from agentrec.cli import load_catalog, load_config, main, run_scenario
 from agentrec.errors import ChannelClosed
@@ -139,7 +139,7 @@ def test_c04_communication_soundness():
         runtime = MasRuntime(Environment())
         for agent_id in ids:
             runtime.register_agent(AgentSpec(
-                id=agent_id, core=scripted_core((r".*", "$input")),
+                id=agent_id, core=LanguageCore([(r".*", "$input")]),
                 input_schema=frozenset({"query"}),
                 output_schema=frozenset({"query"})))
         for a in ids:
@@ -177,10 +177,10 @@ def test_c04_schema_gate_on_every_consumed_message():
         runtime = MasRuntime(Environment())
         accepted = frozenset(rng.sample(kinds, rng.randint(1, 2)))
         runtime.register_agent(AgentSpec(
-            id="consumer", core=scripted_core((r".*", "$input")),
+            id="consumer", core=LanguageCore([(r".*", "$input")]),
             input_schema=accepted, output_schema=frozenset({"query"})))
         runtime.register_agent(AgentSpec(
-            id="sender", core=scripted_core((r".*", "$input")),
+            id="sender", core=LanguageCore([(r".*", "$input")]),
             input_schema=frozenset(kinds), output_schema=frozenset(kinds)))
         runtime.toggle_channel("sender", "consumer", True)
         runtime.toggle_channel("consumer", "sender", True)

@@ -1,4 +1,4 @@
-"""Agent core: scripted cores, tool invocation, the step pipeline."""
+"""Agent core: compiled rule cores, tool invocation, the step pipeline."""
 
 import re
 
@@ -7,23 +7,20 @@ import pytest
 from agentrec.agents import (
     AgentSpec,
     LanguageCore,
-    ScriptedRule,
     Tool,
-    ToolRegistry,
     assemble_context,
     invoke_tool,
     resolve_directives,
-    scripted_core,
     step_agent,
 )
-from agentrec.errors import ToolFailure, UnknownTool
+from agentrec.errors import InvalidArgument, ToolFailure, UnknownTool
 from agentrec.memory import MemoryLabel, make_item
 
 
 def make_agent(rules, tools=(), **kwargs):
     return AgentSpec(id=kwargs.pop("id", "a1"),
-                     core=scripted_core(*rules),
-                     tools=ToolRegistry(tools),
+                     core=LanguageCore(rules),
+                     tools={tool.name: tool for tool in tools},
                      **kwargs)
 
 
@@ -56,26 +53,37 @@ def test_first_matching_rule_wins():
     assert step_agent(agent, "cake please", now=0) == "first"
 
 
-def test_scripted_rule_compiles_once_and_compares_by_fields():
-    pairs = [(r"theme (?P<theme>\w+)", "theme is $theme; $input"), (r"cake", "$missing cake")]
-    rules = [ScriptedRule(p, t) for p, t in pairs]
-    reprs, hashes = [repr(rule) for rule in rules], [hash(rule) for rule in rules]
-    core = LanguageCore(rules=tuple(rules))
-    assert core.generate("theme pirates", {"input": "hi"}) == "theme is pirates; hi"
-    assert core.generate("a cake") == "$missing cake"
-    for rule, (pattern, template) in zip(rules, pairs):
-        assert rule.compiled is rule.compiled
-        assert (rule.compiled.pattern, rule.compiled.flags) == (pattern, re.compile(pattern).flags)
-        assert rule.compiled_template is rule.compiled_template
-        assert rule.compiled_template.template == template
-        assert rule == ScriptedRule(pattern, template)
-    assert [repr(rule) for rule in rules] == reprs
-    assert [hash(rule) for rule in rules] == hashes
+def test_core_fills_templates_from_named_groups_and_leaves_unknown_names():
+    core = LanguageCore([(r"theme (?P<theme>\w+)", "theme is $theme; $input"),
+                         (r"(?P<input>\w+) please", "$input!"),
+                         (r"cake", "$missing cake")])
+    assert core.generate("hi", "", "theme pirates") == "theme is pirates; hi"
+    assert core.generate("hi", "", "tea please") == "tea!"  # a named group wins
+    assert core.generate("hi", "", "a cake") == "$missing cake"
+
+
+@pytest.mark.parametrize("rule", [("(", "x"), (5, "x"), (b"x", "x"), ("x", 5)])
+def test_core_rejects_a_malformed_rule_when_built(rule):
+    with pytest.raises(InvalidArgument, match=r"^rule 0: "):
+        LanguageCore([rule])
+    with pytest.raises(InvalidArgument, match=r"^rule 1: "):
+        LanguageCore([(r".*", "ok"), rule])
+
+
+def test_core_compiles_its_rules_only_when_built(monkeypatch):
+    agent = make_agent([(r"theme (?P<theme>\w+)", "theme is $theme"), (r".*", "fallback")])
+
+    def no_compile(*args, **kwargs):
+        raise AssertionError("re.compile called after the core was built")
+
+    monkeypatch.setattr(re, "compile", no_compile)
+    assert agent.core.generate("x", "", "other") == "fallback"
+    assert step_agent(agent, "theme pirates", now=0) == "theme is pirates"
 
 
 def test_scripted_core_requires_rules():
-    with pytest.raises(ValueError):
-        LanguageCore(rules=())
+    with pytest.raises(InvalidArgument):
+        LanguageCore(())
 
 
 # tool directives -------------------------------------------------------------
@@ -154,6 +162,13 @@ def test_tool_failure_carries_tool_name():
     with pytest.raises(ToolFailure) as excinfo:
         invoke_tool(agent, "Flaky", "x")
     assert "Flaky" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("result, kind", [(5, "int"), (None, "NoneType"), (b"x", "bytes")])
+def test_tool_result_that_is_not_a_string_is_a_tool_failure(result, kind):
+    agent = make_agent([(r".*", 'CALL(T, "$input")')], tools=[Tool("T", lambda args: result)])
+    with pytest.raises(ToolFailure, match=rf"^T: result must be a string, not {kind}$"):
+        step_agent(agent, "x", now=0)
 
 
 # step pipeline ------------------------------------------------------------------

@@ -81,7 +81,10 @@ CONFIG_CASES = [
      {"sac": dict(PARTY_CHILDREN["sac"], open=PARTY_CHILDREN["sac"]["open"] + [["favor", "extra"]]),
       "rank": {"agents": [{"id": "extra"}]}}, "routing[3]: UnknownAgent"),
     ("repeated-tool-name", "party_planner", ("agents", 1, "tools"), PARTY["agents"][1]["tools"] * 2,
-     "agents: InvalidArgument"),
+     "agents: InvalidArgument: duplicate tool name: 'MemoryRecall'"),
+    ("child-repeated-tool-name", "party_planner", ("children", "sac", "agents", 0, "tools"),
+     PARTY_CHILDREN["sac"]["agents"][0]["tools"] * 2,
+     "agents: InvalidArgument: duplicate tool name: 'CakeSearch'"),
     ("closed-last-channel", "party_planner", ("matrix", "allow"), PARTY["matrix"]["allow"][:-1],
      "routing[8]: ChannelClosed"),
     # a replay steps no agent, so a rule's tool call is checked against the agent's tools
@@ -150,6 +153,9 @@ def test_malformed_config_field_gives_config_invalid(tmp_path, capsys, name, sce
     assert record["error"] == "ConfigInvalid"
     assert field in record["message"]
     assert json.loads(capsys.readouterr().err.splitlines()[-1]) == record
+    assert [path.name for path in (tmp_path / "case-out").iterdir()] == ["error.json"]
+    assert main(["validate", str(tmp_path / "scenarios" / "case.json")]) == 1
+    assert field in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name, scenario, data_file, text, error, word", FILE_CASES,

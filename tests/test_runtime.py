@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from agentrec.agents import AgentSpec, scripted_core
+from agentrec.agents import AgentSpec, LanguageCore, Tool
 from agentrec.blueprints import build_interactive_runtime
 from agentrec.cli import load_catalog, load_config
 from agentrec.errors import (
@@ -19,6 +19,7 @@ from agentrec.errors import (
     InvalidArgument,
     SchemaViolation,
     SelfChannel,
+    ToolFailure,
     UnknownAgent,
     UnknownItem,
 )
@@ -51,7 +52,7 @@ from agentrec.runtime import (
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 def echo_agent(agent_id, kinds=("candidate_list", "compliance_report", "query")):
-    return AgentSpec(id=agent_id, core=scripted_core((r".*", "$input")),
+    return AgentSpec(id=agent_id, core=LanguageCore([(r".*", "$input")]),
                      input_schema=frozenset(kinds), output_schema=frozenset(kinds))
 
 
@@ -1031,6 +1032,22 @@ def test_aborted_episode_keeps_the_exception():
     assert chain_runtime(1)[0].run_episode([], seed=1).exception is None
 
 
+def test_tool_result_that_is_not_a_string_aborts_with_partial_trace():
+    runtime = MasRuntime(Environment())
+    runtime.register_agent(echo_agent("a", kinds=("query",)))
+    runtime.register_agent(AgentSpec(
+        id="b", core=LanguageCore([(r".*", 'CALL(T, "$input")')]),
+        tools={"T": Tool("T", lambda args: 5)},
+        input_schema=frozenset({"query"}), output_schema=frozenset({"query"})))
+    runtime.toggle_channel("a", "b", True)
+    runtime.toggle_channel("b", "a", True)
+    result = runtime.run_episode([("a", "b", "query"), ("b", "a", "query")], seed=0,
+                                 initial_input="hi")
+    assert isinstance(result.exception, ToolFailure)
+    assert result.error == "ToolFailure: T: result must be a string, not int"
+    assert [(m.sender, m.recipient) for m in result.trace] == [("a", "b")]
+
+
 def test_unregistered_first_sender_gets_no_inbox():
     runtime = MasRuntime(Environment())
     result = runtime.run_episode([("ghost", "x", "query")], seed=0, initial_input="hi")
@@ -1055,10 +1072,11 @@ def test_spawn_registers_children_and_multicasts():
     runtime = MasRuntime(Environment())
     parent_kinds = ("query", "spawn")
     runtime.register_agent(AgentSpec(
-        id="parent", core=scripted_core((r".*", "$input")),
+        id="parent", core=LanguageCore([(r".*", "$input")]),
         input_schema=frozenset(parent_kinds), output_schema=frozenset(parent_kinds)))
     runtime.register_agent(echo_agent("collector", kinds=("item_set", "spawn")))
-    children = [AgentSpec(id=f"child{i}", core=scripted_core((r".*", f"child{i} says $input")),
+    children = [AgentSpec(id=f"child{i}",
+                          core=LanguageCore([(r".*", f"child{i} says $input")]),
                           input_schema=frozenset({"spawn"}),
                           output_schema=frozenset({"item_set"}))
                 for i in range(3)]
@@ -1084,10 +1102,10 @@ def test_spawn_registers_children_and_multicasts():
 def test_spawn_of_a_child_whose_id_is_taken_aborts_and_a_respawn_registers_nothing():
     runtime = MasRuntime(Environment())
     runtime.register_agent(echo_agent("a", kinds=("query", "spawn")))
-    old_b = AgentSpec(id="b", core=scripted_core((r".*", "B-top")),
+    old_b = AgentSpec(id="b", core=LanguageCore([(r".*", "B-top")]),
                       input_schema=frozenset({"spawn"}), output_schema=frozenset({"query"}))
     runtime.register_agent(old_b)
-    child_b = AgentSpec(id="b", core=scripted_core((r".*", "child")),
+    child_b = AgentSpec(id="b", core=LanguageCore([(r".*", "child")]),
                         input_schema=frozenset({"spawn"}), output_schema=frozenset({"query"}))
     runtime.declare_spawn("a", [child_b], [("a", "b"), ("b", "a")])
     result = runtime.run_episode([("a", "b", "spawn"), ("b", "a", "query")], seed=0)
@@ -1148,7 +1166,7 @@ def test_runtime_and_agent_state_do_not_grow_across_episodes():
         if episode == 10:
             at_ten = runtime_sizes(runtime)
     assert "inboxes['chat']" in at_ten and "channels" in at_ten
-    assert any(path.endswith(".tools._tools") for path in at_ten)
+    assert any(path.endswith(".tools") for path in at_ten)
     assert runtime_sizes(runtime) == at_ten
     assert runtime.message_count == 30 * len(routing)
 
