@@ -4,7 +4,9 @@ dict of tools by name, memory partitions, and the per-step policy.
 The per-step pipeline is pinned: assemble the working context (recent-log
 tail plus budget-regulated memory items), concatenate with the input, run
 the language core, resolve at most one embedded tool directive, then commit
-the turn pair back into memory.
+the turn pair back into memory. The context is assembled only for a core
+that can read it (`LanguageCore.reads_context`); any other core gets "" as
+its context and the input as its prompt, with the same output.
 
 Tool directives use the pinned surface grammar ``CALL(name, "args")``; the
 args span runs to the last ``")`` in the core output and exactly one
@@ -35,15 +37,39 @@ DEFAULT_STM_TOKENS = 256
 DIRECTIVE_RE = re.compile(r'CALL\(([A-Za-z_]\w*), "(.*)"\)', re.DOTALL)
 
 
+CATCH_ALL_PATTERNS = frozenset({"", ".*", ".*?"})  # match at 0 of every string, no groups
+CONTEXT_NAMES = frozenset({"context", "prompt"})
+
+
+def compile_pattern(pattern: str) -> re.Pattern:
+    """`pattern` compiled; InvalidArgument if `re.compile` rejects it, whether
+    with re.error, OverflowError (a repeat count past the C range) or
+    RecursionError (groups nested too deep)."""
+    try:
+        return re.compile(pattern)
+    except (re.error, OverflowError, RecursionError) as exc:
+        raise InvalidArgument(f"pattern {pattern!r} does not compile: {exc}") from None
+
+
+def _placeholder_names(template: Template) -> set:
+    """The names `template` substitutes, in both $name and ${name} forms ($$ escapes none)."""
+    return {match["named"] or match["braced"]
+            for match in template.pattern.finditer(template.template)} - {None}
+
+
 class LanguageCore:
     """Deterministic text engine: (pattern, template) rules, tried in order.
 
     Each rule is compiled once, here, into a (re.Pattern, string.Template)
     pair kept in `rules`. A rule whose pattern or template is not a string,
     or whose pattern does not compile, raises InvalidArgument naming its index.
+    `reads_context` is False when the first rule's pattern is in
+    CATCH_ALL_PATTERNS and its template names neither $context nor $prompt:
+    that rule then fires on every prompt, with no groups, and its output
+    cannot depend on the context or the prompt.
     """
 
-    __slots__ = ("rules",)
+    __slots__ = ("rules", "reads_context")
 
     def __init__(self, rules):
         compiled = []
@@ -51,13 +77,15 @@ class LanguageCore:
             if not (isinstance(pattern, str) and isinstance(template, str)):
                 raise InvalidArgument(f"rule {index}: pattern and template must be strings")
             try:
-                compiled.append((re.compile(pattern), Template(template)))
-            except re.error as exc:
-                raise InvalidArgument(f"rule {index}: pattern {pattern!r} does not compile: "
-                                      f"{exc}") from None
+                compiled.append((compile_pattern(pattern), Template(template)))
+            except InvalidArgument as exc:
+                raise InvalidArgument(f"rule {index}: {exc}") from None
         if not compiled:
             raise InvalidArgument("scripted cores require a non-empty rule list")
         self.rules = tuple(compiled)
+        pattern, template = compiled[0]
+        self.reads_context = not (pattern.pattern in CATCH_ALL_PATTERNS
+                                  and CONTEXT_NAMES.isdisjoint(_placeholder_names(template)))
 
     def generate(self, input_text: str, context: str, prompt: str) -> str:
         """The first rule whose pattern matches `prompt`, its template filled
@@ -140,8 +168,13 @@ def assemble_context(agent: AgentSpec, query: str) -> str:
 
 
 def step_agent(agent: AgentSpec, input_text: str, now: int) -> str:
-    """One policy step: context, core, tool resolution, memory commit."""
-    context = assemble_context(agent, input_text)
+    """One policy step: context, core, tool resolution, memory commit.
+
+    The context is assembled only when the core reads it; otherwise it is ""
+    and the prompt is the input, which gives the same output (see
+    LanguageCore.reads_context).
+    """
+    context = assemble_context(agent, input_text) if agent.core.reads_context else ""
     prompt = " ".join(part for part in (context, input_text) if part)
     raw = agent.core.generate(input_text, context, prompt)
     output = resolve_directives(agent, raw)

@@ -24,14 +24,13 @@ import hashlib
 import json
 import math
 import random
-import re
 import sys
 import time
 from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .agents import DEFAULT_CONTEXT_BUDGET, DEFAULT_STM_TOKENS, DIRECTIVE_RE
+from .agents import DEFAULT_CONTEXT_BUDGET, DEFAULT_STM_TOKENS, DIRECTIVE_RE, compile_pattern
 from .blueprints import build_interactive_runtime, ranked_entries_from_trace
 from .errors import AgentRecError, ConfigInvalid, InvalidArgument, Unreadable
 from .memory import build_store, embed_text, retrieve_topk
@@ -99,8 +98,8 @@ def _leaf(ok, rule, keep=lambda value: value):
 
 def _compiles(pattern) -> bool:
     try:
-        re.compile(pattern)
-    except (re.error, TypeError):
+        compile_pattern(pattern)
+    except (InvalidArgument, TypeError):
         return False
     return True
 

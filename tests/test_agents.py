@@ -1,10 +1,13 @@
 """Agent core: compiled rule cores, tool invocation, the step pipeline."""
 
+import random
 import re
 
 import pytest
 
+from agentrec import agents
 from agentrec.agents import (
+    CATCH_ALL_PATTERNS,
     AgentSpec,
     LanguageCore,
     Tool,
@@ -14,7 +17,7 @@ from agentrec.agents import (
     step_agent,
 )
 from agentrec.errors import InvalidArgument, ToolFailure, UnknownTool
-from agentrec.memory import MemoryLabel, make_item
+from agentrec.memory import MemoryLabel, make_item, store_to_jsonl, update_memory
 
 
 def make_agent(rules, tools=(), **kwargs):
@@ -62,7 +65,10 @@ def test_core_fills_templates_from_named_groups_and_leaves_unknown_names():
     assert core.generate("hi", "", "a cake") == "$missing cake"
 
 
-@pytest.mark.parametrize("rule", [("(", "x"), (5, "x"), (b"x", "x"), ("x", 5)])
+# a repeat count past the C range (OverflowError) and groups nested past the
+# compiler's recursion limit (RecursionError) are rejected like a re.error
+@pytest.mark.parametrize("rule", [("(", "x"), (5, "x"), (b"x", "x"), ("x", 5),
+                                  ("x{4294967295}", "x"), ("(" * 1000 + ")" * 1000, "x")])
 def test_core_rejects_a_malformed_rule_when_built(rule):
     with pytest.raises(InvalidArgument, match=r"^rule 0: "):
         LanguageCore([rule])
@@ -215,3 +221,120 @@ def test_scripted_agents_are_deterministic():
         return outputs, list(agent.memory.raw_log)
 
     assert run() == run()
+
+
+# context assembly ------------------------------------------------------------------
+
+def reference_step(agent, input_text, now):
+    """The step pipeline with the context always assembled: what every step must equal."""
+    context = assemble_context(agent, input_text)
+    prompt = " ".join(part for part in (context, input_text) if part)
+    output = resolve_directives(agent, agent.core.generate(input_text, context, prompt))
+    update_memory(agent.memory, [("user", input_text), ("agent", output)], MemoryLabel.EPI, now)
+    return output
+
+
+FUZZ_PATTERNS = [".*", "", ".*?", "(?:.*)", "(.*)", r"(?P<word>\w+)", r"(?P<context>\w+)",
+                 "cake", "pirates", r"\w+ \w+"]
+READING_FRAGMENTS = ["$context", "${context}", "$prompt", "${prompt}"]
+BLIND_FRAGMENTS = ["$input", "${input}", "$$context", "$${prompt}", "$word", "$Context", "lit",
+                   'CALL(Echo, "$input")']
+WORDS = ["cake", "pirates", "theme", "gluten", "blue", "party", "x", "é", "\n", "="]
+FUZZ_INPUTS = ["theme = pirates", "cake please", "", "\n", "\r\n x", "blue gluten party"]
+
+
+def _fuzz_agent(rng):
+    rules = [(rng.choice(FUZZ_PATTERNS),
+              " ".join(rng.choice(READING_FRAGMENTS + BLIND_FRAGMENTS * 2)
+                       for _ in range(rng.randint(1, 3))))
+             for _ in range(rng.randint(1, 3))]
+    items = [make_item(f"s{rng.randrange(30)}", " ".join(rng.choices(WORDS, k=rng.randint(1, 5))),
+                       rng.choice(list(MemoryLabel)), rng.randrange(50))
+             for _ in range(rng.choice([0, 3, 12, 25]))]
+    log = [(rng.choice(["user", "agent"]), " ".join(rng.choices(WORDS, k=rng.randint(0, 6))))
+           for _ in range(rng.randint(0, 8))]
+    budget = rng.randint(1, 40)
+    stm = rng.randint(1, 20)
+
+    def build():
+        agent = make_agent(rules, tools=[Tool("Echo", lambda args: args[::-1])],
+                           context_budget=budget, stm_tokens=stm)
+        agent.memory.items.update(((item.slot(), item.meta.label), item) for item in items)
+        agent.memory.raw_log.extend(log)
+        return agent
+
+    return rules, build
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_step_equals_a_step_that_always_assembles_the_context(seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        rules, build = _fuzz_agent(rng)
+        fast, slow = build(), build()
+        pattern, template = rules[0]
+        blind = (pattern in CATCH_ALL_PATTERNS
+                 and not any(fragment in template.split() for fragment in READING_FRAGMENTS))
+        assert fast.core.reads_context is not blind, rules
+        for now in range(rng.randint(1, 4)):
+            text = rng.choice(FUZZ_INPUTS + [" ".join(rng.choices(WORDS, k=3))])
+            assert step_agent(fast, text, now) == reference_step(slow, text, now), rules
+        assert fast.memory.raw_log == slow.memory.raw_log
+        assert store_to_jsonl(fast.memory) == store_to_jsonl(slow.memory)
+
+
+def _preloaded(rules):
+    agent = make_agent(rules, tools=[Tool("Echo", str.upper)], context_budget=8)
+    for i in range(4):
+        agent.memory.items[(f"s{i}", MemoryLabel.EPI)] = make_item(
+            f"s{i}", "cake pirates", MemoryLabel.EPI, now=i)
+    agent.memory.raw_log.append(("user", "earlier cake words"))
+    return agent
+
+
+@pytest.mark.parametrize("rule", [(".*", "$input"), ("", "say $input"),
+                                  (".*?", "$$context $${prompt} $input"),
+                                  (".*", 'CALL(Echo, "$input")')])
+def test_catch_all_core_steps_without_assembling_its_context(monkeypatch, rule):
+    def forbidden(*args):
+        raise AssertionError("the context was assembled")
+
+    rules = [rule, ("cake", "$context")]
+    expected = reference_step(_preloaded(rules), "theme = pirates", now=9)
+    monkeypatch.setattr(agents, "regulate_context", forbidden)
+    monkeypatch.setattr(agents, "tail_window", forbidden)
+    agent = _preloaded(rules)
+    assert step_agent(agent, "theme = pirates", now=9) == expected
+    assert agent.memory.items[("theme", MemoryLabel.EPI)].canonical_text() == "theme: pirates"
+
+
+@pytest.mark.parametrize("rules", [[(".*", "$context | $input")], [(".*", "${prompt}")],
+                                   [("(?:.*)", "$input")], [("cake", "$input"), (".*", "$input")]])
+def test_core_that_can_read_its_context_assembles_it(monkeypatch, rules):
+    calls = []
+
+    def recording(name):
+        original = getattr(agents, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("tail_window", "regulate_context"):
+        monkeypatch.setattr(agents, name, recording(name))
+    step_agent(_preloaded(rules), "cake please", now=9)
+    assert calls == ["tail_window", "regulate_context"]
+
+
+@pytest.mark.parametrize("source", sorted(CATCH_ALL_PATTERNS))
+def test_catch_all_source_matches_every_string_at_zero_without_groups(source):
+    pattern = re.compile(source)
+    rng = random.Random(source)
+    texts = ["", "\n", "\r\n x", "\x00", " \t"]
+    texts += ["".join(rng.choices("ab \n\r\t\x00\x0bé\u2028😀(*", k=rng.randint(0, 12)))
+              for _ in range(500)]
+    assert pattern.groups == 0
+    for text in texts:
+        match = pattern.search(text)
+        assert match is not None and match.start() == 0 and match.groupdict() == {}, text

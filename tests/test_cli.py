@@ -285,6 +285,32 @@ def test_party_planner_episode_embeds_each_distinct_text_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+def test_party_planner_whose_cores_assemble_their_context_gives_the_same_bytes(
+        tmp_path, capsys, monkeypatch):
+    # "(?:.*)" matches where ".*" does but is not a catch-all source, so every
+    # core of this copy assembles its context; no template reads it
+    config = json.loads((SCENARIOS / "party_planner.json").read_text())
+    config["catalog"] = str(SCENARIOS / config["catalog"])
+    for agent in config["agents"] + [agent for child in config["children"].values()
+                                     for agent in child["agents"]]:
+        assert [pattern for pattern, _ in agent["rules"]] == [".*"]
+        agent["rules"] = [["(?:.*)", template] for _, template in agent["rules"]]
+    path = tmp_path / "assembling.json"
+    path.write_text(json.dumps(config))
+    calls, original = [], agentrec.agents.regulate_context
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(agentrec.agents, "regulate_context", counting)
+    status, bundled = run_into(tmp_path, "party_planner")
+    assert status == 0 and calls == []
+    assert run_scenario(path, out=tmp_path / "assembling") == 0
+    assert len(calls) == 9  # one per hop
+    for artifact in ("trace.jsonl", "report.jsonl", "report.txt"):
+        assert (tmp_path / "assembling" / artifact).read_bytes() == (bundled / artifact).read_bytes()
+
+
 def test_rerun_same_config_and_seed_byte_identical(tmp_path, capsys):
     for name in ALL_SCENARIOS:
         status_a, out_a = run_into(tmp_path, name, sub=f"{name}_a")

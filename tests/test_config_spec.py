@@ -63,6 +63,11 @@ CONFIG_CASES = [
     ("three-name-allow-pair", "party_planner", ("matrix", "allow", 0), ["chat", "epi", "nli"],
      "matrix"),
     ("text-rules", "party_planner", ("agents", 0, "rules"), "x", "agents"),
+    # re.compile rejects these with OverflowError and RecursionError, not re.error
+    ("rule-repeat-past-c-range", "party_planner", ("agents", 0, "rules"),
+     [["x{4294967295}", "$input"]], "agents[0].rules[0][0]: must be a regular expression"),
+    ("rule-groups-nested-too-deep", "party_planner", ("agents", 0, "rules"),
+     [["(" * 1000 + ")" * 1000, "$input"]], "agents[0].rules[0][0]: must be a regular expression"),
     ("children-of-undeclared-parent", "party_planner", ("children",),
      {"ghost": PARTY_CHILDREN["sac"]}, "children"),
     ("open-pair-unknown-agent", "party_planner", ("children", "sac", "open", 0),
