@@ -4,9 +4,10 @@ dict of tools by name, memory partitions, and the per-step policy.
 The per-step pipeline is pinned: assemble the working context (recent-log
 tail plus budget-regulated memory items), concatenate with the input, run
 the language core, resolve at most one embedded tool directive, then commit
-the turn pair back into memory. The context is assembled only for a core
-that can read it (`LanguageCore.reads_context`); any other core gets "" as
-its context and the input as its prompt, with the same output.
+the turn pair back into memory, whose store retains the input's facts when
+its items are next read (see `memory.MemoryStore`). The context is assembled
+only for a core that can read it (`LanguageCore.reads_context`); any other
+core gets "" as its context and the input as its prompt, with the same output.
 
 Tool directives use the pinned surface grammar ``CALL(name, "args")``; the
 args span runs to the last ``")`` in the core output and exactly one
@@ -172,7 +173,10 @@ def step_agent(agent: AgentSpec, input_text: str, now: int) -> str:
 
     The context is assembled only when the core reads it; otherwise it is ""
     and the prompt is the input, which gives the same output (see
-    LanguageCore.reads_context).
+    LanguageCore.reads_context). The commit appends the input and output to
+    the raw log and queues the input for retention: its facts become EPI
+    items, stamped `now`, when the agent's store is next read, by a later
+    step's context or by a tool such as memory recall.
     """
     context = assemble_context(agent, input_text) if agent.core.reads_context else ""
     prompt = " ".join(part for part in (context, input_text) if part)

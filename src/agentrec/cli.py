@@ -33,7 +33,7 @@ from . import __version__
 from .agents import DEFAULT_CONTEXT_BUDGET, DEFAULT_STM_TOKENS, DIRECTIVE_RE, compile_pattern
 from .blueprints import build_interactive_runtime, ranked_entries_from_trace
 from .errors import AgentRecError, ConfigInvalid, InvalidArgument, Unreadable
-from .memory import build_store, embed_text, retrieve_topk
+from .memory import SLOT_SEPARATOR, build_store, embed_text, retrieve_topk
 from .pipelines import (
     DEFAULT_COMPAT_TAU,
     DEFAULT_PALETTE_WEIGHT,
@@ -177,8 +177,19 @@ _CHANNEL = _leaf(lambda v: isinstance(v, list) and len(v) == 2 and all(
     isinstance(name, str) for name in v) and v[0] != v[1],
     "must be a [from, to] pair of two different agent ids")
 # a value is kept as given, so an int fact stays an int in its text
-_FACTS = map_of(_leaf(lambda v: type(v) is str or finite_numbers((v,)),
-                      "must be a string or a finite number"))
+_FACT_VALUES = map_of(_leaf(lambda v: type(v) is str or finite_numbers((v,)),
+                            "must be a string or a finite number"))
+
+
+def _facts_by_slot(value, field, findings):
+    """Fact values by slot; a slot holding ": " is refused, as `upsert_fact` refuses it."""
+    value = _FACT_VALUES(value, field, findings)
+    for slot in value or ():
+        if SLOT_SEPARATOR in slot:
+            _flag(findings, field, f"slot {slot!r} must not contain {SLOT_SEPARATOR!r}")
+    return value
+
+
 _RECIPIENTS = _leaf(lambda v: isinstance(v, str) or isinstance(v, list) and bool(v) and all(
     isinstance(name, str) for name in v), "must be an agent id or a non-empty list of agent ids")
 
@@ -205,7 +216,7 @@ _AGENT = obj({
     "input_kinds": (list_of(text()), []),
     "output_kinds": (list_of(text()), []),
     "tools": (list_of(_TOOL), []),
-    "memory_facts": (_FACTS, {}),
+    "memory_facts": (_facts_by_slot, {}),
 })
 
 _COHORT = obj({
@@ -247,7 +258,7 @@ CONFIG_SPEC = obj({
         "categories": (list_of(text(), nonempty=True), REQUIRED),
         "scene_palette": (_finite_palette, REQUIRED),
         "text_constraints": (text(), ""),
-        "profile_facts": (_FACTS, {}),
+        "profile_facts": (_facts_by_slot, {}),
         "alpha": (number(0, 1), DEFAULT_PALETTE_WEIGHT),
         # a palette cosine lies in [-1, 1], so a tau outside it passes no bundle
         "tau": (number(-1, 1), DEFAULT_COMPAT_TAU),
@@ -255,7 +266,7 @@ CONFIG_SPEC = obj({
     "explain": {
         "policy": (text(), REQUIRED),
         "transcript": (list_of(text(), nonempty=True), REQUIRED),
-        "facts": (_FACTS, {}),
+        "facts": (_facts_by_slot, {}),
         "budgets": (obj({"L": (integer(1), 3)}), {}),
         "context_k": (integer(1), 4),
         "max_rounds": (integer(1), 3),

@@ -64,6 +64,9 @@ Pinned constants (changing any of these changes every persisted vector):
   tail is bounded: ``tail_window`` walks back from the newest entry and
   stops once it holds its ``max_tokens`` (the agent's ``L_stm``), so its cost
   is bounded by ``L_stm`` tokens plus one entry, not by the log's length
+* lazy retention: ``update_memory`` queues user turns, and a store retains
+  them on the first read of its items (see ``MemoryStore``), so a store
+  nobody reads never runs the retention rules
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache, reduce
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import InvalidArgument
 
@@ -248,6 +251,10 @@ def relevance(query: QueryVector, item: SparseVector) -> float:
         map(operator.mul, item.values, map(query.dense.__getitem__, item.buckets))))
 
 
+# an item's value text is "<slot>: <value>", so a slot must not hold this
+SLOT_SEPARATOR = ": "
+
+
 class MemoryLabel(str, Enum):
     EPI = "EPI"
     SEM = "SEM"
@@ -288,7 +295,7 @@ class MemoryItem:
 
     def fact(self) -> tuple:
         """(slot, value): the value text split at its first ': '; value is "" without one."""
-        slot, _, value = self.value.partition(": ")
+        slot, _, value = self.value.partition(SLOT_SEPARATOR)
         return slot, value
 
     def slot(self) -> str:
@@ -303,7 +310,7 @@ class MemoryItem:
 def make_item(slot: str, value: str, label: MemoryLabel, now: int,
               update_count: int = 1) -> MemoryItem:
     return MemoryItem(
-        f"{slot}: {value}",
+        f"{slot}{SLOT_SEPARATOR}{value}",
         ItemMeta(timestamp=now, label=label, update_count=update_count),
     )
 
@@ -315,10 +322,34 @@ class MemoryStore:
     Single-writer, multiple-reader: every operation either leaves the store
     untouched or mutates it through the update functions below, which return
     the same store for chaining.
+
+    Retention is lazy. ``update_memory`` queues each user turn's (text,
+    label, now) and extracts nothing; the first read of ``items`` retains
+    the queued turns in commit order through ``upsert_fact``, each at its
+    own ``now``. Every read and write of the items goes through ``items``,
+    so a store nobody reads runs no retention, and its queue grows with its
+    raw log and no faster. Two stores are equal when their raw logs and
+    items are.
     """
 
     raw_log: list = field(default_factory=list)  # list[tuple[speaker, text]]
-    items: dict = field(default_factory=dict)    # (slot, label) -> MemoryItem
+    _facts: dict = field(default_factory=dict, init=False)   # (slot, label) -> MemoryItem
+    _queued: list = field(default_factory=list, init=False)  # [(user text, label, now)]
+
+    @property
+    def items(self) -> dict:
+        """(slot, label) -> MemoryItem, once every queued user turn is retained."""
+        if self._queued:
+            queued, self._queued = self._queued, []
+            for text, label, now in queued:
+                for slot, value in _facts_of_text(text):
+                    upsert_fact(self, slot, value, label, now)
+        return self._facts
+
+    def __eq__(self, other):
+        if not isinstance(other, MemoryStore):
+            return NotImplemented
+        return self.raw_log == other.raw_log and self.items == other.items
 
     def all_items(self) -> list:
         return list(self.items.values())
@@ -417,12 +448,17 @@ def upsert_fact(store: MemoryStore, slot: str, value: str, label: MemoryLabel,
     value, and its update counter is incremented; otherwise a fresh item with
     update_count=1 is inserted. Nothing is embedded: each upsert is a new
     item whose key is read from the value-text memo when first scored.
+    A slot holding ": " raises InvalidArgument: its item's ``fact()`` would
+    read back another slot.
     """
-    existing = store.items.get((slot, label))
+    if SLOT_SEPARATOR in slot:
+        raise InvalidArgument(f"fact slot {slot!r} must not contain {SLOT_SEPARATOR!r}")
+    items = store.items
+    existing = items.get((slot, label))
     if existing is None:
-        store.items[(slot, label)] = make_item(slot, value, label, now)
+        items[(slot, label)] = make_item(slot, value, label, now)
     else:
-        store.items[(slot, label)] = make_item(
+        items[(slot, label)] = make_item(
             slot, value, label, existing.meta.timestamp, existing.meta.update_count + 1)
     return store
 
@@ -436,12 +472,26 @@ def build_store(facts: dict) -> MemoryStore:
     return store
 
 
-def update_memory(store: MemoryStore, turns: Sequence, label: MemoryLabel,
+def update_memory(store: MemoryStore, turns: Iterable, label: MemoryLabel,
                   now: int) -> MemoryStore:
-    """Append the (speaker, text) turns and ``upsert_fact`` each retained fact."""
-    store.raw_log.extend((speaker, text) for speaker, text in turns)
-    for slot, value in retain(turns):
-        upsert_fact(store, slot, value, label, now)
+    """Append the (speaker, text) turns to the raw log and queue each user
+    turn's (text, label, now) for retention; nothing is extracted here.
+
+    The store retains the queued turns when its items are first read (see
+    MemoryStore), upserting exactly the facts ``retain`` gives, in the same
+    order, at this ``now``. ``turns`` is read once; a turn that is not a pair
+    of strings raises InvalidArgument naming its index before the store is
+    touched.
+    """
+    pairs = []
+    for index, turn in enumerate(turns):
+        if not (isinstance(turn, (tuple, list)) and len(turn) == 2
+                and isinstance(turn[0], str) and isinstance(turn[1], str)):
+            raise InvalidArgument(f"turn {index}: must be a (speaker, text) pair of strings")
+        pairs.append(tuple(turn))
+    store.raw_log += pairs
+    store._queued += [(text, label, now) for speaker, text in pairs
+                      if speaker.lower() == _USER_TAG]
     return store
 
 

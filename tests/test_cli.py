@@ -311,6 +311,58 @@ def test_party_planner_whose_cores_assemble_their_context_gives_the_same_bytes(
         assert (tmp_path / "assembling" / artifact).read_bytes() == (bundled / artifact).read_bytes()
 
 
+def test_party_planner_retains_facts_only_where_a_store_is_read(tmp_path, capsys, monkeypatch):
+    # only epi reads its store, through MemoryRecall, and it reads before its
+    # one turn is committed; every text that reaches retention during the run
+    # is the query the tools retain from, which is epi's input
+    from agentrec.memory import MemoryLabel, make_item, retain, store_to_jsonl
+    memory, blueprints = agentrec.memory, agentrec.blueprints
+    texts, agents, commits = [], [], []
+    facts_of_text, build_agent, update_memory = (
+        memory._facts_of_text, blueprints.build_agent, agentrec.agents.update_memory)
+
+    def counting(text):
+        texts.append(text)
+        return facts_of_text(text)
+
+    def building(*args):
+        agents.append(build_agent(*args))
+        return agents[-1]
+
+    def committing(store, turns, label, now):
+        commits.append((store, list(turns), label, now))
+        return update_memory(store, turns, label, now)
+    monkeypatch.setattr(memory, "_facts_of_text", counting)
+    monkeypatch.setattr(blueprints, "build_agent", building)
+    monkeypatch.setattr(agentrec.agents, "update_memory", committing)
+    assert run_into(tmp_path, "party_planner")[0] == 0
+    capsys.readouterr()
+    monkeypatch.setattr(memory, "_facts_of_text", facts_of_text)
+    run_agents = {agent.id: agent for agent in agents[-9:]}  # validation built the others
+    epi_turns = [text for store, turns, _, _ in commits if store is run_agents["epi"].memory
+                 for speaker, text in turns if speaker == "user"]
+    config = load_config(SCENARIOS / "party_planner.json")
+    assert len(commits) == 9 and epi_turns == [config["query"]]
+    assert texts and set(texts) == set(epi_turns)
+    declared = {agent["id"]: agent["memory_facts"] for agent in config["agents"] + [
+        agent for child in config["children"].values() for agent in child["agents"]]}
+    assert sorted(run_agents) == sorted(declared)
+    for agent_id, agent in run_agents.items():
+        eager = memory.MemoryStore()  # each fact written at its commit
+        updates = [(slot, str(value), MemoryLabel.EPI, now)
+                   for now, (slot, value) in enumerate(declared[agent_id].items())]
+        for store, turns, label, now in commits:
+            if store is agent.memory:
+                eager.raw_log.extend(turns)
+                updates += [(slot, value, label, now) for slot, value in retain(turns)]
+        for slot, value, label, now in updates:
+            existing = eager.items.get((slot, label))
+            eager.items[(slot, label)] = make_item(
+                slot, value, label, now if existing is None else existing.meta.timestamp,
+                1 if existing is None else existing.meta.update_count + 1)
+        assert store_to_jsonl(agent.memory) == store_to_jsonl(eager), agent_id
+
+
 def test_rerun_same_config_and_seed_byte_identical(tmp_path, capsys):
     for name in ALL_SCENARIOS:
         status_a, out_a = run_into(tmp_path, name, sub=f"{name}_a")

@@ -115,6 +115,13 @@ CONFIG_CASES = [
     ("text-transcript", "explain_revision", ("transcript",), "hello", "transcript"),
     ("zero-max-rounds", "explain_revision", ("max_rounds",), 0, "max_rounds"),
     ("list-facts", "explain_revision", ("facts",), ["gluten"], "facts"),
+    # an item's text is "<slot>: <value>", so such a slot would read back as "a"
+    ("fact-slot-holding-separator", "party_planner", ("agents", 1, "memory_facts"),
+     {"a: b": "x", "a": "y"}, "agents[1].memory_facts: slot 'a: b' must not contain ': '"),
+    ("profile-fact-slot-holding-separator", "multimodal_bundle", ("profile_facts",),
+     {"material_ban: x": "leather"}, "profile_facts: slot 'material_ban: x' must not contain"),
+    ("session-fact-slot-holding-separator", "explain_revision", ("facts",), {"a: b": 1},
+     "facts: slot 'a: b' must not contain ': '"),
     ("repeated-node", "error_cascade", ("nodes",), ["retrieve", "rank", "present", "rank"],
      "nodes"),
     ("out-of-range-rate", "error_cascade", ("error_rates", "rank"), 2, "error_rates"),

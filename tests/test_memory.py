@@ -23,6 +23,7 @@ from agentrec.memory import (
     _facts_of_text,
     _query_of_text,
     _sparse_of_text,
+    build_store,
     cosine,
     embed_text,
     left_sum,
@@ -658,6 +659,149 @@ def test_replay_determinism_bit_identical_stores():
                       MemoryLabel.SEM, now=2)
         return store
     assert store_to_jsonl(build()) == store_to_jsonl(build())
+
+
+@pytest.mark.parametrize("turns, index", [
+    ([("user", 5)], 0),
+    ([(5, "x")], 0),
+    ([("user", "theme = pirates"), ("user",)], 1),
+    ([("user", "theme = pirates"), "ab"], 1),
+    ([("agent", "ok"), ("user", "budget = 200"), ("user", "a", "b")], 2),
+    ([None], 0),
+])
+def test_update_memory_refuses_a_turn_that_is_not_a_pair_of_strings_before_any_write(
+        turns, index):
+    store = update_memory(MemoryStore(), ctx(GLUTEN_TURN), MemoryLabel.EPI, now=1)
+    before = store_to_jsonl(store)
+    with pytest.raises(InvalidArgument, match=rf"^turn {index}: "):
+        update_memory(store, turns, MemoryLabel.EPI, now=2)
+    assert store_to_jsonl(store) == before
+    assert store_to_jsonl(store_from_jsonl(before)) == before
+
+
+def test_update_memory_reads_its_turns_once():
+    store = update_memory(MemoryStore(), iter([("user", "theme = pirates"), ("agent", "ok")]),
+                          MemoryLabel.EPI, now=3)
+    assert store.raw_log == [("user", "theme = pirates"), ("agent", "ok")]
+    assert store.items[("theme", MemoryLabel.EPI)].value == "theme: pirates"
+
+
+def test_upsert_fact_refuses_a_slot_its_item_could_not_read_back():
+    store = MemoryStore()
+    with pytest.raises(InvalidArgument, match="fact slot 'a: b' must not contain ': '"):
+        upsert_fact(store, "a: b", "x", MemoryLabel.EPI, now=0)
+    with pytest.raises(InvalidArgument, match="'a: b'"):
+        build_store({"a: b": "x", "a": "y"})
+    upsert_fact(store, "a:b", "x: y", MemoryLabel.EPI, now=0)  # ":" alone, or in a value
+    assert store_from_jsonl(store_to_jsonl(store)) == store
+    assert store.items[("a:b", MemoryLabel.EPI)].fact() == ("a:b", "x: y")
+
+
+def counting_facts(monkeypatch):
+    """The texts ``memory._facts_of_text`` is called with from here on."""
+    import agentrec.memory as memory_module
+    calls, original = [], memory_module._facts_of_text
+
+    def counting(text):
+        calls.append(text)
+        return original(text)
+    monkeypatch.setattr(memory_module, "_facts_of_text", counting)
+    return calls
+
+
+def test_a_store_retains_its_queued_user_turns_on_first_read(monkeypatch):
+    calls = counting_facts(monkeypatch)
+    store = MemoryStore()
+    turns = [("user", "theme = pirates"), ("agent", "budget = 1"), ("User", "budget = 200"),
+             ("user", "hello")]
+    for now, turn in enumerate(turns):
+        update_memory(store, [turn], MemoryLabel.SEM, now)
+    tail_window(store, 4)
+    assert calls == []  # a store nobody reads runs no retention
+    assert [(m.value, m.meta.timestamp) for m in store.all_items()] == [
+        ("theme: pirates", 0), ("budget: 200", 2)]
+    assert calls == ["theme = pirates", "budget = 200", "hello"]
+    store.labelled_items(MemoryLabel.SEM)
+    assert len(calls) == 3  # retained once
+
+
+# lazy against eager retention ------------------------------------------------
+
+LAZY_SLOTS = ("theme", "budget", "colour", "the sofa")
+LAZY_TEXTS = ("smalltalk only", "", "my guests are vegan", "the sofa is blue",
+              "two guests require a nut-free diet", "Budget: 50, theme = space.")
+
+
+def eager_upsert(store, slot, value, label, now):
+    """``upsert_fact`` as the items themselves define it, written through at once."""
+    existing = store.items.get((slot, label))
+    store.items[(slot, label)] = make_item(
+        slot, value, label, now if existing is None else existing.meta.timestamp,
+        1 if existing is None else existing.meta.update_count + 1)
+
+
+def lazy_fuzz_text(rng):
+    if rng.random() < 0.3:
+        return rng.choice(LAZY_TEXTS)
+    return "; ".join(f"{rng.choice(LAZY_SLOTS)} = {rng.choice(['pirates', '200', 'blue', 'x y'])}"
+                     for _ in range(rng.randint(1, 3)))
+
+
+def lazy_fuzz_read(rng, store):
+    """One read through each public reader, chosen by `rng`; returns what it read."""
+    query = rng.choice(["pirates", "blue sofa", "200", ""])
+    return rng.choice([
+        lambda: dict(store.items),
+        lambda: store.items.get((rng.choice(LAZY_SLOTS), rng.choice(list(MemoryLabel)))),
+        store.all_items,
+        lambda: store.labelled_items(rng.choice(list(MemoryLabel))),
+        lambda: retrieve_topk(store, query, rng.randint(1, 4)),
+        lambda: regulate_context(store, query, rng.randint(0, 12)),
+        lambda: store_to_jsonl(store),
+    ])()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lazy_retention_equals_retention_at_every_commit(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        if rng.random() < 0.5:
+            store, eager = MemoryStore(), MemoryStore()
+        else:
+            facts = {slot: rng.choice(["a", "b c"]) for slot in rng.sample(LAZY_SLOTS, 2)}
+            store, eager = build_store(facts), MemoryStore()
+            for index, (slot, value) in enumerate(facts.items()):
+                eager_upsert(eager, slot, value, MemoryLabel.EPI, index)
+        now = 0
+        for _ in range(rng.randint(1, 30)):
+            now += rng.choice([0, 1, 1, 3])
+            label = rng.choice(list(MemoryLabel))
+            op = rng.random()
+            if op < 0.45:
+                turns = [(rng.choice(["user", "User", "agent"]), lazy_fuzz_text(rng))
+                         for _ in range(rng.randint(1, 3))]
+                update_memory(store, turns, label, now)
+                eager.raw_log.extend(turns)
+                for slot, value in reference_retain(turns):
+                    eager_upsert(eager, slot, value, label, now)
+            elif op < 0.55:
+                slot, value = rng.choice(LAZY_SLOTS), rng.choice(["w", "pirates"])
+                upsert_fact(store, slot, value, label, now)
+                eager_upsert(eager, slot, value, label, now)
+            elif op < 0.65:
+                item = make_item(rng.choice(LAZY_SLOTS), "set", label, now, rng.randint(1, 9))
+                store.items[(item.slot(), label)] = item
+                eager.items[(item.slot(), label)] = item
+            else:
+                state = rng.getstate()
+                got = lazy_fuzz_read(rng, store)
+                rng.setstate(state)
+                assert got == lazy_fuzz_read(rng, eager)
+                assert store_to_jsonl(store) == store_to_jsonl(eager)
+                assert [(key, m.meta) for key, m in store.items.items()] == [
+                    (key, m.meta) for key, m in eager.items.items()]
+                assert store == eager
+        assert store_to_jsonl(store) == store_to_jsonl(eager)
 
 
 # tail window ---------------------------------------------------------------
