@@ -221,7 +221,7 @@ def ranked_entries_from_trace(trace) -> list:
         if message.kind == "ranked_list":
             try:
                 record = json.loads(message.payload["text"])
-            except ValueError:
+            except (ValueError, RecursionError):  # RecursionError: nested past the parser's depth
                 record = None
             ranked = record.get("ranked", []) if type(record) is dict else None
             if type(ranked) is not list or not all(map(_ranked_entry, ranked)):

@@ -364,7 +364,7 @@ def _parse_config(data: bytes, path) -> dict:
     findings = []
     try:
         config = json.loads(data.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested past the parser's depth
         config = _flag(findings, "<file>", f"config is not valid JSON: {exc}")
     if isinstance(config, dict):
         config = CONFIG_SPEC(dict(config, __path__=str(path)), "", findings)
@@ -470,7 +470,7 @@ def _catalog_environment(path) -> Environment:
         raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
     try:
         records = json.loads(data.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigInvalid(f"catalog {path} is malformed: {type(exc).__name__}: {exc}") from exc
     if type(records) is not list or not records:
         raise ConfigInvalid(f"catalog {path} must be a non-empty list of records")
@@ -510,7 +510,7 @@ _POLICY = obj({
 def load_policy(path) -> BrandPolicy:
     try:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigInvalid(f"policy {path} is malformed: {type(exc).__name__}: {exc}") from exc
     findings = []
     record = _POLICY(record, "", findings)

@@ -663,7 +663,7 @@ def store_from_jsonl(text: str) -> MemoryStore:
             continue
         try:
             _load_record(store, json.loads(line))
-        except ValueError as exc:  # not JSON, or InvalidArgument from a record rule
+        except (ValueError, RecursionError) as exc:  # not JSON, or a record rule's InvalidArgument
             raise InvalidArgument(f"snapshot line {number}: {exc}") from None
     return store
 

@@ -1,13 +1,17 @@
 """Config spec: every malformed config ends in an error record, never a traceback.
 
-The run goes through `main(["run", ...])` in-process, so an exception that
-escapes the CLI boundary fails the test instead of being printed.
+FAULTS is the one table of the CLI's fault cases. Each row runs through two
+entry points with the same assertions: `main(["run", ...])` in-process, so an
+exception that escapes the CLI boundary fails the test instead of being
+printed, and `python -m agentrec.cli` in a fresh interpreter, which imports
+the agentrec this process imported (`src/`, or an installed package).
 """
 
 import json
 import random
 import shutil
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -22,11 +26,14 @@ BUNDLED = ["party_planner", "simulate_colony", "multimodal_bundle", "explain_rev
 DELETE = object()
 PARTY = json.loads((SCENARIOS / "party_planner.json").read_text())
 PARTY_CHILDREN = PARTY["children"]
+COLONY = json.loads((SCENARIOS / "simulate_colony.json").read_text())
+CASCADE = json.loads((SCENARIOS / "error_cascade.json").read_text())
+ROTATION = json.loads((SCENARIOS / "rotation_catalog.json").read_text())
 
 
-def _scenario_dir(tmp_path) -> Path:
-    """A copy of the bundled scenarios and their data files."""
-    work = tmp_path / "scenarios"
+def _scenario_dir(tmp_path, name="scenarios") -> Path:
+    """A copy of the bundled scenarios and their data files, at tmp_path / name."""
+    work = tmp_path / name
     shutil.copytree(SCENARIOS, work, ignore=shutil.ignore_patterns("out"))
     return work
 
@@ -51,192 +58,379 @@ def _run(tmp_path, config, name="case"):
     return status, json.loads(error.read_text()) if error.exists() else None
 
 
-# name, scenario, field path, new value, field named in the message
-CONFIG_CASES = [
-    ("two-element-routing-edge", "party_planner", ("routing", 0), ["chat", "epi"], "routing"),
-    ("agent-without-id", "party_planner", ("agents", 0, "id"), DELETE, "agents"),
-    ("unknown-tool-kind", "party_planner", ("agents", 1, "tools", 0, "kind"), "teleport",
-     "agents"),
-    ("text-context-budget", "party_planner", ("budgets", "B"), "big", "budgets"),
-    ("numeric-query", "party_planner", ("query",), 42, "query"),
-    ("bool-seed", "party_planner", ("seed",), True, "seed"),
-    ("three-name-allow-pair", "party_planner", ("matrix", "allow", 0), ["chat", "epi", "nli"],
-     "matrix"),
-    ("text-rules", "party_planner", ("agents", 0, "rules"), "x", "agents"),
-    # re.compile rejects these with OverflowError and RecursionError, not re.error
-    ("rule-repeat-past-c-range", "party_planner", ("agents", 0, "rules"),
-     [["x{4294967295}", "$input"]], "agents[0].rules[0][0]: must be a regular expression"),
-    ("rule-groups-nested-too-deep", "party_planner", ("agents", 0, "rules"),
-     [["(" * 1000 + ")" * 1000, "$input"]], "agents[0].rules[0][0]: must be a regular expression"),
-    ("children-of-undeclared-parent", "party_planner", ("children",),
-     {"ghost": PARTY_CHILDREN["sac"]}, "children"),
-    ("open-pair-unknown-agent", "party_planner", ("children", "sac", "open", 0),
-     ["sac", "ghost"], "children"),
-    ("self-allow-pair", "party_planner", ("matrix", "allow", 0), ["chat", "chat"], "matrix"),
-    ("duplicate-recipient", "party_planner", ("routing", 3, 1),
-     ["cake", "cake", "decor", "favor"], "routing"),
-    # wiring faults, found by replaying the routing through the runtime's gates
-    ("closed-first-channel", "party_planner", ("matrix", "allow"), PARTY["matrix"]["allow"][1:],
-     "routing[0]: ChannelClosed"),
-    ("child-routed-before-spawn", "party_planner", ("routing",),
-     [PARTY["routing"][i] for i in (0, 1, 2, 4, 3, 5, 6, 7, 8)], "routing[3]: UnknownAgent"),
-    ("chat-emits-ranked-list", "party_planner", ("agents", 0, "output_kinds"), ["ranked_list"],
-     "routing[0]: SchemaViolation"),
-    ("open-pair-names-another-parents-child", "party_planner", ("children",),
-     {"sac": dict(PARTY_CHILDREN["sac"], open=PARTY_CHILDREN["sac"]["open"] + [["favor", "extra"]]),
-      "rank": {"agents": [{"id": "extra"}]}}, "routing[3]: UnknownAgent"),
-    ("repeated-tool-name", "party_planner", ("agents", 1, "tools"), PARTY["agents"][1]["tools"] * 2,
-     "agents: InvalidArgument: duplicate tool name: 'MemoryRecall'"),
-    ("child-repeated-tool-name", "party_planner", ("children", "sac", "agents", 0, "tools"),
-     PARTY_CHILDREN["sac"]["agents"][0]["tools"] * 2,
-     "agents: InvalidArgument: duplicate tool name: 'CakeSearch'"),
-    ("closed-last-channel", "party_planner", ("matrix", "allow"), PARTY["matrix"]["allow"][:-1],
-     "routing[8]: ChannelClosed"),
-    # a replay steps no agent, so a rule's tool call is checked against the agent's tools
-    ("rule-calls-unknown-tool", "party_planner", ("agents", 5, "rules"),
-     [[".*", 'CALL(NoSuchTool, "$input")']],
-     "agents: agent rank rule 0 calls unknown tool: NoSuchTool"),
-    ("child-rule-calls-another-childs-tool", "party_planner",
-     ("children", "sac", "agents", 0, "rules"), [[".*", 'CALL(DecorSearch, "$input")']],
-     "children: agent cake rule 0 calls unknown tool: DecorSearch"),
-    ("cohort-without-id", "simulate_colony", ("cohorts", 0, "id"), DELETE, "cohorts"),
-    ("negative-noise", "simulate_colony", ("cohorts", 0, "noise"), -1, "cohorts"),
-    ("unknown-reward-kind", "simulate_colony", ("reward", "kind"), "bogus", "reward"),
-    ("zero-horizon", "simulate_colony", ("horizon",), 0, "horizon"),
-    ("unknown-theta-kind", "simulate_colony", ("cohorts", 1, "theta", "kind"), "psychic",
-     "cohorts"),
-    ("unknown-recommender-kind", "simulate_colony", ("recommender", "kind"), "oracle",
-     "recommender"),
-    ("text-cohort-count", "simulate_colony", ("cohorts", 0, "count"), "two", "cohorts"),
-    ("repeated-cohort-id", "simulate_colony", ("cohorts", 1, "id"), "engaged", "cohorts"),
-    ("text-alpha", "multimodal_bundle", ("alpha",), "half", "alpha"),
-    ("text-categories", "multimodal_bundle", ("categories",), "chair", "categories"),
-    ("text-palette-entry", "multimodal_bundle", ("scene_palette",), ["red"], "scene_palette"),
-    ("text-transcript", "explain_revision", ("transcript",), "hello", "transcript"),
-    ("zero-max-rounds", "explain_revision", ("max_rounds",), 0, "max_rounds"),
-    ("list-facts", "explain_revision", ("facts",), ["gluten"], "facts"),
-    # an item's text is "<slot>: <value>", so such a slot would read back as "a"
-    ("fact-slot-holding-separator", "party_planner", ("agents", 1, "memory_facts"),
-     {"a: b": "x", "a": "y"}, "agents[1].memory_facts: slot 'a: b' must not contain ': '"),
-    ("profile-fact-slot-holding-separator", "multimodal_bundle", ("profile_facts",),
-     {"material_ban: x": "leather"}, "profile_facts: slot 'material_ban: x' must not contain"),
-    ("session-fact-slot-holding-separator", "explain_revision", ("facts",), {"a: b": 1},
-     "facts: slot 'a: b' must not contain ': '"),
-    ("repeated-node", "error_cascade", ("nodes",), ["retrieve", "rank", "present", "rank"],
-     "nodes"),
-    ("out-of-range-rate", "error_cascade", ("error_rates", "rank"), 2, "error_rates"),
-    ("rate-for-undeclared-node", "error_cascade", ("error_rates", "ghost"), 0.9,
-     "error_rates"),
-]
+# the fault table ---------------------------------------------------------------------
 
-# name, scenario, data file, its new text, expected error, word in the message
-FILE_CASES = [
-    ("catalog-invalid-json", "explain_revision", "party_catalog.json", "[{not json",
-     "ConfigInvalid", "catalog"),
-    ("catalog-record-without-id", "explain_revision", "party_catalog.json",
-     '[{"title": "cake"}]', "ConfigInvalid", "catalog"),
-    ("catalog-not-a-list", "simulate_colony", "rotation_catalog.json", '{"id": "rot_1"}',
-     "ConfigInvalid", "catalog"),
-    ("empty-catalog", "explain_revision", "party_catalog.json", "[]", "ConfigInvalid",
-     "catalog"),
-    ("malformed-policy", "explain_revision", "brand_policy.json", '["guaranteed"]',
-     "ConfigInvalid", "policy"),
-    ("duplicate-catalog-ids", "simulate_colony", "rotation_catalog.json",
-     '[{"id": "rot_1"}, {"id": "rot_1"}]', "ConfigInvalid", "unique"),
-    ("numeric-catalog-title", "simulate_colony", "rotation_catalog.json",
-     '[{"id": "rot_1"}, {"id": "rot_2", "title": 5}]', "ConfigInvalid", "record 1: title"),
-    ("text-catalog-tags", "simulate_colony", "rotation_catalog.json",
-     '[{"id": "rot_1", "tags": "home"}]', "ConfigInvalid", "record 0: tags"),
-    ("text-banned-terms", "explain_revision", "brand_policy.json",
-     '{"banned_terms": "guaranteed"}', "ConfigInvalid", "banned_terms"),
-]
+class Literal(str):
+    """A value written into the JSON file as this text, such as 1e999, which
+    no Python value dumps to."""
 
 
-@pytest.mark.parametrize("name, scenario, path, value, field", CONFIG_CASES,
-                         ids=[case[0] for case in CONFIG_CASES])
-def test_malformed_config_field_gives_config_invalid(tmp_path, capsys, name, scenario, path,
-                                                     value, field):
-    _scenario_dir(tmp_path)
-    config = json.loads((SCENARIOS / f"{scenario}.json").read_text())
-    _set(config, path, value)
-    status, record = _run(tmp_path, config)
-    assert status == 1
-    assert set(record) == {"error", "message"}
-    assert record["error"] == "ConfigInvalid"
-    assert field in record["message"]
-    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == record
-    assert [path.name for path in (tmp_path / "case-out").iterdir()] == ["error.json"]
-    assert main(["validate", str(tmp_path / "scenarios" / "case.json")]) == 1
-    assert field in capsys.readouterr().out
+def _edited(name, edits) -> str:
+    """The bundled JSON file `name` with each (path -> value) edit made, as text."""
+    value = json.loads((SCENARIOS / name).read_text())
+    literals = {}
+    for path, new in edits.items():
+        if isinstance(new, Literal):
+            new = literals.setdefault(new, f"<literal {len(literals)}>")
+        _set(value, path, new)
+    text = json.dumps(value)
+    for literal, placeholder in literals.items():
+        text = text.replace(json.dumps(placeholder), literal)
+    return text
 
 
-@pytest.mark.parametrize("name, scenario, data_file, text, error, word", FILE_CASES,
-                         ids=[case[0] for case in FILE_CASES])
-def test_malformed_data_file_gives_error_record(tmp_path, capsys, name, scenario, data_file,
-                                                text, error, word):
-    work = _scenario_dir(tmp_path)
-    (work / data_file).write_text(text)
-    status, record = _run(tmp_path, json.loads((SCENARIOS / f"{scenario}.json").read_text()))
-    assert status == 1
-    assert set(record) == {"error", "message"}
-    assert record["error"] == error
-    assert word in record["message"]
+class Fault(NamedTuple):
+    """One fault the CLI must refuse: a bundled scenario's config with `config`
+    edits (path -> value, or DELETE), run beside its data files with `files`
+    edits (name -> text, or None to remove it; the scenario's own file name
+    replaces the config, "out" makes --out a file).
 
-
-@pytest.mark.parametrize("text", ["hello", "[1]", '{"ranked": [["a"]]}',
-                                  '{"ranked": [["cake_1", "x"]]}', '{"ranked": [["cake_1", NaN]]}'])
-def test_malformed_ranked_list_gives_payload_invalid(tmp_path, text):
-    _scenario_dir(tmp_path)
-    config = json.loads(json.dumps(PARTY))
-    config["agents"][5]["rules"] = [[".*", text]]
-    status, record = _run(tmp_path, config)
-    assert status == 1
-    assert record["error"] == "PayloadInvalid"
-    assert record["message"].startswith("ranked_list message 8: ")
+    `error` is the run's error name; "Name: message" also gives its message,
+    for a fault validate does not report as the run does. Without a message,
+    the run's is validate's one finding "<field>: Name: <message>" when a
+    finding names the error so, else validate's findings joined by "; ". `validate` is what
+    validate prints: None, nothing (exit 0: the fault shows only in a run); a
+    str, text every finding line starts with; a tuple, exactly its lines. A
+    leg's directory reads as <work> in every output.
+    """
+    id: str
+    scenario: str
+    config: dict = {}
+    files: dict = {}
+    error: str = "ConfigInvalid"
+    validate: str | tuple | None = None
 
 
 BIG = 10 ** 400  # a JSON integer too large for a float
-# name, data file (None: the multimodal config itself), path of the number, value,
-# field of the validate finding
-EDGE_NUMBER_CASES = [
-    ("config-float", None, ("alpha",), BIG, "alpha"),
-    ("negative-config-float", None, ("tau",), -BIG, "tau"),
-    ("scene-palette-entry", None, ("scene_palette", 2), BIG, "scene_palette"),
-    ("catalog-price", "furniture_catalog.json", (0, "price"), BIG, "catalog"),
-    ("negative-catalog-price", "furniture_catalog.json", (0, "price"), -BIG, "catalog"),
-    ("palette-entry", "furniture_catalog.json", (0, "palette", 1), BIG, "catalog"),
-    ("negative-palette-entry", "furniture_catalog.json", (0, "palette", 1), -BIG, "catalog"),
-    # each number is finite, but the squared norm overflows, and a cosine
-    # of it would read NaN and clamp it to 1.0
-    ("scene-palette-norm", None, ("scene_palette",), [1e308, 1e308, 1e308], "scene_palette"),
-    ("int-scene-palette-norm", None, ("scene_palette",), [10 ** 200, 0, 0], "scene_palette"),
-    ("palette-norm", "furniture_catalog.json", (0, "palette"), [1e308, 1e308, 1e308],
-     "catalog"),
-    ("int-palette-norm", "furniture_catalog.json", (0, "palette"), [-10 ** 200, 0, 0],
-     "catalog"),
+DEEP = "[" * 100000 + "]" * 100000  # json.loads raises RecursionError, not ValueError
+RANKED_LIST_INVALID = ("PayloadInvalid: ranked_list message 8: must be a JSON object whose "
+                       "ranked is a list of [item id, finite number] pairs")
+CYCLE = "edges: CyclicGraph: agent dependency graph contains a cycle"
+TAG_CLASH = "InvalidArgument: required and forbidden tags must be disjoint"
+# a fact value is a string or a finite number; each of these is a JSON literal
+# that parses to a bool, a non-finite float or an int too large for a float
+FACT_LITERALS = {"bool": "true", "nan": "NaN", "infinity": "Infinity",
+                 "negative-infinity": "-Infinity", "float-past-range": "1e999",
+                 "int-past-float-range": "1" + "0" * 400}
+FACT_FIELDS = [("memory-fact", "party_planner", ("agents", 1, "memory_facts"),
+                "agents[1].memory_facts"),
+               ("profile-fact", "multimodal_bundle", ("profile_facts",), "profile_facts"),
+               ("session-fact", "explain_revision", ("facts",), "facts")]
+
+FAULTS = [
+    # field rules
+    Fault("two-element-routing-edge", "party_planner", {("routing", 0): ["chat", "epi"]},
+          validate="routing"),
+    Fault("agent-without-id", "party_planner", {("agents", 0, "id"): DELETE}, validate="agents"),
+    Fault("unknown-tool-kind", "party_planner", {("agents", 1, "tools", 0, "kind"): "teleport"},
+          validate="agents"),
+    Fault("text-context-budget", "party_planner", {("budgets", "B"): "big"}, validate="budgets"),
+    Fault("numeric-query", "party_planner", {("query",): 42}, validate="query"),
+    Fault("bool-seed", "party_planner", {("seed",): True}, validate="seed"),
+    Fault("three-name-allow-pair", "party_planner",
+          {("matrix", "allow", 0): ["chat", "epi", "nli"]}, validate="matrix"),
+    Fault("text-rules", "party_planner", {("agents", 0, "rules"): "x"}, validate="agents"),
+    # re.compile rejects these with OverflowError and RecursionError, not re.error
+    Fault("rule-repeat-past-c-range", "party_planner",
+          {("agents", 0, "rules"): [["x{4294967295}", "$input"]]},
+          validate="agents[0].rules[0][0]: must be a regular expression"),
+    Fault("rule-groups-nested-too-deep", "party_planner",
+          {("agents", 0, "rules"): [["(" * 1000 + ")" * 1000, "$input"]]},
+          validate="agents[0].rules[0][0]: must be a regular expression"),
+    Fault("children-of-undeclared-parent", "party_planner",
+          {("children",): {"ghost": PARTY_CHILDREN["sac"]}}, validate="children"),
+    Fault("open-pair-unknown-agent", "party_planner",
+          {("children", "sac", "open", 0): ["sac", "ghost"]}, validate="children"),
+    Fault("self-allow-pair", "party_planner", {("matrix", "allow", 0): ["chat", "chat"]},
+          validate="matrix"),
+    Fault("duplicate-recipient", "party_planner",
+          {("routing", 3, 1): ["cake", "cake", "decor", "favor"]}, validate="routing"),
+    Fault("repeated-agent-id", "party_planner",
+          {("agents",): PARTY["agents"] + PARTY["agents"][:1]},
+          validate="agents: duplicate agent id: chat"),
+    Fault("unknown-kind", "party_planner",
+          files={"party_planner.json": '{"kind": "daydream", "seed": 1}'},
+          validate=("kind: must be one of ['cascade', 'explain', 'interactive', 'multimodal', "
+                    "'simulate']", "catalog: required")),
+    Fault("missing-catalog-file", "party_planner", files={"party_catalog.json": None},
+          validate=("catalog: referenced path does not exist",)),
+    Fault("config-nested-past-the-parser-depth", "party_planner",
+          files={"party_planner.json": DEEP}, validate="<file>: config is not valid JSON: "),
+    # wiring faults, found by replaying the routing through the runtime's gates
+    Fault("closed-first-channel", "party_planner",
+          {("matrix", "allow"): PARTY["matrix"]["allow"][1:]},
+          validate="routing[0]: ChannelClosed"),
+    Fault("child-routed-before-spawn", "party_planner",
+          {("routing",): [PARTY["routing"][i] for i in (0, 1, 2, 4, 3, 5, 6, 7, 8)]},
+          validate="routing[3]: UnknownAgent"),
+    Fault("chat-emits-ranked-list", "party_planner",
+          {("agents", 0, "output_kinds"): ["ranked_list"]},
+          validate="routing[0]: SchemaViolation"),
+    Fault("open-pair-names-another-parents-child", "party_planner",
+          {("children",): {"sac": dict(PARTY_CHILDREN["sac"], open=PARTY_CHILDREN["sac"]["open"]
+                                       + [["favor", "extra"]]),
+                           "rank": {"agents": [{"id": "extra"}]}}},
+          validate="routing[3]: UnknownAgent"),
+    Fault("repeated-tool-name", "party_planner",
+          {("agents", 1, "tools"): PARTY["agents"][1]["tools"] * 2},
+          validate="agents: InvalidArgument: duplicate tool name: 'MemoryRecall'"),
+    Fault("child-repeated-tool-name", "party_planner",
+          {("children", "sac", "agents", 0, "tools"):
+           PARTY_CHILDREN["sac"]["agents"][0]["tools"] * 2},
+          validate="agents: InvalidArgument: duplicate tool name: 'CakeSearch'"),
+    Fault("closed-last-channel", "party_planner",
+          {("matrix", "allow"): PARTY["matrix"]["allow"][:-1]},
+          validate="routing[8]: ChannelClosed"),
+    # a replay steps no agent, so a rule's tool call is checked against the agent's tools
+    Fault("rule-calls-unknown-tool", "party_planner",
+          {("agents", 5, "rules"): [[".*", 'CALL(NoSuchTool, "$input")']]},
+          validate="agents: agent rank rule 0 calls unknown tool: NoSuchTool"),
+    Fault("child-rule-calls-another-childs-tool", "party_planner",
+          {("children", "sac", "agents", 0, "rules"): [[".*", 'CALL(DecorSearch, "$input")']]},
+          validate="children: agent cake rule 0 calls unknown tool: DecorSearch"),
+    # an item's text is "<slot>: <value>", so such a slot would read back as "a"
+    Fault("fact-slot-holding-separator", "party_planner",
+          {("agents", 1, "memory_facts"): {"a: b": "x", "a": "y"}},
+          validate="agents[1].memory_facts: slot 'a: b' must not contain ': '"),
+    Fault("fact-slot-holding-separator-beside-declared-facts", "party_planner",
+          {("agents", 1, "memory_facts", "a: b"): "x"},
+          validate=("agents[1].memory_facts: slot 'a: b' must not contain ': '",)),
+    Fault("profile-fact-slot-holding-separator", "multimodal_bundle",
+          {("profile_facts",): {"material_ban: x": "leather"}},
+          validate="profile_facts: slot 'material_ban: x' must not contain"),
+    Fault("session-fact-slot-holding-separator", "explain_revision", {("facts",): {"a: b": 1}},
+          validate="facts: slot 'a: b' must not contain ': '"),
+    *(Fault(f"{name}-{literal_name}", scenario, {path + ("budget",): Literal(literal)},
+            validate=(f"{field}.budget: must be a string or a finite number",))
+      for name, scenario, path, field in FACT_FIELDS
+      for literal_name, literal in FACT_LITERALS.items()),
+    # a tool call that arrives in the query (echoed by chat's "$input" rule) is
+    # no config fault: the episode aborts with the step's error
+    Fault("tool-call-in-the-query", "party_planner",
+          {("query",): 'plan a party CALL(NoSuchTool, "cake")'},
+          error="UnknownTool: unknown tool: 'NoSuchTool'"),
+    # the final ranked_list message's text, which a rule template gives
+    *(Fault(f"ranked-list-{name}", "party_planner", {("agents", 5, "rules"): [[".*", text]]},
+            error=RANKED_LIST_INVALID)
+      for name, text in [("plain-text", "hello"), ("array", "[1]"),
+                         ("entry-without-score", '{"ranked": [["a"]]}'),
+                         ("text-score", '{"ranked": [["cake_1", "x"]]}'),
+                         ("nan-score", '{"ranked": [["cake_1", NaN]]}'),
+                         ("nested-past-the-parser-depth", DEEP)]),
+    Fault("cohort-without-id", "simulate_colony", {("cohorts", 0, "id"): DELETE},
+          validate="cohorts"),
+    Fault("negative-noise", "simulate_colony", {("cohorts", 0, "noise"): -1}, validate="cohorts"),
+    Fault("unknown-reward-kind", "simulate_colony", {("reward", "kind"): "bogus"},
+          validate="reward"),
+    Fault("zero-horizon", "simulate_colony", {("horizon",): 0}, validate="horizon"),
+    Fault("unknown-theta-kind", "simulate_colony", {("cohorts", 1, "theta", "kind"): "psychic"},
+          validate="cohorts"),
+    Fault("unknown-recommender-kind", "simulate_colony", {("recommender", "kind"): "oracle"},
+          validate="recommender"),
+    Fault("text-cohort-count", "simulate_colony", {("cohorts", 0, "count"): "two"},
+          validate="cohorts"),
+    Fault("repeated-cohort-id", "simulate_colony", {("cohorts", 1, "id"): "engaged"},
+          validate="cohorts"),
+    # simulators are named and seeded from their cohort's id, so two cohorts of
+    # one id would run the same sessions and report as one row
+    Fault("two-repeated-cohort-ids", "simulate_colony",
+          {("cohorts",): COLONY["cohorts"] + [dict(COLONY["cohorts"][1], count=1),
+                                              COLONY["cohorts"][0]]},
+          validate=("cohorts: duplicate cohort id: drifting",
+                    "cohorts: duplicate cohort id: engaged")),
+    Fault("simulate-static-top-item-not-in-catalog", "simulate_colony",
+          {("recommender",): {"kind": "static_top", "item_id": "nope"}},
+          error="UnknownItem", validate="recommender.item_id: UnknownItem: "),
+    Fault("text-alpha", "multimodal_bundle", {("alpha",): "half"}, validate="alpha"),
+    Fault("text-categories", "multimodal_bundle", {("categories",): "chair"},
+          validate="categories"),
+    Fault("text-palette-entry", "multimodal_bundle", {("scene_palette",): ["red"]},
+          validate="scene_palette"),
+    Fault("tau-past-one", "multimodal_bundle", {("tau",): 1.5},
+          validate=("tau: must be a finite number in [-1, 1]",)),
+    Fault("category-without-palettes", "multimodal_bundle",
+          {("categories",): ["chair", "spaceship"]}, error="MissingPalette",
+          validate="categories: MissingPalette: "),
+    # the catalog's palettes have 3 numbers; a cosine over fewer would read a cut pair
+    *(Fault(f"scene-palette-{name}-than-the-catalogs", "multimodal_bundle",
+            {("scene_palette",): scene},
+            error=f"InvalidArgument: cosine of vectors of different lengths: 3 and {len(scene)}",
+            validate=tuple(f"scene_palette: has {len(scene)} numbers, but the palette of item "
+                           f"{item} (category {item.split('_')[0]}) has 3"
+                           for item in ("chair_leather", "lamp_chrome", "sofa_boho")))
+      for name, scene in [("shorter", [0.8, 0.6]), ("longer", [0.8, 0.6, 0.0, 5.0])]),
+    Fault("text-transcript", "explain_revision", {("transcript",): "hello"},
+          validate="transcript"),
+    Fault("zero-max-rounds", "explain_revision", {("max_rounds",): 0}, validate="max_rounds"),
+    Fault("list-facts", "explain_revision", {("facts",): ["gluten"]}, validate="facts"),
+    # a tag both required and forbidden, which the run's constraints refuse
+    Fault("profile-facts-require-and-forbid-a-tag", "multimodal_bundle",
+          {("profile_facts",): {"required_x": "wood", "wood_ban": "wood"}},
+          validate=(f"profile_facts: {TAG_CLASH}",)),
+    Fault("session-facts-require-and-forbid-a-tag", "explain_revision",
+          {("facts",): {"required_x": "Wood", "guest_allergy": " wood"}},
+          validate=(f"facts: {TAG_CLASH}",)),
+    Fault("transcript-requires-and-forbids-a-tag", "explain_revision",
+          {("transcript",): ["required_x: wood; wood_ban: wood"]},
+          validate=(f"facts: {TAG_CLASH}",)),
+    # cascade graphs
+    Fault("repeated-node", "error_cascade",
+          {("nodes",): ["retrieve", "rank", "present", "rank"]}, validate="nodes"),
+    Fault("first-node-listed-again", "error_cascade",
+          {("nodes",): CASCADE["nodes"] + CASCADE["nodes"][:1]},
+          validate=("nodes: InvalidArgument: repeated node: 'retrieve'",)),
+    Fault("back-edge", "error_cascade",
+          {("edges",): CASCADE["edges"] + [["present", "retrieve"]]}, validate=(CYCLE,)),
+    Fault("self-edge", "error_cascade", {("edges",): [["retrieve", "rank"], ["rank", "rank"]]},
+          validate=(CYCLE,)),
+    Fault("out-of-range-rate", "error_cascade", {("error_rates", "rank"): 2},
+          validate="error_rates"),
+    Fault("rate-for-undeclared-node", "error_cascade", {("error_rates", "ghost"): 0.9},
+          validate="error_rates"),
+    *(Fault(name, "error_cascade", {(field,): value}, validate=field) for name, field, value in [
+        ("zero-trials", "trials", 0), ("text-trials", "trials", "many"),
+        ("bool-trials", "trials", True),
+        ("three-element-edge", "edges", [["retrieve", "rank", "present"]]),
+        ("undeclared-node-edge", "edges", [["retrieve", "nowhere"]]),
+        ("text-nodes", "nodes", "abc"), ("list-nodes", "nodes", [["retrieve"], ["rank"]]),
+        ("list-rates", "error_rates", [0.1])]),
+    # an output directory that cannot be made is the OSError's record, on stderr only
+    Fault("out-names-a-file", "error_cascade", files={"out": "a file, not a directory\n"},
+          error="FileExistsError: [Errno 17] File exists: '<work>/out'"),
+    # numbers past the float range; each is finite, but a squared norm may
+    # overflow, and a cosine of it would read NaN and clamp it to 1.0
+    *(Fault(f"config-{name}", "multimodal_bundle", {path: value}, validate=field)
+      for name, path, value, field in [
+          ("float", ("alpha",), BIG, "alpha"), ("negative-float", ("tau",), -BIG, "tau"),
+          ("scene-palette-entry", ("scene_palette", 2), BIG, "scene_palette"),
+          ("scene-palette-norm", ("scene_palette",), [1e308, 1e308, 1e308], "scene_palette"),
+          ("int-scene-palette-norm", ("scene_palette",), [10 ** 200, 0, 0], "scene_palette")]),
+    *(Fault(f"catalog-{name}", "multimodal_bundle",
+            files={"furniture_catalog.json": _edited("furniture_catalog.json", {path: value})},
+            validate="catalog: ConfigInvalid: catalog <work>/furniture_catalog.json record 0: ")
+      for name, path, value in [
+          ("price", (0, "price"), BIG), ("negative-price", (0, "price"), -BIG),
+          ("palette-entry", (0, "palette", 1), BIG),
+          ("negative-palette-entry", (0, "palette", 1), -BIG),
+          ("palette-norm", (0, "palette"), [1e308, 1e308, 1e308]),
+          ("int-palette-norm", (0, "palette"), [-10 ** 200, 0, 0])]),
+    # data files: what a catalog or policy file holds fails validate as it fails run
+    Fault("catalog-invalid-json", "explain_revision",
+          files={"party_catalog.json": "[{not json"},
+          validate="catalog: ConfigInvalid: catalog <work>/party_catalog.json is malformed: "),
+    Fault("catalog-nested-past-the-parser-depth", "explain_revision",
+          files={"party_catalog.json": DEEP},
+          validate="catalog: ConfigInvalid: catalog <work>/party_catalog.json is malformed: "
+                   "RecursionError: "),
+    Fault("simulate-config-names-an-unparsable-catalog", "simulate_colony",
+          {("catalog",): "bad_catalog.json"}, {"bad_catalog.json": "[{not json"},
+          validate="catalog: ConfigInvalid: "),
+    Fault("catalog-record-without-id", "explain_revision",
+          files={"party_catalog.json": '[{"title": "cake"}]'},
+          validate=("catalog: ConfigInvalid: catalog <work>/party_catalog.json record 0: id: "
+                    "must be a non-empty string",)),
+    Fault("catalog-not-a-list", "simulate_colony",
+          files={"rotation_catalog.json": '{"id": "rot_1"}'},
+          validate=("catalog: ConfigInvalid: catalog <work>/rotation_catalog.json must be a "
+                    "non-empty list of records",)),
+    Fault("empty-catalog", "explain_revision", files={"party_catalog.json": "[]"},
+          validate=("catalog: ConfigInvalid: catalog <work>/party_catalog.json must be a "
+                    "non-empty list of records",)),
+    Fault("duplicate-catalog-ids", "simulate_colony",
+          files={"rotation_catalog.json": '[{"id": "rot_1"}, {"id": "rot_1"}]'},
+          validate=("catalog: ConfigInvalid: catalog <work>/rotation_catalog.json record 1: id: "
+                    "must be unique, but 'rot_1' is record 0's id too",)),
+    Fault("second-catalog-record-repeats-the-first-id", "simulate_colony",
+          files={"rotation_catalog.json": json.dumps(
+              [ROTATION[0], dict(ROTATION[1], id=ROTATION[0]["id"]), *ROTATION[2:]])},
+          validate=("catalog: ConfigInvalid: catalog <work>/rotation_catalog.json record 1: id: "
+                    "must be unique, but 'rot_1' is record 0's id too",)),
+    Fault("numeric-catalog-title", "simulate_colony",
+          files={"rotation_catalog.json": '[{"id": "rot_1"}, {"id": "rot_2", "title": 5}]'},
+          validate="catalog: ConfigInvalid: catalog <work>/rotation_catalog.json record 1: title"),
+    Fault("text-catalog-tags", "simulate_colony",
+          files={"rotation_catalog.json": '[{"id": "rot_1", "tags": "home"}]'},
+          validate="catalog: ConfigInvalid: catalog <work>/rotation_catalog.json record 0: tags"),
+    Fault("malformed-policy", "explain_revision", files={"brand_policy.json": '["guaranteed"]'},
+          validate="policy: ConfigInvalid: policy "),
+    Fault("text-banned-terms", "explain_revision",
+          files={"brand_policy.json": '{"banned_terms": "guaranteed"}'},
+          validate="policy: ConfigInvalid: policy <work>/brand_policy.json is malformed: "
+                   "banned_terms"),
+    Fault("numeric-banned-terms-in-a-policy-named-by-the-config", "explain_revision",
+          {("policy",): "bad_policy.json"}, {"bad_policy.json": '{"banned_terms": 5}'},
+          validate="policy: ConfigInvalid: "),
+    Fault("policy-nested-past-the-parser-depth", "explain_revision",
+          files={"brand_policy.json": DEEP},
+          validate="policy: ConfigInvalid: policy <work>/brand_policy.json is malformed: "
+                   "RecursionError: "),
 ]
 
 
-@pytest.mark.parametrize("name, data_file, path, value, field", EDGE_NUMBER_CASES,
-                         ids=[case[0] for case in EDGE_NUMBER_CASES])
-def test_number_past_the_float_range_fails_validate_and_run(tmp_path, capsys, name, data_file,
-                                                            path, value, field):
-    work = _scenario_dir(tmp_path)
-    config = json.loads((SCENARIOS / "multimodal_bundle.json").read_text())
-    if data_file is None:
-        _set(config, path, value)
+def _leg(tmp_path, name, fault):
+    """Copies the bundled scenarios to tmp_path / name and makes the row's
+    edits; returns that directory and the argv of run and of validate on the
+    row's config there."""
+    work = _scenario_dir(tmp_path, name)
+    config = work / f"{fault.scenario}.json"
+    config.write_text(_edited(config.name, fault.config))
+    for name, text in fault.files.items():
+        if text is None:
+            (work / name).unlink()
+        else:
+            (work / name).write_text(text)
+    return work, (["run", str(config), "--out", str(work / "out")], ["validate", str(config)])
+
+
+def _finish(process):
+    out, err = process.communicate(timeout=120)
+    return process.returncode, out, err
+
+
+def _check(fault, work, run, validate):
+    """The assertions every row gets, on one leg's (status, stdout, stderr)
+    of run and of validate."""
+    status, stdout, stderr = run
+    assert status == 1 and stdout == "" and "Traceback" not in stderr
+    record = json.loads(stderr.splitlines()[-1])
+    assert set(record) == {"error", "message"} and all(type(v) is str for v in record.values())
+    out = work / "out"
+    if out.is_dir():
+        assert [path.name for path in out.iterdir()] == ["error.json"]
+        assert json.loads((out / "error.json").read_text().replace(str(work), "<work>")) == record
+    else:  # the row made --out a file: it is left as it was
+        assert out.read_text() == fault.files["out"]
+    status, stdout, stderr = validate
+    lines = stdout.splitlines()
+    assert status == (1 if lines else 0) and stderr == ""
+    if fault.validate is None or type(fault.validate) is tuple:
+        assert lines == list(fault.validate or ())
     else:
-        records = json.loads((work / data_file).read_text())
-        _set(records, path, value)
-        (work / data_file).write_text(json.dumps(records))
-    status, record = _run(tmp_path, config)
-    assert status == 1 and set(record) == {"error", "message"}
-    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == record
-    assert main(["validate", str(work / "case.json")]) == 1
-    findings = capsys.readouterr().out.splitlines()
-    assert findings and all(finding.startswith(f"{field}") for finding in findings)
-    if data_file is None:  # a config finding is the run's whole message
-        assert record == {"error": "ConfigInvalid", "message": "; ".join(findings)}
+        assert lines and all(line.startswith(fault.validate) for line in lines)
+    name, _, message = fault.error.partition(": ")
+    assert record["error"] == name
+    if message:
+        assert record["message"] == message
+    elif any(line.partition(": ")[2].startswith(f"{name}: ") for line in lines):
+        # a gate's fault: validate's one finding is "<field>: <Error>: <message>"
+        assert [line.partition(": ")[2] for line in lines] == [f"{name}: {record['message']}"]
+    else:  # the config's findings, joined
+        assert name == "ConfigInvalid" and record["message"] == "; ".join(lines)
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=[fault.id for fault in FAULTS])
+def test_each_fault_ends_in_one_error_record(tmp_path, capsys, fresh_python, fault):
+    fresh, fresh_argvs = _leg(tmp_path, "fresh", fault)
+    in_process, argvs = _leg(tmp_path, "in-process", fault)
+    # the two interpreters run while the in-process leg does
+    started = [fresh_python("-m", "agentrec.cli", *argv) for argv in fresh_argvs]
+    outcomes = {in_process: [(main(argv), *capsys.readouterr()) for argv in argvs],
+                fresh: [_finish(process) for process in started]}
+    read = {work: [(status, *(text.replace(str(work), "<work>") for text in texts))
+                   for status, *texts in legs] for work, legs in outcomes.items()}
+    for work, (run, validate) in read.items():
+        _check(fault, work, run, validate)
+    assert read[fresh] == read[in_process]
 
 
 @pytest.mark.parametrize("field, value, rule", [
@@ -303,48 +497,6 @@ def test_validate_reports_each_rate_for_an_undeclared_node(tmp_path, capsys):
     assert main(["validate", str(path)]) == 1
     assert capsys.readouterr().out == ("error_rates: rate for an undeclared node: alpha\n"
                                        "error_rates: rate for an undeclared node: ghost\n")
-
-
-def test_validate_reports_a_repeated_cohort_id(tmp_path, capsys):
-    # simulators are named and seeded from their cohort's id, so two cohorts
-    # of one id would run the same sessions and report as one row
-    config = json.loads((SCENARIOS / "simulate_colony.json").read_text())
-    config["cohorts"] += [dict(config["cohorts"][1], count=1), dict(config["cohorts"][0])]
-    path = tmp_path / "colony.json"
-    path.write_text(json.dumps(config))
-    shutil.copy(SCENARIOS / "rotation_catalog.json", tmp_path / "rotation_catalog.json")
-    assert validate_config(path) == [
-        {"field": "cohorts", "rule": "duplicate cohort id: drifting"},
-        {"field": "cohorts", "rule": "duplicate cohort id: engaged"},
-    ]
-    assert main(["validate", str(path)]) == 1
-    assert capsys.readouterr().out == ("cohorts: duplicate cohort id: drifting\n"
-                                       "cohorts: duplicate cohort id: engaged\n")
-
-
-# a fact value is a string or a finite number; each of these is a JSON literal
-# that parses to a bool, a non-finite float or an int too large for a float
-FACT_LITERALS = ["true", "NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400]
-FACT_FIELDS = [("party_planner", ("agents", 1, "memory_facts"), "agents[1].memory_facts"),
-               ("multimodal_bundle", ("profile_facts",), "profile_facts"),
-               ("explain_revision", ("facts",), "facts")]
-
-
-@pytest.mark.parametrize("literal", FACT_LITERALS)
-@pytest.mark.parametrize("scenario, path, field", FACT_FIELDS, ids=[f[0] for f in FACT_FIELDS])
-def test_fact_value_that_is_not_a_string_or_finite_number_fails_validate_and_run(
-        tmp_path, capsys, scenario, path, field, literal):
-    work = _scenario_dir(tmp_path)
-    config = json.loads((SCENARIOS / f"{scenario}.json").read_text())
-    _set(config, path + ("budget",), "<value>")
-    (work / "case.json").write_text(json.dumps(config).replace('"<value>"', literal))
-    rule = {"field": f"{field}.budget", "rule": "must be a string or a finite number"}
-    assert validate_config(work / "case.json") == [rule]
-    out = tmp_path / "case-out"
-    assert main(["run", str(work / "case.json"), "--out", str(out)]) == 1
-    assert json.loads((out / "error.json").read_text()) == {
-        "error": "ConfigInvalid", "message": f"{rule['field']}: {rule['rule']}"}
-    capsys.readouterr()
 
 
 def test_fact_values_are_kept_as_given(tmp_path):

@@ -1036,6 +1036,8 @@ def item_with(**fields):
 
 @pytest.mark.parametrize("line", [
     "not json",
+    # json.loads raises RecursionError, not ValueError, past its nesting depth
+    "[" * 100000 + "]" * 100000,
     '{"kind": "turn"}',
     "[1]",
     item_with(meta=dict(VALID_ITEM["meta"], label="LTM")),
@@ -1055,8 +1057,8 @@ def item_with(**fields):
     item_with(value="theme: vanilla cake", key=list(embed_text("theme: pirates"))),
     # line 1 holds the same slot under the same label
     item_with(meta=dict(VALID_ITEM["meta"], timestamp=7)),
-], ids=["not-json", "turn-without-fields", "not-an-object", "unknown-label",
-        "pair-value", "triple-value", "short-key", "number-value", "string-key",
+], ids=["not-json", "nested-past-the-parser-depth", "turn-without-fields", "not-an-object",
+        "unknown-label", "pair-value", "triple-value", "short-key", "number-value", "string-key",
         "string-in-key", "nan-in-key", "string-timestamp", "number-in-triple",
         "empty-triple-part", "unknown-kind", "other-value-key", "repeated-slot-label"])
 def test_snapshot_rejects_each_malformed_line_naming_it(line):

@@ -4,10 +4,10 @@ reads another's private names, and `import agentrec` imports nothing but the
 package."""
 
 import ast
-import os
-import subprocess
-import sys
+import re
 from pathlib import Path
+
+from agentrec import cli, memory, reliability, runtime
 
 ROOT = Path(__file__).resolve().parent.parent
 # what the program is: the library and the benchmark that drives it
@@ -301,10 +301,37 @@ def test_the_scan_finds_a_private_name_another_module_defines(tmp_path):
         "user.py:1: _helper", "user.py:3: _slot", "bench.py:4: _LIMIT"]
 
 
-def test_importing_the_package_imports_no_submodule():
+def test_importing_the_package_imports_no_submodule(fresh_python):
     code = ("import sys, agentrec; "
             "print(agentrec.__version__); "
             "print(sorted(name for name in sys.modules if name.startswith('agentrec.')))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True)
-    assert result.stdout.splitlines() == ["0.1.0", "[]"]
+    out, err = fresh_python("-c", code).communicate(timeout=120)
+    assert (out.splitlines(), err) == (["0.1.0", "[]"], "")
+
+
+# each fixed bound README states, as README's words with {} for the number
+# (whitespace folded), and the code's value
+INTERACTIVE_BUDGETS = cli.CONFIG_SPEC({"kind": "interactive", "seed": 1, "catalog": "c.json",
+                                       "query": "q", "agents": [{"id": "a"}]}, "", [])["budgets"]
+README_BOUNDS = [
+    ("the finished results of its {} most recently used requests", runtime._RESULT_MEMO_SIZE),
+    ("the values of their {} most recently used texts", memory._TEXT_MEMO_SIZE),
+    ("Token hashes are cached for the {} most recently seen tokens",
+     memory._bucket_sign.cache_parameters()["maxsize"]),
+    ("in blocks of `reliability.CASCADE_BLOCK` ({})", reliability.CASCADE_BLOCK),
+    ("compares the file with the kept bytes, {} KiB at a time", cli._COMPARE_CHUNK / 1024),
+    ("exact 0/1-knapsack dynamic program up to {} items", memory.EXACT_KNAPSACK_LIMIT),
+    ("**Embedding**: dimension {};", memory.EMBED_DIM),
+    ("`budgets`: `B` {} (context tokens)", INTERACTIVE_BUDGETS["B"]),
+    ("`L_stm` {} (short-term window)", INTERACTIVE_BUDGETS["L_stm"]),
+    ("`L` {} (ranked-list length)", INTERACTIVE_BUDGETS["L"]),
+]
+
+
+def test_readme_states_each_fixed_bound_the_code_holds():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    found = {}
+    for phrase, _ in README_BOUNDS:
+        pattern = re.escape(phrase).replace(re.escape("{}"), "([0-9,]+)")
+        found[phrase] = [int(number.replace(",", "")) for number in re.findall(pattern, text)]
+    assert found == {phrase: [value] for phrase, value in README_BOUNDS}
